@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_TOLERANCE ?= 0.10
 
-.PHONY: build vet lint lint-baseline test race fuzz fuzz-scenario coverfloor chaos verify bench
+.PHONY: build vet lint lint-baseline test race fuzz fuzz-scenario fuzz-ps coverfloor chaos verify bench
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,12 @@ fuzz:
 fuzz-scenario:
 	$(GO) test -run='^$$' -fuzz=FuzzScenario -fuzztime=30s ./internal/scenario
 
+# Processor-sharing differential smoke: random admit/advance/cap/crash
+# sequences through the virtual-time server and the reference per-request
+# scan in lockstep; asserts identical counts and completion order.
+fuzz-ps:
+	$(GO) test -run='^$$' -fuzz=FuzzPSDifferential -fuzztime=30s ./internal/server
+
 # Statement-coverage floor for the scenario DSL front end; mirrors the CI
 # gate so a lost test trips locally too.
 coverfloor:
@@ -67,7 +73,7 @@ verify: build lint race
 bench:
 	{ \
 	  $(GO) test -run='^$$' -bench 'BenchmarkScheduleAndRun|BenchmarkScheduleFireSteady|BenchmarkScheduleCancel|BenchmarkDrainBatch' -benchmem -benchtime=2s ./internal/simtime; \
-	  $(GO) test -run='^$$' -bench 'BenchmarkAdvance$$|BenchmarkNextCompletion|BenchmarkPowerAt|BenchmarkAdvanceCompleting' -benchmem -benchtime=2s ./internal/server; \
+	  $(GO) test -run='^$$' -bench 'BenchmarkAdvance$$|BenchmarkNextCompletion|BenchmarkPowerAt|BenchmarkAdvanceCompleting|BenchmarkAdvanceSaturated' -benchmem -benchtime=2s ./internal/server; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkSnapshotFork' -benchmem -benchtime=2s ./internal/core; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkModelPower$$|BenchmarkModelPowerLadder|BenchmarkTablePowerLadder' -benchmem -benchtime=2s ./internal/power; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkPercentile' -benchmem -benchtime=2s ./internal/stats; \

@@ -8,9 +8,10 @@ import (
 )
 
 // TestHotPathAllocFree locks in the zero-allocation property of the
-// per-event server hot path: share recompute (Advance with no completions),
-// the earliest-completion scan, and the memoized power lookup. A regression
-// here reintroduces per-event garbage across every simulated second.
+// per-event server hot path: the class-clock update (Advance with no
+// completions), the earliest-completion query, the memoized power lookup,
+// and the saturated admit/complete cycle. A regression here reintroduces
+// per-event garbage across every simulated second.
 func TestHotPathAllocFree(t *testing.T) {
 	s := benchServer(32)
 	now := 0.0
@@ -60,6 +61,16 @@ func TestHotPathAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("CapFreq with nil observer allocates %v per run, want 0", n)
+	}
+
+	// At the default inflight bound every completion frees a slot that the
+	// next admit refills: heap pops and pushes reuse their backing arrays.
+	st := newSaturatedServer(48)
+	for i := 0; i < 1000; i++ {
+		st.step()
+	}
+	if n := testing.AllocsPerRun(1000, st.step); n != 0 {
+		t.Errorf("saturated admit/complete cycle allocates %v per run, want 0", n)
 	}
 }
 

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"antidope/internal/power"
+	"antidope/internal/rng"
 	"antidope/internal/workload"
 )
 
 // benchServer returns a server with n in-flight requests spread across the
 // victim classes, each with enough demand that no benchmark loop completes
-// one — so Advance exercises the pure share-recompute path.
+// one — so Advance exercises only the class-clock update.
 func benchServer(n int) *Server {
 	s := MustNew(Config{ID: 0, Cores: 4, MaxInflight: n + 1, Model: power.DefaultModel()})
 	classes := workload.VictimClasses()
@@ -23,8 +24,52 @@ func benchServer(n int) *Server {
 	return s
 }
 
-// BenchmarkAdvance measures the per-event share/remaining-work recompute:
-// one Advance over a populated active set with no completions.
+// saturatedServer holds a server at its inflight bound with requests
+// spread across the victim classes. Each step advances it to the next
+// completion and re-admits the finished request into the same class with
+// a fresh demand: one admit plus one completion, allocation-free.
+type saturatedServer struct {
+	s   *Server
+	rnd *rng.Stream
+	id  uint64
+	now float64
+}
+
+func newSaturatedServer(n int) *saturatedServer {
+	st := &saturatedServer{
+		s:   MustNew(Config{ID: 0, Cores: 4, MaxInflight: n, Model: power.DefaultModel()}),
+		rnd: rng.New(7),
+	}
+	st.s.Advance(0)
+	classes := workload.VictimClasses()
+	for i := 0; i < n; i++ {
+		st.admit(&workload.Request{Class: classes[i%len(classes)]})
+	}
+	return st
+}
+
+func (st *saturatedServer) admit(r *workload.Request) {
+	st.id++
+	d := 0.05 + 0.3*st.rnd.Float64()
+	*r = workload.Request{ID: st.id, Class: r.Class, Demand: d, Remaining: d}
+	if !st.s.Admit(st.now, r) {
+		panic("saturatedServer: admit failed")
+	}
+}
+
+func (st *saturatedServer) step() {
+	at, ok := st.s.NextCompletion()
+	if !ok {
+		panic("saturatedServer: idle")
+	}
+	st.now = at
+	for _, r := range st.s.Advance(at) {
+		st.admit(r)
+	}
+}
+
+// BenchmarkAdvance measures the per-event class-clock update: one Advance
+// over a populated active set with no completions.
 func BenchmarkAdvance(b *testing.B) {
 	s := benchServer(32)
 	now := 0.0
@@ -36,8 +81,9 @@ func BenchmarkAdvance(b *testing.B) {
 	}
 }
 
-// BenchmarkNextCompletion measures the earliest-completion scan, the other
-// half of every completion-rescheduling decision.
+// BenchmarkNextCompletion measures the earliest-completion query (one heap
+// head per occupied class), the other half of every completion-rescheduling
+// decision.
 func BenchmarkNextCompletion(b *testing.B) {
 	s := benchServer(32)
 	b.ReportAllocs()
@@ -81,5 +127,17 @@ func BenchmarkAdvanceCompleting(b *testing.B) {
 		if got := len(s.Advance(now)); got != 1 {
 			b.Fatalf("completions = %d, want 1", got)
 		}
+	}
+}
+
+// BenchmarkAdvanceSaturated measures the saturated steady state the flood
+// figures run in: 48 requests in flight across the victim classes, and per
+// op one completion (NextCompletion plus Advance) and one admit.
+func BenchmarkAdvanceSaturated(b *testing.B) {
+	st := newSaturatedServer(48)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.step()
 	}
 }

@@ -8,6 +8,13 @@
 // completion instant can be computed in closed form and the power draw is
 // piecewise constant. The simulation driver advances servers lazily.
 //
+// Processor sharing runs in per-class virtual time (DESIGN.md §7
+// "Virtual-time processor sharing"): every in-service request receives the
+// same core share and depletes at its class's speed factor, so one clock
+// per class and a heap of finish tags replace a per-request remaining-work
+// scan. NextCompletion reads one heap head per occupied class, and Advance
+// pops only the requests that finish.
+//
 // The per-event math is memoized (see DESIGN.md "Performance model"): the
 // per-class speed factors pow(f/f_max, beta) are recomputed only when the
 // frequency moves, the power model's ladder terms live in a precomputed
@@ -17,8 +24,11 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"antidope/internal/obs"
 	"antidope/internal/power"
@@ -39,17 +49,22 @@ type Server struct {
 	Suspect bool
 
 	freq power.GHz
-	// The active set is a struct-of-arrays ledger: active[i], actRem[i] and
-	// actCls[i] describe one in-service request. The hot loops (Advance,
-	// NextCompletion, mix) walk the two scalar slices without chasing the
-	// request pointers; actRem is the authoritative remaining demand while a
-	// request is in service, written back to Request.Remaining only when the
-	// request leaves the server (completion, crash, outage).
-	active  []*workload.Request
-	actRem  []float64
-	actCls  []workload.Class
-	lastAdv float64
-	version uint64
+	// The active set lives in per-class virtual time. vclk[c] is the service
+	// one class-c request has received since the class clock last rebased;
+	// heaps[c] is a min-heap of class-c entries keyed on the finish tag
+	// vclk[c] + Remaining fixed at admission, so a request's remaining demand
+	// is tag - vclk[c] and is written back to Request.Remaining only when the
+	// request leaves the server (completion, crash, outage). occ has bit c
+	// set while heaps[c] is non-empty; len(heaps[c]) is the class population.
+	heaps    [workload.NumClasses][]psEntry
+	vclk     [workload.NumClasses]float64
+	occ      uint8
+	inflight int
+	// admitSeq numbers admissions; it breaks tag ties and restores admission
+	// order for completions and orphans.
+	admitSeq uint64
+	lastAdv  float64
+	version  uint64
 	// down marks a crashed node (fault injection): it draws no power,
 	// admits nothing, and rejoins only through Recover.
 	down bool
@@ -67,10 +82,6 @@ type Server struct {
 	// perf is the per-class profile cache; an array because the class space
 	// is small, dense and hit on every request advance.
 	perf [workload.NumClasses]profileCache
-	// clsCounts tracks the active set's per-class population incrementally
-	// (admit ++, completion --, eviction reset), so the mix summary rebuild
-	// is O(classes) instead of an O(active) rescan per version bump.
-	clsCounts [workload.NumClasses]int
 	// speedTab[c] is pow(Rel(freq), beta_c) at the current frequency — the
 	// demand-depletion factor of class c — recomputed only on CapFreq.
 	speedTab [workload.NumClasses]float64
@@ -82,8 +93,10 @@ type Server struct {
 	mixBuf   []power.IndexedComponent
 	mixVer   uint64
 	mixValid bool
-	// doneBuf backs the slice Advance returns, reused across calls.
+	// doneBuf backs the slice Advance returns, reused across calls; doneEnt
+	// collects one Advance's heap pops before they are put in admission order.
 	doneBuf []*workload.Request
+	doneEnt []psEntry
 
 	// obs receives lifecycle events; nil (the default) keeps the hot path
 	// allocation-free behind single branches (see TestHotPathAllocFree).
@@ -94,6 +107,82 @@ type profileCache struct {
 	beta   float64
 	weight float64
 	alpha  float64
+}
+
+// Server.occ is a uint8 bitmask over classes: this fails to compile once
+// the class space outgrows it.
+const _ = uint(8 - workload.NumClasses)
+
+// psEntry is one in-service request in its class heap.
+type psEntry struct {
+	// tag is the class virtual time at which the request finishes.
+	tag float64
+	seq uint64
+	r   *workload.Request
+}
+
+// before orders heap entries by finish tag, then by admission.
+//
+//hot:allocfree
+func (e psEntry) before(o psEntry) bool {
+	//lint:allow floateq -- exact tie: equal tags finish together, seq fixes the layout
+	return e.tag < o.tag || e.tag == o.tag && e.seq < o.seq
+}
+
+// pushEntry adds e to the min-heap h.
+//
+//hot:allocfree
+func pushEntry(h []psEntry, e psEntry) []psEntry {
+	h = append(h, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	return h
+}
+
+// popEntry removes the root of the non-empty min-heap h; the caller reads
+// h[0] first. The vacated slot is zeroed so the backing array does not pin
+// a recycled request. Popping the only entry skips the sift.
+//
+//hot:allocfree
+func popEntry(h []psEntry) []psEntry {
+	n := len(h) - 1
+	if n > 0 {
+		siftDown(h, n)
+	}
+	h[n] = psEntry{}
+	return h[:n]
+}
+
+// siftDown moves h[n] into the vacant root of the min-heap h[:n] and down
+// to its place.
+//
+//hot:allocfree
+func siftDown(h []psEntry, n int) {
+	e := h[n]
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		if r := l + 1; r < n && h[r].before(h[l]) {
+			l = r
+		}
+		if !h[l].before(e) {
+			break
+		}
+		h[i] = h[l]
+		i = l
+	}
+	h[i] = e
 }
 
 // Config carries construction parameters.
@@ -156,34 +245,39 @@ func (s *Server) refreshSpeedTab() {
 // SetObserver installs the event sink. Pass nil to detach.
 func (s *Server) SetObserver(o obs.Observer) { s.obs = o }
 
-// Clone returns an independent deep copy for snapshot forking. In-service
-// requests are copied struct-by-struct — both sides keep depleting their own
-// ledgers — while the read-only power table is shared. Caches that are pure
-// derivations (mix summary, done buffer) start cold on the clone; the
-// observer is detached, matching Snapshot's unobserved-run precondition.
+// Clone returns an independent deep copy for snapshot forking. The class
+// heaps are copied entry by entry, each with its own copy of the request —
+// both sides keep serving their own requests — while the read-only power
+// table is shared. Caches that are pure derivations (mix summary, done
+// buffers) start cold on the clone; the observer is detached, matching
+// Snapshot's unobserved-run precondition.
 func (s *Server) Clone() *Server {
 	c := *s
-	c.active = make([]*workload.Request, len(s.active))
-	for i, r := range s.active {
-		cp := *r
-		c.active[i] = &cp
+	for k, h := range s.heaps {
+		ch := make([]psEntry, len(h))
+		for i, e := range h {
+			cp := *e.r
+			e.r = &cp
+			ch[i] = e
+		}
+		c.heaps[k] = ch
 	}
-	c.actRem = append([]float64(nil), s.actRem...)
-	c.actCls = append([]workload.Class(nil), s.actCls...)
 	c.mixBuf = nil
 	c.mixValid = false
 	c.doneBuf = nil
+	c.doneEnt = nil
 	c.obs = nil
 	return &c
 }
 
 // Version increments whenever the server's dynamics change (arrival,
-// completion, frequency change). The simulation driver stamps scheduled
-// completion events with it to invalidate stale events cheaply.
+// completion, frequency change, crash, outage, recovery). It keys the
+// cached mix summary; the simulation driver does not read it, because it
+// cancels and re-arms one completion event per server instead.
 func (s *Server) Version() uint64 { return s.version }
 
 // Inflight returns the number of requests currently in service.
-func (s *Server) Inflight() int { return len(s.active) }
+func (s *Server) Inflight() int { return s.inflight }
 
 // Completed returns the count of finished requests.
 func (s *Server) Completed() uint64 { return s.completed }
@@ -205,7 +299,7 @@ func (s *Server) FreqChanges() uint64 { return s.freqChangeCnt }
 //
 //hot:allocfree
 func (s *Server) share() float64 {
-	n := len(s.active)
+	n := s.inflight
 	if n == 0 {
 		return 0
 	}
@@ -217,7 +311,7 @@ func (s *Server) share() float64 {
 
 // Advance moves the server's internal clock to now, depleting demand and
 // integrating energy. It returns requests that completed, with FinishAt
-// set. Advance must be called with non-decreasing now.
+// set, in admission order. Advance must be called with non-decreasing now.
 //
 // The returned slice is owned by the server and reused: it is valid until
 // the next Advance or FailAll call. Callers that need the requests longer
@@ -235,52 +329,70 @@ func (s *Server) Advance(now float64) []*workload.Request {
 	// Power and speeds are constant over (lastAdv, now] because the driver
 	// always advances to the next event boundary.
 	s.energyJ += s.PowerNow() * dt
-	s.busyCoreSecs += s.share() * float64(len(s.active)) * dt
+	s.busyCoreSecs += s.share() * float64(s.inflight) * dt
+	s.lastAdv = now
+	if s.occ == 0 {
+		return nil
+	}
 
-	var done []*workload.Request
-	if n := len(s.active); n > 0 {
-		done = s.doneBuf[:0]
-		sh := s.share()
-		act, rem, cls := s.active, s.actRem, s.actCls
-		w := 0
-		for i := 0; i < n; i++ {
-			left := rem[i] - sh*s.speedTab[cls[i]]*dt
-			if left <= 1e-9 {
-				r := act[i]
-				r.Remaining = 0
-				r.FinishAt = now
-				s.clsCounts[cls[i]]--
-				s.completed++
-				s.demandServed += r.Demand
-				done = append(done, r)
-				if s.obs != nil {
-					s.obs.Emit(obs.Event{
-						T: now, Kind: obs.KindReqComplete,
-						Server: int32(s.ID), Class: int32(r.Class), ID: r.ID,
-						//lint:allow hotalloc -- inlined Class.String: only its invalid-class fallback boxes, never taken here
-						A: r.StartAt, B: now - r.ArriveAt, Label: r.Class.String(),
-					})
-				}
-			} else {
-				act[w], rem[w], cls[w] = act[i], left, cls[i]
-				w++
+	sh := s.share()
+	ents := s.doneEnt[:0]
+	for m := s.occ; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros8(m)
+		v := s.vclk[c] + sh*s.speedTab[c]*dt
+		h := s.heaps[c]
+		for len(h) > 0 && h[0].tag-v <= 1e-9 {
+			ents = append(ents, h[0])
+			h = popEntry(h)
+		}
+		s.heaps[c] = h
+		switch {
+		case len(h) == 0:
+			s.occ &^= 1 << c
+			v = 0
+		case v > 1:
+			// Rebase: subtracting one value from every tag is monotone, so
+			// the heap order survives, and a clock kept below ~1 bounds the
+			// rounding error of tag - vclk over a long busy period.
+			for i := range h {
+				h[i].tag -= v
 			}
+			v = 0
 		}
-		// Zero the vacated pointer tail so the backing array does not pin
-		// completed requests after they are recycled.
-		for i := w; i < n; i++ {
-			act[i] = nil
-		}
-		s.active, s.actRem, s.actCls = act[:w], rem[:w], cls[:w]
-		s.doneBuf = done
-		if len(done) > 0 {
-			s.version++
-			s.powerDirty = true
-		} else {
-			done = nil
+		s.vclk[c] = v
+	}
+	s.doneEnt = ents
+	if len(ents) == 0 {
+		return nil
+	}
+	// Insertion sort into admission order: an Advance rarely harvests more
+	// than a few requests.
+	for i := 1; i < len(ents); i++ {
+		for j := i; j > 0 && ents[j].seq < ents[j-1].seq; j-- {
+			ents[j], ents[j-1] = ents[j-1], ents[j]
 		}
 	}
-	s.lastAdv = now
+	done := s.doneBuf[:0]
+	for i := range ents {
+		r := ents[i].r
+		r.Remaining = 0
+		r.FinishAt = now
+		s.completed++
+		s.demandServed += r.Demand
+		done = append(done, r)
+		if s.obs != nil {
+			s.obs.Emit(obs.Event{
+				T: now, Kind: obs.KindReqComplete,
+				Server: int32(s.ID), Class: int32(r.Class), ID: r.ID,
+				//lint:allow hotalloc -- inlined Class.String: only its invalid-class fallback boxes, never taken here
+				A: r.StartAt, B: now - r.ArriveAt, Label: r.Class.String(),
+			})
+		}
+	}
+	s.inflight -= len(done)
+	s.doneBuf = done
+	s.version++
+	s.powerDirty = true
 	return done
 }
 
@@ -300,17 +412,18 @@ func (s *Server) Admit(now float64, r *workload.Request) bool {
 		r.DropReason = "server-down"
 		return false
 	}
-	if len(s.active) >= s.MaxInflight {
+	if s.inflight >= s.MaxInflight {
 		s.rejected++
 		r.Dropped = true
 		r.DropReason = "server-queue-full"
 		return false
 	}
 	r.StartAt = now
-	s.active = append(s.active, r)
-	s.actRem = append(s.actRem, r.Remaining)
-	s.actCls = append(s.actCls, r.Class)
-	s.clsCounts[r.Class]++
+	c := r.Class
+	s.admitSeq++
+	s.heaps[c] = pushEntry(s.heaps[c], psEntry{tag: s.vclk[c] + r.Remaining, seq: s.admitSeq, r: r})
+	s.occ |= 1 << c
+	s.inflight++
 	s.version++
 	s.powerDirty = true
 	if s.obs != nil {
@@ -325,23 +438,24 @@ func (s *Server) Admit(now float64, r *workload.Request) bool {
 }
 
 // NextCompletion returns the absolute time of the earliest completion under
-// the current operating point, or ok=false when idle.
+// the current operating point, or ok=false when idle. Within a class every
+// request depletes at the same rate, so only each class's heap head can
+// finish first.
 //
 //hot:allocfree
 func (s *Server) NextCompletion() (at float64, ok bool) {
-	if len(s.active) == 0 {
+	if s.occ == 0 {
 		return 0, false
 	}
 	best := math.Inf(1)
 	sh := s.share()
-	rem, cls := s.actRem, s.actCls
-	for i := range rem {
-		sp := sh * s.speedTab[cls[i]]
+	for m := s.occ; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros8(m)
+		sp := sh * s.speedTab[c]
 		if sp <= 0 {
 			continue
 		}
-		t := rem[i] / sp
-		if t < best {
+		if t := (s.heaps[c][0].tag - s.vclk[c]) / sp; t < best {
 			best = t
 		}
 	}
@@ -361,18 +475,14 @@ func (s *Server) mix() []power.IndexedComponent {
 		return s.mixBuf
 	}
 	s.mixBuf = s.mixBuf[:0]
-	if len(s.active) > 0 {
-		share := s.share()
-		for c, n := range s.clsCounts {
-			if n == 0 {
-				continue
-			}
-			s.mixBuf = append(s.mixBuf, power.IndexedComponent{
-				Util:   float64(n) * share / float64(s.Cores),
-				Weight: s.perf[c].weight,
-				Exp:    c,
-			})
-		}
+	share := s.share()
+	for m := s.occ; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros8(m)
+		s.mixBuf = append(s.mixBuf, power.IndexedComponent{
+			Util:   float64(len(s.heaps[c])) * share / float64(s.Cores),
+			Weight: s.perf[c].weight,
+			Exp:    c,
+		})
 	}
 	s.mixVer = s.version
 	s.mixValid = true
@@ -411,7 +521,8 @@ func (s *Server) Freq() power.GHz { return s.freq }
 
 // CapFreq snaps the server to the given ladder level. The caller must have
 // advanced the server to the decision instant first, because a frequency
-// change alters all in-flight completion times.
+// change alters all in-flight completion times. Finish tags are in class
+// virtual time, so the change only moves the class clocks' rates.
 //
 //hot:allocfree
 func (s *Server) CapFreq(f power.GHz) {
@@ -436,47 +547,31 @@ func (s *Server) CapFreq(f power.GHz) {
 
 // Utilization returns the fraction of core capacity in use right now.
 func (s *Server) Utilization() float64 {
-	return s.share() * float64(len(s.active)) / float64(s.Cores)
+	return s.share() * float64(s.inflight) / float64(s.Cores)
 }
 
-// ClassCounts returns the number of in-service requests per class.
-func (s *Server) ClassCounts() map[workload.Class]int {
-	out := make(map[workload.Class]int)
-	for c, n := range s.clsCounts {
-		if n > 0 {
-			out[workload.Class(c)] = n
-		}
-	}
-	return out
-}
-
-// DrainDeadline estimates when the server would drain if no more arrivals
-// came, for battery-autonomy planning. Returns 0 when idle.
-func (s *Server) DrainDeadline() float64 {
-	total := 0.0
-	for i, rm := range s.actRem {
-		total += rm / s.speedTab[s.actCls[i]]
-	}
-	if total == 0 { //lint:allow floateq -- exact: a sum of non-negatives is 0 iff no work remains
-		return 0
-	}
-	// Work conserves: total core-seconds left divided by core capacity.
-	return s.lastAdv + total/float64(s.Cores)
-}
-
-// detach hands the whole active set to the caller: the ledger's remaining
-// demand is written back into each request (the structs are stale while in
-// service), the pointer slice is surrendered, and the scalar columns are
-// truncated for reuse. Only the bulk-eviction paths (FailAll, Crash) use it.
+// detach hands the whole active set to the caller in admission order, with
+// each request's remaining demand written back, and empties the class
+// heaps for reuse. Only the bulk-eviction paths (FailAll, Crash) use it.
 func (s *Server) detach() []*workload.Request {
-	out := s.active
-	for i, r := range out {
-		r.Remaining = s.actRem[i]
+	ents := make([]psEntry, 0, s.inflight)
+	for c := range s.heaps {
+		h := s.heaps[c]
+		for i, e := range h {
+			e.r.Remaining = e.tag - s.vclk[c]
+			ents = append(ents, e)
+			h[i] = psEntry{}
+		}
+		s.heaps[c] = h[:0]
+		s.vclk[c] = 0
 	}
-	s.active = nil
-	s.actRem = s.actRem[:0]
-	s.actCls = s.actCls[:0]
-	s.clsCounts = [workload.NumClasses]int{}
+	s.occ = 0
+	s.inflight = 0
+	slices.SortFunc(ents, func(a, b psEntry) int { return cmp.Compare(a.seq, b.seq) })
+	out := make([]*workload.Request, len(ents))
+	for i, e := range ents {
+		out[i] = e.r
+	}
 	return out
 }
 
@@ -492,7 +587,7 @@ func (s *Server) FailAll(now float64) []*workload.Request {
 	if now != s.lastAdv {
 		panic(fmt.Sprintf("server %d: fail at %.9f without advance (at %.9f)", s.ID, now, s.lastAdv))
 	}
-	if len(s.active) == 0 {
+	if s.inflight == 0 {
 		return nil
 	}
 	failed := s.detach()

@@ -236,30 +236,110 @@ func TestFreqChangeMidFlight(t *testing.T) {
 	}
 }
 
-func TestClassCounts(t *testing.T) {
+// TestClosedFormPS checks completion instants derived by hand. Six
+// requests, Colla-Filt (beta 1) and K-means (beta 0.55) alternating, share
+// 4 cores: the share is 4/6 until the first finishes, 4/5 until the second
+// does, then 1 once the population drops to Cores. At t = 0.4 the server is
+// capped to 1.2 GHz, half of f_max, so Colla-Filt runs at 0.5 and K-means
+// at k = 0.5^0.55 of full speed for the rest of the run.
+func TestClosedFormPS(t *testing.T) {
+	if workload.Lookup(workload.CollaFilt).PerfBeta != 1 || workload.Lookup(workload.KMeans).PerfBeta != 0.55 {
+		t.Fatal("the derivation below assumes beta 1 (Colla-Filt) and 0.55 (K-means)")
+	}
+	k := math.Pow(0.5, 0.55)
 	s := testServer()
 	s.Advance(0)
-	s.Admit(0, fixedReq(1, workload.CollaFilt, 1))
-	s.Admit(0, fixedReq(2, workload.CollaFilt, 1))
-	s.Admit(0, fixedReq(3, workload.KMeans, 1))
-	counts := s.ClassCounts()
-	if counts[workload.CollaFilt] != 2 || counts[workload.KMeans] != 1 {
-		t.Fatalf("counts %v", counts)
+	for i, d := range []float64{0.2, 0.4, 0.6, 0.8, 1.0, 1.2} {
+		c := workload.CollaFilt
+		if i%2 == 1 {
+			c = workload.KMeans
+		}
+		s.Admit(0, fixedReq(uint64(i+1), c, d))
+	}
+	// Request ids and instants, in completion order. Up to 0.4 every
+	// request has received 2/3*0.3 + 0.8*0.1 = 0.28; B (K-means, 0.12 left)
+	// then finishes at rate 0.8k, while the others lose 0.4*0.15/k
+	// (Colla-Filt) or 0.12 (K-means); from there each runs alone on a core.
+	want := []struct {
+		id uint64
+		at float64
+	}{
+		{1, 0.3},           // A: 0.2 at rate 2/3
+		{2, 0.4 + 0.15/k},  // B: 0.12 at 0.8k
+		{3, 1.04 + 0.03/k}, // C: 0.32 - 0.06/k at 0.5
+		{4, 0.4 + 0.55/k},  // D: 0.4 at k
+		{6, 0.4 + 0.95/k},  // F: 0.8 at k
+		{5, 1.84 + 0.03/k}, // E: 0.72 - 0.06/k at 0.5
+	}
+	capped := false
+	for _, w := range want {
+		at, ok := s.NextCompletion()
+		if !capped && ok && at > 0.4 {
+			if got := s.Advance(0.4); len(got) != 0 {
+				t.Fatalf("completions %v before the cap", ids(got))
+			}
+			s.CapFreq(1.2)
+			capped = true
+			at, ok = s.NextCompletion()
+		}
+		if !ok || math.Abs(at-w.at) > 1e-12 {
+			t.Fatalf("next completion %.15g (ok=%v), want request %d at %.15g", at, ok, w.id, w.at)
+		}
+		done := s.Advance(at)
+		if len(done) != 1 || done[0].ID != w.id {
+			t.Fatalf("at %.15g completed %v, want [%d]", at, ids(done), w.id)
+		}
+	}
+	if s.Inflight() != 0 || s.Completed() != 6 {
+		t.Fatalf("inflight %d completed %d after the run", s.Inflight(), s.Completed())
 	}
 }
 
-func TestDrainDeadline(t *testing.T) {
-	s := MustNew(Config{Cores: 2, MaxInflight: 16, Model: power.DefaultModel()})
+// TestClassClockRebases pins the class clock's two rebases: to 0 when its
+// class empties, and past 1.0 by shifting the class's tags.
+func TestClassClockRebases(t *testing.T) {
+	const cf = workload.CollaFilt // beta 1: one request per core at f_max serves at rate 1
+	s := testServer()
 	s.Advance(0)
-	s.Admit(0, fixedReq(1, workload.CollaFilt, 0.4))
-	s.Admit(0, fixedReq(2, workload.CollaFilt, 0.4))
-	// 0.8 core-seconds over 2 cores at fmax = 0.4 s.
-	if got := s.DrainDeadline(); math.Abs(got-0.4) > 1e-9 {
-		t.Fatalf("drain %g, want 0.4", got)
+	s.Admit(0, fixedReq(1, cf, 0.25))
+	s.Advance(0.1)
+	if v := s.vclk[cf]; math.Abs(v-0.1) > 1e-15 {
+		t.Fatalf("class clock %g at t=0.1, want 0.1", v)
 	}
-	idle := testServer()
-	if idle.DrainDeadline() != 0 {
-		t.Fatal("idle drain != 0")
+	if done := s.Advance(0.25); len(done) != 1 {
+		t.Fatalf("completed %v at 0.25, want [1]", ids(done))
+	}
+	if v := s.vclk[cf]; v != 0 {
+		t.Fatalf("class clock %g after the class emptied, want 0", v)
+	}
+
+	// A fresh busy period starts its tags at the demand itself.
+	s.Admit(0.25, fixedReq(2, cf, 3))
+	s.Admit(0.25, fixedReq(3, cf, 0.5))
+	if tag := s.heaps[cf][0].tag; tag != 0.5 {
+		t.Fatalf("head tag %g, want 0.5", tag)
+	}
+	if done := s.Advance(0.75); len(done) != 1 || done[0].ID != 3 {
+		t.Fatalf("completed %v at 0.75, want [3]", ids(done))
+	}
+	if v := s.vclk[cf]; math.Abs(v-0.5) > 1e-15 {
+		t.Fatalf("class clock %g at t=0.75, want 0.5 (no rebase below 1)", v)
+	}
+	// At t=1.45 the clock would read 1.2: it rebases to 0 and request 2's
+	// tag drops from 3 to 1.8, its remaining demand.
+	s.Advance(1.45)
+	if v := s.vclk[cf]; v != 0 {
+		t.Fatalf("class clock %g after passing 1.0, want 0", v)
+	}
+	if tag := s.heaps[cf][0].tag; math.Abs(tag-1.8) > 1e-15 {
+		t.Fatalf("tag %g after the rebase, want 1.8", tag)
+	}
+	if at, ok := s.NextCompletion(); !ok || math.Abs(at-3.25) > 1e-12 {
+		t.Fatalf("next completion %g, want 3.25", at)
+	}
+	orphans := s.Crash(1.45)
+	if len(orphans) != 1 || math.Abs(orphans[0].Remaining-1.8) > 1e-15 {
+		t.Fatalf("crash orphaned %v, want request 2 with 1.8 left", ids(orphans))
 	}
 }
 
