@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_TOLERANCE ?= 0.10
 
-.PHONY: build vet lint lint-baseline test race fuzz fuzz-scenario fuzz-ps coverfloor chaos verify bench
+.PHONY: build vet lint lint-baseline test race fuzz fuzz-scenario fuzz-ps fuzz-obs coverfloor chaos verify bench
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,12 @@ fuzz-scenario:
 fuzz-ps:
 	$(GO) test -run='^$$' -fuzz=FuzzPSDifferential -fuzztime=30s ./internal/server
 
+# Chrome-trace export differential smoke: random event streams of every
+# kind, with non-finite, subnormal and half-way timestamps, through the
+# append-buffer writer and the reference writer; asserts identical bytes.
+fuzz-obs:
+	$(GO) test -run='^$$' -fuzz=FuzzChromeTraceDifferential -fuzztime=30s ./internal/obs
+
 # Statement-coverage floor for the scenario DSL front end; mirrors the CI
 # gate so a lost test trips locally too.
 coverfloor:
@@ -77,7 +83,7 @@ bench:
 	  $(GO) test -run='^$$' -bench 'BenchmarkSnapshotFork' -benchmem -benchtime=2s ./internal/core; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkModelPower$$|BenchmarkModelPowerLadder|BenchmarkTablePowerLadder' -benchmem -benchtime=2s ./internal/power; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkPercentile' -benchmem -benchtime=2s ./internal/stats; \
-	  $(GO) test -run='^$$' -bench 'BenchmarkBusEmit|BenchmarkRecorderRecord|BenchmarkTimelineEmit' -benchmem -benchtime=2s ./internal/obs; \
+	  $(GO) test -run='^$$' -bench 'BenchmarkBusEmit|BenchmarkRecorderRecord|BenchmarkTimelineEmit|BenchmarkWriteChromeTrace' -benchmem -benchtime=2s ./internal/obs; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkAnalyze' -benchmem -benchtime=2s ./internal/obs/analyze; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkLintLoad' -benchmem -benchtime=5x ./internal/lint; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkAllQuick/sequential' -benchtime=3x . ; \

@@ -2,6 +2,8 @@ package analyze
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"math"
 	"os"
@@ -164,6 +166,32 @@ func TestFaultReportGolden(t *testing.T) {
 		t.Errorf("lossy link produced no retry storms")
 	}
 	checkGolden(t, "fault.report.golden", got)
+}
+
+// TestChromeTraceSHA256 pins the Chrome-trace export of both golden
+// captures to the digests the string-concatenating writer produced, so the
+// append-buffer writer is held to the same bytes on real runs.
+func TestChromeTraceSHA256(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+		want string
+	}{
+		{"flood", floodConfig(), "cc60e766a5832b8d26ca9774ca2aee6e50ae92fcdac8ae38ffb5d2a2745bf308"},
+		{"fault", faultConfig(), "db467d7c33cdaf8b24aa331238419c71af4a893837db53ac67f8951d8fbb7c44"},
+	} {
+		var rec obs.Recorder
+		for _, ev := range capture(t, tc.cfg) {
+			rec.Record(ev)
+		}
+		h := sha256.New()
+		if err := obs.WriteChromeTrace(h, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%s capture: Chrome trace sha256 %s, want %s", tc.name, got, tc.want)
+		}
+	}
 }
 
 // TestReportMatchesCSVRoundTrip replays the capture through the CSV

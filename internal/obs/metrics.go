@@ -208,13 +208,19 @@ func FormatFloat(v float64) string { return formatFloat(v) }
 // formatFloat renders a float deterministically: shortest round-trip form,
 // with non-finite values spelled the Prometheus way.
 func formatFloat(v float64) string {
+	var buf [24]byte
+	return string(appendFloat(buf[:0], v))
+}
+
+// appendFloat appends v as formatFloat renders it.
+func appendFloat(b []byte, v float64) []byte {
 	switch {
 	case math.IsInf(v, 1):
-		return "+Inf"
+		return append(b, "+Inf"...)
 	case math.IsInf(v, -1):
-		return "-Inf"
+		return append(b, "-Inf"...)
 	case math.IsNaN(v):
-		return "NaN"
+		return append(b, "NaN"...)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

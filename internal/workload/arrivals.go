@@ -109,6 +109,8 @@ func (g *Generator) Clone(factory *Factory) *Generator {
 
 // Next returns the next arrival strictly after the previous one, or ok=false
 // when no arrival occurs before horizon.
+//
+//hot:allocfree
 func (g *Generator) Next(horizon float64) (Arrival, bool) {
 	t := g.now
 	for {
@@ -121,6 +123,7 @@ func (g *Generator) Next(horizon float64) (Arrival, bool) {
 		}
 		if g.rnd.Float64()*g.rateCap <= g.src.Rate(t) {
 			g.now = t
+			//lint:allow hotalloc -- inlined rng.Intn: only its n <= 0 panic message allocates, and NewGenerator keeps Sources >= 1
 			src := g.src.FirstSource + SourceID(g.rnd.Intn(g.src.Sources))
 			req := g.factory.New(t, g.src.Class, g.src.Origin, src)
 			return Arrival{At: t, Req: req}, true
@@ -131,8 +134,10 @@ func (g *Generator) Next(horizon float64) (Arrival, bool) {
 // Mix is a set of sources driven together; arrivals across sources merge
 // into one ordered stream.
 type Mix struct {
-	gens    []*Generator
-	pending []*Arrival // one lookahead slot per generator
+	gens []*Generator
+	// pending holds one lookahead slot per generator, by value so the
+	// steady state allocates nothing; Req == nil marks an empty slot.
+	pending []Arrival
 }
 
 // NewMix builds a merged arrival stream over the given sources. rateCaps
@@ -145,8 +150,8 @@ func NewMix(sources []Source, rateCaps []float64, factory *Factory, rnd *rng.Str
 	for i, s := range sources {
 		gen := NewGenerator(s, rateCaps[i], factory, rnd.Split(s.Class.String()+string(rune('a'+i%26))+itoa(i)))
 		m.gens = append(m.gens, gen)
-		m.pending = append(m.pending, nil)
 	}
+	m.pending = make([]Arrival, len(m.gens))
 	return m
 }
 
@@ -171,40 +176,42 @@ func itoa(i int) string {
 func (m *Mix) Clone(factory *Factory) *Mix {
 	c := &Mix{
 		gens:    make([]*Generator, len(m.gens)),
-		pending: make([]*Arrival, len(m.pending)),
+		pending: make([]Arrival, len(m.pending)),
 	}
 	for i, g := range m.gens {
 		c.gens[i] = g.Clone(factory)
 	}
 	for i, a := range m.pending {
-		if a == nil {
+		if a.Req == nil {
 			continue
 		}
 		req := *a.Req
-		c.pending[i] = &Arrival{At: a.At, Req: &req}
+		c.pending[i] = Arrival{At: a.At, Req: &req}
 	}
 	return c
 }
 
 // Next returns the earliest arrival across all sources before horizon.
 // The horizon must be non-decreasing across calls.
+//
+//hot:allocfree
 func (m *Mix) Next(horizon float64) (Arrival, bool) {
 	best := -1
 	for i, gen := range m.gens {
-		if m.pending[i] == nil {
+		p := &m.pending[i]
+		if p.Req == nil {
 			if a, ok := gen.Next(horizon); ok {
-				cp := a
-				m.pending[i] = &cp
+				*p = a
 			}
 		}
-		if m.pending[i] != nil && (best == -1 || m.pending[i].At < m.pending[best].At) {
+		if p.Req != nil && (best == -1 || p.At < m.pending[best].At) {
 			best = i
 		}
 	}
 	if best == -1 {
 		return Arrival{}, false
 	}
-	out := *m.pending[best]
-	m.pending[best] = nil
+	out := m.pending[best]
+	m.pending[best] = Arrival{}
 	return out, true
 }

@@ -331,6 +331,32 @@ func TestMixMismatchedCapsPanics(t *testing.T) {
 	NewMix([]Source{{Class: TextCont, Rate: ConstRate(1)}}, nil, NewFactory(rng.New(1)), rng.New(2))
 }
 
+// TestMixNextAllocFree is the steady-state budget of arrival generation:
+// once the factory's arena is warm, drawing arrivals from a multi-source
+// mix and retiring their requests allocates nothing.
+func TestMixNextAllocFree(t *testing.T) {
+	f := NewFactory(rng.New(15))
+	sources := []Source{
+		{Class: CollaFilt, Origin: Attack, Rate: ConstRate(300), Sources: 4},
+		{Class: AliNormal, Origin: Legit, Rate: ConstRate(700), Sources: 50, FirstSource: 1000},
+		{Class: WordCount, Origin: Legit, Rate: StepRate(0, 50, 1), Sources: 8, FirstSource: 2000},
+	}
+	m := NewMix(sources, []float64{300, 700, 50}, f, rng.New(16))
+	cycle := func() {
+		for i := 0; i < 1000; i++ {
+			a, ok := m.Next(1e12)
+			if !ok {
+				t.Fatal("mix dried up")
+			}
+			f.Free(a.Req)
+		}
+	}
+	cycle() // warm the request arena
+	if allocs := testing.AllocsPerRun(10, cycle); allocs > 0 {
+		t.Fatalf("warm Mix.Next/Factory.Free cycle allocated %.1f objects per run, want 0", allocs)
+	}
+}
+
 // Property: thinning never generates arrivals where the rate is zero and
 // never violates time ordering.
 func TestQuickGeneratorValid(t *testing.T) {
