@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_TOLERANCE ?= 0.10
 
-.PHONY: build vet lint lint-baseline test race fuzz fuzz-scenario fuzz-ps fuzz-obs coverfloor chaos verify bench
+.PHONY: build vet lint lint-baseline test race fuzz fuzz-scenario fuzz-ps fuzz-obs fuzz-simtime coverfloor chaos verify bench
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,13 @@ fuzz-ps:
 fuzz-obs:
 	$(GO) test -run='^$$' -fuzz=FuzzChromeTraceDifferential -fuzztime=30s ./internal/obs
 
+# Event-engine differential smoke: random schedule/cancel/reschedule/step/
+# drain/reset/ticker sequences through the indexed heap and the reference
+# lazy-cancellation queue in lockstep; asserts identical firing sequences,
+# clocks, counters and handle states.
+fuzz-simtime:
+	$(GO) test -run='^$$' -fuzz=FuzzEngineDifferential -fuzztime=30s ./internal/simtime
+
 # Statement-coverage floor for the scenario DSL front end; mirrors the CI
 # gate so a lost test trips locally too.
 coverfloor:
@@ -78,7 +85,7 @@ verify: build lint race
 # See EXPERIMENTS.md "Profiling and benchmark regression".
 bench:
 	{ \
-	  $(GO) test -run='^$$' -bench 'BenchmarkScheduleAndRun|BenchmarkScheduleFireSteady|BenchmarkScheduleCancel|BenchmarkDrainBatch' -benchmem -benchtime=2s ./internal/simtime; \
+	  $(GO) test -run='^$$' -bench 'BenchmarkScheduleAndRun|BenchmarkScheduleFireSteady|BenchmarkScheduleCancel|BenchmarkDrainBatch|BenchmarkRearmChains' -benchmem -benchtime=2s ./internal/simtime; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkAdvance$$|BenchmarkNextCompletion|BenchmarkPowerAt|BenchmarkAdvanceCompleting|BenchmarkAdvanceSaturated' -benchmem -benchtime=2s ./internal/server; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkSnapshotFork' -benchmem -benchtime=2s ./internal/core; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkModelPower$$|BenchmarkModelPowerLadder|BenchmarkTablePowerLadder' -benchmem -benchtime=2s ./internal/power; \

@@ -81,8 +81,8 @@ type Simulation struct {
 	dopeTicker *simtime.Ticker
 	ctrlTicker *simtime.Ticker
 	// compFns[i]/compEvs[i] belong to cl.Servers[i] (server ID == index):
-	// the bound completion callback and the handle of the one live
-	// completion event; superseded events are cancelled, not left to rot.
+	// the bound completion callback and the handle of the one queued
+	// completion event, re-keyed in place as the next completion moves.
 	compFns  []func(now float64)
 	compEvs  []simtime.Event
 	drawsBuf []float64
@@ -533,22 +533,20 @@ func (s *Simulation) handleArrival(now float64, req *workload.Request) {
 }
 
 // scheduleCompletion re-arms the server's next completion event. Each
-// server has at most one live completion event: the previous one is
-// cancelled outright (the engine reclaims it) instead of being left in the
-// queue as a version-stamped tombstone. Cancel on an already-fired handle
-// is inert, so the callback may re-arm its own server freely.
+// server has at most one queued completion event, re-keyed in place by
+// Reschedule. The re-key happens even when the instant is unchanged: it
+// takes a fresh sequence number, exactly as cancel-then-schedule would, so
+// same-instant ties keep their order. A handle that already fired (the
+// callback re-arming its own server) makes Reschedule schedule anew. When
+// no completion is due by the horizon the event is cancelled; the finish()
+// drain handles the rest.
 func (s *Simulation) scheduleCompletion(sv *server.Server) {
-	s.compEvs[sv.ID].Cancel()
 	at, ok := sv.NextCompletion()
-	if !ok {
+	if !ok || at > s.cfg.Horizon {
+		s.compEvs[sv.ID].Cancel()
 		return
 	}
-	if at > s.cfg.Horizon {
-		// Let the finish() drain handle it; keeping the event would just
-		// die at the horizon anyway.
-		return
-	}
-	s.compEvs[sv.ID] = s.eng.Schedule(at, s.compFns[sv.ID])
+	s.compEvs[sv.ID] = s.eng.Reschedule(s.compEvs[sv.ID], at, s.compFns[sv.ID])
 }
 
 // controlTick is the per-slot power-management loop.

@@ -546,3 +546,32 @@ func TestSlotEqualsHorizon(t *testing.T) {
 		t.Fatal("no traffic with a single-slot run")
 	}
 }
+
+// TestQueueHoldsOneCompletionPerServer stops a 4-server flood at several
+// instants and reads the engine's queue size. Each server keeps at most one
+// queued completion event, re-keyed in place on every admit, so besides
+// those only the merged arrival pump, the control ticker and a breaker
+// reset may be queued. A completion left behind on re-arm would grow the
+// queue with the arrival rate.
+func TestQueueHoldsOneCompletionPerServer(t *testing.T) {
+	cfg := underAttack(defense.NewNone())
+	cfg.Attacks = []attack.Spec{attack.HTTPLoadTool(workload.CollaFilt, 3000, 64, 15, 75)}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := len(s.cl.Servers)
+	if servers != 4 {
+		t.Fatalf("%d servers, want 4", servers)
+	}
+	s.Start()
+	for _, at := range []float64{16, 30.3, 45.05, 60, 74.9} {
+		s.RunTo(at)
+		if got := s.eng.Pending(); got > servers+3 {
+			t.Fatalf("t=%g: %d events queued, want at most %d", at, got, servers+3)
+		}
+	}
+	if res := s.Finish(); res.OfferedAttack == 0 || res.CompletedAtk == 0 {
+		t.Fatalf("flood offered %d and completed %d attack requests", res.OfferedAttack, res.CompletedAtk)
+	}
+}

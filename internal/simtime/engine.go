@@ -5,10 +5,10 @@
 //
 // The queue is built for throughput: a 4-ary array heap (shallower than a
 // binary heap, so fewer cache lines per sift), a free-list event pool so
-// steady-state schedule/fire cycles allocate nothing, and lazy cancellation
-// with compaction — cancelled events are skipped when popped, and the heap
-// is rebuilt without them once they outnumber the live events. See
-// DESIGN.md "Performance model".
+// steady-state schedule/fire cycles allocate nothing, and an index in every
+// queued event, so Cancel removes the entry at once and Reschedule re-keys
+// it in place. The heap never holds a cancelled event. See DESIGN.md
+// "Performance model".
 package simtime
 
 import (
@@ -22,53 +22,49 @@ type Seconds = float64
 // event is the pooled storage behind an Event handle. Events fire in
 // timestamp order; events with equal timestamps fire in scheduling order
 // (seq), which keeps runs reproducible. gen increments every time the
-// struct is recycled, so stale handles from a previous tenancy are inert.
+// struct is recycled or re-keyed, so stale handles are inert. idx is the
+// event's position in the heap while it is queued.
 type event struct {
-	at        Seconds
-	seq       uint64
-	gen       uint64
-	fn        func(now Seconds)
-	eng       *Engine
-	cancelled bool
+	at  Seconds
+	seq uint64
+	gen uint64
+	idx int
+	fn  func(now Seconds)
+	eng *Engine
 }
 
 // Event is a cancellation handle for one scheduled callback. Handles are
 // small values; the zero Event is valid and refers to nothing. A handle
-// outlives its event safely: once the event fires or is recycled, Cancel
-// and Pending become no-ops on it.
+// outlives its event safely: once the event fires, is cancelled or is
+// rescheduled, Cancel and Pending become no-ops on it.
 type Event struct {
 	ev  *event
 	gen uint64
 }
 
-// Cancel marks the event so it will not fire. Cancelling an already-fired,
-// already-cancelled, or zero event is a no-op — in particular a double
-// Cancel does not corrupt the engine's live-event accounting.
+// Cancel removes the event from the queue so it will not fire, and returns
+// its storage to the pool. Cancelling an already-fired, already-cancelled,
+// or zero event is a no-op.
 //
 //hot:allocfree
 func (e Event) Cancel() {
 	ev := e.ev
-	if ev == nil || ev.gen != e.gen || ev.cancelled {
+	if ev == nil || ev.gen != e.gen {
 		return
 	}
-	ev.cancelled = true
 	eng := ev.eng
-	eng.live--
-	// Lazily-cancelled events rot in the heap; once they outnumber the
-	// live ones, one O(n) rebuild reclaims them all.
-	if len(eng.events) >= compactMin && len(eng.events)-eng.live > eng.live {
-		eng.compact()
-	}
+	eng.remove(ev.idx)
+	eng.recycle(ev)
 }
 
 // Pending reports whether the event is still queued to fire: scheduled,
-// not cancelled, not yet fired.
+// not cancelled, not rescheduled, not yet fired.
 func (e Event) Pending() bool {
-	return e.ev != nil && e.ev.gen == e.gen && !e.ev.cancelled
+	return e.ev != nil && e.ev.gen == e.gen
 }
 
 // At returns the timestamp the event is scheduled for, or 0 once it has
-// fired, been cancelled and reclaimed, or for the zero handle.
+// fired or been cancelled, or for the zero handle.
 func (e Event) At() Seconds {
 	if !e.Pending() {
 		return 0
@@ -88,23 +84,17 @@ func (e Event) Seq() uint64 {
 	return e.ev.seq
 }
 
-// compactMin is the queue size below which compaction is not worth the
-// rebuild; tiny queues recycle cancelled events at pop time anyway.
-const compactMin = 64
-
 // Engine owns the virtual clock and the pending event set.
 type Engine struct {
 	now   Seconds
 	seq   uint64
 	fired uint64
 
-	// events is a 4-ary min-heap ordered by (at, seq). Cancelled events
-	// stay in place until popped or compacted away.
+	// events is a 4-ary min-heap ordered by (at, seq); events[i].idx == i.
+	// It holds exactly the pending events.
 	events []*event
-	// live counts non-cancelled queued events, making Pending() O(1).
-	live int
-	// free is the event pool: structs recycled on fire, cancelled-pop and
-	// compaction, reused by the next Schedule.
+	// free is the event pool: structs recycled on fire and cancel, reused
+	// by the next Schedule.
 	free []*event
 }
 
@@ -120,20 +110,26 @@ func (e *Engine) Now() Seconds { return e.now }
 // determinism probe for tests.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of live (non-cancelled) events still queued.
-func (e *Engine) Pending() int { return e.live }
+// Pending returns the number of events still queued.
+func (e *Engine) Pending() int { return len(e.events) }
+
+// badTime describes a time Schedule and Reschedule refuse: NaN, or before
+// now. Either is always a simulator bug, and silently clamping it would
+// hide causality violations.
+func badTime(at, now Seconds) string {
+	if math.IsNaN(at) {
+		return "simtime: schedule at NaN"
+	}
+	return fmt.Sprintf("simtime: schedule at %.9f before now %.9f", at, now)
+}
 
 // Schedule queues fn to run at the given absolute time. Scheduling in the
-// past (before Now) panics: that is always a simulator bug, and silently
-// clamping it would hide causality violations.
+// past (before Now) or at NaN panics.
 //
 //hot:allocfree
 func (e *Engine) Schedule(at Seconds, fn func(now Seconds)) Event {
-	if math.IsNaN(at) {
-		panic("simtime: schedule at NaN")
-	}
-	if at < e.now {
-		panic(fmt.Sprintf("simtime: schedule at %.9f before now %.9f", at, e.now))
+	if !(at >= e.now) { // false for NaN too
+		panic(badTime(at, e.now))
 	}
 	var ev *event
 	if n := len(e.free); n > 0 {
@@ -146,20 +142,44 @@ func (e *Engine) Schedule(at Seconds, fn func(now Seconds)) Event {
 	ev.at = at
 	ev.seq = e.seq
 	ev.fn = fn
-	ev.cancelled = false
 	e.seq++
-	e.live++
-	e.push(ev)
+	ev.idx = len(e.events)
+	e.events = append(e.events, ev)
+	e.siftUp(ev.idx)
 	return Event{ev: ev, gen: ev.gen}
 }
 
-// After queues fn to run delay seconds from now.
-func (e *Engine) After(delay Seconds, fn func(now Seconds)) Event {
-	return e.Schedule(e.now+delay, fn)
+// Reschedule moves the pending event h to fire fn at the given time,
+// re-keying it in place instead of removing and re-inserting it. It takes a
+// fresh sequence number and invalidates h, exactly as h.Cancel() followed
+// by Schedule(at, fn) would, so same-instant ties fire in the same order
+// either way. A handle that is no longer pending (fired, cancelled, stale,
+// or zero) falls back to Schedule. A handle from another engine, a time
+// before Now and a NaN time panic.
+//
+//hot:allocfree
+func (e *Engine) Reschedule(h Event, at Seconds, fn func(now Seconds)) Event {
+	ev := h.ev
+	if ev != nil && ev.eng != e {
+		panic("simtime: reschedule of another engine's event")
+	}
+	if ev == nil || ev.gen != h.gen {
+		return e.Schedule(at, fn)
+	}
+	if !(at >= e.now) { // false for NaN too
+		panic(badTime(at, e.now))
+	}
+	ev.at = at
+	ev.seq = e.seq
+	ev.fn = fn
+	ev.gen++
+	e.seq++
+	e.fix(ev.idx)
+	return Event{ev: ev, gen: ev.gen}
 }
 
-// recycle returns a popped event struct to the pool. Bumping gen first
-// makes every outstanding handle to it inert.
+// recycle returns an event struct that has left the heap to the pool.
+// Bumping gen first makes every outstanding handle to it inert.
 //
 //hot:allocfree
 func (e *Engine) recycle(ev *event) {
@@ -168,21 +188,24 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// pop removes and returns the earliest live event, recycling any cancelled
-// events it uncovers. It returns nil when the queue has no live events.
+// fire removes the heap root, recycles it and runs its callback.
 //
 //hot:allocfree
-func (e *Engine) pop() *event {
-	for len(e.events) > 0 {
-		ev := e.popMin()
-		if ev.cancelled {
-			e.recycle(ev)
-			continue
-		}
-		e.live--
-		return ev
+func (e *Engine) fire() {
+	h := e.events
+	ev := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = nil
+	e.events = h[:n]
+	if n > 0 {
+		e.siftDown(0)
 	}
-	return nil
+	at, fn := ev.at, ev.fn
+	e.recycle(ev)
+	e.now = at
+	e.fired++
+	fn(at)
 }
 
 // Step fires the single earliest pending event. It returns false when the
@@ -190,15 +213,10 @@ func (e *Engine) pop() *event {
 //
 //hot:allocfree
 func (e *Engine) Step() bool {
-	ev := e.pop()
-	if ev == nil {
+	if len(e.events) == 0 {
 		return false
 	}
-	at, fn := ev.at, ev.fn
-	e.recycle(ev)
-	e.now = at
-	e.fired++
-	fn(e.now)
+	e.fire()
 	return true
 }
 
@@ -209,22 +227,10 @@ func (e *Engine) Step() bool {
 //hot:allocfree
 func (e *Engine) RunUntil(horizon Seconds) {
 	for len(e.events) > 0 {
-		// Peek; recycle cancelled tops without firing.
-		top := e.events[0]
-		if top.cancelled {
-			e.recycle(e.popMin())
-			continue
-		}
-		if top.at > horizon {
+		if e.events[0].at > horizon {
 			break
 		}
-		ev := e.popMin()
-		e.live--
-		at, fn := ev.at, ev.fn
-		e.recycle(ev)
-		e.now = at
-		e.fired++
-		fn(e.now)
+		e.fire()
 	}
 	if e.now < horizon {
 		e.now = horizon
@@ -246,78 +252,34 @@ func (e *Engine) RunUntil(horizon Seconds) {
 //
 //hot:allocfree
 func (e *Engine) DrainAt(horizon Seconds) (n int, at Seconds) {
-	for len(e.events) > 0 {
-		top := e.events[0]
-		if top.cancelled {
-			e.recycle(e.popMin())
-			continue
+	if len(e.events) == 0 || e.events[0].at > horizon {
+		if e.now < horizon {
+			e.now = horizon
 		}
-		if n == 0 {
-			if top.at > horizon {
-				break
-			}
-			at = top.at
-		} else if top.at != at { //lint:allow floateq -- deliberate: only bit-identical timestamps batch together
-			break
-		}
-		ev := e.popMin()
-		e.live--
-		fn := ev.fn
-		e.recycle(ev)
-		e.now = at
-		e.fired++
-		n++
-		fn(e.now)
+		return 0, 0
 	}
-	if n == 0 && e.now < horizon {
-		e.now = horizon
+	at = e.events[0].at
+	//lint:allow floateq -- deliberate: only bit-identical timestamps batch together
+	for len(e.events) > 0 && e.events[0].at == at {
+		e.fire()
+		n++
 	}
 	return n, at
 }
 
 // Reset returns the engine to its initial state — clock at zero, no pending
 // events, counters cleared — while keeping the event pool, so the next
-// tenancy schedules into warm storage. Every queued event (live or
-// cancelled) is recycled; outstanding handles become inert.
+// tenancy schedules into warm storage. Every queued event is recycled;
+// outstanding handles become inert.
 func (e *Engine) Reset() {
-	for _, ev := range e.events {
+	for i, ev := range e.events {
 		e.recycle(ev)
-	}
-	for i := range e.events {
 		e.events[i] = nil
 	}
 	e.events = e.events[:0]
 	e.now = 0
 	e.seq = 0
 	e.fired = 0
-	e.live = 0
-}
-
-// compact rebuilds the heap without its cancelled events and recycles them.
-// Live events keep their (at, seq) keys, so the pop order — the only thing
-// the determinism contract pins — is unchanged.
-func (e *Engine) compact() {
-	keep := e.events[:0]
-	for _, ev := range e.events {
-		if ev.cancelled {
-			e.recycle(ev)
-		} else {
-			keep = append(keep, ev)
-		}
-	}
-	// Zero the vacated tail so the backing array stops pinning the moved
-	// pointers twice.
-	for i := len(keep); i < len(e.events); i++ {
-		e.events[i] = nil
-	}
-	e.events = keep
-	// Standard heapify: sift down every internal node, last parent first.
-	// (Guard the small cases: Go truncates -2/arity to 0.)
-	if n := len(keep); n > 1 {
-		for i := (n - 2) / arity; i >= 0; i-- {
-			e.siftDown(i)
-		}
-	}
 }
 
 // The event heap is 4-ary: children of i are arity*i+1 .. arity*i+arity,
@@ -334,39 +296,56 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// push appends ev and restores the heap property.
+// remove deletes the entry at heap index i: the last entry moves into the
+// hole and sifts whichever way its key requires.
 //
 //hot:allocfree
-func (e *Engine) push(ev *event) {
-	e.events = append(e.events, ev)
-	i := len(e.events) - 1
-	for i > 0 {
-		parent := (i - 1) / arity
-		if !less(e.events[i], e.events[parent]) {
-			break
-		}
-		e.events[i], e.events[parent] = e.events[parent], e.events[i]
-		i = parent
-	}
-}
-
-// popMin removes and returns the heap root without looking at cancellation.
-//
-//hot:allocfree
-func (e *Engine) popMin() *event {
+func (e *Engine) remove(i int) {
 	h := e.events
-	root := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
+	last := h[n]
 	h[n] = nil
 	e.events = h[:n]
-	if n > 0 {
-		e.siftDown(0)
+	if i == n {
+		return
 	}
-	return root
+	h[i] = last
+	last.idx = i
+	e.fix(i)
 }
 
-// siftDown restores the heap property below node i.
+// fix restores the heap property around node i after its key changed.
+//
+//hot:allocfree
+func (e *Engine) fix(i int) {
+	if i > 0 && less(e.events[i], e.events[(i-1)/arity]) {
+		e.siftUp(i)
+	} else {
+		e.siftDown(i)
+	}
+}
+
+// siftUp moves node i toward the root until its parent orders before it.
+//
+//hot:allocfree
+func (e *Engine) siftUp(i int) {
+	h := e.events
+	node := h[i]
+	for i > 0 {
+		parent := (i - 1) / arity
+		p := h[parent]
+		if !less(node, p) {
+			break
+		}
+		h[i] = p
+		p.idx = i
+		i = parent
+	}
+	h[i] = node
+	node.idx = i
+}
+
+// siftDown moves node i toward the leaves until no child orders before it.
 //
 //hot:allocfree
 func (e *Engine) siftDown(i int) {
@@ -379,23 +358,22 @@ func (e *Engine) siftDown(i int) {
 			break
 		}
 		// Find the smallest child.
-		best := first
-		last := first + arity
-		if last > n {
-			last = n
-		}
+		best, child := first, h[first]
+		last := min(first+arity, n)
 		for c := first + 1; c < last; c++ {
-			if less(h[c], h[best]) {
-				best = c
+			if ev := h[c]; less(ev, child) {
+				best, child = c, ev
 			}
 		}
-		if !less(h[best], node) {
+		if !less(child, node) {
 			break
 		}
-		h[i] = h[best]
+		h[i] = child
+		child.idx = i
 		i = best
 	}
 	h[i] = node
+	node.idx = i
 }
 
 // Ticker repeatedly schedules fn every period, starting at start, until the
@@ -436,16 +414,6 @@ func (t *Ticker) fire(now Seconds) {
 	}
 }
 
-// Next returns the absolute time of the ticker's next scheduled fire, and
-// whether one is pending (a stopped ticker has none). Snapshot capture uses
-// it to re-arm an equivalent ticker on a forked engine.
-func (t *Ticker) Next() (Seconds, bool) {
-	if t.done || !t.ev.Pending() {
-		return 0, false
-	}
-	return t.ev.At(), true
-}
-
 // NextEvent returns the handle of the ticker's next scheduled fire (the zero
 // Event for a stopped ticker), exposing its time and sequence number to
 // snapshot capture. Cancelling the handle directly would desynchronize the
@@ -461,15 +429,4 @@ func (t *Ticker) NextEvent() Event {
 func (t *Ticker) Stop() {
 	t.done = true
 	t.ev.Cancel()
-}
-
-// Restart re-arms a stopped ticker to resume at the given absolute time
-// with its original period and callback. Restarting a running ticker
-// panics: two live arming chains would double-fire every period.
-func (t *Ticker) Restart(start Seconds) {
-	if !t.done {
-		panic("simtime: restart of a running ticker")
-	}
-	t.done = false
-	t.ev = t.engine.Schedule(start, t.fireFn)
 }

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math"
 	"testing"
 )
 
@@ -97,7 +98,7 @@ func TestDoubleCancelDoesNotDoubleDecrement(t *testing.T) {
 	a := e.Schedule(1, func(now Seconds) {})
 	e.Schedule(2, func(now Seconds) {})
 	a.Cancel()
-	a.Cancel() // second cancel must not decrement the live counter again
+	a.Cancel() // second cancel must not remove another heap entry
 	if got := e.Pending(); got != 1 {
 		t.Fatalf("Pending = %d after double cancel, want 1", got)
 	}
@@ -130,18 +131,6 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	e.RunUntil(5)
 	if len(times) != 2 || times[0] != 1 || times[1] != 2 {
 		t.Fatalf("chained schedule times %v", times)
-	}
-}
-
-func TestAfter(t *testing.T) {
-	e := NewEngine()
-	var at Seconds = -1
-	e.Schedule(2, func(now Seconds) {
-		e.After(3, func(now Seconds) { at = now })
-	})
-	e.RunUntil(10)
-	if at != 5 {
-		t.Fatalf("After fired at %g, want 5", at)
 	}
 }
 
@@ -299,8 +288,8 @@ func BenchmarkDrainBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleCancel measures the cancel-heavy pattern the completion
-// rescheduler produces: most scheduled events are superseded before firing.
+// BenchmarkScheduleCancel measures a cancel-heavy pattern: most scheduled
+// events are cancelled before firing, each removed from the heap at once.
 func BenchmarkScheduleCancel(b *testing.B) {
 	e := NewEngine()
 	fn := func(now Seconds) {}
@@ -316,9 +305,55 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	}
 }
 
-func TestCancelCompactOrdering(t *testing.T) {
-	// Cancel enough events to trigger heap compaction, then verify the
-	// survivors still fire in exact (timestamp, scheduling-order) order.
+// BenchmarkRearmChains runs the simulation's event shape on a warm engine:
+// four completion chains, each re-arming itself when it fires, an arrival
+// pump at a mean 5,000 arrivals/s that re-keys one chain per arrival with
+// Reschedule, and a 1 s ticker. One op is one fired event.
+func BenchmarkRearmChains(b *testing.B) {
+	e := NewEngine()
+	// draw returns a uniform offset in [0, span) from an xorshift state,
+	// cheap enough not to hide the queue cost.
+	x := uint64(0x9e3779b97f4a7c15)
+	draw := func(span Seconds) Seconds {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return span * Seconds(x>>11) / (1 << 53)
+	}
+	var comps [4]Event
+	var compFns [4]func(now Seconds)
+	for k := range compFns {
+		compFns[k] = func(now Seconds) {
+			comps[k] = e.Reschedule(comps[k], now+draw(2e-3), compFns[k])
+		}
+	}
+	arrivals := 0
+	var arrive func(now Seconds)
+	arrive = func(now Seconds) {
+		k := arrivals % len(comps)
+		arrivals++
+		comps[k] = e.Reschedule(comps[k], now+draw(2e-3), compFns[k])
+		e.Schedule(now+draw(4e-4), arrive)
+	}
+	for k := range comps {
+		comps[k] = e.Schedule(draw(2e-3), compFns[k])
+	}
+	e.Schedule(0, arrive)
+	e.Tick(1, 1, func(now Seconds) {})
+	for i := 0; i < 10000; i++ {
+		e.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+func TestCancelHeavyOrdering(t *testing.T) {
+	// Cancel three events in four; the heap must shrink with every cancel
+	// and the survivors still fire in exact (timestamp, scheduling-order)
+	// order.
 	e := NewEngine()
 	var order []int
 	var cancels []Event
@@ -330,11 +365,15 @@ func TestCancelCompactOrdering(t *testing.T) {
 		}
 	}
 	for _, ev := range cancels {
-		ev.Cancel() // crosses the cancelled > live threshold mid-loop
+		ev.Cancel()
 	}
 	if got, want := e.Pending(), 100; got != want {
 		t.Fatalf("Pending = %d, want %d", got, want)
 	}
+	if got := len(e.events); got != e.Pending() {
+		t.Fatalf("heap holds %d entries for %d pending events", got, e.Pending())
+	}
+	checkHeap(t, e)
 	e.RunUntil(20)
 	if len(order) != 100 {
 		t.Fatalf("fired %d events, want 100", len(order))
@@ -351,32 +390,160 @@ func TestCancelCompactOrdering(t *testing.T) {
 	}
 	for i := range want {
 		if order[i] != want[i] {
-			t.Fatalf("order[%d] = %d, want %d (compaction broke ordering)", i, order[i], want[i])
+			t.Fatalf("order[%d] = %d, want %d (cancellation broke ordering)", i, order[i], want[i])
 		}
 	}
 }
 
-func TestCompactionRecyclesIntoPool(t *testing.T) {
+func TestCancelRecyclesIntoPool(t *testing.T) {
 	e := NewEngine()
 	fn := func(now Seconds) {}
 	var evs []Event
 	for i := 0; i < 256; i++ {
 		evs = append(evs, e.Schedule(float64(i), fn))
 	}
-	for _, ev := range evs[:200] {
+	for i, ev := range evs[:200] {
 		ev.Cancel()
+		// The cancelled struct leaves the heap and tops the free list at
+		// once; nothing waits for a pop or a rebuild.
+		if got := len(e.free); got != i+1 || e.free[i] != ev.ev {
+			t.Fatalf("cancel %d: free list has %d entries, cancelled struct not on top", i, got)
+		}
+		if got, want := len(e.events), 256-(i+1); got != want || e.Pending() != want {
+			t.Fatalf("cancel %d: heap holds %d, Pending %d, want %d", i, got, e.Pending(), want)
+		}
 	}
-	// Compaction must have run: the raw heap can hold at most the live
-	// events plus a sub-majority of cancelled ones.
-	if got := len(e.events); got > 2*e.live {
-		t.Fatalf("heap holds %d entries for %d live events; compaction missing", got, e.live)
-	}
-	if len(e.free) == 0 {
-		t.Fatal("compaction recycled nothing into the pool")
+	checkHeap(t, e)
+	if h := e.Schedule(300, fn); h.ev != evs[199].ev {
+		t.Fatal("Schedule did not reuse the last cancelled struct")
 	}
 	e.RunUntil(300)
-	if e.Fired() != 56 {
-		t.Fatalf("Fired = %d, want 56", e.Fired())
+	if e.Fired() != 57 {
+		t.Fatalf("Fired = %d, want 57", e.Fired())
+	}
+}
+
+func TestRescheduleTieOrder(t *testing.T) {
+	// A rescheduled event takes a fresh sequence number, so it fires after
+	// an event already queued at the same instant, exactly as Cancel
+	// followed by Schedule would order them, even when its time is
+	// unchanged.
+	for _, viaCancel := range []bool{false, true} {
+		e := NewEngine()
+		var order []string
+		a := e.Schedule(1, func(now Seconds) { order = append(order, "a") })
+		e.Schedule(1, func(now Seconds) { order = append(order, "b") })
+		fn := func(now Seconds) { order = append(order, "a'") }
+		if viaCancel {
+			a.Cancel()
+			a = e.Schedule(1, fn)
+		} else {
+			a = e.Reschedule(a, 1, fn)
+		}
+		if got := a.Seq(); got != 2 {
+			t.Fatalf("viaCancel=%v: rescheduled seq %d, want 2", viaCancel, got)
+		}
+		e.RunUntil(2)
+		if len(order) != 2 || order[0] != "b" || order[1] != "a'" {
+			t.Fatalf("viaCancel=%v: order %v, want [b a']", viaCancel, order)
+		}
+	}
+}
+
+func TestRescheduleMovesInPlace(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	logID := func(i int) func(Seconds) { return func(now Seconds) { order = append(order, i) } }
+	hs := make([]Event, 8)
+	for i := range hs {
+		hs[i] = e.Schedule(float64(i), logID(i))
+	}
+	old := hs[6]
+	hs[6] = e.Reschedule(hs[6], 0.5, logID(6)) // earlier
+	hs[1] = e.Reschedule(hs[1], 9, logID(1))   // later
+	if old.Pending() || !hs[6].Pending() {
+		t.Fatal("Reschedule must invalidate the old handle and return a pending one")
+	}
+	old.Cancel() // inert: must not cancel the re-keyed event
+	if got := e.Pending(); got != 8 || len(e.free) != 0 {
+		t.Fatalf("Pending = %d, free = %d after in-place reschedules, want 8, 0", got, len(e.free))
+	}
+	checkHeap(t, e)
+	e.RunUntil(10)
+	want := []int{0, 6, 2, 3, 4, 5, 7, 1}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order %v, want %v", order, want)
+		}
+	}
+}
+
+func TestRescheduleNonPendingFallsBack(t *testing.T) {
+	e := NewEngine()
+	fired := e.Schedule(1, func(now Seconds) {})
+	cancelled := e.Schedule(2, func(now Seconds) {})
+	cancelled.Cancel()
+	e.RunUntil(1)
+	count := 0
+	fn := func(now Seconds) { count++ }
+	for _, h := range []Event{{}, fired, cancelled} {
+		if h.Pending() {
+			t.Fatal("test handle unexpectedly pending")
+		}
+		if nh := e.Reschedule(h, 3, fn); !nh.Pending() || nh.At() != 3 {
+			t.Fatalf("Reschedule of a non-pending handle gave pending=%v at=%g", nh.Pending(), nh.At())
+		}
+	}
+	if got := e.Pending(); got != 3 {
+		t.Fatalf("Pending = %d, want 3", got)
+	}
+	e.RunUntil(5)
+	if count != 3 {
+		t.Fatalf("fallback events fired %d times, want 3", count)
+	}
+}
+
+func TestReschedulePanics(t *testing.T) {
+	fn := func(now Seconds) {}
+	cases := map[string]func(e *Engine, h Event){
+		"past": func(e *Engine, h Event) { e.Reschedule(h, 1, fn) },
+		"NaN":  func(e *Engine, h Event) { e.Reschedule(h, math.NaN(), fn) },
+		"foreign engine": func(e *Engine, h Event) {
+			NewEngine().Reschedule(h, 6, fn)
+		},
+	}
+	for name, call := range cases {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			e.RunUntil(2)
+			h := e.Schedule(5, fn)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Reschedule (%s) did not panic", name)
+				}
+				if !h.Pending() || h.At() != 5 {
+					t.Fatal("a refused Reschedule changed the event")
+				}
+			}()
+			call(e, h)
+		})
+	}
+}
+
+func TestRescheduleAllocFree(t *testing.T) {
+	e := NewEngine()
+	fn := func(now Seconds) {}
+	for i := 0; i < 64; i++ {
+		e.Schedule(float64(i), fn)
+	}
+	h := e.Schedule(1, fn)
+	next := 1.0
+	avg := testing.AllocsPerRun(1000, func() {
+		next += 0.5
+		h = e.Reschedule(h, next, fn)
+	})
+	if avg != 0 {
+		t.Fatalf("Reschedule allocates %.2f/op, want 0", avg)
 	}
 }
 
@@ -424,39 +591,4 @@ func TestPendingO1AfterFire(t *testing.T) {
 	if got := e.Pending(); got != 8 {
 		t.Fatalf("Pending = %d after two fires, want 8", got)
 	}
-}
-
-func TestTickerRestart(t *testing.T) {
-	e := NewEngine()
-	var ticks []Seconds
-	tk := e.Tick(0, 1, func(now Seconds) { ticks = append(ticks, now) })
-	e.RunUntil(2.5) // ticks at 0, 1, 2
-	tk.Stop()
-	tk.Stop() // double Stop is a no-op
-	e.RunUntil(5)
-	if len(ticks) != 3 {
-		t.Fatalf("ticks after Stop = %v", ticks)
-	}
-	tk.Restart(7)
-	e.RunUntil(8.5) // ticks at 7, 8
-	want := []Seconds{0, 1, 2, 7, 8}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks after Restart = %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks after Restart = %v, want %v", ticks, want)
-		}
-	}
-}
-
-func TestTickerRestartWhileRunningPanics(t *testing.T) {
-	e := NewEngine()
-	tk := e.Tick(0, 1, func(now Seconds) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Restart of a running ticker did not panic")
-		}
-	}()
-	tk.Restart(5)
 }

@@ -1,0 +1,285 @@
+package simtime
+
+import (
+	"testing"
+	"testing/quick"
+
+	"antidope/internal/rng"
+)
+
+// handle is what the differential needs of an event handle; Event and
+// refHandle both satisfy it.
+type handle interface {
+	Cancel()
+	Pending() bool
+	At() Seconds
+	Seq() uint64
+}
+
+// diffEngine is the surface the differential drives. engineSide adapts
+// Engine to it and refSide adapts refEngine, whose reschedule is Cancel
+// followed by Schedule.
+type diffEngine interface {
+	schedule(at Seconds, fn func(Seconds)) handle
+	reschedule(h handle, at Seconds, fn func(Seconds)) handle
+	tick(start, period Seconds, fn func(Seconds)) (stop func())
+	Step() bool
+	RunUntil(horizon Seconds)
+	DrainAt(horizon Seconds) (int, Seconds)
+	Reset()
+	Now() Seconds
+	Pending() int
+	Fired() uint64
+}
+
+type engineSide struct{ *Engine }
+
+func (s engineSide) schedule(at Seconds, fn func(Seconds)) handle { return s.Schedule(at, fn) }
+func (s engineSide) reschedule(h handle, at Seconds, fn func(Seconds)) handle {
+	return s.Reschedule(h.(Event), at, fn)
+}
+func (s engineSide) tick(start, period Seconds, fn func(Seconds)) func() {
+	return s.Tick(start, period, fn).Stop
+}
+
+type refSide struct{ *refEngine }
+
+func (s refSide) schedule(at Seconds, fn func(Seconds)) handle { return s.Schedule(at, fn) }
+func (s refSide) reschedule(h handle, at Seconds, fn func(Seconds)) handle {
+	h.Cancel()
+	return s.Schedule(at, fn)
+}
+func (s refSide) tick(start, period Seconds, fn func(Seconds)) func() {
+	return s.Tick(start, period, fn).Stop
+}
+
+// fireRec is one callback execution: the id of the event (a handle index,
+// or -1-k for ticker k) and the instant it ran at.
+type fireRec struct {
+	id int
+	at Seconds
+}
+
+// diffState is one engine's side of the differential: its handles (index
+// 0 is the zero handle), ticker stops, firing log and the number of events
+// its callbacks may still create during the current operation.
+type diffState struct {
+	eng    diffEngine
+	hs     []handle
+	stops  []func()
+	log    []fireRec
+	budget int
+}
+
+// enginePair drives Engine and refEngine through one operation sequence in
+// lockstep and fails the test on the first observable difference. Every
+// operation runs on the engine first and then on the reference; because
+// both histories must be identical, handle indices, callback ids and the
+// actions callbacks take line up between the two.
+type enginePair struct {
+	tb    testing.TB
+	seed  uint64
+	sides [2]*diffState
+	op    int
+}
+
+// diffStep is the timestamp grid: every time is a multiple of it, so equal
+// timestamps are common and float arithmetic on them is exact.
+const diffStep = 0.25
+
+// callbackBudget bounds how many events callbacks may create per
+// operation, so same-instant cascades terminate.
+const callbackBudget = 6
+
+func newEnginePair(tb testing.TB, seed uint64) *enginePair {
+	p := &enginePair{tb: tb, seed: seed}
+	p.sides[0] = &diffState{eng: engineSide{NewEngine()}, hs: []handle{Event{}}}
+	p.sides[1] = &diffState{eng: refSide{&refEngine{}}, hs: []handle{refHandle{}}}
+	return p
+}
+
+// mix64 is the splitmix64 finalizer; it turns (seed, id) into the action an
+// event's callback takes, identically on both sides.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// callback returns the function event id runs on side s: it logs the fire
+// and then, by a hash of the id, may schedule at the current instant or a
+// little later, cancel a handle, or reschedule one (possibly its own, which
+// is no longer pending and so falls back to Schedule).
+func (p *enginePair) callback(s *diffState, id int) func(Seconds) {
+	return func(now Seconds) {
+		s.log = append(s.log, fireRec{id: id, at: now})
+		if s.budget == 0 {
+			return
+		}
+		a := mix64(p.seed ^ uint64(id))
+		arg := a >> 8
+		switch a % 8 {
+		case 0:
+			s.budget--
+			p.schedule(s, now)
+		case 1:
+			s.budget--
+			p.schedule(s, now+Seconds(arg%4)*diffStep)
+		case 2:
+			s.hs[arg%uint64(len(s.hs))].Cancel()
+		case 3:
+			s.budget--
+			p.reschedule(s, int(arg%uint64(len(s.hs))), now+Seconds(arg>>8%3)*diffStep)
+		}
+	}
+}
+
+func (p *enginePair) schedule(s *diffState, at Seconds) {
+	s.hs = append(s.hs, s.eng.schedule(at, p.callback(s, len(s.hs))))
+}
+
+func (p *enginePair) reschedule(s *diffState, j int, at Seconds) {
+	s.hs = append(s.hs, s.eng.reschedule(s.hs[j], at, p.callback(s, len(s.hs))))
+}
+
+// apply runs one decoded operation on side s and returns what the
+// operation itself reported (Step's bool, DrainAt's n and at).
+func (p *enginePair) apply(s *diffState, op, a, b byte) (ok bool, n int, at Seconds) {
+	s.budget = callbackBudget
+	now := s.eng.Now()
+	later := now + Seconds(a%8)*diffStep
+	switch op % 11 {
+	case 0, 1:
+		p.schedule(s, later)
+	case 2:
+		p.schedule(s, now)
+	case 3:
+		s.hs[int(a)%len(s.hs)].Cancel()
+	case 4, 5:
+		p.reschedule(s, int(b)%len(s.hs), later)
+	case 6:
+		ok = s.eng.Step()
+	case 7:
+		// An occasional horizon one step before now must fire nothing and
+		// leave the clock alone.
+		h := later
+		if b%8 == 7 {
+			h = now - diffStep
+		}
+		n, at = s.eng.DrainAt(h)
+	case 8:
+		s.eng.RunUntil(later)
+	case 9:
+		if b%4 == 0 {
+			s.eng.Reset()
+			return
+		}
+		k := -1 - len(s.stops)
+		s.stops = append(s.stops, s.eng.tick(later, Seconds(1+b%3)*diffStep, func(now Seconds) {
+			s.log = append(s.log, fireRec{id: k, at: now})
+		}))
+	case 10:
+		if len(s.stops) > 0 {
+			s.stops[int(b)%len(s.stops)]()
+		}
+	}
+	return ok, n, at
+}
+
+// run decodes ops three bytes at a time (operation, two arguments) and
+// checks the sides agree after every operation.
+func (p *enginePair) run(ops []byte) {
+	for i := 0; i+2 < len(ops); i += 3 {
+		p.op = i / 3
+		ok0, n0, at0 := p.apply(p.sides[0], ops[i], ops[i+1], ops[i+2])
+		ok1, n1, at1 := p.apply(p.sides[1], ops[i], ops[i+1], ops[i+2])
+		if ok0 != ok1 || n0 != n1 || at0 != at1 { //lint:allow floateq -- identical histories give identical instants
+			p.tb.Fatalf("op %d (%d): returned (%v, %d, %g), reference (%v, %d, %g)",
+				p.op, ops[i]%11, ok0, n0, at0, ok1, n1, at1)
+		}
+		p.compare()
+	}
+}
+
+// compare requires identical firing logs, clocks, counters and handle
+// states, and checks the engine's heap invariant.
+func (p *enginePair) compare() {
+	s, r := p.sides[0], p.sides[1]
+	if len(s.log) != len(r.log) {
+		p.tb.Fatalf("op %d: %d callbacks fired, reference %d", p.op, len(s.log), len(r.log))
+	}
+	for i := range s.log {
+		if s.log[i] != r.log[i] {
+			p.tb.Fatalf("op %d: fire %d was %+v, reference %+v", p.op, i, s.log[i], r.log[i])
+		}
+	}
+	if s.eng.Now() != r.eng.Now() || s.eng.Pending() != r.eng.Pending() || s.eng.Fired() != r.eng.Fired() { //lint:allow floateq -- identical histories give identical clocks
+		p.tb.Fatalf("op %d: now/pending/fired %g/%d/%d, reference %g/%d/%d", p.op,
+			s.eng.Now(), s.eng.Pending(), s.eng.Fired(), r.eng.Now(), r.eng.Pending(), r.eng.Fired())
+	}
+	if len(s.hs) != len(r.hs) {
+		p.tb.Fatalf("op %d: %d handles, reference %d", p.op, len(s.hs), len(r.hs))
+	}
+	for i, h := range s.hs {
+		g := r.hs[i]
+		if h.Pending() != g.Pending() || h.At() != g.At() || h.Seq() != g.Seq() { //lint:allow floateq -- identical histories give identical instants
+			p.tb.Fatalf("op %d: handle %d pending/at/seq %v/%g/%d, reference %v/%g/%d", p.op, i,
+				h.Pending(), h.At(), h.Seq(), g.Pending(), g.At(), g.Seq())
+		}
+	}
+	checkHeap(p.tb, s.eng.(engineSide).Engine)
+}
+
+// checkHeap verifies that every queued event knows its heap index, that no
+// child orders before its parent, and that Pending counts exactly the heap.
+func checkHeap(tb testing.TB, e *Engine) {
+	tb.Helper()
+	for i, ev := range e.events {
+		if ev.idx != i {
+			tb.Fatalf("heap entry %d records index %d", i, ev.idx)
+		}
+		if i > 0 && less(ev, e.events[(i-1)/arity]) {
+			tb.Fatalf("heap entry %d orders before its parent", i)
+		}
+	}
+	if e.Pending() != len(e.events) {
+		tb.Fatalf("Pending = %d for a heap of %d", e.Pending(), len(e.events))
+	}
+}
+
+// FuzzEngineDifferential checks Engine against the lazy-cancellation
+// reference over arbitrary operation sequences (see enginePair.apply for
+// the encoding): schedules on a coarse grid and at the current instant,
+// cancels and reschedules of live, fired, cancelled, stale and zero
+// handles, Step, DrainAt, RunUntil, Reset, tickers and their Stop, with
+// callbacks that schedule, cancel and reschedule as they fire.
+func FuzzEngineDifferential(f *testing.F) {
+	f.Add(uint64(1), []byte{0, 3, 0, 0, 3, 0, 4, 0, 1, 7, 0, 0, 6, 0, 0})
+	f.Add(uint64(2), []byte{9, 1, 1, 2, 0, 0, 2, 0, 0, 5, 2, 2, 8, 7, 0, 10, 0, 0, 8, 7, 0})
+	f.Add(uint64(3), []byte{0, 0, 0, 0, 0, 0, 3, 1, 0, 3, 1, 0, 4, 0, 1, 6, 0, 0, 9, 0, 0, 0, 1, 0, 7, 0, 7})
+	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
+		if len(ops) > 3<<10 {
+			return
+		}
+		newEnginePair(t, seed).run(ops)
+	})
+}
+
+// TestQuickEngineDifferential is the property form of
+// FuzzEngineDifferential: a random seed expands into a long operation
+// sequence and the callbacks' actions.
+func TestQuickEngineDifferential(t *testing.T) {
+	prop := func(seed uint64) bool {
+		r := rng.New(seed)
+		ops := make([]byte, 1200)
+		for i := range ops {
+			ops[i] = byte(r.Uint64())
+		}
+		newEnginePair(t, seed).run(ops)
+		return !t.Failed()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
