@@ -93,5 +93,5 @@ bench:
 	  $(GO) test -run='^$$' -bench 'BenchmarkBusEmit|BenchmarkRecorderRecord|BenchmarkTimelineEmit|BenchmarkWriteChromeTrace' -benchmem -benchtime=2s ./internal/obs; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkAnalyze' -benchmem -benchtime=2s ./internal/obs/analyze; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkLintLoad' -benchmem -benchtime=5x ./internal/lint; \
-	  $(GO) test -run='^$$' -bench 'BenchmarkAllQuick/sequential' -benchtime=3x . ; \
+	  $(GO) test -run='^$$' -bench 'BenchmarkAllQuick/sequential' -benchmem -benchtime=3x . ; \
 	} | $(GO) run ./cmd/benchregress -baseline BENCH_3.json -tolerance $(BENCH_TOLERANCE) -out BENCH_new.json

@@ -99,10 +99,17 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Servers <= 0 {
 		return nil, fmt.Errorf("cluster: %d servers", cfg.Servers)
 	}
+	// Every server shares cfg.Model and only reads its power table, so one
+	// table serves them all. An invalid model builds none and is left for
+	// server.New to report.
+	var tab *power.Table
+	if cfg.Model.Validate() == nil {
+		tab = server.NewTable(cfg.Model)
+	}
 	c := &Cluster{}
 	for i := 0; i < cfg.Servers; i++ {
 		s, err := server.New(server.Config{
-			ID: i, Cores: cfg.Cores, MaxInflight: cfg.MaxInflight, Model: cfg.Model,
+			ID: i, Cores: cfg.Cores, MaxInflight: cfg.MaxInflight, Model: cfg.Model, Table: tab,
 		})
 		if err != nil {
 			return nil, err

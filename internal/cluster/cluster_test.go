@@ -84,6 +84,13 @@ func TestNewRejectsBad(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("zero cores accepted")
 	}
+	// The shared power table is built only from a valid model; an invalid
+	// one is still reported by the first server, in its words.
+	cfg = DefaultConfig()
+	cfg.Model.Ladder.Step = 0
+	if _, err := New(cfg); err == nil || err.Error() != "server 0: power: ladder step 0 must be positive" {
+		t.Fatalf("zero ladder step: err = %v", err)
+	}
 }
 
 func TestPowerAggregation(t *testing.T) {

@@ -9,8 +9,15 @@ import (
 	"antidope/internal/workload"
 )
 
-// Result is everything one run measures. Latency samples are restricted to
-// requests that arrived after the warmup.
+// Result is everything one run measures. The request ledger (offered,
+// completed and dropped counts, latencies) covers only requests that
+// arrived after the warmup.
+//
+// A measured completion appends its response time to LatencyLegit when it
+// is legitimate and adds it to its class's tally; a measured drop bumps its
+// reason's tally. Neither allocates once the run is warm: the class tallies
+// are fixed arrays, and the drop tallies are a short slice searched by
+// reason and folded into the two drop maps when the run finishes.
 type Result struct {
 	// SchemeName and BudgetW echo the run configuration.
 	SchemeName string
@@ -29,12 +36,14 @@ type Result struct {
 	// slot, when Config.RecordPerServer is set.
 	PerServerPower []stats.Series
 
-	// LatencyLegit / LatencyAttack are end-to-end response times of
-	// completed requests by origin.
-	LatencyLegit  *stats.Sample
-	LatencyAttack *stats.Sample
-	// LatencyByClass splits completed-request latency per request class.
-	LatencyByClass map[workload.Class]*stats.Sample
+	// LatencyLegit holds the end-to-end response time of every completed
+	// legitimate request, in completion order.
+	LatencyLegit *stats.Sample
+	// classDone[c] counts completed requests of class c, either origin, and
+	// classRTSum[c] sums their response times in completion order; see
+	// ClassMeanRT.
+	classDone  [workload.NumClasses]uint64
+	classRTSum [workload.NumClasses]float64
 
 	// OfferedLegit counts legitimate requests that arrived (post-warmup);
 	// CompletedLegit those that finished. Their ratio is the service
@@ -45,12 +54,18 @@ type Result struct {
 	CompletedAtk   uint64
 
 	// DroppedByReason counts every dropped request by mechanism
-	// (firewall-ban, token-bucket, server-queue-full).
+	// (firewall-ban, token-bucket, server-queue-full). Filled when the run
+	// finishes.
 	DroppedByReason map[string]uint64
 	// LegitDroppedByReason is the legitimate-only slice of DroppedByReason —
 	// the collateral ledger (e.g. legitimate clients caught by a strict
-	// firewall threshold).
+	// firewall threshold). Filled when the run finishes, with a key only for
+	// reasons that dropped a legitimate request.
 	LegitDroppedByReason map[string]uint64
+	// drops tallies measured drops per reason in first-seen order; there
+	// are only about ten reasons, so a linear search beats hashing the
+	// string on every drop.
+	drops []dropTally
 	// DroppedLegit / DroppedAttack split drops by origin.
 	DroppedLegit  uint64
 	DroppedAttack uint64
@@ -106,6 +121,42 @@ type Result struct {
 	DopeTrace []DopeEpoch
 }
 
+// dropTally is one drop reason's running count, all origins and
+// legitimate only.
+type dropTally struct {
+	reason     string
+	all, legit uint64
+}
+
+// countDrop adds one measured drop to its reason's tally.
+//
+//hot:allocfree
+func (r *Result) countDrop(reason string, legit bool) {
+	i := 0
+	for i < len(r.drops) && r.drops[i].reason != reason {
+		i++
+	}
+	if i == len(r.drops) {
+		r.drops = append(r.drops, dropTally{reason: reason})
+	}
+	r.drops[i].all++
+	if legit {
+		r.drops[i].legit++
+	}
+}
+
+// foldDrops writes the drop tallies into DroppedByReason and
+// LegitDroppedByReason, keeping each map's key set to the reasons it
+// counted.
+func (r *Result) foldDrops() {
+	for _, d := range r.drops {
+		r.DroppedByReason[d.reason] = d.all
+		if d.legit > 0 {
+			r.LegitDroppedByReason[d.reason] = d.legit
+		}
+	}
+}
+
 // DopeEpoch is one probe epoch of the adaptive attacker.
 type DopeEpoch struct {
 	At        float64
@@ -117,8 +168,8 @@ type DopeEpoch struct {
 }
 
 // Clone returns an independent deep copy of the result — every series,
-// sample, and counter map — so a forked simulation accumulates measurements
-// without touching its parent's ledger.
+// sample, counter map and tally — so a forked simulation accumulates
+// measurements without touching its parent's ledger.
 func (r *Result) Clone() *Result {
 	c := *r
 	c.Power = r.Power.Clone()
@@ -132,11 +183,7 @@ func (r *Result) Clone() *Result {
 		}
 	}
 	c.LatencyLegit = r.LatencyLegit.Clone()
-	c.LatencyAttack = r.LatencyAttack.Clone()
-	c.LatencyByClass = make(map[workload.Class]*stats.Sample, len(r.LatencyByClass))
-	for k, v := range r.LatencyByClass {
-		c.LatencyByClass[k] = v.Clone()
-	}
+	c.drops = append([]dropTally(nil), r.drops...)
 	c.DroppedByReason = make(map[string]uint64, len(r.DroppedByReason))
 	for k, v := range r.DroppedByReason {
 		c.DroppedByReason[k] = v
@@ -158,6 +205,17 @@ func (r *Result) Availability() float64 {
 		return 1
 	}
 	return float64(r.CompletedLegit) / float64(r.OfferedLegit)
+}
+
+// ClassMeanRT returns the mean response time in seconds of the completed
+// requests of class c, either origin, and false when the class completed
+// none. The sum is kept in completion order, so the mean has exactly the
+// bits of stats.Sample.Mean over the same response times.
+func (r *Result) ClassMeanRT(c workload.Class) (float64, bool) {
+	if c < 0 || int(c) >= workload.NumClasses || r.classDone[c] == 0 {
+		return 0, false
+	}
+	return r.classRTSum[c] / float64(r.classDone[c]), true
 }
 
 // MeanRT returns the mean legitimate response time in seconds.

@@ -214,8 +214,6 @@ func (s *Simulation) init(cfg Config) error {
 		NameplateW:           cl.Nameplate(),
 		Horizon:              cfg.Horizon,
 		LatencyLegit:         &stats.Sample{},
-		LatencyAttack:        &stats.Sample{},
-		LatencyByClass:       make(map[workload.Class]*stats.Sample),
 		DroppedByReason:      make(map[string]uint64),
 		LegitDroppedByReason: make(map[string]uint64),
 	}
@@ -718,6 +716,11 @@ func (s *Simulation) sample(now float64) {
 	}
 }
 
+// recordCompletion is the funnel every finished request leaves through. A
+// measured completion counts by origin, adds its response time to its
+// class's tally, and, when legitimate, appends it to LatencyLegit; an
+// attack completion keeps no sample, only the adaptive attacker's epoch
+// slowdown. Either way the request returns to the factory arena.
 func (s *Simulation) recordCompletion(req *workload.Request) {
 	rt := req.ResponseTime()
 	if req.ArriveAt < s.cfg.WarmupSec {
@@ -732,20 +735,19 @@ func (s *Simulation) recordCompletion(req *workload.Request) {
 		s.res.LatencyLegit.Add(rt)
 	} else {
 		s.res.CompletedAtk++
-		s.res.LatencyAttack.Add(rt)
 		if s.dope != nil && req.Source >= dopeSourceBase && req.Demand > 0 {
 			s.epochSlow.Add(rt / req.Demand)
 		}
 	}
-	byClass := s.res.LatencyByClass[req.Class]
-	if byClass == nil {
-		byClass = &stats.Sample{}
-		s.res.LatencyByClass[req.Class] = byClass
-	}
-	byClass.Add(rt)
+	s.res.classDone[req.Class]++
+	s.res.classRTSum[req.Class] += rt
 	s.factory.Free(req)
 }
 
+// recordDrop is the funnel every refused request leaves through. Every drop
+// reaches the observer; a measured drop counts by origin and bumps its
+// reason's tally, which finish folds into the drop maps. The request
+// returns to the factory arena.
 func (s *Simulation) recordDrop(req *workload.Request, measured bool) {
 	reason := req.DropReason
 	if reason == "" {
@@ -765,10 +767,10 @@ func (s *Simulation) recordDrop(req *workload.Request, measured bool) {
 		s.factory.Free(req)
 		return
 	}
-	s.res.DroppedByReason[reason]++
-	if req.Origin == workload.Legit {
+	legit := req.Origin == workload.Legit
+	s.res.countDrop(reason, legit)
+	if legit {
 		s.res.DroppedLegit++
-		s.res.LegitDroppedByReason[reason]++
 	} else {
 		s.res.DroppedAttack++
 	}
@@ -791,6 +793,7 @@ func (s *Simulation) finish() {
 	s.res.OverBudgetJ = s.cl.OverBudgetJ()
 	s.res.BatteryCycles = s.cl.UPS.Cycles()
 	s.res.SuspectRouted = s.bal.RoutedSuspect()
+	s.res.foldDrops()
 	if s.slots > 0 {
 		s.res.FracSlotsOverBudget = float64(s.slotsOver) / float64(s.slots)
 	}

@@ -135,11 +135,8 @@ func Fig8(o Options) (*Fig8Result, error) {
 }
 
 func classRT(res *core.Result, class workload.Class) float64 {
-	s, ok := res.LatencyByClass[class]
-	if !ok {
-		return 0
-	}
-	return s.Mean()
+	rt, _ := res.ClassMeanRT(class)
+	return rt
 }
 
 // HeavyTypesDegradeMost reports whether Colla-Filt and K-means suffer more

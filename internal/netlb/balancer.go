@@ -59,6 +59,9 @@ type Balancer struct {
 	routedSuspect  uint64
 	routedInnocent uint64
 
+	// poolBuf backs the PDF sub-pool poolOf returns, reused by every Route.
+	poolBuf []*server.Server
+
 	obs obs.Observer
 }
 
@@ -141,6 +144,7 @@ func (b *Balancer) avail(s *server.Server) bool {
 func (b *Balancer) Clone(servers []*server.Server) *Balancer {
 	c := *b
 	c.servers = servers
+	c.poolBuf = nil
 	c.obs = nil
 	// The reachability predicate closes over the original run's network
 	// runtime; the fork reinstalls its own against its cloned links.
@@ -178,6 +182,8 @@ func (b *Balancer) SplitActive() bool {
 // sub-pool is entirely down or unreachable, the request spills onto the
 // whole cluster (availability beats isolation for the duration of the
 // fault); Route returns nil only when every server is down or unreachable.
+//
+//hot:allocfree
 func (b *Balancer) Route(req *workload.Request) *server.Server {
 	pool := b.servers
 	split := false
@@ -186,7 +192,7 @@ func (b *Balancer) Route(req *workload.Request) *server.Server {
 		if b.profiler != nil && b.profiler.Observe(req.ArriveAt, req) {
 			suspect = true
 		}
-		sub := poolOf(b.servers, suspect)
+		sub := b.poolOf(suspect)
 		if len(sub) > 0 {
 			pool = sub
 			split = true
@@ -207,13 +213,19 @@ func (b *Balancer) Route(req *workload.Request) *server.Server {
 	return sv
 }
 
-func poolOf(servers []*server.Server, suspect bool) []*server.Server {
-	var out []*server.Server
-	for _, s := range servers {
+// poolOf returns the servers on the given side of the PDF split, in pool
+// order. The slice is the balancer's reused buffer, valid until the next
+// call.
+//
+//hot:allocfree
+func (b *Balancer) poolOf(suspect bool) []*server.Server {
+	out := b.poolBuf[:0]
+	for _, s := range b.servers {
 		if s.Suspect == suspect {
 			out = append(out, s)
 		}
 	}
+	b.poolBuf = out
 	return out
 }
 

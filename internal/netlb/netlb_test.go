@@ -388,3 +388,26 @@ func TestBalancerSourceAwareRouting(t *testing.T) {
 		t.Fatal("profiler accessor")
 	}
 }
+
+// TestRouteSplitAllocFree is the runtime backstop of the PDF split, which
+// escape analysis cannot vouch for because append growth is not an
+// escape: once the sub-pool buffer has grown, routing to either side of
+// the split allocates nothing, under both spreading policies.
+func TestRouteSplitAllocFree(t *testing.T) {
+	for _, policy := range []Policy{RoundRobin, LeastLoaded} {
+		servers := pool(4)
+		servers[0].Suspect = true
+		b := MustNew(servers, policy)
+		b.SetSuspectList([]string{workload.Lookup(workload.CollaFilt).URL})
+		suspect, innocent := reqFor(workload.CollaFilt), reqFor(workload.AliNormal)
+		b.Route(suspect)
+		b.Route(innocent)
+		if n := testing.AllocsPerRun(200, func() {
+			if !b.Route(suspect).Suspect || b.Route(innocent).Suspect {
+				t.Fatal("split not honoured")
+			}
+		}); n != 0 {
+			t.Errorf("%v: split-active Route allocates %v per call pair, want 0", policy, n)
+		}
+	}
+}

@@ -167,7 +167,13 @@ func (t *Table) Model() Model { return t.model }
 // the analytic path because Model.Power only depends on f through
 // Clamp(f) = Level(Index(f)), which is exactly how the table is indexed.
 func (t *Table) Power(f GHz, mix []IndexedComponent) Watts {
-	idx := t.model.Ladder.Index(f)
+	return t.PowerAt(t.model.Ladder.Index(f), mix)
+}
+
+// PowerAt is Power at ladder level idx, which must be in
+// [0, Ladder.Levels()): callers that keep their frequency's ladder index
+// skip the rounding Index does.
+func (t *Table) PowerAt(idx int, mix []IndexedComponent) Watts {
 	p := t.idle[idx]
 	row := t.powRel[idx]
 	for _, c := range mix {

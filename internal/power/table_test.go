@@ -8,7 +8,8 @@ import (
 // TestTableMatchesModelBitwise is the determinism contract of the memoized
 // power path: for every ladder level, off-grid and out-of-range frequency,
 // and a spread of mixes (including clamped utilizations), Table.Power must
-// return the exact bits Model.Power returns.
+// return the exact bits Model.Power returns, and so must Table.PowerAt at
+// every ladder index.
 func TestTableMatchesModelBitwise(t *testing.T) {
 	m := DefaultModel()
 	tab := NewTable(m, benchExps)
@@ -53,6 +54,13 @@ func TestTableMatchesModelBitwise(t *testing.T) {
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("Table.Power(%v) = %x, Model.Power = %x (mix %v)",
 					f, math.Float64bits(got), math.Float64bits(want), mix)
+			}
+		}
+		for i := 0; i < m.Ladder.Levels(); i++ {
+			want := m.Power(m.Ladder.Level(i), mix)
+			if got := tab.PowerAt(i, imix); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Table.PowerAt(%d) = %x, Model.Power = %x (mix %v)",
+					i, math.Float64bits(got), math.Float64bits(want), mix)
 			}
 		}
 	}

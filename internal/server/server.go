@@ -49,6 +49,9 @@ type Server struct {
 	Suspect bool
 
 	freq power.GHz
+	// fidx is freq's ladder index, kept beside it so the power lookup
+	// skips Ladder.Index's rounding.
+	fidx int
 	// The active set lives in per-class virtual time. vclk[c] is the service
 	// one class-c request has received since the class clock last rebased;
 	// heaps[c] is a min-heap of class-c entries keyed on the finish tag
@@ -86,7 +89,8 @@ type Server struct {
 	// demand-depletion factor of class c — recomputed only on CapFreq.
 	speedTab [workload.NumClasses]float64
 	// ptab memoizes the power model's frequency terms per ladder level,
-	// with one exponent slot per class (Exp = int(class)).
+	// with one exponent slot per class (Exp = int(class)). It is read-only
+	// and may be shared with other servers of the same model.
 	ptab *power.Table
 	// mixBuf is the cached active-set mix summary; mixVer stamps the server
 	// version it was built at so arrivals/completions invalidate it.
@@ -106,7 +110,6 @@ type Server struct {
 type profileCache struct {
 	beta   float64
 	weight float64
-	alpha  float64
 }
 
 // Server.occ is a uint8 bitmask over classes: this fails to compile once
@@ -191,6 +194,20 @@ type Config struct {
 	Cores       int
 	MaxInflight int
 	Model       power.Model
+	// Table, when set, is the power table the server reads, which must come
+	// from NewTable(Model); the table is read-only, so one serves every
+	// server of a model. Nil builds one.
+	Table *power.Table
+}
+
+// NewTable builds the power table a server of model m reads: m's ladder
+// terms with one exponent slot per request class (Exp = int(class)).
+func NewTable(m power.Model) *power.Table {
+	var alphas [workload.NumClasses]float64
+	for c := workload.Class(0); int(c) < workload.NumClasses; c++ {
+		alphas[c] = workload.Lookup(c).PowerAlpha
+	}
+	return power.NewTable(m, alphas[:])
 }
 
 // New builds a server at the ladder maximum frequency.
@@ -210,15 +227,17 @@ func New(cfg Config) (*Server, error) {
 		MaxInflight: cfg.MaxInflight,
 		Model:       cfg.Model,
 		freq:        cfg.Model.Ladder.Max,
+		fidx:        cfg.Model.Ladder.Index(cfg.Model.Ladder.Max),
 		powerDirty:  true,
+		ptab:        cfg.Table,
 	}
-	var alphas [workload.NumClasses]float64
 	for c := workload.Class(0); int(c) < workload.NumClasses; c++ {
 		p := workload.Lookup(c)
-		s.perf[c] = profileCache{beta: p.PerfBeta, weight: p.PowerWeight, alpha: p.PowerAlpha}
-		alphas[c] = p.PowerAlpha
+		s.perf[c] = profileCache{beta: p.PerfBeta, weight: p.PowerWeight}
 	}
-	s.ptab = power.NewTable(cfg.Model, alphas[:])
+	if s.ptab == nil {
+		s.ptab = NewTable(cfg.Model)
+	}
 	s.refreshSpeedTab()
 	return s, nil
 }
@@ -498,7 +517,7 @@ func (s *Server) PowerNow() power.Watts {
 		return 0
 	}
 	if s.powerDirty {
-		s.lastPower = s.ptab.Power(s.freq, s.mix())
+		s.lastPower = s.ptab.PowerAt(s.fidx, s.mix())
 		s.powerDirty = false
 	}
 	return s.lastPower
@@ -533,6 +552,7 @@ func (s *Server) CapFreq(f power.GHz) {
 	}
 	old := s.freq
 	s.freq = nf
+	s.fidx = s.Model.Ladder.Index(nf)
 	s.version++
 	s.powerDirty = true
 	s.freqChangeCnt++
@@ -645,6 +665,7 @@ func (s *Server) Recover(now float64) {
 	if s.freq != s.Model.Ladder.Max {
 		old := s.freq
 		s.freq = s.Model.Ladder.Max
+		s.fidx = s.Model.Ladder.Index(s.freq)
 		s.freqChangeCnt++
 		s.refreshSpeedTab()
 		if s.obs != nil {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -187,6 +188,45 @@ func TestPowerAtPrediction(t *testing.T) {
 	if math.Abs(hi-s.PowerNow()) > 1e-9 {
 		t.Fatal("PowerAt(fmax) != PowerNow at fmax")
 	}
+}
+
+// TestFreqIndexTracksFreq pins the cached ladder index to the frequency
+// through every path that sets it: construction, a cap to each ladder
+// level, a reboot and a clone. At each step the draw read through the
+// index must have the bits of the draw read through the frequency, on a
+// server with its own power table and on one given a shared table.
+func TestFreqIndexTracksFreq(t *testing.T) {
+	own := testServer()
+	shared := MustNew(Config{ID: 1, Cores: 4, MaxInflight: 64, Model: own.Model, Table: NewTable(own.Model)})
+	ladder := own.Model.Ladder
+	check := func(when string) {
+		t.Helper()
+		for _, s := range []*Server{own, shared, own.Clone(), shared.Clone()} {
+			if want := ladder.Index(s.Freq()); s.fidx != want {
+				t.Fatalf("%s: fidx = %d, Index(%v) = %d", when, s.fidx, s.Freq(), want)
+			}
+			if got, want := s.PowerNow(), s.PowerAt(s.Freq()); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: PowerNow = %x, PowerAt(freq) = %x", when, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+	check("New")
+	for _, s := range []*Server{own, shared} {
+		s.Advance(0)
+		s.Admit(0, fixedReq(uint64(s.ID), workload.KMeans, 10))
+	}
+	for i := 0; i < ladder.Levels(); i++ {
+		own.CapFreq(ladder.Level(i))
+		shared.CapFreq(ladder.Level(i))
+		check(fmt.Sprintf("CapFreq(level %d)", i))
+	}
+	for _, s := range []*Server{own, shared} {
+		s.CapFreq(ladder.Level(2))
+		s.Crash(0)
+		s.Advance(1)
+		s.Recover(1)
+	}
+	check("Recover")
 }
 
 func TestEnergyIntegration(t *testing.T) {

@@ -16,7 +16,6 @@ import (
 func fakeResult(meanMS, p90MS float64, avail float64, overFrac float64) *core.Result {
 	res := &core.Result{
 		LatencyLegit:        &stats.Sample{},
-		LatencyAttack:       &stats.Sample{},
 		FracSlotsOverBudget: overFrac,
 	}
 	// Construct a two-point sample hitting the requested mean and p90
