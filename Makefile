@@ -87,6 +87,8 @@ bench:
 	{ \
 	  $(GO) test -run='^$$' -bench 'BenchmarkScheduleAndRun|BenchmarkScheduleFireSteady|BenchmarkScheduleCancel|BenchmarkDrainBatch|BenchmarkRearmChains' -benchmem -benchtime=2s ./internal/simtime; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkAdvance$$|BenchmarkNextCompletion|BenchmarkPowerAt|BenchmarkAdvanceCompleting|BenchmarkAdvanceSaturated' -benchmem -benchtime=2s ./internal/server; \
+	  $(GO) test -run='^$$' -bench 'BenchmarkGenerator' -benchmem -benchtime=2s ./internal/workload; \
+	  $(GO) test -run='^$$' -bench 'BenchmarkNormFloat64' -benchmem -benchtime=2s ./internal/rng; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkSnapshotFork' -benchmem -benchtime=2s ./internal/core; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkModelPower$$|BenchmarkModelPowerLadder|BenchmarkTablePowerLadder' -benchmem -benchtime=2s ./internal/power; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkPercentile' -benchmem -benchtime=2s ./internal/stats; \

@@ -76,6 +76,15 @@ const (
 
 const bucketSec = 1.0
 
+// netCost is each class's NetCost, read on every observation without
+// copying the class's whole Profile out of the catalog.
+var netCost = func() (nc [workload.NumClasses]float64) {
+	for c := range nc {
+		nc[c] = workload.Lookup(workload.Class(c)).NetCost
+	}
+	return nc
+}()
+
 type srcState struct {
 	buckets    []float64 // per-second weighted counts, ring
 	base       int64     // absolute second index of buckets[0]
@@ -142,7 +151,7 @@ func (f *Firewall) IsBanned(now float64, src workload.SourceID) bool {
 // lagFor returns the detection start lag for a class: heavier network
 // footprints trip the netstat-style counters sooner.
 func (f *Firewall) lagFor(class workload.Class) float64 {
-	nc := workload.Lookup(class).NetCost
+	nc := netCost[class]
 	if nc <= 0 {
 		nc = 1
 	}
@@ -173,7 +182,7 @@ func (f *Firewall) Observe(now float64, req *workload.Request) Verdict {
 
 	f.slide(st, now)
 	sec := int64(now / bucketSec)
-	nc := workload.Lookup(req.Class).NetCost
+	nc := netCost[req.Class]
 
 	if f.cfg.Limit {
 		// A limiter only counts what it admits: admitting this request must

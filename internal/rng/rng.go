@@ -120,10 +120,21 @@ func (r *Stream) NormFloat64() float64 {
 		}
 	}
 	v = r.Float64()
-	mag := math.Sqrt(-2 * math.Log(u))
-	r.gauss = mag * math.Sin(2*math.Pi*v)
+	c, s := boxMuller(u, v)
+	r.gauss = s
 	r.haveGauss = true
-	return mag * math.Cos(2*math.Pi*v)
+	return c
+}
+
+// boxMuller maps a uniform u in (0, 1) and a uniform v in [0, 1) to two
+// independent standard normals, the cosine one first. math.Sincos reduces
+// the angle once for both; it performs exactly math.Sin's and math.Cos's
+// float operations on the same reduced argument, so the pair is
+// bit-identical to computing them separately.
+func boxMuller(u, v float64) (c, s float64) {
+	mag := math.Sqrt(-2 * math.Log(u))
+	sin, cos := math.Sincos(2 * math.Pi * v)
+	return mag * cos, mag * sin
 }
 
 // LogNormal returns a log-normal sample parameterized by the mean and

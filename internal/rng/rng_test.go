@@ -139,6 +139,62 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
+// refNormFloat64 is NormFloat64 as it was written before it called
+// math.Sincos: the same draws, with math.Cos and math.Sin each reducing the
+// angle on their own.
+func refNormFloat64(r *Stream) float64 {
+	if r.haveGauss {
+		r.haveGauss = false
+		return r.gauss
+	}
+	var u float64
+	for {
+		u = r.Float64()
+		if u > 0 {
+			break
+		}
+	}
+	c, s := refBoxMuller(u, r.Float64())
+	r.gauss = s
+	r.haveGauss = true
+	return c
+}
+
+func refBoxMuller(u, v float64) (c, s float64) {
+	mag := math.Sqrt(-2 * math.Log(u))
+	return mag * math.Cos(2*math.Pi*v), mag * math.Sin(2*math.Pi*v)
+}
+
+// TestNormFloat64MatchesSinCos pins the Sincos form of Box-Muller to the
+// Sin/Cos form bit for bit, so every stream that draws normals (request
+// demands above all) is unchanged by it.
+func TestNormFloat64MatchesSinCos(t *testing.T) {
+	const n = 10_000_000
+	a, b := New(2019), New(2019)
+	for i := 0; i < n; i++ {
+		if x, y := a.NormFloat64(), refNormFloat64(b); math.Float64bits(x) != math.Float64bits(y) {
+			t.Fatalf("draw %d: %v, Sin/Cos form %v", i, x, y)
+		}
+	}
+	// Both forms pick the octant of the angle 2*pi*v; its edges v = k/8 and
+	// their neighbours are where a difference between them would hide.
+	for k := 0; k <= 8; k++ {
+		edge := float64(k) / 8
+		for _, v := range []float64{math.Nextafter(edge, -1), edge, math.Nextafter(edge, 2)} {
+			if v < 0 || v >= 1 {
+				continue
+			}
+			for _, u := range []float64{0x1p-53, 0.25, 0.5, 1 - 0x1p-53} {
+				c, s := boxMuller(u, v)
+				rc, rs := refBoxMuller(u, v)
+				if math.Float64bits(c) != math.Float64bits(rc) || math.Float64bits(s) != math.Float64bits(rs) {
+					t.Fatalf("u=%v v=%v: (%v, %v), Sin/Cos form (%v, %v)", u, v, c, s, rc, rs)
+				}
+			}
+		}
+	}
+}
+
 func TestLogNormalMoments(t *testing.T) {
 	r := New(19)
 	var sum float64
@@ -266,4 +322,15 @@ func BenchmarkExp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = r.Exp(1)
 	}
+}
+
+// BenchmarkNormFloat64 measures one standard normal draw: half a Box-Muller
+// pair (one Log, one Sqrt and one Sincos) per op.
+func BenchmarkNormFloat64(b *testing.B) {
+	r := New(1)
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += r.NormFloat64()
+	}
+	_ = sink
 }

@@ -9,6 +9,19 @@
 // queued event, so Cancel removes the entry at once and Reschedule re-keys
 // it in place. The heap never holds a cancelled event. See DESIGN.md
 // "Performance model".
+//
+// Most events re-arm their own chain when they fire (the arrival pump, a
+// server's next completion, a ticker), so the firing event stays at the heap
+// root while its callback runs, its handle already stale. The callback's
+// first Schedule — directly, through Reschedule's fallback for a handle that
+// is no longer pending, or through a ticker — re-keys that slot with a fresh
+// sequence number and one sift down; if the callback schedules nothing, the
+// slot leaves the heap when it returns. Pending never counts it.
+//
+// Callbacks may Schedule, Reschedule, Cancel and Tick, and read Now, Fired
+// and Pending. They must not drive the engine: Step, RunUntil, DrainAt and
+// Reset panic when called from inside a callback. A callback that panics
+// leaves the engine mid-fire, and it stays unusable; discard it.
 package simtime
 
 import (
@@ -91,12 +104,32 @@ type Engine struct {
 	fired uint64
 
 	// events is a 4-ary min-heap ordered by (at, seq); events[i].idx == i.
-	// It holds exactly the pending events.
+	// Outside callbacks it holds exactly the pending events. While a
+	// callback runs, it may also hold the firing event at its root.
 	events []*event
-	// free is the event pool: structs recycled on fire and cancel, reused
-	// by the next Schedule.
+	// state says whether a callback is running and, if so, whether the
+	// firing event still holds the heap root.
+	state fireState
+	// free is the event pool: structs recycled on cancel, and on a fire
+	// whose callback scheduled nothing, reused by the next Schedule.
 	free []*event
 }
+
+// fireState is where the engine is in firing an event.
+type fireState uint8
+
+const (
+	// idle: no callback is running.
+	idle fireState = iota
+	// slotHeld: a callback is running and the event that fired it still
+	// sits at the heap root, its gen bumped. Its key (the instant now and
+	// the smallest seq in the heap) orders before every other entry, so
+	// nothing sifts past it and it stays at index 0 until the callback's
+	// first Schedule re-keys it or the callback returns.
+	slotHeld
+	// slotTaken: a callback is running and has re-keyed the slot.
+	slotTaken
+)
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
@@ -111,7 +144,12 @@ func (e *Engine) Now() Seconds { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events still queued.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int {
+	if e.state == slotHeld {
+		return len(e.events) - 1
+	}
+	return len(e.events)
+}
 
 // badTime describes a time Schedule and Reschedule refuse: NaN, or before
 // now. Either is always a simulator bug, and silently clamping it would
@@ -124,12 +162,25 @@ func badTime(at, now Seconds) string {
 }
 
 // Schedule queues fn to run at the given absolute time. Scheduling in the
-// past (before Now) or at NaN panics.
+// past (before Now) or at NaN panics. The first Schedule a callback makes
+// re-keys the firing event's heap slot instead of taking a pooled struct.
 //
 //hot:allocfree
 func (e *Engine) Schedule(at Seconds, fn func(now Seconds)) Event {
 	if !(at >= e.now) { // false for NaN too
 		panic(badTime(at, e.now))
+	}
+	if e.state == slotHeld {
+		// The slot is the root; a key no earlier than now with a fresh seq
+		// can only move it down.
+		e.state = slotTaken
+		ev := e.events[0]
+		ev.at = at
+		ev.seq = e.seq
+		ev.fn = fn
+		e.seq++
+		e.siftDown(0)
+		return Event{ev: ev, gen: ev.gen}
 	}
 	var ev *event
 	if n := len(e.free); n > 0 {
@@ -184,28 +235,45 @@ func (e *Engine) Reschedule(h Event, at Seconds, fn func(now Seconds)) Event {
 //hot:allocfree
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
+	e.release(ev)
+}
+
+// release pools an event struct whose handles are already inert.
+//
+//hot:allocfree
+func (e *Engine) release(ev *event) {
 	ev.fn = nil // release the closure; pooled structs must not pin memory
 	e.free = append(e.free, ev)
 }
 
-// fire removes the heap root, recycles it and runs its callback.
+// fire runs the heap root's callback. Bumping gen first makes the root's
+// handles inert, exactly as recycling does; the root itself stays in the
+// heap as the slot the callback's first Schedule re-keys, and leaves it
+// only if the callback schedules nothing.
 //
 //hot:allocfree
 func (e *Engine) fire() {
-	h := e.events
-	ev := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
-	e.events = h[:n]
-	if n > 0 {
-		e.siftDown(0)
-	}
+	ev := e.events[0]
+	ev.gen++
 	at, fn := ev.at, ev.fn
-	e.recycle(ev)
 	e.now = at
 	e.fired++
+	e.state = slotHeld
 	fn(at)
+	if e.state == slotHeld {
+		// Unused: pop the root, as remove(0) would, without its calls.
+		h := e.events
+		n := len(h) - 1
+		last := h[n]
+		h[n] = nil
+		e.events = h[:n]
+		if n > 0 {
+			h[0] = last
+			e.siftDown(0)
+		}
+		e.release(ev)
+	}
+	e.state = idle
 }
 
 // Step fires the single earliest pending event. It returns false when the
@@ -213,6 +281,9 @@ func (e *Engine) fire() {
 //
 //hot:allocfree
 func (e *Engine) Step() bool {
+	if e.state != idle {
+		panic("simtime: Step called from inside an event callback")
+	}
 	if len(e.events) == 0 {
 		return false
 	}
@@ -226,6 +297,9 @@ func (e *Engine) Step() bool {
 //
 //hot:allocfree
 func (e *Engine) RunUntil(horizon Seconds) {
+	if e.state != idle {
+		panic("simtime: RunUntil called from inside an event callback")
+	}
 	for len(e.events) > 0 {
 		if e.events[0].at > horizon {
 			break
@@ -252,6 +326,9 @@ func (e *Engine) RunUntil(horizon Seconds) {
 //
 //hot:allocfree
 func (e *Engine) DrainAt(horizon Seconds) (n int, at Seconds) {
+	if e.state != idle {
+		panic("simtime: DrainAt called from inside an event callback")
+	}
 	if len(e.events) == 0 || e.events[0].at > horizon {
 		if e.now < horizon {
 			e.now = horizon
@@ -272,6 +349,9 @@ func (e *Engine) DrainAt(horizon Seconds) (n int, at Seconds) {
 // tenancy schedules into warm storage. Every queued event is recycled;
 // outstanding handles become inert.
 func (e *Engine) Reset() {
+	if e.state != idle {
+		panic("simtime: Reset called from inside an event callback")
+	}
 	for i, ev := range e.events {
 		e.recycle(ev)
 		e.events[i] = nil

@@ -581,6 +581,92 @@ func TestCancelAllocBudget(t *testing.T) {
 	}
 }
 
+func TestFiringSlotReused(t *testing.T) {
+	// Four chains, each re-arming itself when it fires (through
+	// Reschedule's fallback for its own, now stale, handle): every re-arm
+	// re-keys the struct that just fired, in place, so the heap keeps its
+	// length, the free list is never touched and nothing allocates.
+	e := NewEngine()
+	var chains [4]Event
+	var fns [4]func(now Seconds)
+	var heapLen, freeLen int
+	check := func(where string, k int) {
+		if len(e.events) != heapLen || len(e.free) != freeLen {
+			t.Fatalf("chain %d %s: heap %d, free %d, want %d, %d", k, where, len(e.events), len(e.free), heapLen, freeLen)
+		}
+	}
+	for k := range fns {
+		fns[k] = func(now Seconds) {
+			check("before re-arming", k)
+			if got, want := e.Pending(), heapLen-1; got != want {
+				t.Fatalf("chain %d: Pending = %d inside its callback, want %d", k, got, want)
+			}
+			old := chains[k]
+			chains[k] = e.Reschedule(chains[k], now+0.25*Seconds(k+1), fns[k])
+			if chains[k].ev != old.ev {
+				t.Fatalf("chain %d re-armed into another struct", k)
+			}
+			check("after re-arming", k)
+		}
+		chains[k] = e.Schedule(0.1*Seconds(k), fns[k])
+	}
+	e.Schedule(1e9, func(now Seconds) {})
+	// Warm the pool with three spare structs the chains must leave alone.
+	for i := 0; i < 3; i++ {
+		e.Schedule(1, func(now Seconds) {}).Cancel()
+	}
+	heapLen, freeLen = len(e.events), len(e.free)
+	spare := append([]*event(nil), e.free...)
+	for i := 0; i < 100; i++ {
+		e.Step()
+	}
+	if avg := testing.AllocsPerRun(1000, func() { e.Step() }); avg != 0 {
+		t.Fatalf("self-re-arming fire allocates %.2f/op, want 0", avg)
+	}
+	for i, ev := range e.free {
+		if ev != spare[i] {
+			t.Fatalf("free list entry %d changed", i)
+		}
+	}
+	if got := e.Pending(); got != heapLen {
+		t.Fatalf("Pending = %d between steps, want %d", got, heapLen)
+	}
+	checkHeap(t, e)
+}
+
+func TestDrivingFromCallbackPanics(t *testing.T) {
+	cases := map[string]func(e *Engine){
+		"Step":     func(e *Engine) { e.Step() },
+		"RunUntil": func(e *Engine) { e.RunUntil(10) },
+		"DrainAt":  func(e *Engine) { e.DrainAt(10) },
+		"Reset":    func(e *Engine) { e.Reset() },
+	}
+	for name, drive := range cases {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			var got any
+			e.Schedule(1, func(now Seconds) {
+				defer func() { got = recover() }()
+				drive(e)
+			})
+			later := false
+			e.Schedule(1, func(now Seconds) { later = true })
+			e.Schedule(2, func(now Seconds) {})
+			e.RunUntil(1)
+			want := "simtime: " + name + " called from inside an event callback"
+			if got != want {
+				t.Fatalf("recovered %v, want %q", got, want)
+			}
+			// The refused call changed nothing: the engine runs on.
+			if !later || e.Now() != 1 || e.Fired() != 2 || e.Pending() != 1 {
+				t.Fatalf("after the refused %s: later fired %v, now %g, fired %d, pending %d",
+					name, later, e.Now(), e.Fired(), e.Pending())
+			}
+			checkHeap(t, e)
+		})
+	}
+}
+
 func TestPendingO1AfterFire(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 10; i++ {

@@ -54,10 +54,57 @@ func (s refSide) tick(start, period Seconds, fn func(Seconds)) func() {
 }
 
 // fireRec is one callback execution: the id of the event (a handle index,
-// or -1-k for ticker k) and the instant it ran at.
+// or -1-k for ticker k), the instant it ran at, and what it saw of the
+// engine before and after its action. Inside a callback the engine keeps
+// the firing event at its heap root until the first Schedule re-keys it, so
+// this is where the two engines' bookkeeping could differ unseen by checks
+// between operations.
 type fireRec struct {
-	id int
-	at Seconds
+	id            int
+	at            Seconds
+	before, after view
+}
+
+// view is what a callback observes: the clock, the counters, its own handle
+// and the newest handle of its side (the one its action may have created).
+type view struct {
+	now         Seconds
+	pending     int
+	fired       uint64
+	own, newest handleView
+}
+
+type handleView struct {
+	pending bool
+	at      Seconds
+	seq     uint64
+}
+
+func viewOf(h handle) handleView {
+	return handleView{pending: h.Pending(), at: h.At(), seq: h.Seq()}
+}
+
+// look records side s's view from inside the callback of event id (a
+// ticker has no handle of its own and records the zero view for it), and
+// checks the engine's heap invariant there.
+func (p *enginePair) look(s *diffState, id int) view {
+	v := view{
+		now:     s.eng.Now(),
+		pending: s.eng.Pending(),
+		fired:   s.eng.Fired(),
+		newest:  viewOf(s.hs[len(s.hs)-1]),
+	}
+	if id >= 0 {
+		v.own = viewOf(s.hs[id])
+	}
+	if es, ok := s.eng.(engineSide); ok {
+		e := es.Engine
+		checkHeap(p.tb, e)
+		if id >= 0 && e.state == slotHeld && e.events[0] != s.hs[id].(Event).ev {
+			p.tb.Fatalf("op %d: event %d's callback runs but another event holds the root", p.op, id)
+		}
+	}
+	return v
 }
 
 // diffState is one engine's side of the differential: its handles (index
@@ -107,30 +154,47 @@ func mix64(x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// callback returns the function event id runs on side s: it logs the fire
-// and then, by a hash of the id, may schedule at the current instant or a
-// little later, cancel a handle, or reschedule one (possibly its own, which
-// is no longer pending and so falls back to Schedule).
+// callback returns the function event id runs on side s: it records what
+// it sees, then, by a hash of the id, may schedule at the current instant or
+// a little later (once or twice), cancel a handle, or reschedule one
+// (possibly its own, which is no longer pending and so falls back to
+// Schedule), and records what it sees again. Both sides' records must match.
 func (p *enginePair) callback(s *diffState, id int) func(Seconds) {
 	return func(now Seconds) {
-		s.log = append(s.log, fireRec{id: id, at: now})
-		if s.budget == 0 {
-			return
-		}
-		a := mix64(p.seed ^ uint64(id))
-		arg := a >> 8
-		switch a % 8 {
-		case 0:
-			s.budget--
+		rec := fireRec{id: id, at: now, before: p.look(s, id)}
+		p.act(s, id, now)
+		rec.after = p.look(s, id)
+		s.log = append(s.log, rec)
+	}
+}
+
+// act is the action event id's callback takes, while the budget lasts.
+func (p *enginePair) act(s *diffState, id int, now Seconds) {
+	if s.budget == 0 {
+		return
+	}
+	a := mix64(p.seed ^ uint64(id))
+	arg := a >> 8
+	switch a % 9 {
+	case 0:
+		s.budget--
+		p.schedule(s, now)
+	case 1:
+		s.budget--
+		p.schedule(s, now+Seconds(arg%4)*diffStep)
+	case 2:
+		s.hs[arg%uint64(len(s.hs))].Cancel()
+	case 3:
+		s.budget--
+		p.reschedule(s, int(arg%uint64(len(s.hs))), now+Seconds(arg>>8%3)*diffStep)
+	case 4:
+		// Cancel a handle, then schedule: the engine re-keys its firing
+		// slot even though the cancelled struct now tops its pool.
+		s.hs[arg%uint64(len(s.hs))].Cancel()
+		if s.budget >= 2 {
+			s.budget -= 2
+			p.schedule(s, now+Seconds(arg>>8%2)*diffStep)
 			p.schedule(s, now)
-		case 1:
-			s.budget--
-			p.schedule(s, now+Seconds(arg%4)*diffStep)
-		case 2:
-			s.hs[arg%uint64(len(s.hs))].Cancel()
-		case 3:
-			s.budget--
-			p.reschedule(s, int(arg%uint64(len(s.hs))), now+Seconds(arg>>8%3)*diffStep)
 		}
 	}
 }
@@ -177,7 +241,8 @@ func (p *enginePair) apply(s *diffState, op, a, b byte) (ok bool, n int, at Seco
 		}
 		k := -1 - len(s.stops)
 		s.stops = append(s.stops, s.eng.tick(later, Seconds(1+b%3)*diffStep, func(now Seconds) {
-			s.log = append(s.log, fireRec{id: k, at: now})
+			v := p.look(s, k)
+			s.log = append(s.log, fireRec{id: k, at: now, before: v, after: v})
 		}))
 	case 10:
 		if len(s.stops) > 0 {
@@ -228,11 +293,16 @@ func (p *enginePair) compare() {
 				h.Pending(), h.At(), h.Seq(), g.Pending(), g.At(), g.Seq())
 		}
 	}
-	checkHeap(p.tb, s.eng.(engineSide).Engine)
+	e := s.eng.(engineSide).Engine
+	if e.state != idle {
+		p.tb.Fatalf("op %d: engine left mid-fire (state %d)", p.op, e.state)
+	}
+	checkHeap(p.tb, e)
 }
 
 // checkHeap verifies that every queued event knows its heap index, that no
-// child orders before its parent, and that Pending counts exactly the heap.
+// child orders before its parent, and that Pending counts exactly the heap
+// less a firing slot it still holds.
 func checkHeap(tb testing.TB, e *Engine) {
 	tb.Helper()
 	for i, ev := range e.events {
@@ -243,8 +313,15 @@ func checkHeap(tb testing.TB, e *Engine) {
 			tb.Fatalf("heap entry %d orders before its parent", i)
 		}
 	}
-	if e.Pending() != len(e.events) {
-		tb.Fatalf("Pending = %d for a heap of %d", e.Pending(), len(e.events))
+	n := len(e.events)
+	if e.state == slotHeld {
+		if n == 0 {
+			tb.Fatal("firing slot held in an empty heap")
+		}
+		n--
+	}
+	if e.Pending() != n {
+		tb.Fatalf("Pending = %d for a heap of %d (state %d)", e.Pending(), len(e.events), e.state)
 	}
 }
 
@@ -253,7 +330,9 @@ func checkHeap(tb testing.TB, e *Engine) {
 // the encoding): schedules on a coarse grid and at the current instant,
 // cancels and reschedules of live, fired, cancelled, stale and zero
 // handles, Step, DrainAt, RunUntil, Reset, tickers and their Stop, with
-// callbacks that schedule, cancel and reschedule as they fire.
+// callbacks that schedule, cancel and reschedule as they fire and compare
+// the clock, the counters and their handles from inside, before and after
+// acting.
 func FuzzEngineDifferential(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 3, 0, 0, 3, 0, 4, 0, 1, 7, 0, 0, 6, 0, 0})
 	f.Add(uint64(2), []byte{9, 1, 1, 2, 0, 0, 2, 0, 0, 5, 2, 2, 8, 7, 0, 10, 0, 0, 8, 7, 0})

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"strconv"
+
 	"antidope/internal/rng"
 )
 
@@ -81,6 +83,8 @@ type Generator struct {
 	// rateCap is the envelope rate used for thinning; it must dominate the
 	// rate function. Callers set it to the known maximum of Rate.
 	rateCap float64
+	// gapMean is 1/rateCap, the mean gap between thinning candidates.
+	gapMean float64
 	now     float64
 }
 
@@ -93,7 +97,7 @@ func NewGenerator(src Source, rateCap float64, factory *Factory, rnd *rng.Stream
 	if rateCap <= 0 {
 		rateCap = 1e-12
 	}
-	return &Generator{src: src, factory: factory, rnd: rnd, rateCap: rateCap}
+	return &Generator{src: src, factory: factory, rnd: rnd, rateCap: rateCap, gapMean: 1 / rateCap}
 }
 
 // Clone returns an independent generator that will produce exactly the same
@@ -114,7 +118,7 @@ func (g *Generator) Clone(factory *Factory) *Generator {
 func (g *Generator) Next(horizon float64) (Arrival, bool) {
 	t := g.now
 	for {
-		t += g.rnd.Exp(1 / g.rateCap)
+		t += g.rnd.Exp(g.gapMean)
 		if t >= horizon {
 			// Leave now at the horizon so the generator can resume if the
 			// caller extends the horizon later.
@@ -148,25 +152,11 @@ func NewMix(sources []Source, rateCaps []float64, factory *Factory, rnd *rng.Str
 	}
 	m := &Mix{}
 	for i, s := range sources {
-		gen := NewGenerator(s, rateCaps[i], factory, rnd.Split(s.Class.String()+string(rune('a'+i%26))+itoa(i)))
+		gen := NewGenerator(s, rateCaps[i], factory, rnd.Split(s.Class.String()+string(rune('a'+i%26))+strconv.Itoa(i)))
 		m.gens = append(m.gens, gen)
 	}
 	m.pending = make([]Arrival, len(m.gens))
 	return m
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	pos := len(buf)
-	for i > 0 {
-		pos--
-		buf[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[pos:])
 }
 
 // Clone returns an independent mix producing the same merged stream from

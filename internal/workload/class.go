@@ -104,8 +104,9 @@ func (p Profile) WattsPerRequestScale() float64 {
 }
 
 // catalog is the class table, indexed by Class. Lookup serves straight from
-// this array: the profile is consulted on every minted request and every
-// firewall observation, so the hot path must be an index, not a map build.
+// this array; the per-request paths (minting, firewall observation) read
+// single fields of it, or arrays derived from it, in place, so they neither
+// build a map nor copy a whole Profile.
 // The calibration reproduces the qualitative facts of Section 3: Colla-Filt
 // has the highest aggregate power intensity (near-vertical, right-most CDF
 // in Fig. 5-a), K-means the highest power per request (Fig. 5-b) and the

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -147,6 +148,72 @@ func TestFactoryDemandDistribution(t *testing.T) {
 	mean := sum / n
 	if math.Abs(mean-p.MeanDemand)/p.MeanDemand > 0.05 {
 		t.Fatalf("mean demand %g, want ~%g", mean, p.MeanDemand)
+	}
+}
+
+// TestFactoryDemandMatchesLogNormal pins the identity Factory.New's doc
+// claims: minting through the precomputed per-class parameters draws, bit
+// for bit, the demand rng.LogNormal(MeanDemand, DemandCV) draws from a twin
+// stream (with the mint's fallback to the mean should a sample underflow).
+func TestFactoryDemandMatchesLogNormal(t *testing.T) {
+	const n = 100_000
+	for c := Class(0); c < numClasses; c++ {
+		p := Lookup(c)
+		f := NewFactory(rng.New(uint64(40 + c)))
+		twin := rng.New(uint64(40 + c))
+		for i := 0; i < n; i++ {
+			r := f.New(float64(i), c, Legit, 1)
+			want := twin.LogNormal(p.MeanDemand, p.DemandCV)
+			if want <= 0 {
+				want = p.MeanDemand
+			}
+			if math.Float64bits(r.Demand) != math.Float64bits(want) || math.Float64bits(r.Remaining) != math.Float64bits(want) {
+				t.Fatalf("%v draw %d: demand %v, remaining %v, LogNormal %v", c, i, r.Demand, r.Remaining, want)
+			}
+			f.Free(r)
+		}
+	}
+}
+
+// TestNewResetsRecycledRequest dirties every field of a freed request, by
+// reflection so that a field added to Request later is covered too, and
+// requires the next mint, which recycles it, to equal a fresh factory's.
+func TestNewResetsRecycledRequest(t *testing.T) {
+	f := NewFactory(rng.New(7))
+	r := f.New(0, CollaFilt, Attack, 3)
+	v := reflect.ValueOf(r).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		fv, name := v.Field(i), v.Type().Field(i).Name
+		if !fv.CanSet() {
+			t.Fatalf("field %s cannot be set by reflection", name)
+		}
+		switch fv.Kind() {
+		case reflect.Bool:
+			fv.SetBool(true)
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			fv.SetInt(fv.Int() + 7)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			fv.SetUint(fv.Uint() + 7)
+		case reflect.Float32, reflect.Float64:
+			fv.SetFloat(fv.Float() + 3.25)
+		case reflect.String:
+			fv.SetString(fv.String() + "-stale")
+		default:
+			t.Fatalf("field %s has kind %v; teach this test to dirty it", name, fv.Kind())
+		}
+		if fv.IsZero() {
+			t.Fatalf("field %s still zero after dirtying", name)
+		}
+	}
+	f.Free(r)
+	f.Reset(rng.New(8))
+	got := f.New(1.5, KMeans, Legit, 9)
+	if got != r {
+		t.Fatal("New did not recycle the freed request")
+	}
+	want := NewFactory(rng.New(8)).New(1.5, KMeans, Legit, 9)
+	if !reflect.DeepEqual(*got, *want) {
+		t.Fatalf("recycled mint %+v, fresh mint %+v", *got, *want)
 	}
 }
 
@@ -382,13 +449,31 @@ func TestQuickGeneratorValid(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerator measures arrival generation the way a simulation
+// drives it: a warm three-source Mix (a thinned legitimate mix, a
+// time-varying attack and a volumetric flood) whose requests go back to the
+// factory after use. One op is one Mix.Next and one Factory.Free.
 func BenchmarkGenerator(b *testing.B) {
 	f := NewFactory(rng.New(1))
-	g := NewGenerator(Source{Class: CollaFilt, Rate: ConstRate(1000), Sources: 10},
-		1000, f, rng.New(2))
-	for i := 0; i < b.N; i++ {
-		if _, ok := g.Next(1e12); !ok {
-			b.Fatal("dried up")
+	sources := []Source{
+		{Class: AliNormal, Origin: Legit, Rate: ConstRate(400), Sources: 200},
+		{Class: CollaFilt, Origin: Attack, Rate: StepRate(200, 800, 50), Sources: 10, FirstSource: 1000},
+		{Class: VolumeFlood, Origin: Attack, Rate: ConstRate(5000), Sources: 40, FirstSource: 2000},
+	}
+	m := NewMix(sources, []float64{500, 800, 5000}, f, rng.New(2))
+	next := func() {
+		a, ok := m.Next(1e12)
+		if !ok {
+			b.Fatal("mix dried up")
 		}
+		f.Free(a.Req)
+	}
+	for i := 0; i < 1000; i++ {
+		next() // warm the request arena
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next()
 	}
 }
