@@ -1,7 +1,8 @@
 // Command benchregress turns `go test -bench` output into a stable JSON
 // record and gates CI on it: pipe benchmark output through it to snapshot the
 // numbers, and pass a checked-in baseline to fail the build when a benchmark
-// slows down past the tolerance.
+// slows down past the tolerance, or when a baseline benchmark produced no
+// result line (deleted, renamed, no longer selected, or failed).
 //
 // Examples:
 //
@@ -19,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -83,38 +85,62 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchregress: %v\n", err)
 		os.Exit(1)
 	}
-	names := make([]string, 0, len(got.Benchmarks))
-	for name := range got.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	regressed := 0
-	for _, name := range names {
-		cur := got.Benchmarks[name]
-		ref, ok := base.Benchmarks[name]
-		if !ok || ref.NsPerOp <= 0 {
-			fmt.Printf("NEW      %-55s %12.1f ns/op (no baseline)\n", name, cur.NsPerOp)
-			continue
-		}
-		delta := cur.NsPerOp/ref.NsPerOp - 1
-		status := "ok"
-		if delta > *tolerance {
-			status = "REGRESSED"
-			regressed++
-		}
-		fmt.Printf("%-8s %-55s %12.1f ns/op vs %12.1f (%+.1f%%)\n",
-			status, name, cur.NsPerOp, ref.NsPerOp, delta*100)
-	}
+	regressed, missing := compare(os.Stdout, got, base, *tolerance)
 	if regressed > 0 {
 		fmt.Fprintf(os.Stderr, "benchregress: %d benchmark(s) regressed more than %.0f%%\n",
 			regressed, *tolerance*100)
+	}
+	if missing > 0 {
+		fmt.Fprintf(os.Stderr, "benchregress: %d baseline benchmark(s) did not run\n", missing)
+	}
+	if regressed > 0 || missing > 0 {
 		os.Exit(1)
 	}
 }
 
-func parse(f *os.File) (benchFile, error) {
+// compare writes one line per benchmark to w: ok or REGRESSED with the
+// ns/op change against the baseline, NEW for a result the baseline lacks,
+// and MISSING for a baseline row the run did not produce. It returns how
+// many results regressed past tolerance and how many baseline rows are
+// missing.
+func compare(w io.Writer, got, base benchFile, tolerance float64) (regressed, missing int) {
+	for _, name := range sortedNames(got.Benchmarks) {
+		cur := got.Benchmarks[name]
+		ref, ok := base.Benchmarks[name]
+		if !ok || ref.NsPerOp <= 0 {
+			fmt.Fprintf(w, "NEW      %-55s %12.1f ns/op (no baseline)\n", name, cur.NsPerOp)
+			continue
+		}
+		delta := cur.NsPerOp/ref.NsPerOp - 1
+		status := "ok"
+		if delta > tolerance {
+			status = "REGRESSED"
+			regressed++
+		}
+		fmt.Fprintf(w, "%-8s %-55s %12.1f ns/op vs %12.1f (%+.1f%%)\n",
+			status, name, cur.NsPerOp, ref.NsPerOp, delta*100)
+	}
+	for _, name := range sortedNames(base.Benchmarks) {
+		if _, ok := got.Benchmarks[name]; !ok {
+			fmt.Fprintf(w, "MISSING  %s\n", name)
+			missing++
+		}
+	}
+	return regressed, missing
+}
+
+func sortedNames(m map[string]benchEntry) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+func parse(r io.Reader) (benchFile, error) {
 	out := benchFile{Schema: schema, Benchmarks: map[string]benchEntry{}}
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())

@@ -115,14 +115,6 @@ func NewDopeAttacker(cfg DopeConfig) *DopeAttacker {
 	return &DopeAttacker{cfg: cfg, rate: cfg.InitialRPS, agents: cfg.Agents}
 }
 
-// Clone returns an independent copy of the attacker's learned state for
-// snapshot forking. The Targets rotation is shared — it is read-only after
-// construction.
-func (d *DopeAttacker) Clone() *DopeAttacker {
-	c := *d
-	return &c
-}
-
 // Current returns the plan for the current epoch without advancing state.
 func (d *DopeAttacker) Current() Plan {
 	return Plan{Class: d.cfg.Targets[d.targetIdx], RPS: d.rate, Agents: d.agents}

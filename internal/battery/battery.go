@@ -83,16 +83,6 @@ func (u *UPS) SetObserver(o obs.Observer, clock func() float64) {
 	}
 }
 
-// Clone returns an independent copy for snapshot forking: all charge state
-// and wear accounting carries over, the observer and its clock do not (the
-// fork rewires its own if it attaches one).
-func (u *UPS) Clone() *UPS {
-	c := *u
-	c.obs = nil
-	c.clock = nil
-	return &c
-}
-
 // Level returns stored energy in joules.
 func (u *UPS) Level() float64 { return u.level }
 

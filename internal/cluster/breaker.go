@@ -63,16 +63,6 @@ func (b *Breaker) Step(dt, drawW float64) bool {
 	return false
 }
 
-// Clone returns an independent copy carrying the thermal state, for
-// snapshot forking. Cloning a nil breaker returns nil.
-func (b *Breaker) Clone() *Breaker {
-	if b == nil {
-		return nil
-	}
-	c := *b
-	return &c
-}
-
 // Tripped reports whether the breaker is currently open.
 func (b *Breaker) Tripped() bool { return b != nil && b.tripped }
 

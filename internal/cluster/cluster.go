@@ -138,18 +138,6 @@ func MustNew(cfg Config) *Cluster {
 	return c
 }
 
-// Clone returns an independent deep copy of the power domain for snapshot
-// forking: servers, UPS and the energy ledgers all diverge freely afterwards.
-func (c *Cluster) Clone() *Cluster {
-	out := *c
-	out.Servers = make([]*server.Server, len(c.Servers))
-	for i, s := range c.Servers {
-		out.Servers[i] = s.Clone()
-	}
-	out.UPS = c.UPS.Clone()
-	return &out
-}
-
 // Nameplate returns the sum of server nameplate ratings.
 func (c *Cluster) Nameplate() power.Watts {
 	total := power.Watts(0)

@@ -120,3 +120,28 @@ func TestConcurrentRunsAreIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestResetMatchesFresh pins the arena-reuse contract: rewinding a used
+// simulation with Reset must serialize to the same bytes as a fresh New,
+// even when the previous tenant ran a different scenario — reuse may only
+// change where structs live, never the event order or RNG draws.
+func TestResetMatchesFresh(t *testing.T) {
+	want := serializeResult(t, mustRun(t, pauseConfig()))
+
+	first := pauseConfig()
+	first.Seed = 0xBEEF
+	first.NormalRPS = 150
+	first.Horizon = 60
+	sim, err := core.New(first)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	sim.Run()
+
+	if err := sim.Reset(pauseConfig()); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	if got := serializeResult(t, sim.Run()); !bytes.Equal(got, want) {
+		t.Fatalf("reset run diverged from a fresh run at byte %d", diffByte(got, want))
+	}
+}

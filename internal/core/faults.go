@@ -55,20 +55,6 @@ func newFaultRuntime(sched *faults.Schedule, servers int, rnd *rng.Stream) *faul
 // string failure/repair, capacity fades — on the engine. Windows opening at
 // or past the horizon never fire; windows closing past it never heal.
 func (f *faultRuntime) arm(s *Simulation) {
-	// Every simulated instant is >= 0, so a negative threshold skips nothing.
-	f.armFrom(s, -1)
-	f.armObserver(s)
-}
-
-// armFrom is arm restricted to events strictly after the given instant: a
-// forked simulation resumed at time `after` re-arms only the fault events its
-// parent had not yet fired (everything the parent drained through `after` is
-// already reflected in the cloned component state). The scheduling order is
-// identical to arm's, so same-instant fault events fire in the same relative
-// order on a fork as on a fresh run. Window-vs-horizon semantics are arm's:
-// windows opening at or past the horizon are skipped whole, even if their
-// close would land inside it.
-func (f *faultRuntime) armFrom(s *Simulation, after float64) {
 	h := s.cfg.Horizon
 	for _, sv := range s.cl.Servers {
 		sv := sv
@@ -76,10 +62,8 @@ func (f *faultRuntime) armFrom(s *Simulation, after float64) {
 			if w.Start >= h {
 				continue
 			}
-			if w.Start > after {
-				s.eng.Schedule(w.Start, func(now float64) { s.crashServer(now, sv) })
-			}
-			if w.End < h && w.End > after {
+			s.eng.Schedule(w.Start, func(now float64) { s.crashServer(now, sv) })
+			if w.End < h {
 				s.eng.Schedule(w.End, func(now float64) { s.recoverServer(now, sv) })
 			}
 		}
@@ -89,46 +73,19 @@ func (f *faultRuntime) armFrom(s *Simulation, after float64) {
 		if w.Start >= h {
 			continue
 		}
-		if w.Start > after {
-			s.eng.Schedule(w.Start, func(float64) { ups.SetFailed(true) })
-		}
-		if w.End < h && w.End > after {
+		s.eng.Schedule(w.Start, func(float64) { ups.SetFailed(true) })
+		if w.End < h {
 			s.eng.Schedule(w.End, func(float64) { ups.SetFailed(false) })
 		}
 	}
 	for _, ev := range f.sched.Points(faults.BatteryFade) {
-		if ev.At >= h || ev.At <= after {
+		if ev.At >= h {
 			continue
 		}
 		frac := ev.Param
 		s.eng.Schedule(ev.At, func(float64) { ups.Fade(frac) })
 	}
-}
-
-// clone returns an independent copy of the fault runtime for snapshot
-// forking: cursor positions, the telemetry sensor pipeline, and the DVFS
-// actuation state (queued delayed decisions, stuck-pin latches) all carry
-// over. The normalized schedule itself is immutable and shared.
-func (f *faultRuntime) clone() *faultRuntime {
-	c := &faultRuntime{
-		sched:     f.sched,
-		sensor:    f.sensor.Clone(),
-		fwDown:    f.fwDown.Clone(),
-		delay:     make([]*faults.Cursor, len(f.delay)),
-		stuck:     make([]*faults.Cursor, len(f.stuck)),
-		delayQ:    make([][]power.GHz, len(f.delayQ)),
-		stuckAt:   append([]power.GHz(nil), f.stuckAt...),
-		stuckHeld: append([]bool(nil), f.stuckHeld...),
-		preFreq:   append([]power.GHz(nil), f.preFreq...),
-	}
-	for i := range f.delay {
-		c.delay[i] = f.delay[i].Clone()
-		c.stuck[i] = f.stuck[i].Clone()
-	}
-	for i, q := range f.delayQ {
-		c.delayQ[i] = append([]power.GHz(nil), q...)
-	}
-	return c
+	f.armObserver(s)
 }
 
 // armObserver schedules emit-only open/close markers for every fault window

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"antidope/internal/faults"
 	"antidope/internal/obs"
@@ -23,35 +22,6 @@ type netRuntime struct {
 	pol     NetPolicy
 	links   []*faults.Link
 	backoff *rng.Stream
-
-	// pend tracks every outstanding in-flight delivery and retry so a
-	// Snapshot can re-arm them on a fork; entries delete themselves when
-	// their event fires. Iteration is confined to snapFlights, which
-	// sorts by engine sequence number.
-	pend    map[uint64]*netFlight
-	nextTok uint64
-}
-
-// netFlight is one outstanding network event: a delayed delivery heading
-// to a routed server (server >= 0) or a retry awaiting re-route
-// (server < 0).
-type netFlight struct {
-	at      float64
-	req     *workload.Request
-	server  int32
-	attempt int32
-	seq     uint64
-}
-
-// netFlightSnap is a netFlight frozen for snapshotting: the request rides
-// as a value copy because the parent's arena slot is reused once its run
-// retires the request.
-type netFlightSnap struct {
-	at      float64
-	req     workload.Request
-	server  int32
-	attempt int32
-	seq     uint64
 }
 
 // newNetRuntime builds the runtime over a schedule with network windows.
@@ -62,44 +32,11 @@ func newNetRuntime(sched *faults.Schedule, servers int, rnd *rng.Stream, pol Net
 		pol:     pol.Defaults(),
 		links:   make([]*faults.Link, servers),
 		backoff: rnd.Split("faults/net/backoff"),
-		pend:    make(map[uint64]*netFlight),
 	}
 	for i := 0; i < servers; i++ {
 		n.links[i] = faults.NewLink(sched, i, rnd.Split(fmt.Sprintf("faults/net/link/%d", i)))
 	}
 	return n
-}
-
-// clone returns an independent copy of the runtime for snapshot forking:
-// link cursor positions and stream positions carry over, the pending
-// ledger starts empty (Fork re-arms flights from the snapshot's frozen
-// list).
-func (n *netRuntime) clone() *netRuntime {
-	c := &netRuntime{
-		pol:     n.pol,
-		links:   make([]*faults.Link, len(n.links)),
-		backoff: n.backoff.Clone(),
-		pend:    make(map[uint64]*netFlight),
-		nextTok: n.nextTok,
-	}
-	for i, l := range n.links {
-		c.links[i] = l.Clone()
-	}
-	return c
-}
-
-// snapFlights freezes the pending ledger, sorted by engine sequence number
-// so a fork re-arms the flights in the parent's order.
-func (n *netRuntime) snapFlights() []netFlightSnap {
-	out := make([]netFlightSnap, 0, len(n.pend))
-	for _, fl := range n.pend {
-		out = append(out, netFlightSnap{
-			at: fl.at, req: *fl.req, server: fl.server,
-			attempt: fl.attempt, seq: fl.seq,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
 }
 
 // anyPartitioned reports whether any link is inside a partition window at
@@ -230,18 +167,10 @@ func (s *Simulation) netFail(knownAt float64, req *workload.Request, attempt int
 	s.netSchedule(at, req, -1, int32(attempt+1))
 }
 
-// netSchedule arms one network event — a delayed delivery (server >= 0) or
-// a retry (server < 0) — and books it in the pending ledger for snapshots.
+// netSchedule arms one network event: a delayed delivery heading to a
+// routed server (server >= 0) or a retry awaiting re-route (server < 0).
 func (s *Simulation) netSchedule(at float64, req *workload.Request, server, attempt int32) {
-	tok := s.net.nextTok
-	s.net.nextTok++
-	fl := &netFlight{at: at, req: req, server: server, attempt: attempt}
-	s.net.pend[tok] = fl
-	ev := s.eng.Schedule(at, func(now float64) {
-		delete(s.net.pend, tok)
-		s.netFire(now, fl)
-	})
-	fl.seq = ev.Seq()
+	s.eng.Schedule(at, func(now float64) { s.netFire(now, req, server, attempt) })
 }
 
 // netFire lands one network event: retries re-enter deliver (re-routing
@@ -250,21 +179,21 @@ func (s *Simulation) netSchedule(at float64, req *workload.Request, server, atte
 // destination crashed or partitioned away while the packet was in flight —
 // then the sender's timeout has already lapsed and the retry path takes
 // over from the delivery instant.
-func (s *Simulation) netFire(now float64, fl *netFlight) {
-	if fl.server < 0 {
-		s.deliver(now, fl.req, int(fl.attempt))
+func (s *Simulation) netFire(now float64, req *workload.Request, server, attempt int32) {
+	if server < 0 {
+		s.deliver(now, req, int(attempt))
 		return
 	}
 	if now < s.outageUntil {
-		fl.req.Dropped = true
-		fl.req.DropReason = "outage"
-		s.recordDrop(fl.req, fl.req.ArriveAt >= s.cfg.WarmupSec)
+		req.Dropped = true
+		req.DropReason = "outage"
+		s.recordDrop(req, req.ArriveAt >= s.cfg.WarmupSec)
 		return
 	}
-	sv := s.cl.Servers[fl.server]
+	sv := s.cl.Servers[server]
 	if !sv.Up() || s.net.links[sv.ID].Partitioned(now) {
-		s.netFail(now, fl.req, int(fl.attempt), int32(sv.ID), "net-unreachable")
+		s.netFail(now, req, int(attempt), int32(sv.ID), "net-unreachable")
 		return
 	}
-	s.admitTo(now, sv, fl.req)
+	s.admitTo(now, sv, req)
 }

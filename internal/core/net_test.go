@@ -172,14 +172,13 @@ func TestNetPartitionDefenseBlindPhysicsReal(t *testing.T) {
 	}
 }
 
-// TestForkMatchesReplayUnderNetFaults extends the snapshot determinism
-// contract to the delivery layer: a snapshot taken while latency, loss,
-// and partition windows are all open — with delayed deliveries and retries
-// in flight — must fork into exactly the straight run's bytes, and leave
-// the parent untouched.
-func TestForkMatchesReplayUnderNetFaults(t *testing.T) {
+// TestPausedRunMatchesStraightUnderNetFaults extends the pause contract
+// to the delivery layer: a run paused while latency, loss and partition
+// windows are open, with delayed deliveries and retries in flight, must
+// resume into exactly the straight run's bytes.
+func TestPausedRunMatchesStraightUnderNetFaults(t *testing.T) {
 	build := func() core.Config {
-		cfg := forkConfig()
+		cfg := pauseConfig()
 		cfg.Faults.Events = append(cfg.Faults.Events,
 			faults.Event{Kind: faults.NetDelay, At: 20, Duration: 30, Server: faults.AllServers, Param: 0.08},
 			faults.Event{Kind: faults.NetLoss, At: 25, Duration: 25, Server: 2, Param: 0.4},
@@ -188,26 +187,9 @@ func TestForkMatchesReplayUnderNetFaults(t *testing.T) {
 		return cfg
 	}
 	want := serializeResult(t, mustRun(t, build()))
-
 	for _, at := range []float64{22, 40} {
-		parent, err := core.New(build())
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		parent.Start()
-		parent.RunTo(at)
-		snap, err := parent.Snapshot()
-		if err != nil {
-			t.Fatalf("Snapshot at %g: %v", at, err)
-		}
-		fork := snap.Fork()
-		fork.RunTo(build().Horizon)
-		if got := serializeResult(t, fork.Finish()); !bytes.Equal(got, want) {
-			t.Errorf("fork from T=%g under net faults diverged at byte %d", at, diffByte(got, want))
-		}
-		parent.RunTo(build().Horizon)
-		if got := serializeResult(t, parent.Finish()); !bytes.Equal(got, want) {
-			t.Errorf("parent after snapshot at T=%g diverged at byte %d", at, diffByte(got, want))
+		if got := serializeResult(t, pausedRun(t, build(), at)); !bytes.Equal(got, want) {
+			t.Errorf("run paused at T=%g under net faults diverged at byte %d", at, diffByte(got, want))
 		}
 	}
 }

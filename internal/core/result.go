@@ -167,37 +167,6 @@ type DopeEpoch struct {
 	Effective bool
 }
 
-// Clone returns an independent deep copy of the result — every series,
-// sample, counter map and tally — so a forked simulation accumulates
-// measurements without touching its parent's ledger.
-func (r *Result) Clone() *Result {
-	c := *r
-	c.Power = r.Power.Clone()
-	c.Battery = r.Battery.Clone()
-	c.VFRed = r.VFRed.Clone()
-	c.Freq = r.Freq.Clone()
-	if r.PerServerPower != nil {
-		c.PerServerPower = make([]stats.Series, len(r.PerServerPower))
-		for i := range r.PerServerPower {
-			c.PerServerPower[i] = r.PerServerPower[i].Clone()
-		}
-	}
-	c.LatencyLegit = r.LatencyLegit.Clone()
-	c.drops = append([]dropTally(nil), r.drops...)
-	c.DroppedByReason = make(map[string]uint64, len(r.DroppedByReason))
-	for k, v := range r.DroppedByReason {
-		c.DroppedByReason[k] = v
-	}
-	c.LegitDroppedByReason = make(map[string]uint64, len(r.LegitDroppedByReason))
-	for k, v := range r.LegitDroppedByReason {
-		c.LegitDroppedByReason[k] = v
-	}
-	c.MaxTempC = r.MaxTempC.Clone()
-	c.InletTempC = r.InletTempC.Clone()
-	c.DopeTrace = append([]DopeEpoch(nil), r.DopeTrace...)
-	return &c
-}
-
 // Availability returns completed/offered for legitimate traffic, in [0,1].
 // A run that offered nothing reports 1 (nothing was denied).
 func (r *Result) Availability() float64 {

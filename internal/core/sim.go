@@ -44,10 +44,7 @@ type Simulation struct {
 	epochBanned map[workload.SourceID]bool
 	epochSlow   stats.Summary
 
-	breaker *cluster.Breaker
-	// resetEv is the handle of the pending breaker-reset event during an
-	// outage; Snapshot reads its time and sequence to re-arm it on a fork.
-	resetEv     simtime.Event
+	breaker     *cluster.Breaker
 	outageUntil float64
 	plant       *thermal.Plant
 	thermalHot  int // slots with any server thermally throttled
@@ -68,18 +65,7 @@ type Simulation struct {
 	// fresh closure (see DESIGN.md "Performance model").
 	mixFn   func(now float64)
 	mixNext *workload.Request
-	// mixAt is the scheduled time of the outstanding mix arrival (valid
-	// while mixNext != nil); Snapshot uses it to re-arm the chain on a fork.
-	mixAt  float64
-	dopeFn func(now float64)
-	// dopeAt/dopePending mirror mixAt for the adaptive attacker's one
-	// outstanding arrival event.
-	dopeAt      float64
-	dopePending bool
-	// dopeTicker/ctrlTicker are the run's periodic chains, retained so
-	// Snapshot can read their next fire times.
-	dopeTicker *simtime.Ticker
-	ctrlTicker *simtime.Ticker
+	dopeFn  func(now float64)
 	// compFns[i]/compEvs[i] belong to cl.Servers[i] (server ID == index):
 	// the bound completion callback and the handle of the one queued
 	// completion event, re-keyed in place as the next completion moves.
@@ -259,8 +245,7 @@ func (s *Simulation) bindCallbacks() {
 		}
 	}
 	// A partitioned server is invisible to the balancer while its physics
-	// keep running; bindCallbacks runs on init and Fork, so a forked child
-	// gets its own predicate over its own links.
+	// keep running.
 	if s.net != nil {
 		s.bal.SetReachable(func(id int) bool {
 			return !s.net.links[id].Partitioned(s.eng.Now())
@@ -320,8 +305,7 @@ func (s *Simulation) buildTraffic() {
 // Run executes the simulation to the horizon and returns the measurements.
 // A Simulation is single-use between resets; Run must be called exactly once
 // per New or Reset. Run is Start + RunTo(horizon) + Finish; callers that
-// want to pause mid-run (e.g. to Snapshot at end-of-warmup) call the three
-// phases themselves.
+// want to pause mid-run call the three phases themselves.
 func (s *Simulation) Run() *Result {
 	s.Start()
 	s.RunTo(s.cfg.Horizon)
@@ -353,10 +337,10 @@ func (s *Simulation) Start() {
 	// Adaptive attacker: arrival chain plus feedback epochs.
 	if s.dope != nil {
 		s.scheduleDopeArrival(s.cfg.DopeStart)
-		s.dopeTicker = s.eng.Tick(s.cfg.DopeStart+s.cfg.DopeEpochSec, s.cfg.DopeEpochSec, s.dopeEpoch)
+		s.eng.Tick(s.cfg.DopeStart+s.cfg.DopeEpochSec, s.cfg.DopeEpochSec, s.dopeEpoch)
 	}
 	// Power-control loop.
-	s.ctrlTicker = s.eng.Tick(s.cfg.SlotSec, s.cfg.SlotSec, s.controlTick)
+	s.eng.Tick(s.cfg.SlotSec, s.cfg.SlotSec, s.controlTick)
 	// Initial sample at t=0 so series start at the origin.
 	s.sample(0)
 }
@@ -443,7 +427,6 @@ func (s *Simulation) pumpMix() {
 		return
 	}
 	s.mixNext = a.Req
-	s.mixAt = a.At
 	s.eng.Schedule(a.At, s.mixFn)
 }
 
@@ -451,7 +434,6 @@ func (s *Simulation) pumpMix() {
 // current plan's rate; rate changes apply from the next arrival on. Like
 // the mix pump, the chain has one outstanding event and reuses s.dopeFn.
 func (s *Simulation) scheduleDopeArrival(after float64) {
-	s.dopePending = false
 	rate := s.dopePlan.RPS
 	if rate <= 0 {
 		return
@@ -460,8 +442,6 @@ func (s *Simulation) scheduleDopeArrival(after float64) {
 	if at >= s.cfg.Horizon {
 		return
 	}
-	s.dopeAt = at
-	s.dopePending = true
 	s.eng.Schedule(at, s.dopeFn)
 }
 
@@ -671,7 +651,7 @@ func (s *Simulation) trip(now float64) {
 		}
 	}
 	if until < s.cfg.Horizon {
-		s.resetEv = s.eng.Schedule(until, func(t float64) {
+		s.eng.Schedule(until, func(t float64) {
 			s.breaker.Reset()
 			if s.obs != nil {
 				s.obs.Emit(obs.Event{T: t, Kind: obs.KindBreakerReset, Server: -1})

@@ -197,13 +197,4 @@ func (a *AntiDope) CollateralSlots() uint64 { return a.collateralSlots }
 // BridgeSlots returns how many slots the battery bridged a reconfiguration.
 func (a *AntiDope) BridgeSlots() uint64 { return a.bridgeSlots }
 
-// CloneScheme implements Cloner: every field is a plain value (the suspect
-// partition and queue trims live in the cluster, which the fork clones
-// separately). The clone must not re-run Setup.
-func (a *AntiDope) CloneScheme() Scheme {
-	cp := *a
-	return &cp
-}
-
 var _ Scheme = (*AntiDope)(nil)
-var _ Cloner = (*AntiDope)(nil)

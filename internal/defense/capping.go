@@ -40,11 +40,4 @@ func (c *Capping) ControlSlot(now float64, env *Env) SlotReport {
 	return SlotReport{}
 }
 
-// CloneScheme implements Cloner; the governor is a plain value.
-func (c *Capping) CloneScheme() Scheme {
-	cp := *c
-	return &cp
-}
-
 var _ Scheme = (*Capping)(nil)
-var _ Cloner = (*Capping)(nil)

@@ -70,22 +70,4 @@ func (h *Hybrid) DropFraction() float64 {
 	return h.bucket.DropFraction()
 }
 
-// CloneScheme implements Cloner: clones the embedded Anti-DOPE state and the
-// suspect-pool bucket, and copies the URL set.
-func (h *Hybrid) CloneScheme() Scheme {
-	c := *h
-	c.AntiDope = h.AntiDope.CloneScheme().(*AntiDope)
-	if h.bucket != nil {
-		c.bucket = h.bucket.Clone()
-	}
-	if h.suspectURLs != nil {
-		c.suspectURLs = make(map[string]bool, len(h.suspectURLs))
-		for u, v := range h.suspectURLs {
-			c.suspectURLs[u] = v
-		}
-	}
-	return &c
-}
-
 var _ Scheme = (*Hybrid)(nil)
-var _ Cloner = (*Hybrid)(nil)

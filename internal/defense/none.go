@@ -23,8 +23,4 @@ func (*None) Admit(now float64, req *workload.Request) bool { return true }
 // ControlSlot implements Scheme.
 func (*None) ControlSlot(now float64, env *Env) SlotReport { return SlotReport{} }
 
-// CloneScheme implements Cloner; the null scheme has no state.
-func (*None) CloneScheme() Scheme { return &None{} }
-
 var _ Scheme = (*None)(nil)
-var _ Cloner = (*None)(nil)

@@ -54,11 +54,4 @@ func (o *Oracle) ControlSlot(now float64, env *Env) SlotReport {
 // Dropped returns how many attack requests the oracle rejected.
 func (o *Oracle) Dropped() uint64 { return o.dropped }
 
-// CloneScheme implements Cloner; governor and drop counter are plain values.
-func (o *Oracle) CloneScheme() Scheme {
-	cp := *o
-	return &cp
-}
-
 var _ Scheme = (*Oracle)(nil)
-var _ Cloner = (*Oracle)(nil)

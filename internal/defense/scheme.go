@@ -106,16 +106,6 @@ type Scheme interface {
 	ControlSlot(now float64, env *Env) SlotReport
 }
 
-// Cloner is implemented by schemes that can deep-copy their mutable state
-// for snapshot forking: CloneScheme must return an independent Scheme whose
-// behaviour from here on is identical to the original's. Clones must NOT
-// re-run Setup — Setup's side effects (server partition, queue trims,
-// bucket sizing) already live in the cloned cluster and scheme state. All
-// schemes in this package implement it; core.Snapshot requires it.
-type Cloner interface {
-	CloneScheme() Scheme
-}
-
 // serversByPowerDesc returns the servers ordered by instantaneous draw,
 // hungriest first — the victim order shared by the throttling schemes.
 func serversByPowerDesc(ss []*server.Server) []power.Capper {

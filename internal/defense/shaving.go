@@ -55,11 +55,4 @@ func (s *Shaving) ControlSlot(now float64, env *Env) SlotReport {
 	return SlotReport{ChargeW: charge}
 }
 
-// CloneScheme implements Cloner; the governor is a plain value.
-func (s *Shaving) CloneScheme() Scheme {
-	cp := *s
-	return &cp
-}
-
 var _ Scheme = (*Shaving)(nil)
-var _ Cloner = (*Shaving)(nil)

@@ -57,15 +57,4 @@ func (t *Token) DropFraction() float64 {
 	return t.bucket.DropFraction()
 }
 
-// CloneScheme implements Cloner: the bucket's credit state is copied so the
-// fork keeps shaping from where the original stood.
-func (t *Token) CloneScheme() Scheme {
-	c := *t
-	if t.bucket != nil {
-		c.bucket = t.bucket.Clone()
-	}
-	return &c
-}
-
 var _ Scheme = (*Token)(nil)
-var _ Cloner = (*Token)(nil)

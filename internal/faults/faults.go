@@ -393,13 +393,6 @@ type Cursor struct {
 // Schedule hands out).
 func NewCursor(wins []Window) *Cursor { return &Cursor{wins: wins} }
 
-// Clone returns an independent cursor at the same position, sharing the
-// read-only window list — snapshot forking resumes mid-schedule with it.
-func (c *Cursor) Clone() *Cursor {
-	cp := *c
-	return &cp
-}
-
 // Active returns the window covering now, if any. now must be
 // non-decreasing across calls.
 func (c *Cursor) Active(now float64) (Window, bool) {

@@ -33,19 +33,6 @@ func NewLink(s *Schedule, server int, rnd *rng.Stream) *Link {
 	}
 }
 
-// Clone returns an independent copy of the link mid-schedule for snapshot
-// forking: cursor positions and the stream position carry over, so a
-// fork's delay jitter and loss draws are bit-identical to what the
-// original would have produced.
-func (l *Link) Clone() *Link {
-	return &Link{
-		delay: l.delay.Clone(),
-		loss:  l.loss.Clone(),
-		part:  l.part.Clone(),
-		rnd:   l.rnd.Clone(),
-	}
-}
-
 // Partitioned reports whether a partition window covers now.
 func (l *Link) Partitioned(now float64) bool {
 	_, ok := l.part.Active(now)

@@ -156,23 +156,6 @@ func TestLinkInsideWindows(t *testing.T) {
 	}
 }
 
-// TestLinkCloneResumesStream pins snapshot semantics: a cloned link
-// produces bit-identical draws from the clone point on.
-func TestLinkCloneResumesStream(t *testing.T) {
-	s := NewSchedule([]Event{
-		{Kind: NetDelay, At: 0, Duration: 100, Server: 0, Param: 0.5},
-	})
-	a := NewLink(s, 0, rng.New(11).Split("link"))
-	a.DelaySec(1) // consume one draw pre-clone
-	b := a.Clone()
-	for i := 0; i < 8; i++ {
-		now := 2 + float64(i)
-		if got, want := b.DelaySec(now), a.DelaySec(now); got != want {
-			t.Fatalf("draw %d diverged after clone: %g vs %g", i, got, want)
-		}
-	}
-}
-
 // TestGenerateNetFaults pins the generator extension: NetFaults emits only
 // network kinds, deterministically for one seed.
 func TestGenerateNetFaults(t *testing.T) {

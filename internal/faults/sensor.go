@@ -92,28 +92,6 @@ func (p *PowerSensor) AttachNet(s *Schedule, rnd *rng.Stream) {
 	p.maxLag += maxNet * delayJitterMax
 }
 
-// Clone returns an independent copy of the sensor mid-pipeline for snapshot
-// forking: cursor positions, retained history, last delivered reading and
-// the noise stream position all carry over, so the fork's telemetry
-// trajectory is bit-identical to what the original would have delivered.
-// The observer is not carried over.
-func (p *PowerSensor) Clone() *PowerSensor {
-	c := *p
-	c.dropout = p.dropout.Clone()
-	c.noise = p.noise.Clone()
-	c.stale = p.stale.Clone()
-	c.rnd = p.rnd.Clone()
-	if p.netDelay != nil {
-		c.netDelay = p.netDelay.Clone()
-		c.netLoss = p.netLoss.Clone()
-		c.netPart = p.netPart.Clone()
-		c.netRnd = p.netRnd.Clone()
-	}
-	c.history = append([]reading(nil), p.history...)
-	c.obs = nil
-	return &c
-}
-
 // Sample feeds the sensor the true draw at now and returns what the
 // telemetry plane delivers to the defenses.
 func (p *PowerSensor) Sample(now, trueW float64) float64 {

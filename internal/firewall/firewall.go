@@ -115,21 +115,6 @@ func New(cfg Config) *Firewall {
 // SetObserver installs the event sink; ban decisions are emitted.
 func (f *Firewall) SetObserver(o obs.Observer) { f.obs = o }
 
-// Clone returns an independent deep copy — per-source windows, ban state and
-// counters — for snapshot forking. The observer is not carried over.
-func (f *Firewall) Clone() *Firewall {
-	c := *f
-	c.obs = nil
-	c.sources = make(map[workload.SourceID]*srcState, len(f.sources))
-	for id, st := range f.sources {
-		cp := *st
-		//lint:allow mapiter -- per-entry deep copy into that entry's own slice; nothing accumulates across iterations
-		cp.buckets = append([]float64(nil), st.buckets...)
-		c.sources[id] = &cp
-	}
-	return &c
-}
-
 // Observed returns the number of requests inspected.
 func (f *Firewall) Observed() uint64 { return f.observed }
 

@@ -15,15 +15,15 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
-	"antidope/internal/core"
 	"antidope/internal/obs"
 )
 
 // ManifestSchema tags the manifest JSON written by WriteManifest.
-const ManifestSchema = "antidope-manifest/v1"
+const ManifestSchema = "antidope-manifest/v2"
 
 // jobRuntimeBounds are the histogram buckets for per-job wall runtime, in
 // seconds: simulation jobs span ~ms (unit-test configs) to minutes
@@ -58,21 +58,14 @@ type Telemetry struct {
 	busy     *obs.Gauge
 	busyPeak *obs.Gauge
 
-	snapshots *obs.Counter
-	forks     *obs.Counter
-	// snapBase/forkBase are the process-wide core counters at construction;
-	// the exported totals are deltas so a fresh Telemetry starts at zero.
-	snapBase, forkBase uint64
-
 	inflight int
 	records  []JobRecord
 }
 
-// NewTelemetry builds an empty Telemetry whose snapshot/fork counters are
-// zeroed against the current process-wide totals.
+// NewTelemetry builds an empty Telemetry.
 func NewTelemetry() *Telemetry {
 	reg := obs.NewRegistry()
-	t := &Telemetry{
+	return &Telemetry{
 		reg:       reg,
 		started:   reg.Counter("harness_jobs_started_total", "jobs handed to a worker"),
 		completed: reg.Counter("harness_jobs_completed_total", "jobs finished successfully"),
@@ -82,11 +75,7 @@ func NewTelemetry() *Telemetry {
 		workers:   reg.Gauge("harness_pool_workers", "configured worker count of the last pool run"),
 		busy:      reg.Gauge("harness_workers_busy", "workers currently running a job"),
 		busyPeak:  reg.Gauge("harness_workers_busy_peak", "maximum concurrently busy workers seen"),
-		snapshots: reg.Counter("core_snapshots_total", "core simulation snapshots taken process-wide"),
-		forks:     reg.Counter("core_forks_total", "core simulation forks taken process-wide"),
 	}
-	t.snapBase, t.forkBase = core.SnapshotStats()
-	return t
 }
 
 // jobBegin records a job start and returns the completion hook the pool
@@ -138,25 +127,11 @@ func (t *Telemetry) poolStarted(workers int) {
 	t.mu.Unlock()
 }
 
-// refreshSnapshotStats folds the process-wide core snapshot/fork totals
-// into the registry counters as deltas against the construction baseline.
-// Called with t.mu held.
-func (t *Telemetry) refreshSnapshotStats() {
-	snaps, forks := core.SnapshotStats()
-	if cur := snaps - t.snapBase; cur > t.snapshots.Value() {
-		t.snapshots.Add(cur - t.snapshots.Value())
-	}
-	if cur := forks - t.forkBase; cur > t.forks.Value() {
-		t.forks.Add(cur - t.forks.Value())
-	}
-}
-
 // GatherPrometheus renders a consistent snapshot of the telemetry registry
 // (obs.Gatherer): render under the lock, write outside it.
 func (t *Telemetry) GatherPrometheus(w io.Writer) error {
 	t.mu.Lock()
-	t.refreshSnapshotStats()
-	var sb stringsBuilder
+	var sb strings.Builder
 	err := t.reg.WritePrometheus(&sb)
 	t.mu.Unlock()
 	if err != nil {
@@ -165,13 +140,6 @@ func (t *Telemetry) GatherPrometheus(w io.Writer) error {
 	_, err = io.WriteString(w, sb.String())
 	return err
 }
-
-// stringsBuilder is a minimal io.Writer string accumulator, local so this
-// file's imports stay small.
-type stringsBuilder struct{ b []byte }
-
-func (s *stringsBuilder) Write(p []byte) (int, error) { s.b = append(s.b, p...); return len(p), nil }
-func (s *stringsBuilder) String() string              { return string(s.b) }
 
 // Records returns a copy of the per-job records in completion order.
 func (t *Telemetry) Records() []JobRecord {
@@ -186,15 +154,12 @@ func (t *Telemetry) Records() []JobRecord {
 // wall-clock runtimes inside it are not reproducible across hosts.
 func (t *Telemetry) WriteManifest(w io.Writer) error {
 	t.mu.Lock()
-	t.refreshSnapshotStats()
 	recs := append([]JobRecord(nil), t.records...)
 	workers := t.workers.Value()
 	started := t.started.Value()
 	completed := t.completed.Value()
 	failed := t.failed.Value()
 	retries := t.retries.Value()
-	snaps := t.snapshots.Value()
-	forks := t.forks.Value()
 	t.mu.Unlock()
 
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Label < recs[j].Label })
@@ -207,8 +172,6 @@ func (t *Telemetry) WriteManifest(w io.Writer) error {
 	bw.WriteString("  \"jobs_completed\": " + strconv.FormatUint(completed, 10) + ",\n")
 	bw.WriteString("  \"jobs_failed\": " + strconv.FormatUint(failed, 10) + ",\n")
 	bw.WriteString("  \"job_retries\": " + strconv.FormatUint(retries, 10) + ",\n")
-	bw.WriteString("  \"core_snapshots\": " + strconv.FormatUint(snaps, 10) + ",\n")
-	bw.WriteString("  \"core_forks\": " + strconv.FormatUint(forks, 10) + ",\n")
 	bw.WriteString("  \"jobs\": [")
 	for i, r := range recs {
 		if i > 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -121,7 +122,8 @@ func TestTelemetryScrapeConforms(t *testing.T) {
 }
 
 // TestTelemetryManifest checks that the manifest is valid JSON with the
-// schema tag, stable label-sorted job order, and coherent totals.
+// schema tag, exactly the schema's top-level keys, stable label-sorted job
+// order, and coherent totals.
 func TestTelemetryManifest(t *testing.T) {
 	tele := NewTelemetry()
 	if err := Errs(New(4).WithTelemetry(tele).Run(teleJobs(5))); err != nil {
@@ -149,6 +151,19 @@ func TestTelemetryManifest(t *testing.T) {
 	}
 	if m.Schema != ManifestSchema {
 		t.Errorf("schema = %q, want %q", m.Schema, ManifestSchema)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &top); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(top))
+	for k := range top {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	wantKeys := []string{"job_retries", "jobs", "jobs_completed", "jobs_failed", "jobs_started", "schema", "workers"}
+	if !slices.Equal(keys, wantKeys) {
+		t.Errorf("manifest keys = %v, want %v", keys, wantKeys)
 	}
 	if m.Workers != 4 || m.JobsStarted != 5 || m.JobsCompleted != 5 || m.JobsFailed != 0 {
 		t.Errorf("totals wrong: %+v", m)
@@ -190,39 +205,4 @@ func TestTelemetryNilIsNoOp(t *testing.T) {
 	done := tele.jobBegin(0, "x")
 	done(1, nil) // must not panic
 	tele.poolStarted(1)
-}
-
-// TestTelemetrySnapshotCounters folds the process-wide snapshot/fork stats
-// as deltas: a fresh telemetry starts at zero even after other tests
-// snapshotted, and snapshots taken after construction appear.
-func TestTelemetrySnapshotCounters(t *testing.T) {
-	tele := NewTelemetry()
-	var before bytes.Buffer
-	if err := tele.GatherPrometheus(&before); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(before.Bytes(), []byte("core_snapshots_total 0\n")) {
-		t.Fatalf("fresh telemetry must report zero snapshots:\n%s", before.String())
-	}
-
-	cfg := core.DefaultConfig()
-	cfg.Horizon = 2
-	cfg.WarmupSec = 0
-	sim, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Start()
-	sim.RunTo(1)
-	if _, err := sim.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-
-	var after bytes.Buffer
-	if err := tele.GatherPrometheus(&after); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(after.Bytes(), []byte("core_snapshots_total 0\n")) {
-		t.Fatalf("snapshot not reflected in telemetry:\n%s", after.String())
-	}
 }

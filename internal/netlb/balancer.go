@@ -136,29 +136,6 @@ func (b *Balancer) avail(s *server.Server) bool {
 	return b.reachable == nil || b.reachable(s.ID)
 }
 
-// Clone returns an independent copy bound to the given (already cloned)
-// servers, which must parallel the original's pool index-for-index: the
-// round-robin cursor, suspect list and profiler state all carry over, so
-// the clone routes exactly as the original would have. The observer is not
-// carried over.
-func (b *Balancer) Clone(servers []*server.Server) *Balancer {
-	c := *b
-	c.servers = servers
-	c.poolBuf = nil
-	c.obs = nil
-	// The reachability predicate closes over the original run's network
-	// runtime; the fork reinstalls its own against its cloned links.
-	c.reachable = nil
-	c.suspectURLs = make(map[string]bool, len(b.suspectURLs))
-	for u, v := range b.suspectURLs {
-		c.suspectURLs[u] = v
-	}
-	if b.profiler != nil {
-		c.profiler = b.profiler.Clone()
-	}
-	return &c
-}
-
 // SplitActive reports whether PDF forwarding is in effect: a suspicion
 // mechanism (URL list or source profiler) and at least one server marked
 // suspect.

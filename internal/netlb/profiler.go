@@ -90,19 +90,6 @@ func (p *SourceProfiler) Observe(now float64, req *workload.Request) bool {
 // SetObserver installs the event sink; flag/unflag transitions are emitted.
 func (p *SourceProfiler) SetObserver(o obs.Observer) { p.obs = o }
 
-// Clone returns an independent deep copy of the per-source profiles for
-// snapshot forking. The observer is not carried over.
-func (p *SourceProfiler) Clone() *SourceProfiler {
-	c := *p
-	c.obs = nil
-	c.sources = make(map[workload.SourceID]*sourceStat, len(p.sources))
-	for id, st := range p.sources {
-		cp := *st
-		c.sources[id] = &cp
-	}
-	return &c
-}
-
 // Suspect reports the source's current state without updating it.
 func (p *SourceProfiler) Suspect(src workload.SourceID) bool {
 	st := p.sources[src]

@@ -86,14 +86,6 @@ func (tb *PowerTokenBucket) Admit(now float64, req *workload.Request, costJ floa
 // SetObserver installs the event sink; grants and denials are emitted.
 func (tb *PowerTokenBucket) SetObserver(o obs.Observer) { tb.obs = o }
 
-// Clone returns an independent copy of the bucket's credit state for
-// snapshot forking. The observer is not carried over.
-func (tb *PowerTokenBucket) Clone() *PowerTokenBucket {
-	c := *tb
-	c.obs = nil
-	return &c
-}
-
 // Tokens returns current credit in joules.
 func (tb *PowerTokenBucket) Tokens() float64 { return tb.tokens }
 

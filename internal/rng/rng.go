@@ -42,15 +42,6 @@ func New(seed uint64) *Stream {
 	return st
 }
 
-// Clone returns an independent stream positioned exactly where this one is:
-// both produce the identical output sequence from here on, including the
-// cached second Box-Muller output. Snapshot forking relies on this — a
-// forked simulation replays the same draws its parent would have made.
-func (r *Stream) Clone() *Stream {
-	c := *r
-	return &c
-}
-
 // Split derives an independent child stream from the parent and a label.
 // The parent's own sequence is unaffected: derivation hashes the parent's
 // seed material rather than consuming outputs.

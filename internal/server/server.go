@@ -264,31 +264,6 @@ func (s *Server) refreshSpeedTab() {
 // SetObserver installs the event sink. Pass nil to detach.
 func (s *Server) SetObserver(o obs.Observer) { s.obs = o }
 
-// Clone returns an independent deep copy for snapshot forking. The class
-// heaps are copied entry by entry, each with its own copy of the request —
-// both sides keep serving their own requests — while the read-only power
-// table is shared. Caches that are pure derivations (mix summary, done
-// buffers) start cold on the clone; the observer is detached, matching
-// Snapshot's unobserved-run precondition.
-func (s *Server) Clone() *Server {
-	c := *s
-	for k, h := range s.heaps {
-		ch := make([]psEntry, len(h))
-		for i, e := range h {
-			cp := *e.r
-			e.r = &cp
-			ch[i] = e
-		}
-		c.heaps[k] = ch
-	}
-	c.mixBuf = nil
-	c.mixValid = false
-	c.doneBuf = nil
-	c.doneEnt = nil
-	c.obs = nil
-	return &c
-}
-
 // Version increments whenever the server's dynamics change (arrival,
 // completion, frequency change, crash, outage, recovery). It keys the
 // cached mix summary; the simulation driver does not read it, because it

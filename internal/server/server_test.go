@@ -192,7 +192,7 @@ func TestPowerAtPrediction(t *testing.T) {
 
 // TestFreqIndexTracksFreq pins the cached ladder index to the frequency
 // through every path that sets it: construction, a cap to each ladder
-// level, a reboot and a clone. At each step the draw read through the
+// level and a reboot. At each step the draw read through the
 // index must have the bits of the draw read through the frequency, on a
 // server with its own power table and on one given a shared table.
 func TestFreqIndexTracksFreq(t *testing.T) {
@@ -201,7 +201,7 @@ func TestFreqIndexTracksFreq(t *testing.T) {
 	ladder := own.Model.Ladder
 	check := func(when string) {
 		t.Helper()
-		for _, s := range []*Server{own, shared, own.Clone(), shared.Clone()} {
+		for _, s := range []*Server{own, shared} {
 			if want := ladder.Index(s.Freq()); s.fidx != want {
 				t.Fatalf("%s: fidx = %d, Index(%v) = %d", when, s.fidx, s.Freq(), want)
 			}

@@ -85,18 +85,6 @@ func (e Event) At() Seconds {
 	return e.ev.at
 }
 
-// Seq returns the event's scheduling sequence number — the engine's tie-break
-// key for events sharing one timestamp — or 0 when the event is not pending.
-// Snapshot capture reads it to re-schedule surviving chains on a forked
-// engine in an order that reproduces the original's same-instant firing
-// order.
-func (e Event) Seq() uint64 {
-	if !e.Pending() {
-		return 0
-	}
-	return e.ev.seq
-}
-
 // Engine owns the virtual clock and the pending event set.
 type Engine struct {
 	now   Seconds
@@ -456,57 +444,32 @@ func (e *Engine) siftDown(i int) {
 	node.idx = i
 }
 
-// Ticker repeatedly schedules fn every period, starting at start, until the
-// engine stops being run. Stop the returned ticker to cancel future ticks.
-type Ticker struct {
+// ticker repeatedly schedules fn every period, starting at start, for as
+// long as the engine is run.
+type ticker struct {
 	engine *Engine
 	period Seconds
 	fn     func(now Seconds)
 	// fireFn is the bound method value, created once so re-arming each
 	// period does not allocate a fresh closure.
 	fireFn func(now Seconds)
-	ev     Event
-	done   bool
 }
 
 // Tick registers a periodic callback. Period must be positive.
-func (e *Engine) Tick(start, period Seconds, fn func(now Seconds)) *Ticker {
+func (e *Engine) Tick(start, period Seconds, fn func(now Seconds)) {
 	if period <= 0 {
 		panic("simtime: non-positive tick period")
 	}
-	t := &Ticker{engine: e, period: period, fn: fn}
+	t := &ticker{engine: e, period: period, fn: fn}
 	t.fireFn = t.fire
-	t.ev = e.Schedule(start, t.fireFn)
-	return t
+	e.Schedule(start, t.fireFn)
 }
 
 // fire runs one tick and re-arms via the pre-bound method value, so the
 // periodic path schedules without creating a closure.
 //
 //hot:allocfree
-func (t *Ticker) fire(now Seconds) {
-	if t.done {
-		return
-	}
+func (t *ticker) fire(now Seconds) {
 	t.fn(now)
-	if !t.done {
-		t.ev = t.engine.Schedule(now+t.period, t.fireFn)
-	}
-}
-
-// NextEvent returns the handle of the ticker's next scheduled fire (the zero
-// Event for a stopped ticker), exposing its time and sequence number to
-// snapshot capture. Cancelling the handle directly would desynchronize the
-// ticker; use Stop instead.
-func (t *Ticker) NextEvent() Event {
-	if t.done {
-		return Event{}
-	}
-	return t.ev
-}
-
-// Stop cancels all future ticks. Stopping twice is a no-op.
-func (t *Ticker) Stop() {
-	t.done = true
-	t.ev.Cancel()
+	t.engine.Schedule(now+t.period, t.fireFn)
 }

@@ -150,22 +150,6 @@ func TestTicker(t *testing.T) {
 	}
 }
 
-func TestTickerStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	var tk *Ticker
-	tk = e.Tick(0, 1, func(now Seconds) {
-		count++
-		if count == 3 {
-			tk.Stop()
-		}
-	})
-	e.RunUntil(10)
-	if count != 3 {
-		t.Fatalf("ticker fired %d times after Stop at 3", count)
-	}
-}
-
 func TestTickerBadPeriodPanics(t *testing.T) {
 	e := NewEngine()
 	defer func() {

@@ -276,35 +276,22 @@ func (e *refEngine) siftDown(i int) {
 	h[i] = node
 }
 
-// refTicker is Ticker over the reference engine.
+// refTicker is the engine's ticker over the reference engine.
 type refTicker struct {
 	engine *refEngine
 	period Seconds
 	fn     func(now Seconds)
-	ev     refHandle
-	done   bool
 }
 
-func (e *refEngine) Tick(start, period Seconds, fn func(now Seconds)) *refTicker {
+func (e *refEngine) Tick(start, period Seconds, fn func(now Seconds)) {
 	if period <= 0 {
 		panic("simtime: non-positive tick period")
 	}
 	t := &refTicker{engine: e, period: period, fn: fn}
-	t.ev = e.Schedule(start, t.fire)
-	return t
+	e.Schedule(start, t.fire)
 }
 
 func (t *refTicker) fire(now Seconds) {
-	if t.done {
-		return
-	}
 	t.fn(now)
-	if !t.done {
-		t.ev = t.engine.Schedule(now+t.period, t.fire)
-	}
-}
-
-func (t *refTicker) Stop() {
-	t.done = true
-	t.ev.Cancel()
+	t.engine.Schedule(now+t.period, t.fire)
 }

@@ -36,17 +36,6 @@ func (s *Series) Add(t, v float64) {
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.Points) }
 
-// Clone returns a deep copy sharing no storage with the original, so the
-// two can keep accumulating independently (snapshot forking needs this).
-func (s Series) Clone() Series {
-	if s.Points == nil {
-		return Series{}
-	}
-	out := Series{Points: make([]Point, len(s.Points))}
-	copy(out.Points, s.Points)
-	return out
-}
-
 // Values returns just the observation values, in time order.
 func (s *Series) Values() []float64 {
 	out := make([]float64, len(s.Points))

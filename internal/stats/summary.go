@@ -141,18 +141,6 @@ func (s *Sample) Add(x float64) {
 // Len returns the number of observations.
 func (s *Sample) Len() int { return len(s.xs) }
 
-// Clone returns a deep copy sharing no storage with the original. The
-// sorted-prefix bookkeeping carries over (it describes the copied values);
-// the merge scratch does not — it is rebuilt on demand.
-func (s *Sample) Clone() *Sample {
-	out := &Sample{sortedN: s.sortedN}
-	if s.xs != nil {
-		out.xs = make([]float64, len(s.xs))
-		copy(out.xs, s.xs)
-	}
-	return out
-}
-
 // Values returns the sorted observations as a fresh slice the caller owns:
 // mutating it cannot corrupt the sample, and later Adds cannot invalidate
 // the returned snapshot.

@@ -198,15 +198,6 @@ func NewPlant(cfg Config, n int) (*Plant, error) {
 	return p, nil
 }
 
-// Clone returns an independent deep copy of the thermal state — room and
-// server temperatures, throttle latches, event count — for snapshot forking.
-func (p *Plant) Clone() *Plant {
-	c := *p
-	c.servers = append([]ServerRC(nil), p.servers...)
-	c.hot = append([]bool(nil), p.hot...)
-	return &c
-}
-
 // Step advances the plant by dt given per-server power draws. It returns,
 // per server, whether the emergency thermal throttle is engaged (with
 // hysteresis), after updating the room and server temperatures.

@@ -100,17 +100,6 @@ func NewGenerator(src Source, rateCap float64, factory *Factory, rnd *rng.Stream
 	return &Generator{src: src, factory: factory, rnd: rnd, rateCap: rateCap, gapMean: 1 / rateCap}
 }
 
-// Clone returns an independent generator that will produce exactly the same
-// arrival stream as this one from here on, minting requests from the given
-// factory (the fork's own). The Source spec is shared — its Rate function is
-// pure and the spec is read-only after construction.
-func (g *Generator) Clone(factory *Factory) *Generator {
-	c := *g
-	c.factory = factory
-	c.rnd = g.rnd.Clone()
-	return &c
-}
-
 // Next returns the next arrival strictly after the previous one, or ok=false
 // when no arrival occurs before horizon.
 //
@@ -157,28 +146,6 @@ func NewMix(sources []Source, rateCaps []float64, factory *Factory, rnd *rng.Str
 	}
 	m.pending = make([]Arrival, len(m.gens))
 	return m
-}
-
-// Clone returns an independent mix producing the same merged stream from
-// here on, minting from the given factory. Buffered lookahead arrivals are
-// deep-copied, including their requests: both sides hand their copy to their
-// own simulation, which mutates and eventually recycles it.
-func (m *Mix) Clone(factory *Factory) *Mix {
-	c := &Mix{
-		gens:    make([]*Generator, len(m.gens)),
-		pending: make([]Arrival, len(m.pending)),
-	}
-	for i, g := range m.gens {
-		c.gens[i] = g.Clone(factory)
-	}
-	for i, a := range m.pending {
-		if a.Req == nil {
-			continue
-		}
-		req := *a.Req
-		c.pending[i] = Arrival{At: a.At, Req: &req}
-	}
-	return c
 }
 
 // Next returns the earliest arrival across all sources before horizon.
