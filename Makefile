@@ -10,8 +10,9 @@ vet:
 	$(GO) vet ./...
 
 # Determinism lint suite (internal/lint) plus go vet: eight per-package
-# analyzers, the whole-program reachability pass (transitive walltime /
-# globalrand with call chains), and the hotalloc escape-analysis gate,
+# analyzers, the whole-program reachability passes (transitive walltime /
+# globalrand with call chains, and deadcode: functions no main, init or
+# package variable reaches), and the hotalloc escape-analysis gate,
 # ratcheted against the checked-in baseline. See DESIGN.md "Static
 # analysis".
 lint:
@@ -34,7 +35,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSim -fuzztime=30s ./internal/core
 
 # Scenario-DSL fuzz smoke: arbitrary bytes through parse -> normalize ->
-# marshal -> compile; asserts no panics, canonical-form fixed point, and
+# compile; asserts no panics, the normal-form fixed point, and
 # deterministic compilation. No simulations run, so iterations are cheap.
 fuzz-scenario:
 	$(GO) test -run='^$$' -fuzz=FuzzScenario -fuzztime=30s ./internal/scenario
@@ -81,9 +82,10 @@ verify: build lint race
 
 # Hot-path micro-benchmarks plus the quick-suite macro run, gated against the
 # checked-in baseline (BENCH_3.json). Writes the fresh numbers to
-# BENCH_new.json; fails when any ns/op regresses more than BENCH_TOLERANCE,
-# or when a baseline row produced no result (the pipe hides go test's exit
-# status, so a failed or deselected benchmark shows up as MISSING).
+# BENCH_new.json; fails when any ns/op, or any allocs/op the baseline
+# records as nonzero, regresses more than BENCH_TOLERANCE, or when a
+# baseline row produced no result (the pipe hides go test's exit status, so
+# a failed or deselected benchmark shows up as MISSING).
 # See EXPERIMENTS.md "Profiling and benchmark regression".
 bench:
 	{ \

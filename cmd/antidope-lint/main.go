@@ -7,8 +7,10 @@
 // obsguard, sortediter, errflow). The whole-program analyzers load every
 // matched package into one call-graph facts layer and check global
 // invariants: transitive walltime/globalrand reachability from the
-// simulation roots (with the offending call chain printed) and the
-// //hot:allocfree escape-analysis contract.
+// simulation roots (with the offending call chain printed), deadcode
+// (functions that no main, init or package variable reaches; silent on a
+// load without a main package), and the //hot:allocfree escape-analysis
+// contract.
 //
 // Usage:
 //

@@ -1,8 +1,9 @@
 // Command benchregress turns `go test -bench` output into a stable JSON
 // record and gates CI on it: pipe benchmark output through it to snapshot the
 // numbers, and pass a checked-in baseline to fail the build when a benchmark
-// slows down past the tolerance, or when a baseline benchmark produced no
-// result line (deleted, renamed, no longer selected, or failed).
+// slows down or allocates more past the tolerance, or when a baseline
+// benchmark produced no result line (deleted, renamed, no longer selected,
+// or failed).
 //
 // Examples:
 //
@@ -11,8 +12,11 @@
 //
 // The JSON schema ("antidope-bench/v1") maps benchmark name (with the
 // -GOMAXPROCS suffix stripped, so runs from different machines compare) to
-// ns/op and, when -benchmem was set, B/op and allocs/op. Only ns/op is gated:
-// alloc counts are locked exactly by testing.AllocsPerRun assertions instead.
+// ns/op and, when -benchmem was set, B/op and allocs/op. ns/op is gated on
+// every row, and allocs/op on every row whose baseline records a nonzero
+// count: allocation counts hardly depend on the host, so they catch a
+// regression that host speed would hide in ns/op. Zero-alloc rows omit the
+// field, and their testing.AllocsPerRun assertions pin them exactly.
 package main
 
 import (
@@ -50,8 +54,8 @@ var benchLine = regexp.MustCompile(
 func main() {
 	var (
 		out       = flag.String("out", "", "write parsed results to this JSON file")
-		baseline  = flag.String("baseline", "", "compare ns/op against this JSON file and fail on regressions")
-		tolerance = flag.Float64("tolerance", 0.10, "allowed fractional ns/op increase over the baseline")
+		baseline  = flag.String("baseline", "", "compare ns/op and allocs/op against this JSON file and fail on regressions")
+		tolerance = flag.Float64("tolerance", 0.10, "allowed fractional ns/op or allocs/op increase over the baseline")
 	)
 	flag.Parse()
 
@@ -99,10 +103,11 @@ func main() {
 }
 
 // compare writes one line per benchmark to w: ok or REGRESSED with the
-// ns/op change against the baseline, NEW for a result the baseline lacks,
-// and MISSING for a baseline row the run did not produce. It returns how
-// many results regressed past tolerance and how many baseline rows are
-// missing.
+// ns/op change against the baseline (and the allocs/op change where the
+// baseline records allocations), NEW for a result the baseline lacks, and
+// MISSING for a baseline row the run did not produce. It returns how many
+// results regressed past tolerance on either measure and how many baseline
+// rows are missing.
 func compare(w io.Writer, got, base benchFile, tolerance float64) (regressed, missing int) {
 	for _, name := range sortedNames(got.Benchmarks) {
 		cur := got.Benchmarks[name]
@@ -112,13 +117,21 @@ func compare(w io.Writer, got, base benchFile, tolerance float64) (regressed, mi
 			continue
 		}
 		delta := cur.NsPerOp/ref.NsPerOp - 1
+		worse := delta > tolerance
+		allocs := ""
+		if ref.AllocsPerOp > 0 {
+			adelta := cur.AllocsPerOp/ref.AllocsPerOp - 1
+			worse = worse || adelta > tolerance
+			allocs = fmt.Sprintf("  %10.0f allocs/op vs %10.0f (%+.1f%%)",
+				cur.AllocsPerOp, ref.AllocsPerOp, adelta*100)
+		}
 		status := "ok"
-		if delta > tolerance {
+		if worse {
 			status = "REGRESSED"
 			regressed++
 		}
-		fmt.Fprintf(w, "%-8s %-55s %12.1f ns/op vs %12.1f (%+.1f%%)\n",
-			status, name, cur.NsPerOp, ref.NsPerOp, delta*100)
+		fmt.Fprintf(w, "%-8s %-55s %12.1f ns/op vs %12.1f (%+.1f%%)%s\n",
+			status, name, cur.NsPerOp, ref.NsPerOp, delta*100, allocs)
 	}
 	for _, name := range sortedNames(base.Benchmarks) {
 		if _, ok := got.Benchmarks[name]; !ok {

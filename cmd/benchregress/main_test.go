@@ -72,3 +72,33 @@ func TestCompare(t *testing.T) {
 		t.Errorf("verdicts %v, want %v\n%s", verdict, want, out.String())
 	}
 }
+
+// TestCompareAllocs gates allocs/op on a row whose baseline records a
+// nonzero count: within tolerance is ok, past it regresses even though
+// ns/op is unchanged.
+func TestCompareAllocs(t *testing.T) {
+	got, err := parse(strings.NewReader(benchOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		baseAllocs float64
+		want       string
+	}{
+		{1000, "ok"},       // 1023 is +2.3%
+		{900, "REGRESSED"}, // 1023 is +13.7%
+	} {
+		base := benchFile{Schema: schema, Benchmarks: map[string]benchEntry{
+			"BenchmarkScheduleAndRun": {NsPerOp: 280325, AllocsPerOp: c.baseAllocs},
+		}}
+		only := benchFile{Schema: schema, Benchmarks: map[string]benchEntry{
+			"BenchmarkScheduleAndRun": got.Benchmarks["BenchmarkScheduleAndRun"],
+		}}
+		var out strings.Builder
+		regressed, _ := compare(&out, only, base, 0.10)
+		if f := strings.Fields(out.String()); f[0] != c.want || (regressed == 1) != (c.want == "REGRESSED") {
+			t.Errorf("baseline %g allocs/op: verdict %q, regressed %d, want %s\n%s",
+				c.baseAllocs, f[0], regressed, c.want, out.String())
+		}
+	}
+}

@@ -154,9 +154,6 @@ func TestDopeGrowsUntilEffective(t *testing.T) {
 	if plan.RPS <= start {
 		t.Fatalf("rate did not grow: %g -> %g", start, plan.RPS)
 	}
-	if d.Epochs() != 5 {
-		t.Fatalf("epochs %d", d.Epochs())
-	}
 }
 
 func TestDopeHoldsWhenEffective(t *testing.T) {
@@ -177,7 +174,7 @@ func TestDopeBacksOffAndLearnsCeiling(t *testing.T) {
 	}
 	rateBefore := d.Current().RPS
 	agentsBefore := d.Current().Agents
-	perAgentBefore := d.Current().PerAgentRPS()
+	perAgentBefore := rateBefore / float64(agentsBefore)
 	plan := d.Step(Feedback{BannedAgents: 3})
 	if plan.RPS >= rateBefore {
 		t.Fatal("no backoff after ban")
@@ -185,12 +182,8 @@ func TestDopeBacksOffAndLearnsCeiling(t *testing.T) {
 	if plan.Agents <= agentsBefore {
 		t.Fatal("no agent recruitment after ban")
 	}
-	ceil, ok := d.Ceiling()
-	if !ok || math.Abs(ceil-perAgentBefore) > 1e-9 {
-		t.Fatalf("ceiling %g/%v, want %g", ceil, ok, perAgentBefore)
-	}
-	if d.BansSeen() != 3 {
-		t.Fatalf("bans seen %d", d.BansSeen())
+	if !d.haveCeil || math.Abs(d.ceiling-perAgentBefore) > 1e-9 {
+		t.Fatalf("ceiling %g/%v, want %g", d.ceiling, d.haveCeil, perAgentBefore)
 	}
 }
 
@@ -200,9 +193,6 @@ func TestDopeRotatesTargetOnBan(t *testing.T) {
 	plan := d.Step(Feedback{BannedAgents: 1})
 	if plan.Class == first {
 		t.Fatal("no class rotation after ban")
-	}
-	if d.ClassFlips() != 1 {
-		t.Fatalf("flips %d", d.ClassFlips())
 	}
 }
 
@@ -215,14 +205,13 @@ func TestDopeRespectsLearnedCeiling(t *testing.T) {
 		d.Step(Feedback{})
 	}
 	d.Step(Feedback{BannedAgents: 1})
-	ceil, _ := d.Ceiling()
-	safe := ceil * (1 - cfg.SafetyMargin)
+	safe := d.ceiling * (1 - cfg.SafetyMargin)
 	// Keep growing for a long time; per-agent rate must stay under the
 	// safety line.
 	for i := 0; i < 50; i++ {
 		plan := d.Step(Feedback{})
-		if plan.PerAgentRPS() > safe+1e-9 {
-			t.Fatalf("epoch %d: per-agent %g above safety line %g", i, plan.PerAgentRPS(), safe)
+		if perAgent := plan.RPS / float64(plan.Agents); perAgent > safe+1e-9 {
+			t.Fatalf("epoch %d: per-agent %g above safety line %g", i, perAgent, safe)
 		}
 	}
 }
@@ -258,16 +247,6 @@ func TestDopeAgentsCapped(t *testing.T) {
 	}
 	if got := d.Current().Agents; got > 32 {
 		t.Fatalf("agents %d above cap", got)
-	}
-}
-
-func TestPlanPerAgent(t *testing.T) {
-	p := Plan{RPS: 100, Agents: 4}
-	if p.PerAgentRPS() != 25 {
-		t.Fatal("per-agent math")
-	}
-	if (Plan{RPS: 100}).PerAgentRPS() != 0 {
-		t.Fatal("zero agents")
 	}
 }
 

@@ -82,14 +82,6 @@ type Plan struct {
 	Agents int
 }
 
-// PerAgentRPS returns the per-source rate the plan implies.
-func (p Plan) PerAgentRPS() float64 {
-	if p.Agents <= 0 {
-		return 0
-	}
-	return p.RPS / float64(p.Agents)
-}
-
 // DopeAttacker is the Figure 12 state machine. Step it once per probe epoch
 // with the previous epoch's feedback; it returns the next plan.
 type DopeAttacker struct {
@@ -100,11 +92,8 @@ type DopeAttacker struct {
 	targetIdx int
 	// ceiling is the learned per-agent detection threshold estimate; +Inf
 	// until a ban is observed.
-	ceiling    float64
-	haveCeil   bool
-	epochs     int
-	bansSeen   int
-	classFlips int
+	ceiling  float64
+	haveCeil bool
 }
 
 // NewDopeAttacker builds the attacker; it panics on invalid config.
@@ -120,16 +109,6 @@ func (d *DopeAttacker) Current() Plan {
 	return Plan{Class: d.cfg.Targets[d.targetIdx], RPS: d.rate, Agents: d.agents}
 }
 
-// Epochs returns how many feedback steps the attacker has consumed.
-func (d *DopeAttacker) Epochs() int { return d.epochs }
-
-// BansSeen returns the cumulative number of banned agents observed.
-func (d *DopeAttacker) BansSeen() int { return d.bansSeen }
-
-// Ceiling returns the learned per-agent rate ceiling and whether one has
-// been observed yet.
-func (d *DopeAttacker) Ceiling() (float64, bool) { return d.ceiling, d.haveCeil }
-
 // Step consumes feedback from the last epoch and returns the plan for the
 // next one. The algorithm mirrors Figure 12:
 //
@@ -140,12 +119,10 @@ func (d *DopeAttacker) Ceiling() (float64, bool) { return d.ceiling, d.haveCeil 
 //     the learned ceiling minus the safety margin — recruit instead;
 //  3. effective and clean → hold the operating point.
 func (d *DopeAttacker) Step(fb Feedback) Plan {
-	d.epochs++
 	perAgent := d.rate / float64(d.agents)
 
 	switch {
 	case fb.BannedAgents > 0:
-		d.bansSeen += fb.BannedAgents
 		// The tripped per-agent rate is an upper bound on the threshold.
 		if !d.haveCeil || perAgent < d.ceiling {
 			d.ceiling = perAgent
@@ -195,9 +172,5 @@ func (d *DopeAttacker) growAgents() {
 func (d *DopeAttacker) rotateTarget() {
 	if len(d.cfg.Targets) > 1 {
 		d.targetIdx = (d.targetIdx + 1) % len(d.cfg.Targets)
-		d.classFlips++
 	}
 }
-
-// ClassFlips returns how many times the attacker rotated target classes.
-func (d *DopeAttacker) ClassFlips() int { return d.classFlips }

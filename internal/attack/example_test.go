@@ -19,9 +19,10 @@ func ExampleDopeAttacker() {
 	plan = d.Step(attack.Feedback{Effective: false})
 	fmt.Printf("after growth: %.0f rps\n", plan.RPS)
 
-	// Agents got banned: back off, recruit, rotate target.
+	// Agents got banned: back off, recruit, rotate target. The per-agent
+	// rate that tripped the ban becomes the learned ceiling.
+	ceil := plan.RPS / float64(plan.Agents)
 	plan = d.Step(attack.Feedback{BannedAgents: 2})
-	ceil, _ := d.Ceiling()
 	fmt.Printf("after ban: %.0f rps over %d agents (learned ceiling %.1f rps/agent)\n",
 		plan.RPS, plan.Agents, ceil)
 	// Output:

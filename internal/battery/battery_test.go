@@ -14,11 +14,9 @@ func TestSizedAutonomy(t *testing.T) {
 	if u.SoC() != 1 {
 		t.Fatalf("initial SoC %g", u.SoC())
 	}
-	if got := u.AutonomyAt(400); math.Abs(got-120) > 1e-9 {
-		t.Fatalf("autonomy %g, want 120", got)
-	}
-	if err := u.Validate(); err != nil {
-		t.Fatal(err)
+	// Full draw for the rated autonomy delivers every joule, and no more.
+	if got := u.Discharge(400, 120); math.Abs(got-400) > 1e-9 || !u.Empty() {
+		t.Fatalf("delivered %g W over 120 s, empty=%v; want 400 W and empty", got, u.Empty())
 	}
 }
 
@@ -28,8 +26,8 @@ func TestDischargeDrains(t *testing.T) {
 	if got != 100 {
 		t.Fatalf("delivered %g, want 100", got)
 	}
-	if math.Abs(u.Level()-500) > 1e-9 {
-		t.Fatalf("level %g, want 500", u.Level())
+	if math.Abs(u.level-500) > 1e-9 {
+		t.Fatalf("level %g, want 500", u.level)
 	}
 	// Second half drains it completely.
 	got = u.Discharge(100, 5)
@@ -62,13 +60,13 @@ func TestDischargeLimitedByEnergy(t *testing.T) {
 
 func TestChargeRefills(t *testing.T) {
 	u := Sized(100, 10) // 1000 J, max charge 10 W, eff 0.9
-	u.SetSoC(0)
+	u.level = 0 * u.CapacityJ
 	used := u.Charge(50, 10)
 	if math.Abs(used-10) > 1e-9 {
 		t.Fatalf("charge used %g, want 10 (charger limit)", used)
 	}
-	if math.Abs(u.Level()-90) > 1e-9 {
-		t.Fatalf("level %g, want 90 (10W*10s*0.9)", u.Level())
+	if math.Abs(u.level-90) > 1e-9 {
+		t.Fatalf("level %g, want 90 (10W*10s*0.9)", u.level)
 	}
 }
 
@@ -80,8 +78,8 @@ func TestChargeStopsWhenFull(t *testing.T) {
 }
 
 func TestChargePartialRoom(t *testing.T) {
-	u := Sized(100, 10) // 1000 J
-	u.SetSoC(0.999)     // 1 J of room
+	u := Sized(100, 10)           // 1000 J
+	u.level = 0.999 * u.CapacityJ // 1 J of room
 	used := u.Charge(50, 10)
 	wantUsed := 1.0 / (10 * 0.9)
 	if math.Abs(used-wantUsed) > 1e-9 {
@@ -92,15 +90,15 @@ func TestChargePartialRoom(t *testing.T) {
 	}
 }
 
+// TestAccounting: delivered joules leave the store one-for-one, and
+// recharge stores the utility draw times the efficiency.
 func TestAccounting(t *testing.T) {
-	u := Sized(100, 10)
-	u.Discharge(100, 2)
-	u.Charge(50, 4)
-	if u.DischargedJ() != 200 {
-		t.Fatalf("discharged %g", u.DischargedJ())
+	u := Sized(100, 10) // 1000 J
+	if got := u.Discharge(100, 2); got != 100 || u.level != 800 {
+		t.Fatalf("discharged %g W, level %g; want 100 W, 800 J", got, u.level)
 	}
-	if math.Abs(u.ChargedJ()-40) > 1e-9 {
-		t.Fatalf("charged %g, want 40 (10W*4s)", u.ChargedJ())
+	if used := u.Charge(50, 4); math.Abs(used-10) > 1e-9 || math.Abs(u.level-836) > 1e-9 {
+		t.Fatalf("charged at %g W, level %g; want 10 W, 836 J (10W*4s*0.9 stored)", used, u.level)
 	}
 }
 
@@ -127,45 +125,6 @@ func TestZeroValueIsAbsentBattery(t *testing.T) {
 	if got := u.Charge(100, 1); got != 0 {
 		t.Fatalf("zero UPS accepted %g", got)
 	}
-	if err := u.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSetSoCClamps(t *testing.T) {
-	u := Sized(100, 10)
-	u.SetSoC(2)
-	if u.SoC() != 1 {
-		t.Fatalf("SoC %g after SetSoC(2)", u.SoC())
-	}
-	u.SetSoC(-1)
-	if u.SoC() != 0 {
-		t.Fatalf("SoC %g after SetSoC(-1)", u.SoC())
-	}
-}
-
-func TestAutonomyEdges(t *testing.T) {
-	u := Sized(100, 10)
-	if got := u.AutonomyAt(0); got != 0 {
-		t.Fatalf("autonomy at zero draw %g", got)
-	}
-	// Draw above inverter rating is clamped.
-	if got := u.AutonomyAt(1000); math.Abs(got-10) > 1e-9 {
-		t.Fatalf("autonomy at excess draw %g, want 10", got)
-	}
-}
-
-func TestValidateRejectsBad(t *testing.T) {
-	u := Sized(100, 10)
-	u.Efficiency = 1.5
-	if u.Validate() == nil {
-		t.Fatal("bad efficiency validated")
-	}
-	v := Sized(100, 10)
-	v.CapacityJ = -1
-	if v.Validate() == nil {
-		t.Fatal("negative capacity validated")
-	}
 }
 
 // Property: level always stays within [0, capacity] under arbitrary
@@ -181,7 +140,7 @@ func TestQuickLevelBounded(t *testing.T) {
 			} else {
 				u.Charge(w, dt)
 			}
-			if u.Level() < -1e-9 || u.Level() > u.CapacityJ+1e-9 {
+			if u.level < -1e-9 || u.level > u.CapacityJ+1e-9 {
 				return false
 			}
 		}
@@ -197,16 +156,17 @@ func TestQuickLevelBounded(t *testing.T) {
 func TestQuickEnergyConservation(t *testing.T) {
 	f := func(ops []uint8) bool {
 		u := Sized(100, 10)
-		initial := u.Level()
+		initial := u.level
+		var dischargedJ, chargedJ float64
 		for _, op := range ops {
 			w := float64(op%150) + 1
 			if op%3 == 0 {
-				u.Charge(w, 0.5)
+				chargedJ += u.Charge(w, 0.5) * 0.5
 			} else {
-				u.Discharge(w, 0.5)
+				dischargedJ += u.Discharge(w, 0.5) * 0.5
 			}
 		}
-		return u.DischargedJ() <= initial+u.ChargedJ()*u.Efficiency+1e-6
+		return dischargedJ <= initial+chargedJ*u.Efficiency+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -221,57 +181,6 @@ func BenchmarkDischargeCharge(b *testing.B) {
 	}
 }
 
-func TestEquivalentFullCycles(t *testing.T) {
-	u := Sized(100, 10) // 1000 J
-	u.Discharge(100, 5) // 500 J
-	u.Charge(100, 1e6)  // refill
-	u.Discharge(100, 5) // another 500 J
-	if got := u.EquivalentFullCycles(); math.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("EFC %g, want 1.0", got)
-	}
-	var none UPS
-	if none.EquivalentFullCycles() != 0 {
-		t.Fatal("absent battery has cycles")
-	}
-}
-
-func TestDeepestDischargeDoD(t *testing.T) {
-	u := Sized(100, 10)
-	if u.DeepestDischargeDoD() != 0 {
-		t.Fatal("unused battery has DoD")
-	}
-	u.Discharge(100, 3) // down to 700 J: DoD 0.3
-	u.Charge(1000, 1e6) // full again
-	if got := u.DeepestDischargeDoD(); math.Abs(got-0.3) > 1e-9 {
-		t.Fatalf("DoD %g, want 0.3 (recharge must not erase history)", got)
-	}
-	u.Discharge(100, 8) // down to 200 J: DoD 0.8
-	if got := u.DeepestDischargeDoD(); math.Abs(got-0.8) > 1e-9 {
-		t.Fatalf("DoD %g, want 0.8", got)
-	}
-}
-
-func TestLifeConsumed(t *testing.T) {
-	u := Sized(100, 10)
-	u.Discharge(100, 10) // one full cycle, DoD 1.0
-	// 500 rated cycles, depth penalty 1: life = 1/500 × 2 = 0.004.
-	if got := u.LifeConsumed(500, 1); math.Abs(got-0.004) > 1e-12 {
-		t.Fatalf("life %g, want 0.004", got)
-	}
-	if u.LifeConsumed(0, 1) != 0 {
-		t.Fatal("zero rated cycles")
-	}
-	// Shallow cycling wears less than deep cycling for equal throughput.
-	shallow := Sized(100, 10)
-	for i := 0; i < 10; i++ {
-		shallow.Discharge(100, 1) // 10% each
-		shallow.Charge(1000, 1e6)
-	}
-	if shallow.LifeConsumed(500, 1) >= u.LifeConsumed(500, 1) {
-		t.Fatal("shallow cycling should wear less than one deep cycle")
-	}
-}
-
 // --- fault-injection and edge-case coverage ---
 
 func TestDischargeChargeZeroDt(t *testing.T) {
@@ -279,15 +188,12 @@ func TestDischargeChargeZeroDt(t *testing.T) {
 	if got := u.Discharge(50, 0); got != 0 {
 		t.Fatalf("Discharge with dt=0 delivered %g, want 0", got)
 	}
-	u.SetSoC(0.5)
+	u.level = 0.5 * u.CapacityJ
 	if got := u.Charge(50, 0); got != 0 {
 		t.Fatalf("Charge with dt=0 consumed %g, want 0", got)
 	}
 	if u.SoC() != 0.5 {
 		t.Fatalf("zero-dt operations moved the level: SoC %g", u.SoC())
-	}
-	if u.DischargedJ() != 0 || u.ChargedJ() != 0 {
-		t.Fatal("zero-dt operations touched the energy ledger")
 	}
 }
 
@@ -303,8 +209,8 @@ func TestSoCClampsAtZeroAndOne(t *testing.T) {
 	if !u.Empty() {
 		t.Fatal("overdrawn battery not Empty")
 	}
-	if u.Level() < 0 {
-		t.Fatalf("level went negative: %g", u.Level())
+	if u.level < 0 {
+		t.Fatalf("level went negative: %g", u.level)
 	}
 	// Overcharge far beyond capacity: level must clamp at capacity.
 	for i := 0; i < 500; i++ {
@@ -313,35 +219,20 @@ func TestSoCClampsAtZeroAndOne(t *testing.T) {
 	if u.SoC() != 1 {
 		t.Fatalf("SoC after overcharge %g, want 1", u.SoC())
 	}
-	if u.Level() > u.CapacityJ {
-		t.Fatalf("level %g above capacity %g", u.Level(), u.CapacityJ)
-	}
-	// SetSoC clamps its argument too.
-	u.SetSoC(-3)
-	if u.SoC() != 0 {
-		t.Fatalf("SetSoC(-3) left SoC %g", u.SoC())
-	}
-	u.SetSoC(7)
-	if u.SoC() != 1 {
-		t.Fatalf("SetSoC(7) left SoC %g", u.SoC())
+	if u.level > u.CapacityJ {
+		t.Fatalf("level %g above capacity %g", u.level, u.CapacityJ)
 	}
 }
 
 func TestFailedStringDeliversNothing(t *testing.T) {
 	u := Sized(100, 10)
 	u.SetFailed(true)
-	if !u.Failed() {
-		t.Fatal("Failed() false after SetFailed(true)")
-	}
 	if got := u.Discharge(50, 1); got != 0 {
 		t.Fatalf("failed string discharged %g", got)
 	}
-	u.SetSoC(0.5)
+	u.level = 0.5 * u.CapacityJ
 	if got := u.Charge(50, 1); got != 0 {
 		t.Fatalf("failed string charged %g", got)
-	}
-	if got := u.AutonomyAt(50); got != 0 {
-		t.Fatalf("failed string reports autonomy %g", got)
 	}
 	// The stored charge holds through the fault.
 	u.SetFailed(false)
@@ -359,48 +250,20 @@ func TestFadeClampsLevelAndCapacity(t *testing.T) {
 	if u.CapacityJ != 400 {
 		t.Fatalf("capacity after fade %g, want 400", u.CapacityJ)
 	}
-	if u.Level() != 400 {
-		t.Fatalf("level after fade %g, want clamped to 400", u.Level())
+	if u.level != 400 {
+		t.Fatalf("level after fade %g, want clamped to 400", u.level)
 	}
 	if u.SoC() != 1 {
 		t.Fatalf("SoC after fade %g, want 1 (full at the new capacity)", u.SoC())
 	}
 	// Out-of-range fractions clamp instead of corrupting state.
 	u.Fade(-1)
-	if u.CapacityJ != 0 || u.Level() != 0 {
-		t.Fatalf("Fade(-1) left capacity %g level %g", u.CapacityJ, u.Level())
+	if u.CapacityJ != 0 || u.level != 0 {
+		t.Fatalf("Fade(-1) left capacity %g level %g", u.CapacityJ, u.level)
 	}
 	v := Sized(100, 10)
 	v.Fade(2)
 	if v.CapacityJ != 1000 {
 		t.Fatalf("Fade(2) changed capacity to %g", v.CapacityJ)
-	}
-}
-
-func TestLifeConsumedUnderCapacityFade(t *testing.T) {
-	u := Sized(100, 10) // 1000 J
-	// One half-capacity discharge before the fade.
-	u.Discharge(100, 5) // 500 J out, level 500
-	efcBefore := u.EquivalentFullCycles()
-	if math.Abs(efcBefore-0.5) > 1e-9 {
-		t.Fatalf("EFC before fade %g, want 0.5", efcBefore)
-	}
-	lifeBefore := u.LifeConsumed(100, 1)
-	u.Fade(0.5) // capacity 500, level 500 (unchanged, already at ceiling)
-	// The same discharged joules now count against the smaller capacity:
-	// wear metrics must jump, never shrink.
-	if efc := u.EquivalentFullCycles(); math.Abs(efc-1.0) > 1e-9 {
-		t.Fatalf("EFC after fade %g, want 1.0", efc)
-	}
-	if life := u.LifeConsumed(100, 1); life <= lifeBefore {
-		t.Fatalf("LifeConsumed shrank across a fade: %g -> %g", lifeBefore, life)
-	}
-	// DoD stays within [0,1] even though minLevel predates the fade.
-	if dod := u.DeepestDischargeDoD(); dod < 0 || dod > 1 {
-		t.Fatalf("DoD %g outside [0,1] after fade", dod)
-	}
-	// LifeConsumed guards its degenerate rating.
-	if got := u.LifeConsumed(0, 1); got != 0 {
-		t.Fatalf("LifeConsumed with zero rated cycles = %g, want 0", got)
 	}
 }

@@ -18,10 +18,9 @@ func Example() {
 
 	// Recharge with 50 W of budget headroom for 60 s (charger-limited).
 	used := ups.Charge(50, 60)
-	fmt.Printf("recharging at %.0f W, wear so far %.5f equivalent full cycles\n",
-		used, ups.EquivalentFullCycles())
+	fmt.Printf("recharging at %.0f W, SoC now %.3f\n", used, ups.SoC())
 	// Output:
 	// capacity: 48 kJ
 	// shaved 60 W, SoC now 0.963
-	// recharging at 33 W, wear so far 0.03750 equivalent full cycles
+	// recharging at 33 W, SoC now 1.000
 }

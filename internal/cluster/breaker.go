@@ -22,7 +22,6 @@ type Breaker struct {
 
 	heat    float64
 	tripped bool
-	trips   int
 }
 
 // NewBreaker sizes a breaker at ratingW that tolerates a full overloadW
@@ -57,34 +56,9 @@ func (b *Breaker) Step(dt, drawW float64) bool {
 	}
 	if b.heat >= b.TripJ {
 		b.tripped = true
-		b.trips++
 		return true
 	}
 	return false
-}
-
-// Tripped reports whether the breaker is currently open.
-func (b *Breaker) Tripped() bool { return b != nil && b.tripped }
-
-// Trips returns the number of trip events since construction.
-func (b *Breaker) Trips() int {
-	if b == nil {
-		return 0
-	}
-	return b.trips
-}
-
-// HeatFrac returns the accumulated overload as a fraction of the trip
-// threshold, a monitoring signal ("how close to an outage are we").
-func (b *Breaker) HeatFrac() float64 {
-	if b == nil || b.TripJ <= 0 {
-		return 0
-	}
-	f := b.heat / b.TripJ
-	if f > 1 {
-		f = 1
-	}
-	return f
 }
 
 // Reset closes the breaker again (maintenance action) and clears the heat.

@@ -9,7 +9,6 @@ import (
 	"antidope/internal/battery"
 	"antidope/internal/power"
 	"antidope/internal/server"
-	"antidope/internal/stats"
 )
 
 // BudgetLevel names the four provisioning scenarios of Section 3.3.
@@ -129,15 +128,6 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// MustNew is New for known-good configs.
-func MustNew(cfg Config) *Cluster {
-	c, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Nameplate returns the sum of server nameplate ratings.
 func (c *Cluster) Nameplate() power.Watts {
 	total := power.Watts(0)
@@ -154,24 +144,6 @@ func (c *Cluster) PowerNow() power.Watts {
 		total += s.PowerNow()
 	}
 	return total
-}
-
-// Overshoot returns how far current draw exceeds the budget (0 if under).
-func (c *Cluster) Overshoot() power.Watts {
-	over := c.PowerNow() - c.BudgetW
-	if over < 0 {
-		return 0
-	}
-	return over
-}
-
-// Headroom returns spare budget (0 if over).
-func (c *Cluster) Headroom() power.Watts {
-	head := c.BudgetW - c.PowerNow()
-	if head < 0 {
-		return 0
-	}
-	return head
 }
 
 // AccountSlot integrates the energy ledger for a slot of length dt during
@@ -236,33 +208,6 @@ func (c *Cluster) MeanFreq() power.GHz {
 	return total / power.GHz(len(c.Servers))
 }
 
-// Inflight returns total requests in service.
-func (c *Cluster) Inflight() int {
-	n := 0
-	for _, s := range c.Servers {
-		n += s.Inflight()
-	}
-	return n
-}
-
-// Completed returns total completions.
-func (c *Cluster) Completed() uint64 {
-	n := uint64(0)
-	for _, s := range c.Servers {
-		n += s.Completed()
-	}
-	return n
-}
-
-// Rejected returns total admission rejections.
-func (c *Cluster) Rejected() uint64 {
-	n := uint64(0)
-	for _, s := range c.Servers {
-		n += s.Rejected()
-	}
-	return n
-}
-
 // SuspectServers returns the servers currently marked suspect, and the
 // rest. Anti-DOPE's PDF module partitions with MarkSuspects.
 func (c *Cluster) SuspectServers() (suspects, innocents []*server.Server) {
@@ -285,21 +230,4 @@ func (c *Cluster) MarkSuspects(n int) {
 	for i, s := range c.Servers {
 		s.Suspect = i < n
 	}
-}
-
-// Monitor samples cluster power into a series; the control loop and the
-// figures both read it.
-type Monitor struct {
-	Power   stats.Series
-	Battery stats.Series
-	Freq    stats.Series
-	VFRed   stats.Series
-}
-
-// Sample records the instantaneous state at time now.
-func (m *Monitor) Sample(now float64, c *Cluster) {
-	m.Power.Add(now, c.PowerNow())
-	m.Battery.Add(now, c.UPS.SoC())
-	m.Freq.Add(now, float64(c.MeanFreq()))
-	m.VFRed.Add(now, c.MeanVFReduction())
 }

@@ -7,6 +7,15 @@ import (
 	"antidope/internal/workload"
 )
 
+func mustNew(t testing.TB, cfg Config) *Cluster {
+	t.Helper()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func fixedReq(id uint64, c workload.Class, demand float64) *workload.Request {
 	return &workload.Request{ID: id, Class: c, Demand: demand, Remaining: demand}
 }
@@ -39,7 +48,7 @@ func TestBudgetLevels(t *testing.T) {
 }
 
 func TestNewClusterDefaults(t *testing.T) {
-	c := MustNew(DefaultConfig())
+	c := mustNew(t, DefaultConfig())
 	if len(c.Servers) != 4 {
 		t.Fatalf("servers %d", len(c.Servers))
 	}
@@ -50,15 +59,15 @@ func TestNewClusterDefaults(t *testing.T) {
 		t.Fatalf("budget %g at Normal-PB", got)
 	}
 	// Paper's mini battery: 2 minutes at full cluster draw.
-	if got := c.UPS.AutonomyAt(400); math.Abs(got-120) > 1e-9 {
-		t.Fatalf("battery autonomy %g", got)
+	if c.UPS.CapacityJ != 400*120 || c.UPS.MaxDischargeW != 400 {
+		t.Fatalf("battery %g J at %g W, want 2 minutes at 400 W", c.UPS.CapacityJ, c.UPS.MaxDischargeW)
 	}
 }
 
 func TestBudgetScalesWithLevel(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Budget = LowPB
-	c := MustNew(cfg)
+	c := mustNew(t, cfg)
 	if got := c.BudgetW; math.Abs(got-320) > 1e-9 {
 		t.Fatalf("Low-PB budget %g, want 320", got)
 	}
@@ -67,7 +76,7 @@ func TestBudgetScalesWithLevel(t *testing.T) {
 func TestNoBatteryOption(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BatteryAutonomySec = 0
-	c := MustNew(cfg)
+	c := mustNew(t, cfg)
 	if !c.UPS.Empty() || c.UPS.CapacityJ != 0 {
 		t.Fatal("zero autonomy should install an absent battery")
 	}
@@ -94,7 +103,7 @@ func TestNewRejectsBad(t *testing.T) {
 }
 
 func TestPowerAggregation(t *testing.T) {
-	c := MustNew(DefaultConfig())
+	c := mustNew(t, DefaultConfig())
 	idle := c.PowerNow()
 	wantIdle := 4 * c.Servers[0].Model.Idle(2.4)
 	if math.Abs(idle-wantIdle) > 1e-9 {
@@ -114,11 +123,8 @@ func TestPowerAggregation(t *testing.T) {
 func TestOvershootAndHeadroom(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Budget = LowPB // 320 W
-	c := MustNew(cfg)
-	if c.Overshoot() != 0 {
-		t.Fatal("idle cluster overshoots")
-	}
-	if c.Headroom() <= 0 {
+	c := mustNew(t, cfg)
+	if c.PowerNow() >= c.BudgetW {
 		t.Fatal("idle cluster has no headroom")
 	}
 	// Saturate everything with the heaviest class.
@@ -128,16 +134,13 @@ func TestOvershootAndHeadroom(t *testing.T) {
 			s.Admit(0, fixedReq(uint64(i), workload.CollaFilt, 100))
 		}
 	}
-	if got := c.Overshoot(); math.Abs(got-80) > 1 {
+	if got := c.PowerNow() - c.BudgetW; math.Abs(got-80) > 1 {
 		t.Fatalf("overshoot %g, want ~80 (400 draw vs 320 budget)", got)
-	}
-	if c.Headroom() != 0 {
-		t.Fatal("saturated cluster has headroom")
 	}
 }
 
 func TestAccountSlot(t *testing.T) {
-	c := MustNew(DefaultConfig())
+	c := mustNew(t, DefaultConfig())
 	c.BudgetW = 300
 	// 10 s at 350 W draw, 40 W from battery, 5 W charging.
 	c.AccountSlot(10, 350, 40, 5)
@@ -159,7 +162,7 @@ func TestAccountSlot(t *testing.T) {
 }
 
 func TestVFReductionAggregation(t *testing.T) {
-	c := MustNew(DefaultConfig())
+	c := mustNew(t, DefaultConfig())
 	if c.MeanVFReduction() != 0 {
 		t.Fatal("fresh cluster has V/F reduction")
 	}
@@ -174,7 +177,7 @@ func TestVFReductionAggregation(t *testing.T) {
 }
 
 func TestSuspectPartition(t *testing.T) {
-	c := MustNew(DefaultConfig())
+	c := mustNew(t, DefaultConfig())
 	c.MarkSuspects(1)
 	sus, inn := c.SuspectServers()
 	if len(sus) != 1 || len(inn) != 3 {
@@ -192,7 +195,7 @@ func TestSuspectPartition(t *testing.T) {
 }
 
 func TestMarkSuspectsPanicsOutOfRange(t *testing.T) {
-	c := MustNew(DefaultConfig())
+	c := mustNew(t, DefaultConfig())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range suspect pool accepted")
@@ -202,39 +205,21 @@ func TestMarkSuspectsPanicsOutOfRange(t *testing.T) {
 }
 
 func TestCountsAggregation(t *testing.T) {
-	c := MustNew(DefaultConfig())
+	c := mustNew(t, DefaultConfig())
 	s := c.Servers[2]
 	s.Advance(0)
 	s.Admit(0, fixedReq(1, workload.TextCont, 0.01))
-	if c.Inflight() != 1 {
-		t.Fatalf("inflight %d", c.Inflight())
+	if s.Inflight() != 1 {
+		t.Fatalf("inflight %d", s.Inflight())
 	}
 	at, _ := s.NextCompletion()
-	s.Advance(at)
-	if c.Completed() != 1 {
-		t.Fatalf("completed %d", c.Completed())
-	}
-}
-
-func TestMonitorSampling(t *testing.T) {
-	c := MustNew(DefaultConfig())
-	var m Monitor
-	m.Sample(0, c)
-	c.Servers[0].CapFreq(1.5)
-	m.Sample(1, c)
-	if m.Power.Len() != 2 || m.Battery.Len() != 2 || m.Freq.Len() != 2 || m.VFRed.Len() != 2 {
-		t.Fatal("monitor series lengths")
-	}
-	if m.Battery.Points[0].V != 1 {
-		t.Fatalf("initial SoC sample %g", m.Battery.Points[0].V)
-	}
-	if m.VFRed.Points[1].V <= m.VFRed.Points[0].V {
-		t.Fatal("V/F reduction sample did not increase after cap")
+	if done := s.Advance(at); len(done) != 1 || s.Inflight() != 0 {
+		t.Fatalf("completed %d, inflight %d after the completion", len(done), s.Inflight())
 	}
 }
 
 func TestTotalEnergy(t *testing.T) {
-	c := MustNew(DefaultConfig())
+	c := mustNew(t, DefaultConfig())
 	for _, s := range c.Servers {
 		s.Advance(10)
 	}

@@ -65,10 +65,9 @@ func (b BreakerCfg) Defaults() BreakerCfg {
 // NetPolicy governs the delivery layer that activates when the fault
 // schedule carries network-condition windows (NetDelay/NetLoss/
 // NetPartition): a per-request delivery timeout and bounded retries with
-// exponential backoff and seeded jitter, all in sim-time. It mirrors
-// harness.RetryPolicy's deterministic shape. The zero value selects the
-// documented defaults; without network windows the policy is never
-// consulted.
+// exponential backoff and seeded jitter, all in sim-time, so no wall-clock
+// wait enters a run. The zero value selects the documented defaults;
+// without network windows the policy is never consulted.
 type NetPolicy struct {
 	// Attempts is the total number of delivery tries per request
 	// (re-routed through the balancer each time); <= 0 selects the

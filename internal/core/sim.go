@@ -253,15 +253,6 @@ func (s *Simulation) bindCallbacks() {
 	}
 }
 
-// MustNew is New for known-good configurations.
-func MustNew(cfg Config) *Simulation {
-	s, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // buildTraffic assembles the merged legit + static-attack arrival stream.
 func (s *Simulation) buildTraffic() {
 	var sources []workload.Source
@@ -787,13 +778,6 @@ func (s *Simulation) finish() {
 		}
 	}
 }
-
-// Cluster exposes the underlying cluster for white-box experiments (e.g.
-// forcing a battery state before the attack lands).
-func (s *Simulation) Cluster() *cluster.Cluster { return s.cl }
-
-// Firewall exposes the perimeter defense for white-box experiments.
-func (s *Simulation) Firewall() *firewall.Firewall { return s.fw }
 
 // RunOnce is the package-level convenience: assemble and run in one call.
 //

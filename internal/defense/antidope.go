@@ -58,7 +58,6 @@ type AntiDope struct {
 
 	delayLeft       int
 	collateralSlots uint64 // slots where innocent servers had to throttle
-	bridgeSlots     uint64 // slots where the battery bridged a reconfigure
 }
 
 // NewAntiDope builds the framework with the evaluation's defaults: suspect
@@ -135,7 +134,6 @@ func (a *AntiDope) ControlSlot(now float64, env *Env) SlotReport {
 			bridged = cl.UPS.Discharge(over, dt)
 		}
 		if bridged > 0 {
-			a.bridgeSlots++
 			if env.Obs != nil {
 				env.Obs.Emit(obs.Event{
 					T: now, Kind: obs.KindDefenseBridge, Server: -1,
@@ -193,8 +191,5 @@ func (a *AntiDope) ControlSlot(now float64, env *Env) SlotReport {
 // CollateralSlots returns how many control slots had to throttle innocent
 // servers — the "collateral damage" Anti-DOPE minimizes.
 func (a *AntiDope) CollateralSlots() uint64 { return a.collateralSlots }
-
-// BridgeSlots returns how many slots the battery bridged a reconfiguration.
-func (a *AntiDope) BridgeSlots() uint64 { return a.bridgeSlots }
 
 var _ Scheme = (*AntiDope)(nil)

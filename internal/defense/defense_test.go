@@ -4,19 +4,43 @@ import (
 	"math"
 	"testing"
 
+	"antidope/internal/battery"
 	"antidope/internal/cluster"
 	"antidope/internal/netlb"
 	"antidope/internal/power"
 	"antidope/internal/workload"
 )
 
+// must unwraps a constructor that cannot fail on the fixed test configs.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// overshoot is the cluster's physical draw above budget (0 if under),
+// whatever the telemetry plane reports.
+func overshoot(c *cluster.Cluster) float64 {
+	over := c.PowerNow() - c.BudgetW
+	if over < 0 {
+		return 0
+	}
+	return over
+}
+
+// drainTo discharges a full UPS down to the given state of charge.
+func drainTo(u *battery.UPS, soc float64) {
+	u.Discharge(u.MaxDischargeW, (1-soc)*u.CapacityJ/u.MaxDischargeW)
+}
+
 // testEnv builds a 4-server Medium-PB cluster saturated with the given
-// class so Overshoot() is positive.
+// class so its overshoot is positive.
 func testEnv(t *testing.T, budget cluster.BudgetLevel, saturate workload.Class) *Env {
 	t.Helper()
 	cfg := cluster.DefaultConfig()
 	cfg.Budget = budget
-	cl := cluster.MustNew(cfg)
+	cl := must(cluster.New(cfg))
 	if saturate.Valid() {
 		id := uint64(0)
 		for _, s := range cl.Servers {
@@ -27,7 +51,7 @@ func testEnv(t *testing.T, budget cluster.BudgetLevel, saturate workload.Class) 
 			}
 		}
 	}
-	bal := netlb.MustNew(cl.Servers, netlb.LeastLoaded)
+	bal := must(netlb.New(cl.Servers, netlb.LeastLoaded))
 	return &Env{Cluster: cl, Balancer: bal, SlotSec: 1, Model: power.DefaultModel()}
 }
 
@@ -45,16 +69,6 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := ByName("magic", ladder); err == nil {
 		t.Fatal("unknown scheme resolved")
-	}
-	evaluated := Evaluated(ladder)
-	if len(evaluated) != 4 {
-		t.Fatal("Evaluated should return the four Table 2 schemes")
-	}
-	wantNames := []string{"Capping", "Shaving", "Token", "Anti-DOPE"}
-	for i, s := range evaluated {
-		if s.Name() != wantNames[i] {
-			t.Fatalf("scheme %d named %q, want %q", i, s.Name(), wantNames[i])
-		}
 	}
 }
 
@@ -79,14 +93,14 @@ func TestCappingBringsPowerUnderBudget(t *testing.T) {
 	env := testEnv(t, cluster.LowPB, workload.CollaFilt)
 	c := NewCapping(power.DefaultLadder())
 	c.Setup(env)
-	if env.Cluster.Overshoot() <= 0 {
+	if overshoot(env.Cluster) <= 0 {
 		t.Fatal("test premise: cluster must overshoot")
 	}
 	// A few slots of control converge under the budget.
 	for slot := 1; slot <= 10; slot++ {
 		c.ControlSlot(float64(slot), env)
 	}
-	if over := env.Cluster.Overshoot(); over > 1e-6 {
+	if over := overshoot(env.Cluster); over > 1e-6 {
 		t.Fatalf("still %g W over budget after capping", over)
 	}
 	if env.Cluster.UPS.SoC() != 1 {
@@ -160,7 +174,7 @@ func TestShavingUsesBatteryFirst(t *testing.T) {
 
 func TestShavingFallsBackToDVFSWhenEmpty(t *testing.T) {
 	env := testEnv(t, cluster.LowPB, workload.CollaFilt)
-	env.Cluster.UPS.SetSoC(0)
+	drainTo(env.Cluster.UPS, 0)
 	s := NewShaving(power.DefaultLadder())
 	s.Setup(env)
 	for slot := 1; slot <= 10; slot++ {
@@ -169,14 +183,14 @@ func TestShavingFallsBackToDVFSWhenEmpty(t *testing.T) {
 	if env.Cluster.MeanVFReduction() <= 0 {
 		t.Fatal("empty battery but no DVFS fallback")
 	}
-	if over := env.Cluster.Overshoot(); over > 1e-6 {
+	if over := overshoot(env.Cluster); over > 1e-6 {
 		t.Fatalf("still over budget: %g", over)
 	}
 }
 
 func TestShavingRechargesUnderHeadroom(t *testing.T) {
 	env := testEnv(t, cluster.NormalPB, workload.Class(-1)) // idle cluster
-	env.Cluster.UPS.SetSoC(0.5)
+	drainTo(env.Cluster.UPS, 0.5)
 	s := NewShaving(power.DefaultLadder())
 	s.Setup(env)
 	rep := s.ControlSlot(1, env)
@@ -235,9 +249,9 @@ func TestAntiDopeSetupPartitions(t *testing.T) {
 	if !env.Balancer.SplitActive() {
 		t.Fatal("PDF split not active after setup")
 	}
-	list := env.Balancer.SuspectList()
-	if len(list) == 0 {
-		t.Fatal("empty suspect list")
+	// The offline list puts the heaviest endpoint on the suspect side.
+	if sv := env.Balancer.Route(req(workload.CollaFilt)); sv == nil || !sv.Suspect {
+		t.Fatal("Colla-Filt request not routed to the suspect pool")
 	}
 }
 
@@ -261,7 +275,7 @@ func TestAntiDopeThrottlesSuspectsOnly(t *testing.T) {
 	}
 	// Force an overshoot by shrinking the budget to just below the draw.
 	env.Cluster.BudgetW = env.Cluster.PowerNow() - 20
-	env.Cluster.UPS.SetSoC(0.1)
+	drainTo(env.Cluster.UPS, 0.1)
 	for slot := 1; slot <= 10; slot++ {
 		a.ControlSlot(float64(slot), env)
 	}
@@ -279,7 +293,7 @@ func TestAntiDopeThrottlesSuspectsOnly(t *testing.T) {
 	if !throttled {
 		t.Fatal("no suspect server throttled")
 	}
-	if over := env.Cluster.Overshoot(); over > 1e-6 {
+	if over := overshoot(env.Cluster); over > 1e-6 {
 		t.Fatalf("still over budget: %g", over)
 	}
 	if a.CollateralSlots() != 0 {
@@ -295,23 +309,20 @@ func TestAntiDopeBatteryBridgesTransition(t *testing.T) {
 	if rep.BatteryW <= 0 {
 		t.Fatal("battery did not bridge the first over-budget slot")
 	}
-	if a.BridgeSlots() == 0 {
-		t.Fatal("bridge counter")
-	}
 }
 
 func TestAntiDopeSpillsToInnocentWhenSuspectPoolInsufficient(t *testing.T) {
 	env := testEnv(t, cluster.LowPB, workload.CollaFilt) // every server saturated
 	a := NewAntiDope(power.DefaultLadder())
 	a.Setup(env)
-	env.Cluster.UPS.SetSoC(0)
+	drainTo(env.Cluster.UPS, 0)
 	for slot := 1; slot <= 10; slot++ {
 		a.ControlSlot(float64(slot), env)
 	}
 	if a.CollateralSlots() == 0 {
 		t.Fatal("cluster-wide saturation must spill to innocent servers")
 	}
-	if over := env.Cluster.Overshoot(); over > 1e-6 {
+	if over := overshoot(env.Cluster); over > 1e-6 {
 		t.Fatalf("still over budget: %g", over)
 	}
 }
@@ -337,7 +348,7 @@ func TestAntiDopeRechargesAfterReconfigure(t *testing.T) {
 	env := testEnv(t, cluster.NormalPB, workload.Class(-1))
 	a := NewAntiDope(power.DefaultLadder())
 	a.Setup(env)
-	env.Cluster.UPS.SetSoC(0.3)
+	drainTo(env.Cluster.UPS, 0.3)
 	rep := a.ControlSlot(1, env)
 	if rep.ChargeW <= 0 {
 		t.Fatal("no immediate recharge with headroom available")
@@ -402,9 +413,6 @@ func TestOracleDropsOnlyAttackTraffic(t *testing.T) {
 	if !atk.Dropped || atk.DropReason != "oracle" {
 		t.Fatal("oracle drop not marked")
 	}
-	if o.Dropped() != 1 {
-		t.Fatalf("dropped %d", o.Dropped())
-	}
 }
 
 func TestOracleCapsResidualPeaks(t *testing.T) {
@@ -414,7 +422,7 @@ func TestOracleCapsResidualPeaks(t *testing.T) {
 	for slot := 1; slot <= 10; slot++ {
 		o.ControlSlot(float64(slot), env)
 	}
-	if over := env.Cluster.Overshoot(); over > 1e-6 {
+	if over := overshoot(env.Cluster); over > 1e-6 {
 		t.Fatalf("oracle left %g W over budget", over)
 	}
 }
@@ -450,18 +458,12 @@ func TestHybridShedsOnlySuspectTraffic(t *testing.T) {
 	if !shed {
 		t.Fatal("hybrid never shed suspect traffic at time zero")
 	}
-	if h.DropFraction() <= 0 {
-		t.Fatal("drop fraction not reported")
-	}
 }
 
 func TestHybridBeforeSetupAdmitsAll(t *testing.T) {
 	h := NewHybrid(power.DefaultLadder())
 	if !h.Admit(0, req(workload.CollaFilt)) {
 		t.Fatal("unset bucket refused traffic")
-	}
-	if h.DropFraction() != 0 {
-		t.Fatal("drop fraction before setup")
 	}
 }
 

@@ -19,12 +19,12 @@ func (f *fakeReader) MeasuredPowerW() float64 { return f.w }
 func TestEnvReadsClusterWithoutTelemetry(t *testing.T) {
 	env := testEnv(t, cluster.LowPB, workload.CollaFilt)
 	//lint:allow floateq -- both sides must be the same float op on the same inputs
-	if env.Overshoot() != env.Cluster.Overshoot() {
-		t.Fatalf("Env.Overshoot %g != cluster.Overshoot %g", env.Overshoot(), env.Cluster.Overshoot())
+	if env.Overshoot() != overshoot(env.Cluster) {
+		t.Fatalf("Env.Overshoot %g != cluster overshoot %g", env.Overshoot(), overshoot(env.Cluster))
 	}
 	//lint:allow floateq -- same contract for headroom
-	if env.Headroom() != env.Cluster.Headroom() {
-		t.Fatalf("Env.Headroom %g != cluster.Headroom %g", env.Headroom(), env.Cluster.Headroom())
+	if head := max(0, env.Cluster.BudgetW-env.Cluster.PowerNow()); env.Headroom() != head {
+		t.Fatalf("Env.Headroom %g != cluster headroom %g", env.Headroom(), head)
 	}
 	//lint:allow floateq -- direct passthrough
 	if env.MeasuredPowerW() != env.Cluster.PowerNow() {
@@ -43,7 +43,7 @@ func TestSchemesTrustStaleTelemetry(t *testing.T) {
 	for _, sch := range schemes {
 		t.Run(sch.Name(), func(t *testing.T) {
 			env := testEnv(t, cluster.LowPB, workload.CollaFilt)
-			if env.Cluster.Overshoot() <= 0 {
+			if overshoot(env.Cluster) <= 0 {
 				t.Fatal("test premise: cluster must physically overshoot")
 			}
 			// Frozen at a comfortable reading just under budget: no overshoot
@@ -73,7 +73,7 @@ func TestSchemesRecoverWhenTelemetryReturns(t *testing.T) {
 	for slot := 1; slot <= 3; slot++ {
 		c.ControlSlot(float64(slot), env)
 	}
-	if env.Cluster.Overshoot() <= 0 {
+	if overshoot(env.Cluster) <= 0 {
 		t.Fatal("blind scheme should have left the cluster over budget")
 	}
 	// Telemetry heals: track the true draw from now on.
@@ -81,7 +81,7 @@ func TestSchemesRecoverWhenTelemetryReturns(t *testing.T) {
 		sensor.w = env.Cluster.PowerNow()
 		c.ControlSlot(float64(slot), env)
 	}
-	if over := env.Cluster.Overshoot(); over > 1e-6 {
+	if over := overshoot(env.Cluster); over > 1e-6 {
 		t.Fatalf("still %g W over budget after telemetry recovered", over)
 	}
 }
@@ -94,10 +94,11 @@ func TestAntiDopeDegradesWithoutPanicOnZeroTelemetry(t *testing.T) {
 	a := NewAntiDope(power.DefaultLadder())
 	a.Setup(env)
 	env.Telemetry = &fakeReader{w: 0}
+	chargedW := 0.0
 	for slot := 1; slot <= 5; slot++ {
-		a.ControlSlot(float64(slot), env)
+		chargedW += a.ControlSlot(float64(slot), env).ChargeW
 	}
-	if env.Cluster.UPS.SoC() < 1-1e-9 && env.Cluster.UPS.ChargedJ() == 0 {
+	if env.Cluster.UPS.SoC() < 1-1e-9 && chargedW == 0 {
 		t.Fatal("zero telemetry should have driven the recharge path")
 	}
 }

@@ -62,12 +62,4 @@ func (h *Hybrid) Admit(now float64, req *workload.Request) bool {
 	return h.bucket.Admit(now, req, netlb.EnergyCost(req.Class, h.model))
 }
 
-// DropFraction exposes the suspect-pool shed rate.
-func (h *Hybrid) DropFraction() float64 {
-	if h.bucket == nil {
-		return 0
-	}
-	return h.bucket.DropFraction()
-}
-
 var _ Scheme = (*Hybrid)(nil)

@@ -12,8 +12,7 @@ import (
 // could possibly achieve, which is what makes Anti-DOPE's
 // detection-free numbers meaningful in the ablation table.
 type Oracle struct {
-	gov     power.Governor
-	dropped uint64
+	gov power.Governor
 }
 
 // NewOracle builds the upper-bound scheme.
@@ -32,7 +31,6 @@ func (o *Oracle) Admit(now float64, req *workload.Request) bool {
 	if req.Origin == workload.Attack {
 		req.Dropped = true
 		req.DropReason = "oracle"
-		o.dropped++
 		return false
 	}
 	return true
@@ -50,8 +48,5 @@ func (o *Oracle) ControlSlot(now float64, env *Env) SlotReport {
 	}
 	return SlotReport{}
 }
-
-// Dropped returns how many attack requests the oracle rejected.
-func (o *Oracle) Dropped() uint64 { return o.dropped }
 
 var _ Scheme = (*Oracle)(nil)

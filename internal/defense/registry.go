@@ -29,14 +29,3 @@ func ByName(name string, ladder power.Ladder) (Scheme, error) {
 		return nil, fmt.Errorf("defense: unknown scheme %q (want none, capping, shaving, token, anti-dope, oracle, hybrid)", name)
 	}
 }
-
-// Evaluated returns fresh instances of the four Table 2 schemes, in the
-// order the paper's figures present them.
-func Evaluated(ladder power.Ladder) []Scheme {
-	return []Scheme{
-		NewCapping(ladder),
-		NewShaving(ladder),
-		NewToken(),
-		NewAntiDope(ladder),
-	}
-}

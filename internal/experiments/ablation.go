@@ -113,9 +113,3 @@ func (r *AblationResult) PDFIsTheLever() bool {
 	}
 	return noPDF > r.P90RT["full"]
 }
-
-// FullHoldsBudget reports whether the complete framework keeps residual
-// violations rare.
-func (r *AblationResult) FullHoldsBudget() bool {
-	return r.SlotsOver["full"] <= 0.1
-}

@@ -41,9 +41,6 @@ type Options struct {
 	Telemetry *harness.Telemetry
 }
 
-// DefaultOptions is the full-fidelity setting used for EXPERIMENTS.md.
-func DefaultOptions() Options { return Options{Seed: 2019} }
-
 // Horizon picks the observation window, honouring Quick mode: Quick
 // shrinks the full-fidelity window ~4x with a 30 s floor. The scenario
 // compiler (internal/scenario) reuses this seam so DSL-compiled runs

@@ -28,7 +28,7 @@ func TestThresholdEdges(t *testing.T) {
 	cases := []struct {
 		name     string
 		steps    []step
-		wantBans uint64
+		wantBans banCounter
 	}{
 		{
 			name: "rate exactly at threshold never arms",
@@ -81,6 +81,8 @@ func TestThresholdEdges(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := New(cfg)
+			var bans banCounter
+			f.SetObserver(&bans)
 			for _, s := range tc.steps {
 				for i := 0; i < s.n; i++ {
 					if got := f.Observe(s.t, req(1, workload.CollaFilt)); got != s.want {
@@ -88,8 +90,8 @@ func TestThresholdEdges(t *testing.T) {
 					}
 				}
 			}
-			if f.Bans() != tc.wantBans {
-				t.Fatalf("bans = %d, want %d", f.Bans(), tc.wantBans)
+			if bans != tc.wantBans {
+				t.Fatalf("bans = %d, want %d", bans, tc.wantBans)
 			}
 		})
 	}

@@ -97,10 +97,6 @@ type Firewall struct {
 	cfg     Config
 	sources map[workload.SourceID]*srcState
 
-	observed uint64
-	dropped  uint64
-	bans     uint64
-
 	obs obs.Observer
 }
 
@@ -115,24 +111,6 @@ func New(cfg Config) *Firewall {
 // SetObserver installs the event sink; ban decisions are emitted.
 func (f *Firewall) SetObserver(o obs.Observer) { f.obs = o }
 
-// Observed returns the number of requests inspected.
-func (f *Firewall) Observed() uint64 { return f.observed }
-
-// Dropped returns the number of requests dropped due to bans.
-func (f *Firewall) Dropped() uint64 { return f.dropped }
-
-// Bans returns the number of ban decisions taken.
-func (f *Firewall) Bans() uint64 { return f.bans }
-
-// IsBanned reports whether the source is currently blocked.
-func (f *Firewall) IsBanned(now float64, src workload.SourceID) bool {
-	if f.cfg.Disabled {
-		return false
-	}
-	st, ok := f.sources[src]
-	return ok && now < st.bannedTill
-}
-
 // lagFor returns the detection start lag for a class: heavier network
 // footprints trip the netstat-style counters sooner.
 func (f *Firewall) lagFor(class workload.Class) float64 {
@@ -146,7 +124,6 @@ func (f *Firewall) lagFor(class workload.Class) float64 {
 // Observe inspects one request and returns the verdict. A Banned verdict
 // also marks the request dropped.
 func (f *Firewall) Observe(now float64, req *workload.Request) Verdict {
-	f.observed++
 	if f.cfg.Disabled {
 		return Allowed
 	}
@@ -159,7 +136,6 @@ func (f *Firewall) Observe(now float64, req *workload.Request) Verdict {
 	}
 
 	if now < st.bannedTill {
-		f.dropped++
 		req.Dropped = true
 		req.DropReason = "firewall-ban"
 		return Banned
@@ -173,7 +149,6 @@ func (f *Firewall) Observe(now float64, req *workload.Request) Verdict {
 		// A limiter only counts what it admits: admitting this request must
 		// not push the windowed rate over the threshold.
 		if (f.rate(st)*f.cfg.WindowSec+nc)/f.cfg.WindowSec > f.cfg.ThresholdRPS {
-			f.dropped++
 			req.Dropped = true
 			req.DropReason = "firewall-limit"
 			return Limited
@@ -191,7 +166,6 @@ func (f *Firewall) Observe(now float64, req *workload.Request) Verdict {
 		if now-st.overSince >= f.lagFor(req.Class) {
 			st.bannedTill = now + f.cfg.BanSec
 			st.overSince = -1
-			f.bans++
 			if f.obs != nil {
 				f.obs.Emit(obs.Event{
 					T: now, Kind: obs.KindFirewallBan, Server: -1,
@@ -200,7 +174,6 @@ func (f *Firewall) Observe(now float64, req *workload.Request) Verdict {
 				})
 			}
 			// The triggering request is itself dropped: the rule fires on it.
-			f.dropped++
 			req.Dropped = true
 			req.DropReason = "firewall-ban"
 			return Banned
@@ -240,15 +213,4 @@ func (f *Firewall) rate(st *srcState) float64 {
 		total += b
 	}
 	return total / f.cfg.WindowSec
-}
-
-// ActiveBans returns how many sources are currently banned at time now.
-func (f *Firewall) ActiveBans(now float64) int {
-	n := 0
-	for _, st := range f.sources {
-		if now < st.bannedTill {
-			n++
-		}
-	}
-	return n
 }

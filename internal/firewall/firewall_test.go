@@ -3,8 +3,24 @@ package firewall
 import (
 	"testing"
 
+	"antidope/internal/obs"
 	"antidope/internal/workload"
 )
+
+// banCounter counts the ban decisions a firewall emits.
+type banCounter int
+
+func (c *banCounter) Emit(ev obs.Event) {
+	if ev.Kind == obs.KindFirewallBan {
+		*c++
+	}
+}
+
+// isBanned probes whether src is under a ban at now through the verdict on
+// one light request; a banned source's request never enters the window.
+func isBanned(f *Firewall, now float64, src workload.SourceID) bool {
+	return f.Observe(now, req(src, workload.TextCont)) == Banned
+}
 
 func req(src workload.SourceID, class workload.Class) *workload.Request {
 	return &workload.Request{Class: class, Source: src, Origin: workload.Attack}
@@ -30,9 +46,6 @@ func TestLowRateNeverBanned(t *testing.T) {
 	if banned != 0 {
 		t.Fatalf("banned %d low-rate requests", banned)
 	}
-	if f.Bans() != 0 {
-		t.Fatal("ban counter moved")
-	}
 }
 
 func TestHighRateBannedAfterLag(t *testing.T) {
@@ -49,7 +62,7 @@ func TestHighRateBannedAfterLag(t *testing.T) {
 	if float64(allowed)/float64(allowed+banned) > 0.6 {
 		t.Fatalf("too much leaked: %d/%d", allowed, allowed+banned)
 	}
-	if !f.IsBanned(30, 1) {
+	if !isBanned(f, 30, 1) {
 		t.Fatal("source not reported banned")
 	}
 }
@@ -79,10 +92,10 @@ func TestBanExpires(t *testing.T) {
 	cfg.BanSec = 30
 	f := New(cfg)
 	drive(f, 1, workload.VolumeFlood, 1000, 0, 20)
-	if !f.IsBanned(20, 1) {
+	if !isBanned(f, 20, 1) {
 		t.Fatal("source should be banned at t=20")
 	}
-	if f.IsBanned(60, 1) {
+	if isBanned(f, 60, 1) {
 		t.Fatal("ban should have expired by t=60")
 	}
 	// After expiry, a polite source is allowed again.
@@ -96,14 +109,16 @@ func TestRateBelowThresholdResetsOverTimer(t *testing.T) {
 	cfg.ThresholdRPS = 100
 	cfg.BaseLagSec = 10
 	f := New(cfg)
+	var bans banCounter
+	f.SetObserver(&bans)
 	// Burst above threshold for 5 s (shorter than the lag), then idle long
 	// enough for the window to drain, repeatedly: never banned.
 	for cycle := 0; cycle < 5; cycle++ {
 		start := float64(cycle) * 30
 		drive(f, 1, workload.CollaFilt, 500, start, 5)
 	}
-	if f.Bans() != 0 {
-		t.Fatalf("bursty-but-brief source banned %d times", f.Bans())
+	if bans != 0 {
+		t.Fatalf("bursty-but-brief source banned %d times", bans)
 	}
 }
 
@@ -113,11 +128,8 @@ func TestSourcesIndependent(t *testing.T) {
 	if f.Observe(30, req(2, workload.TextCont)) != Allowed {
 		t.Fatal("innocent source 2 collateral-banned")
 	}
-	if !f.IsBanned(30, 1) {
+	if !isBanned(f, 30, 1) {
 		t.Fatal("source 1 not banned")
-	}
-	if f.ActiveBans(30) != 1 {
-		t.Fatalf("active bans %d", f.ActiveBans(30))
 	}
 }
 
@@ -142,7 +154,7 @@ func TestDisabledPassesEverything(t *testing.T) {
 	if banned != 0 {
 		t.Fatal("disabled firewall banned traffic")
 	}
-	if f.IsBanned(10, 1) {
+	if isBanned(f, 10, 1) {
 		t.Fatal("disabled firewall reports bans")
 	}
 }
@@ -156,17 +168,6 @@ func TestBannedRequestMarkedDropped(t *testing.T) {
 	}
 	if !r.Dropped || r.DropReason != "firewall-ban" {
 		t.Fatalf("dropped=%v reason=%q", r.Dropped, r.DropReason)
-	}
-}
-
-func TestCounters(t *testing.T) {
-	f := New(DefaultConfig())
-	allowed, banned := drive(f, 1, workload.VolumeFlood, 1000, 0, 30)
-	if f.Observed() != uint64(allowed+banned) {
-		t.Fatalf("observed %d, drove %d", f.Observed(), allowed+banned)
-	}
-	if f.Dropped() != uint64(banned) {
-		t.Fatalf("dropped %d, banned %d", f.Dropped(), banned)
 	}
 }
 
@@ -224,6 +225,8 @@ func TestLimitModeDropsOnlyExcess(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Limit = true
 	f := New(cfg)
+	var bans banCounter
+	f.SetObserver(&bans)
 	// 300 req/s against a 150 req/s threshold: roughly half the requests
 	// are shed, and the source is never banned.
 	allowed, dropped := drive(f, 1, workload.CollaFilt, 300, 0, 60)
@@ -237,11 +240,8 @@ func TestLimitModeDropsOnlyExcess(t *testing.T) {
 	if frac < 0.3 || frac > 0.7 {
 		t.Fatalf("limit passed %.2f of a 2x-threshold flood, want ~0.5", frac)
 	}
-	if f.IsBanned(30, 1) {
+	if bans != 0 || isBanned(f, 30, 1) {
 		t.Fatal("limit mode banned a source")
-	}
-	if f.Bans() != 0 {
-		t.Fatal("ban counter moved in limit mode")
 	}
 }
 

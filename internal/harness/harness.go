@@ -8,11 +8,10 @@
 // internal/experiments locks down.
 //
 // The pool also replaces the former crash-on-error behaviour of the
-// experiment runners: a failing job is re-run under a configurable
-// RetryPolicy and then collected into the RunResult instead of panicking,
-// a panicking job is recovered into a labeled error carrying its stack,
-// and an optional per-job watchdog timeout converts a hung run into an
-// error — so one bad configuration cannot kill a whole paperbench run.
+// experiment runners: a failing job is run once more with the same config
+// and then collected into the RunResult instead of panicking, and a
+// panicking job is recovered into a labeled error carrying its stack, so
+// one bad configuration cannot kill a whole paperbench run.
 package harness
 
 import (
@@ -21,7 +20,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"antidope/internal/core"
 )
@@ -38,60 +36,22 @@ type Job struct {
 type RunResult struct {
 	Label  string
 	Result *core.Result
-	// Err is the terminal error after the retry policy; nil on success.
+	// Err is the terminal error after the retry; nil on success.
 	Err error
 	// Attempts is how many times the job ran.
 	Attempts int
 }
 
-// RetryPolicy governs how the pool re-runs a failing job. It is fully
-// deterministic: no wall-clock waits, no jitter — the "backoff" perturbs
-// the retry's seed instead of its start time, which is the meaningful axis
-// for a simulation whose only flakiness can be seed-dependent.
-type RetryPolicy struct {
-	// Attempts is the total number of tries per job; <= 0 selects the
-	// historic default of 2 (run once, retry once).
-	Attempts int
-	// Backoff offsets each retry's seed: attempt k (0-based) runs with
-	// Config.Seed + k·Backoff. Zero replays the identical run — right for
-	// assembly errors; nonzero gives each retry fresh randomness — right
-	// for seed-dependent pathologies.
-	Backoff uint64
-}
-
-// attempts returns the effective total tries.
-func (r RetryPolicy) attempts() int {
-	if r.Attempts <= 0 {
-		return 2
-	}
-	return r.Attempts
-}
+// attempts is how many times the pool runs a failing job: once, then one
+// retry with the identical config (same seed), which is right for assembly
+// errors and harmless for a deterministic failure.
+const attempts = 2
 
 // Pool is a fixed-width worker pool. The zero value is not usable; build
 // with New.
 type Pool struct {
 	workers int
-	retry   RetryPolicy
-	timeout time.Duration
 	tele    *Telemetry
-}
-
-// WithRetry replaces the pool's retry policy and returns the pool for
-// chaining.
-func (p *Pool) WithRetry(r RetryPolicy) *Pool {
-	p.retry = r
-	return p
-}
-
-// WithJobTimeout arms a per-job watchdog: an attempt still running after d
-// of wall time is abandoned and recorded as an error (and retried under
-// the pool's policy). Zero (the default) disables the watchdog — note that
-// a timeout makes outcomes depend on host speed, so determinism-sensitive
-// suites (goldens, replay tests) must leave it off. The abandoned attempt's
-// goroutine runs to completion in the background; its result is discarded.
-func (p *Pool) WithJobTimeout(d time.Duration) *Pool {
-	p.timeout = d
-	return p
 }
 
 // WithTelemetry attaches a harness self-observability collector: per-job
@@ -113,9 +73,6 @@ func New(workers int) *Pool {
 	}
 	return &Pool{workers: workers}
 }
-
-// Workers returns the pool width.
-func (p *Pool) Workers() int { return p.workers }
 
 // Run executes every job and returns the results in submission order,
 // regardless of completion order. Each failing job is retried once before
@@ -189,75 +146,22 @@ func (p *Pool) Go(fns []func()) {
 	wg.Wait()
 }
 
-// runJob executes one job under the pool's retry policy. Retrying after an
+// runJob executes one job, retrying a failure once. Retrying after an
 // assembly/validation error reuses the job's config safely (no stateful
-// component observed traffic yet); retrying after a mid-run panic or
-// timeout is best-effort — the config's Scheme may have observed part of a
-// run, which the seed perturbation cannot undo.
+// component observed traffic yet); retrying after a mid-run panic is
+// best-effort — the config's Scheme may have observed part of a run.
 func (p *Pool) runJob(cache *simCache, j Job, worker int) RunResult {
 	done := p.tele.jobBegin(worker, j.Label)
-	tries := p.retry.attempts()
 	var res *core.Result
 	var err error
-	for k := 0; k < tries; k++ {
-		cfg := j.Config
-		cfg.Seed = j.Config.Seed + uint64(k)*p.retry.Backoff
-		res, err = p.runOnce(cache, cfg)
-		if err == nil {
-			done(k+1, nil)
-			return RunResult{Label: j.Label, Result: res, Attempts: k + 1}
+	for k := 1; k <= attempts; k++ {
+		if res, err = cache.run(j.Config); err == nil {
+			done(k, nil)
+			return RunResult{Label: j.Label, Result: res, Attempts: k}
 		}
 	}
-	done(tries, err)
-	return RunResult{Label: j.Label, Result: res, Err: err, Attempts: tries}
-}
-
-// runOnce executes one attempt, guarded by the watchdog when armed.
-//
-// The transitive walltime check requires the assertion at this level, not
-// just at the sink: the watchdog timer is wall-clock ON PURPOSE even
-// though every simulation run flows through here — it decides when to
-// abandon a hung attempt and never feeds a value into a simulation.
-//
-//lint:allow walltime -- watchdog only; wall time never enters a simulation
-func (p *Pool) runOnce(cache *simCache, cfg core.Config) (*core.Result, error) {
-	if p.timeout <= 0 {
-		return cache.run(cfg)
-	}
-	// The watchdog path never touches the worker's cached simulation: an
-	// abandoned attempt's goroutine keeps running and still owns whatever
-	// simulation it was handed, so each attempt gets a throwaway one.
-	type outcome struct {
-		res *core.Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		r, e := runRecovered(cfg)
-		ch <- outcome{r, e}
-	}()
-	timer := time.NewTimer(p.timeout) //lint:allow walltime -- watchdog: wall time only decides when to abandon a hung attempt, never anything inside a simulation
-
-	defer timer.Stop()
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-timer.C:
-		return nil, fmt.Errorf("attempt exceeded the %v job timeout", p.timeout)
-	}
-}
-
-// runRecovered converts a panicking simulation into an error carrying the
-// panic value and stack, so one broken configuration surfaces in the
-// result set instead of killing the whole suite.
-func runRecovered(cfg core.Config) (res *core.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = fmt.Errorf("simulation panicked: %v\n%s", r, debug.Stack())
-		}
-	}()
-	return core.RunOnce(cfg)
+	done(attempts, err)
+	return RunResult{Label: j.Label, Result: res, Err: err, Attempts: attempts}
 }
 
 // simCache is one worker's reusable simulation. Reset is result-identical
@@ -268,8 +172,9 @@ type simCache struct {
 	sim *core.Simulation
 }
 
-// run executes one attempt on the cached simulation, recovering panics the
-// same way runRecovered does.
+// run executes one attempt on the cached simulation, converting a panic
+// into an error carrying the panic value and stack, so one broken
+// configuration surfaces in the result set instead of killing the suite.
 func (c *simCache) run(cfg core.Config) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {

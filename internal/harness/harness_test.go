@@ -1,11 +1,12 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"antidope/internal/core"
 	"antidope/internal/defense"
@@ -28,12 +29,21 @@ func badJob(label string) Job {
 	return Job{Label: label, Config: cfg}
 }
 
+// TestDefaultWorkers reads the pool width from the telemetry gauge a run
+// sets: workers <= 0 selects GOMAXPROCS, a positive count is kept.
 func TestDefaultWorkers(t *testing.T) {
-	if New(0).Workers() < 1 {
-		t.Fatal("default pool has no workers")
-	}
-	if got := New(7).Workers(); got != 7 {
-		t.Fatalf("workers = %d, want 7", got)
+	for _, c := range []struct{ workers, want int }{{0, runtime.GOMAXPROCS(0)}, {7, 7}} {
+		tele := NewTelemetry()
+		if err := Errs(New(c.workers).WithTelemetry(tele).Run([]Job{job(0), job(1)})); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tele.GatherPrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("harness_pool_workers %d\n", c.want); !strings.Contains(buf.String(), want) {
+			t.Fatalf("New(%d): scrape lacks %q:\n%s", c.workers, want, buf.String())
+		}
 	}
 }
 
@@ -83,37 +93,6 @@ func TestRetryOncePolicy(t *testing.T) {
 	}
 }
 
-func TestRetryPolicyAttempts(t *testing.T) {
-	rr := New(1).WithRetry(RetryPolicy{Attempts: 4}).Run([]Job{badJob("bad")})
-	if rr[0].Err == nil || rr[0].Attempts != 4 {
-		t.Fatalf("err=%v attempts=%d, want an error after 4 tries", rr[0].Err, rr[0].Attempts)
-	}
-	rr = New(1).WithRetry(RetryPolicy{Attempts: 1}).Run([]Job{badJob("bad")})
-	if rr[0].Attempts != 1 {
-		t.Fatalf("attempts=%d with retries disabled, want 1", rr[0].Attempts)
-	}
-}
-
-// TestRetryBackoffPerturbsSeed: with a nonzero Backoff a successful retry
-// runs a different seed than the first attempt would replay — visible as
-// measurements differing from the Backoff=0 run of the same job.
-func TestRetryBackoffPerturbsSeed(t *testing.T) {
-	// The same good job runs attempt 0 in both pools, so Backoff must not
-	// change anything for jobs that succeed first try.
-	j := job(3)
-	plain := New(1).Run([]Job{j})
-	shifted := New(1).WithRetry(RetryPolicy{Attempts: 3, Backoff: 1000}).Run([]Job{j})
-	if plain[0].Err != nil || shifted[0].Err != nil {
-		t.Fatalf("clean jobs errored: %v / %v", plain[0].Err, shifted[0].Err)
-	}
-	if plain[0].Result.CompletedLegit != shifted[0].Result.CompletedLegit {
-		t.Fatal("Backoff changed a first-attempt success")
-	}
-	if plain[0].Attempts != 1 || shifted[0].Attempts != 1 {
-		t.Fatalf("attempts %d/%d, want 1/1", plain[0].Attempts, shifted[0].Attempts)
-	}
-}
-
 // panicScheme blows up inside ControlSlot to exercise panic capture.
 type panicScheme struct{ defense.Scheme }
 
@@ -127,9 +106,9 @@ func TestPanicBecomesLabeledError(t *testing.T) {
 	cfg.WarmupSec = 1
 	cfg.NormalRPS = 10
 	cfg.Scheme = panicScheme{defense.NewNone()}
-	rr := New(1).WithRetry(RetryPolicy{Attempts: 1}).Run([]Job{{Label: "boom", Config: cfg}})
-	if rr[0].Err == nil {
-		t.Fatal("panicking job reported success")
+	rr := New(1).Run([]Job{{Label: "boom", Config: cfg}})
+	if rr[0].Err == nil || rr[0].Attempts != 2 {
+		t.Fatalf("panicking job: err=%v attempts=%d, want an error after 2 tries", rr[0].Err, rr[0].Attempts)
 	}
 	msg := rr[0].Err.Error()
 	if !strings.Contains(msg, "injected test panic") || !strings.Contains(msg, "ControlSlot") {
@@ -137,34 +116,6 @@ func TestPanicBecomesLabeledError(t *testing.T) {
 	}
 	if err := Errs(rr); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("Errs = %v, want the failing label", err)
-	}
-}
-
-// stallScheme blocks a run until released, to exercise the watchdog.
-type stallScheme struct {
-	defense.Scheme
-	gate chan struct{}
-}
-
-func (s stallScheme) ControlSlot(now float64, env *defense.Env) defense.SlotReport {
-	<-s.gate
-	return defense.SlotReport{}
-}
-
-func TestJobTimeoutConvertsHangToError(t *testing.T) {
-	gate := make(chan struct{})
-	defer close(gate) // release the abandoned goroutine at test end
-	cfg := core.DefaultConfig()
-	cfg.Horizon = 12
-	cfg.WarmupSec = 1
-	cfg.NormalRPS = 10
-	cfg.Scheme = stallScheme{defense.NewNone(), gate}
-	rr := New(1).
-		WithRetry(RetryPolicy{Attempts: 1}).
-		WithJobTimeout(50 * time.Millisecond).
-		Run([]Job{{Label: "hung", Config: cfg}})
-	if rr[0].Err == nil || !strings.Contains(rr[0].Err.Error(), "timeout") {
-		t.Fatalf("hung job err = %v, want a timeout error", rr[0].Err)
 	}
 }
 

@@ -68,15 +68,13 @@ func TestTelemetryCountsFailuresAndRetries(t *testing.T) {
 	bad := core.DefaultConfig()
 	bad.Horizon = -1 // fails validation on every attempt
 	tele := NewTelemetry()
-	res := New(1).WithTelemetry(tele).
-		WithRetry(RetryPolicy{Attempts: 3}).
-		Run([]Job{{Label: "doomed", Config: bad}})
+	res := New(1).WithTelemetry(tele).Run([]Job{{Label: "doomed", Config: bad}})
 	if res[0].Err == nil {
 		t.Fatal("invalid config unexpectedly succeeded")
 	}
 
 	recs := tele.Records()
-	if len(recs) != 1 || recs[0].Attempts != 3 || recs[0].Err == "" {
+	if len(recs) != 1 || recs[0].Attempts != 2 || recs[0].Err == "" {
 		t.Fatalf("failure record wrong: %+v", recs)
 	}
 
@@ -89,7 +87,7 @@ func TestTelemetryCountsFailuresAndRetries(t *testing.T) {
 		"harness_jobs_started_total 1",
 		"harness_jobs_completed_total 0",
 		"harness_jobs_failed_total 1",
-		"harness_job_retries_total 2",
+		"harness_job_retries_total 1",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want+"\n")) {
 			t.Errorf("scrape missing %q:\n%s", want, out)

@@ -12,25 +12,33 @@ import (
 // This file is the lint suite's cross-package facts layer: an approximate
 // whole-program call graph over every loaded package, built once per run
 // and shared by the program analyzers (transitive walltime/globalrand,
-// and any future reachability check).
+// deadcode).
 //
 // The graph is deliberately over-approximate — it must never miss a path
-// from a simulation root to a non-deterministic sink, at the cost of some
-// spurious edges:
+// from a root to a non-deterministic sink, or keep a live function off the
+// reachable set, at the cost of some spurious edges:
 //
 //   - Static calls resolve through the type checker (including method
 //     calls on concrete receivers).
-//   - Interface method calls use class-hierarchy analysis: an edge is
-//     added to every concrete method of that name, on any named type in
-//     the program that implements the interface.
+//   - Interface method calls, and interface method values, edge to every
+//     concrete method in the program with the same name and the same
+//     printed parameter and result types (sigKey).
 //   - Calls through func values (the engine firing a scheduled callback,
 //     a pre-bound method value, a stored closure) edge to every
-//     address-taken function or closure in the program whose signature is
-//     identical — the graph never needs to know *which* callback a
-//     dynamic call site fires, only which ones it could.
-//   - A func value handed to a function outside the loaded set (say a
-//     comparator passed to sort.Slice) gets a direct may-call edge from
-//     the caller, since the callee's body is not available to carry it.
+//     address-taken function or closure in the program with the same
+//     sigKey — the graph never needs to know *which* callback a dynamic
+//     call site fires, only which ones it could.
+//   - Taking a function's value, or creating a literal, is itself an edge
+//     from the enclosing function: the value may be handed to code outside
+//     the load (a comparator passed to sort.Slice) that calls it invisibly.
+//   - Package-level var initializers are walked into one node per package,
+//     named "pkg/path.var", so a literal stored in a package variable is a
+//     node too.
+//
+// Types are compared by their printed form, never by identity: each
+// package is type-checked against its dependencies' export data, so the
+// same named type seen from two packages is two distinct types.Type values
+// that print alike.
 //
 // Function literals are first-class nodes named parent$n, so a chain
 // through a pre-bound callback reads naturally in diagnostics.
@@ -71,8 +79,9 @@ type FuncNode struct {
 	// Sinks are direct uses of forbidden entry points in this body.
 	Sinks []SinkCall
 
-	// litSig is the signature of a function literal node (Obj == nil).
-	litSig *types.Signature
+	// sig is the sigKey of the function's value type; empty for the
+	// per-package variable-initializer node.
+	sig string
 }
 
 // CallEdge is one possible call from a function.
@@ -104,7 +113,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		byObj:         map[*types.Func]*FuncNode{},
 		methodsByName: map[string][]*FuncNode{},
 	}
-	b := &graphBuilder{g: g}
+	b := &graphBuilder{g: g, called: map[*ast.Ident]bool{}}
 	// Pass 1: create nodes for every declared function and method, and
 	// index concrete methods for interface resolution.
 	for _, pkg := range pkgs {
@@ -118,11 +127,17 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 				if obj == nil {
 					continue
 				}
+				name := funcDisplayName(obj)
+				for i := 2; g.Nodes[name] != nil && obj.Name() == "init"; i++ {
+					// A package may declare several init functions.
+					name = fmt.Sprintf("%s#%d", funcDisplayName(obj), i)
+				}
 				node := &FuncNode{
-					Name: funcDisplayName(obj),
+					Name: name,
 					Obj:  obj,
 					Pkg:  pkg,
 					Pos:  fd.Pos(),
+					sig:  sigKey(obj.Type().(*types.Signature)),
 				}
 				g.Nodes[node.Name] = node
 				g.byObj[obj] = node
@@ -132,21 +147,34 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 			}
 		}
 	}
-	// Pass 2: walk bodies, creating literal nodes and collecting edges,
-	// sinks, and the address-taken set.
+	// Pass 2: walk bodies and package variable initializers, creating
+	// literal nodes and collecting edges, sinks, and the address-taken set.
 	for _, pkg := range pkgs {
+		var inits []ast.Node
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					obj, _ := pkg.Info.Defs[d.Name].(*types.Func)
+					if obj != nil && d.Body != nil {
+						b.walkBody(g.byObj[obj], pkg, d.Body)
+					}
+				case *ast.GenDecl:
+					if d.Tok != token.VAR {
+						continue
+					}
+					for _, spec := range d.Specs {
+						for _, v := range spec.(*ast.ValueSpec).Values {
+							inits = append(inits, v)
+						}
+					}
 				}
-				obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				if obj == nil {
-					continue
-				}
-				b.walkBody(g.byObj[obj], pkg, fd.Body)
 			}
+		}
+		if len(inits) > 0 {
+			node := &FuncNode{Name: varInitName(pkg.Path), Pkg: pkg, Pos: inits[0].Pos()}
+			g.Nodes[node.Name] = node
+			b.walkBody(node, pkg, inits...)
 		}
 	}
 	// Pass 3: resolve dynamic calls against the address-taken set.
@@ -159,18 +187,26 @@ type graphBuilder struct {
 	// dynCalls are call sites through func values, resolved after the
 	// address-taken set is complete.
 	dynCalls []dynCall
+	// called marks identifiers in call position, which recordCall has
+	// already classified; recordUse skips them.
+	called map[*ast.Ident]bool
 }
 
 type dynCall struct {
 	caller *FuncNode
-	sig    *types.Signature
+	sig    string
 	pos    token.Pos
 }
 
+// varInitName is the node name of a package's variable initializers.
+// "var" is a keyword, so the name never collides with a declared function.
+func varInitName(pkgPath string) string { return pkgPath + ".var" }
+
 // walkBody collects edges, sinks, and nested literals for one function
-// body. Nested FuncLits become their own nodes; statements inside them are
-// attributed to the literal, not the parent.
-func (b *graphBuilder) walkBody(node *FuncNode, pkg *Package, body *ast.BlockStmt) {
+// body (or, for the variable-initializer node, every initializer
+// expression of its package). Nested FuncLits become their own nodes;
+// statements inside them are attributed to the literal, not the parent.
+func (b *graphBuilder) walkBody(node *FuncNode, pkg *Package, bodies ...ast.Node) {
 	litCount := 0
 	var walk func(n ast.Node, owner *FuncNode) bool
 	walk = func(n ast.Node, owner *FuncNode) bool {
@@ -183,34 +219,43 @@ func (b *graphBuilder) walkBody(node *FuncNode, pkg *Package, body *ast.BlockStm
 				Pos:  e.Pos(),
 			}
 			if tv, ok := pkg.Info.Types[e]; ok {
-				lit.litSig, _ = tv.Type.Underlying().(*types.Signature)
+				if sig, ok := tv.Type.Underlying().(*types.Signature); ok {
+					lit.sig = sigKey(sig)
+				}
 			}
 			b.g.Nodes[lit.Name] = lit
-			// A literal only runs if something calls its value; creating it
-			// marks it address-taken (rule 1 of the dynamic-call model).
+			// A literal only runs if something calls its value: whoever
+			// creates it may (it can escape to code outside the load), and
+			// so may every dynamic call of its type.
+			owner.Calls = append(owner.Calls, CallEdge{Callee: lit, Pos: e.Pos()})
 			b.g.addrTaken = append(b.g.addrTaken, lit)
 			ast.Inspect(e.Body, func(m ast.Node) bool { return walk(m, lit) })
 			return false // children handled under the literal's identity
 		case *ast.CallExpr:
 			b.recordCall(owner, pkg, e)
 			return true
-		case *ast.SelectorExpr:
-			b.recordUse(owner, pkg, e.Sel, e)
-			return true
 		case *ast.Ident:
-			b.recordUse(owner, pkg, e, e)
+			b.recordUse(owner, pkg, e)
 			return true
 		}
 		return true
 	}
-	ast.Inspect(body, func(n ast.Node) bool { return walk(n, node) })
+	for _, body := range bodies {
+		ast.Inspect(body, func(n ast.Node) bool { return walk(n, node) })
+	}
 }
 
 // recordCall classifies one call expression and adds the matching edge or
 // sink. Non-call uses of function values are handled by recordUse; the
-// callee expression itself is excluded from address-taking by position.
+// callee identifier itself is marked so recordUse skips it.
 func (b *graphBuilder) recordCall(owner *FuncNode, pkg *Package, call *ast.CallExpr) {
 	callee := ast.Unparen(call.Fun)
+	switch fn := callee.(type) {
+	case *ast.Ident:
+		b.called[fn] = true
+	case *ast.SelectorExpr:
+		b.called[fn.Sel] = true
+	}
 
 	// Conversions and builtin calls are not calls for our purposes.
 	if tv, ok := pkg.Info.Types[callee]; ok && tv.IsType() {
@@ -244,36 +289,33 @@ func (b *graphBuilder) recordCall(owner *FuncNode, pkg *Package, call *ast.CallE
 	// Anything else with a function type is a dynamic call through a value.
 	if tv, ok := pkg.Info.Types[callee]; ok {
 		if sig, ok := tv.Type.Underlying().(*types.Signature); ok {
-			b.dynCalls = append(b.dynCalls, dynCall{caller: owner, sig: sig, pos: call.Pos()})
+			b.dynCalls = append(b.dynCalls, dynCall{caller: owner, sig: sigKey(sig), pos: call.Pos()})
 		}
 	}
 }
 
 // recordUse handles a non-call mention of a function: taking a method
 // value, assigning a function to a variable, passing it as an argument.
-// Such a function joins the address-taken set; when the reference is an
-// argument to a function outside the loaded set, the caller also gets a
-// direct may-call edge (the external callee can invoke it invisibly).
-func (b *graphBuilder) recordUse(owner *FuncNode, pkg *Package, ident *ast.Ident, expr ast.Expr) {
+// Such a function joins the address-taken set, and the enclosing function
+// gets a direct may-call edge to it, since the value can be handed to a
+// function outside the loaded set that invokes it invisibly. An interface
+// method value edges to every method it could bind.
+func (b *graphBuilder) recordUse(owner *FuncNode, pkg *Package, ident *ast.Ident) {
 	obj, ok := pkg.Info.Uses[ident].(*types.Func)
-	if !ok {
+	if !ok || b.called[ident] {
 		return
 	}
-	// Only references outside call position matter; calls were classified
-	// by recordCall. A cheap disambiguation: a call's Fun is visited via
-	// recordCall's return path, but ast.Inspect still reaches it, so skip
-	// idents whose parent call already consumed them by checking the type
-	// of the surrounding expression is a signature AND the use is not
-	// invoked. Precise parent tracking costs more than it is worth: an
-	// extra address-taken entry for a directly-called function only adds
-	// edges the static pass already added.
+	if recvIsInterface(obj) {
+		b.addInterfaceEdges(owner, obj, ident.Pos())
+		return
+	}
 	node := b.nodeFor(obj)
 	if node == nil {
-		b.recordSinkUse(owner, obj, expr.Pos())
+		b.recordSinkUse(owner, obj, ident.Pos())
 		return
 	}
+	owner.Calls = append(owner.Calls, CallEdge{Callee: node, Pos: ident.Pos()})
 	b.g.addrTaken = append(b.g.addrTaken, node)
-	_ = expr
 }
 
 // nodeFor returns the graph node for a declared function, or nil when the
@@ -328,29 +370,19 @@ func (b *graphBuilder) recordSinkUse(owner *FuncNode, callee *types.Func, pos to
 }
 
 // addInterfaceEdges links caller to every concrete method in the program
-// that the interface call could dispatch to.
+// that the interface call could dispatch to: same name, same sigKey.
 func (b *graphBuilder) addInterfaceEdges(owner *FuncNode, iface *types.Func, pos token.Pos) {
-	recv := iface.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return
-	}
-	itype, ok := recv.Type().Underlying().(*types.Interface)
-	if !ok {
-		return
-	}
+	key := sigKey(iface.Type().(*types.Signature))
 	for _, cand := range b.g.methodsByName[iface.Name()] {
-		crecv := cand.Obj.Type().(*types.Signature).Recv()
-		if crecv == nil {
-			continue
-		}
-		if types.Implements(crecv.Type(), itype) {
+		if cand.sig == key {
 			owner.Calls = append(owner.Calls, CallEdge{Callee: cand, Pos: pos})
 		}
 	}
 }
 
 // resolveDynamic links every recorded dynamic call site to the
-// address-taken functions whose signature matches.
+// address-taken functions with the same sigKey. A method value's key
+// drops the receiver, as sigKey never prints it.
 func (b *graphBuilder) resolveDynamic() {
 	// Dedup the address-taken set while keeping a stable order.
 	seen := map[*FuncNode]bool{}
@@ -364,34 +396,40 @@ func (b *graphBuilder) resolveDynamic() {
 	sort.Slice(targets, func(i, j int) bool { return targets[i].Name < targets[j].Name })
 	b.g.addrTaken = targets
 
+	bySig := map[string][]*FuncNode{}
+	for _, t := range targets {
+		bySig[t.sig] = append(bySig[t.sig], t)
+	}
 	for _, dc := range b.dynCalls {
-		for _, t := range targets {
-			if matchesSignature(t, dc.sig) {
-				dc.caller.Calls = append(dc.caller.Calls, CallEdge{Callee: t, Pos: dc.pos})
-			}
+		for _, t := range bySig[dc.sig] {
+			dc.caller.Calls = append(dc.caller.Calls, CallEdge{Callee: t, Pos: dc.pos})
 		}
 	}
 }
 
-// matchesSignature reports whether node could be the value behind a call
-// of the given signature. Literal nodes carry no types.Func, so they match
-// structurally by their package's recorded info being unavailable — the
-// builder stores literal signatures on creation instead.
-func matchesSignature(node *FuncNode, sig *types.Signature) bool {
-	if node.Obj == nil {
-		// Function literal: match on the signature captured at creation.
-		return node.litSig != nil && types.Identical(node.litSig, sig)
+// sigKey prints a signature's parameter and result types, with full
+// package paths, as the key that matches callers to callees across type
+// universes. Parameter names are left out, so Tick(r *Req) and Tick(*Req)
+// share a key, and so is the receiver.
+func sigKey(sig *types.Signature) string {
+	var sb strings.Builder
+	for i, t := range [2]*types.Tuple{sig.Params(), sig.Results()} {
+		if i > 0 {
+			sb.WriteString(" ")
+		}
+		sb.WriteString("(")
+		for j := 0; j < t.Len(); j++ {
+			if j > 0 {
+				sb.WriteString(", ")
+			}
+			if sig.Variadic() && i == 0 && j == t.Len()-1 {
+				sb.WriteString("...")
+			}
+			sb.WriteString(types.TypeString(t.At(j).Type(), nil))
+		}
+		sb.WriteString(")")
 	}
-	nsig, ok := node.Obj.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	// A method value's signature drops the receiver.
-	cmp := nsig
-	if nsig.Recv() != nil {
-		cmp = types.NewSignatureType(nil, nil, nil, nsig.Params(), nsig.Results(), nsig.Variadic())
-	}
-	return types.Identical(cmp, sig)
+	return sb.String()
 }
 
 // Reach computes the set of node names reachable from the given roots and

@@ -29,6 +29,25 @@ func TestWallTimeReach(t *testing.T) {
 	linttest.RunProgram(t, lint.WallTimeReach, "./testdata/src/progwalltime/...")
 }
 
+// The cross-package fixture reaches the wall clock through the four edge
+// kinds that need printed-type matching or value hand-off: an interface
+// method naming another package's type, a stored callback with such a
+// parameter, a closure passed to sort.Slice, and a literal in a package
+// variable.
+func TestWallTimeReachCrossPackage(t *testing.T) {
+	linttest.RunProgram(t, lint.WallTimeReach, "./testdata/src/progcross/...")
+}
+
+func TestDeadCode(t *testing.T) {
+	linttest.RunProgram(t, lint.DeadCode, "./testdata/src/progdead/...")
+}
+
+// Without a main package there is no entry point, so a partial load must
+// report nothing rather than every function in it.
+func TestDeadCodeNeedsMain(t *testing.T) {
+	linttest.RunProgram(t, lint.DeadCode, "./testdata/src/progdead/lib")
+}
+
 func TestGlobalRandReach(t *testing.T) {
 	linttest.RunProgram(t, lint.GlobalRandReach, "./testdata/src/progrand/...")
 }

@@ -31,6 +31,8 @@ type want struct {
 
 // Run executes analyzer a over the fixture package testdata/src/<fixture>
 // and fails t on any mismatch between diagnostics and want comments.
+//
+//lint:allow deadcode -- harness of internal/lint/lint_test.go, linttest's only importer
 func Run(t *testing.T, a *lint.Analyzer, fixture string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", fixture)
@@ -117,6 +119,8 @@ func Run(t *testing.T, a *lint.Analyzer, fixture string) {
 // Roots come from //lint:root markers on fixture function docs, so each
 // fixture program declares its own entry points. Diagnostics are matched
 // against the same `// want "regexp"` comments as Run.
+//
+//lint:allow deadcode -- harness of internal/lint/lint_test.go, linttest's only importer
 func RunProgram(t *testing.T, a *lint.ProgramAnalyzer, patterns ...string) {
 	t.Helper()
 	dir, err := filepath.Abs(".")
@@ -168,6 +172,7 @@ func RunProgram(t *testing.T, a *lint.ProgramAnalyzer, patterns ...string) {
 	}
 }
 
+//lint:allow deadcode -- harness of internal/lint/lint_test.go, linttest's only importer
 func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) map[string]*want {
 	t.Helper()
 	wants := map[string]*want{}

@@ -134,6 +134,8 @@ func Check(fset *token.FileSet, path string, files []*ast.File, imp types.Import
 // ExportImporter builds an importer backed by compiled export data for
 // the named packages and their transitive dependencies. The lint tests
 // use it to type-check fixture files that import the standard library.
+//
+//lint:allow deadcode -- called by linttest, the harness of internal/lint/lint_test.go
 func ExportImporter(fset *token.FileSet, pkgs ...string) (types.Importer, error) {
 	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Export"}, pkgs...)
 	cmd := exec.Command("go", args...)

@@ -62,6 +62,8 @@ func (p *Program) roots() []*FuncNode {
 // carries a //lint:root marker. Production runs use DefaultRoots; fixture
 // programs declare their entry points inline with this marker instead, so
 // a test program is self-describing.
+//
+//lint:allow deadcode -- called by linttest, the harness of internal/lint/lint_test.go
 func RootsFromComments(pkgs []*Package) []string {
 	var out []string
 	for _, pkg := range pkgs {
@@ -103,6 +105,7 @@ func AllProgram() []*ProgramAnalyzer {
 	return []*ProgramAnalyzer{
 		WallTimeReach,
 		GlobalRandReach,
+		DeadCode,
 		HotAlloc,
 	}
 }

@@ -18,8 +18,9 @@ import (
 // "this function may touch the wall clock even though a simulation can
 // reach it" — the allow comment must sit at the chain head: on (or
 // directly above) the declaration of the function containing the sink.
-// The harness watchdog is the canonical example: its timer is annotated
-// at both levels, with the reason documented once at the function head.
+// harness.(*Telemetry).jobBegin is the canonical example: its job timer is
+// annotated at both levels, with the reason documented once at the
+// function head.
 
 // WallTimeReach reports wall-clock entry points reachable from the
 // simulation roots, with the call chain.
@@ -63,8 +64,8 @@ func runReach(p *Program, kind SinkKind) ([]Diagnostic, error) {
 			continue
 		}
 		chain := Chain(parent, n)
-		// One call site can be recorded twice (call classification and the
-		// selector walk both see it); dedupe by source line and sink name.
+		// Report each entry point once per source line, however often the
+		// line uses it.
 		seen := map[string]bool{}
 		for _, s := range n.Sinks {
 			pos := fset.Position(s.Pos)

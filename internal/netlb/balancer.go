@@ -56,8 +56,7 @@ type Balancer struct {
 	// every up server is reachable.
 	reachable func(id int) bool
 
-	routedSuspect  uint64
-	routedInnocent uint64
+	routedSuspect uint64
 
 	// poolBuf backs the PDF sub-pool poolOf returns, reused by every Route.
 	poolBuf []*server.Server
@@ -73,15 +72,6 @@ func New(servers []*server.Server, policy Policy) (*Balancer, error) {
 	return &Balancer{servers: servers, policy: policy, suspectURLs: map[string]bool{}}, nil
 }
 
-// MustNew is New for known-good configurations.
-func MustNew(servers []*server.Server, policy Policy) *Balancer {
-	b, err := New(servers, policy)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // SetSuspectList installs the PDF suspect list (URL set). Passing an empty
 // list disables the split.
 func (b *Balancer) SetSuspectList(urls []string) {
@@ -89,16 +79,6 @@ func (b *Balancer) SetSuspectList(urls []string) {
 	for _, u := range urls {
 		b.suspectURLs[u] = true
 	}
-}
-
-// SuspectList returns the installed suspect URLs, sorted.
-func (b *Balancer) SuspectList() []string {
-	out := make([]string, 0, len(b.suspectURLs))
-	for u := range b.suspectURLs {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SetProfiler installs (or clears, with nil) the online source profiler.
@@ -117,9 +97,6 @@ func (b *Balancer) SetObserver(o obs.Observer) {
 		b.profiler.SetObserver(o)
 	}
 }
-
-// Profiler returns the installed source profiler, if any.
-func (b *Balancer) Profiler() *SourceProfiler { return b.profiler }
 
 // SetReachable installs (or clears, with nil) the network reachability
 // predicate. Partitioned servers are skipped by every pick exactly like
@@ -177,11 +154,7 @@ func (b *Balancer) Route(req *workload.Request) *server.Server {
 		}
 		if suspect {
 			b.routedSuspect++
-		} else {
-			b.routedInnocent++
 		}
-	} else {
-		b.routedInnocent++
 	}
 	sv := b.pick(pool)
 	if sv == nil && split {
@@ -240,10 +213,6 @@ func (b *Balancer) pick(pool []*server.Server) *server.Server {
 
 // RoutedSuspect returns how many requests the split sent to suspect nodes.
 func (b *Balancer) RoutedSuspect() uint64 { return b.routedSuspect }
-
-// RoutedInnocent returns how many requests went to the innocent pool (or
-// through plain spreading).
-func (b *Balancer) RoutedInnocent() uint64 { return b.routedInnocent }
 
 // BuildSuspectList performs the offline profiling of Section 5.2: it ranks
 // the catalog's application endpoints by per-request power-cost score and

@@ -8,7 +8,7 @@ import (
 
 func TestPickSkipsDownServers(t *testing.T) {
 	servers := pool(3)
-	b := MustNew(servers, RoundRobin)
+	b := must(New(servers, RoundRobin))
 	servers[1].Advance(0)
 	servers[1].Crash(0)
 	for i := 0; i < 12; i++ {
@@ -24,7 +24,7 @@ func TestPickSkipsDownServers(t *testing.T) {
 
 func TestLeastLoadedSkipsDownServers(t *testing.T) {
 	servers := pool(2)
-	b := MustNew(servers, LeastLoaded)
+	b := must(New(servers, LeastLoaded))
 	// Server 0 idle but down, server 1 loaded but up: the loaded one wins.
 	servers[0].Advance(0)
 	servers[0].Crash(0)
@@ -37,7 +37,7 @@ func TestLeastLoadedSkipsDownServers(t *testing.T) {
 
 func TestRouteNilWhenAllDown(t *testing.T) {
 	servers := pool(2)
-	b := MustNew(servers, LeastLoaded)
+	b := must(New(servers, LeastLoaded))
 	for _, s := range servers {
 		s.Advance(0)
 		s.Crash(0)
@@ -50,7 +50,7 @@ func TestRouteNilWhenAllDown(t *testing.T) {
 func TestRouteSpillsFromDeadSuspectPool(t *testing.T) {
 	servers := pool(4)
 	servers[0].Suspect = true
-	b := MustNew(servers, LeastLoaded)
+	b := must(New(servers, LeastLoaded))
 	b.SetSuspectList([]string{workload.Lookup(workload.KMeans).URL})
 
 	// Sanity: suspect traffic lands on the suspect pool while it is up.
@@ -72,7 +72,7 @@ func TestRouteSpillsFromDeadSuspectPool(t *testing.T) {
 
 func TestRecoveredServerRejoinsRotation(t *testing.T) {
 	servers := pool(3)
-	b := MustNew(servers, RoundRobin)
+	b := must(New(servers, RoundRobin))
 	servers[2].Advance(0)
 	servers[2].Crash(0)
 	for i := 0; i < 6; i++ {
@@ -95,7 +95,7 @@ func TestRecoveredServerRejoinsRotation(t *testing.T) {
 // down-server skipping must not perturb the rotation of a healthy cluster.
 func TestRoundRobinSequenceUnchangedWhenAllUp(t *testing.T) {
 	servers := pool(3)
-	b := MustNew(servers, RoundRobin)
+	b := must(New(servers, RoundRobin))
 	var got []int
 	for i := 0; i < 9; i++ {
 		got = append(got, b.Route(reqFor(workload.AliNormal)).ID)

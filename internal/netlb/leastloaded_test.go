@@ -32,7 +32,7 @@ func TestLeastLoadedTieBreaking(t *testing.T) {
 					servers[i].Admit(0, reqFor(workload.CollaFilt))
 				}
 			}
-			b := MustNew(servers, LeastLoaded)
+			b := must(New(servers, LeastLoaded))
 			if s := b.Route(reqFor(workload.AliNormal)); s.ID != tc.want {
 				t.Fatalf("routed to server %d, want %d (inflight %v)", s.ID, tc.want, tc.inflight)
 			}

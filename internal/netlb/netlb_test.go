@@ -9,12 +9,20 @@ import (
 	"antidope/internal/workload"
 )
 
+// must unwraps a constructor that cannot fail on the fixed test configs.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func pool(n int) []*server.Server {
 	var out []*server.Server
 	for i := 0; i < n; i++ {
-		out = append(out, server.MustNew(server.Config{
+		out = append(out, must(server.New(server.Config{
 			ID: i, Cores: 4, MaxInflight: 64, Model: power.DefaultModel(),
-		}))
+		})))
 	}
 	return out
 }
@@ -32,7 +40,7 @@ func TestNewRequiresServers(t *testing.T) {
 
 func TestRoundRobinCycles(t *testing.T) {
 	servers := pool(3)
-	b := MustNew(servers, RoundRobin)
+	b := must(New(servers, RoundRobin))
 	seen := map[int]int{}
 	for i := 0; i < 9; i++ {
 		s := b.Route(reqFor(workload.AliNormal))
@@ -51,7 +59,7 @@ func TestLeastLoadedPicksIdle(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		servers[0].Admit(0, reqFor(workload.CollaFilt))
 	}
-	b := MustNew(servers, LeastLoaded)
+	b := must(New(servers, LeastLoaded))
 	s := b.Route(reqFor(workload.AliNormal))
 	if s.ID != 1 {
 		t.Fatalf("least-loaded picked busy server %d", s.ID)
@@ -67,7 +75,7 @@ func TestPolicyString(t *testing.T) {
 func TestSplitRoutesByURL(t *testing.T) {
 	servers := pool(4)
 	servers[0].Suspect = true
-	b := MustNew(servers, LeastLoaded)
+	b := must(New(servers, LeastLoaded))
 	b.SetSuspectList([]string{workload.Lookup(workload.CollaFilt).URL})
 	if !b.SplitActive() {
 		t.Fatal("split not active")
@@ -95,14 +103,14 @@ func TestSplitRoutesByURL(t *testing.T) {
 			t.Fatal("innocent request stamped suspect")
 		}
 	}
-	if b.RoutedSuspect() != 10 || b.RoutedInnocent() != 10 {
-		t.Fatalf("routing counters %d/%d", b.RoutedSuspect(), b.RoutedInnocent())
+	if b.RoutedSuspect() != 10 {
+		t.Fatalf("routed %d requests to the suspect pool, want 10", b.RoutedSuspect())
 	}
 }
 
 func TestSplitInactiveWithoutSuspectServers(t *testing.T) {
 	servers := pool(4) // nobody marked suspect
-	b := MustNew(servers, RoundRobin)
+	b := must(New(servers, RoundRobin))
 	b.SetSuspectList([]string{"/recommend"})
 	if b.SplitActive() {
 		t.Fatal("split active without a suspect pool")
@@ -120,20 +128,11 @@ func TestSplitInactiveWithoutSuspectServers(t *testing.T) {
 func TestSplitDisabledByEmptyList(t *testing.T) {
 	servers := pool(2)
 	servers[0].Suspect = true
-	b := MustNew(servers, RoundRobin)
+	b := must(New(servers, RoundRobin))
 	b.SetSuspectList([]string{"/recommend"})
 	b.SetSuspectList(nil)
 	if b.SplitActive() {
 		t.Fatal("empty list should disable the split")
-	}
-}
-
-func TestSuspectListSorted(t *testing.T) {
-	b := MustNew(pool(1), RoundRobin)
-	b.SetSuspectList([]string{"/z", "/a"})
-	got := b.SuspectList()
-	if len(got) != 2 || got[0] != "/a" || got[1] != "/z" {
-		t.Fatalf("suspect list %v", got)
 	}
 }
 
@@ -186,8 +185,10 @@ func TestTokenBucketAdmitsWithinRate(t *testing.T) {
 	if !tb.Admit(0, r, 5) {
 		t.Fatal("initial burst refused")
 	}
-	if tb.Admitted() != 1 {
-		t.Fatal("admit counter")
+	// One admission and one refusal of a request costing more than the
+	// remaining credit count as half the traffic dropped.
+	if tb.Admit(0, reqFor(workload.TextCont), 1000) || tb.DropFraction() != 0.5 {
+		t.Fatalf("drop fraction %g after one admit and one refusal, want 0.5", tb.DropFraction())
 	}
 }
 
@@ -215,8 +216,8 @@ func TestTokenBucketBurstCap(t *testing.T) {
 	tb.Admit(0, reqFor(workload.TextCont), 0) // sync lastFill
 	// After a very long idle period tokens cap at burst.
 	tb.Admit(1e6, reqFor(workload.TextCont), 0)
-	if tb.Tokens() > 50 {
-		t.Fatalf("tokens %g exceed burst", tb.Tokens())
+	if tb.tokens > 50 {
+		t.Fatalf("tokens %g exceed burst", tb.tokens)
 	}
 }
 
@@ -241,11 +242,11 @@ func TestTokenBucketDropFraction(t *testing.T) {
 
 func TestTokenBucketNegativeCostClamped(t *testing.T) {
 	tb := NewPowerTokenBucket(10, 10)
-	before := tb.Tokens()
+	before := tb.tokens
 	if !tb.Admit(0, reqFor(workload.TextCont), -5) {
 		t.Fatal("negative cost refused")
 	}
-	if tb.Tokens() > before {
+	if tb.tokens > before {
 		t.Fatal("negative cost minted tokens")
 	}
 }
@@ -263,7 +264,7 @@ func BenchmarkRouteSplit(b *testing.B) {
 	servers := pool(8)
 	servers[0].Suspect = true
 	servers[1].Suspect = true
-	bal := MustNew(servers, LeastLoaded)
+	bal := must(New(servers, LeastLoaded))
 	bal.SetSuspectList(BuildSuspectList(0.5))
 	r := reqFor(workload.CollaFilt)
 	b.ResetTimer()
@@ -290,12 +291,6 @@ func TestProfilerFlagsAbusiveSource(t *testing.T) {
 	if !flagged {
 		t.Fatal("abusive source never flagged")
 	}
-	if !p.Suspect(7) {
-		t.Fatal("Suspect() disagrees with Observe()")
-	}
-	if p.Flagged() == 0 || p.Tracked() == 0 {
-		t.Fatal("profiler counters empty")
-	}
 }
 
 func TestProfilerSparesModerateSource(t *testing.T) {
@@ -315,14 +310,15 @@ func TestProfilerSparesModerateSource(t *testing.T) {
 func TestProfilerDecaysAfterBurst(t *testing.T) {
 	p := NewSourceProfiler()
 	var last float64
+	flagged := false
 	for i := 0; i < 400; i++ {
 		last = float64(i) * 0.01
 		r := reqFor(workload.KMeans)
 		r.Source = 3
 		r.ArriveAt = last
-		p.Observe(last, r)
+		flagged = p.Observe(last, r)
 	}
-	if !p.Suspect(3) {
+	if !flagged {
 		t.Fatal("burst not flagged")
 	}
 	// A polite request a minute later: the accumulated score has decayed.
@@ -347,23 +343,10 @@ func TestProfilerMinObservations(t *testing.T) {
 	}
 }
 
-func TestProfilerScoreRate(t *testing.T) {
-	p := NewSourceProfiler()
-	if p.ScoreRate(42) != 0 {
-		t.Fatal("unknown source has score")
-	}
-	r := reqFor(workload.CollaFilt)
-	r.Source = 42
-	p.Observe(0, r)
-	if p.ScoreRate(42) <= 0 {
-		t.Fatal("observed source has zero score rate")
-	}
-}
-
 func TestBalancerSourceAwareRouting(t *testing.T) {
 	servers := pool(4)
 	servers[0].Suspect = true
-	b := MustNew(servers, LeastLoaded)
+	b := must(New(servers, LeastLoaded))
 	b.SetSuspectList(nil) // no URL list at all
 	b.SetProfiler(NewSourceProfiler())
 	if !b.SplitActive() {
@@ -384,9 +367,6 @@ func TestBalancerSourceAwareRouting(t *testing.T) {
 	if !isolated {
 		t.Fatal("abusive source never isolated by source-aware routing")
 	}
-	if b.Profiler() == nil {
-		t.Fatal("profiler accessor")
-	}
 }
 
 // TestRouteSplitAllocFree is the runtime backstop of the PDF split, which
@@ -397,7 +377,7 @@ func TestRouteSplitAllocFree(t *testing.T) {
 	for _, policy := range []Policy{RoundRobin, LeastLoaded} {
 		servers := pool(4)
 		servers[0].Suspect = true
-		b := MustNew(servers, policy)
+		b := must(New(servers, policy))
 		b.SetSuspectList([]string{workload.Lookup(workload.CollaFilt).URL})
 		suspect, innocent := reqFor(workload.CollaFilt), reqFor(workload.AliNormal)
 		b.Route(suspect)

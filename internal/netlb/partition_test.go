@@ -20,7 +20,7 @@ func partitionSet(b *Balancer, down ...int) map[int]bool {
 func TestPickSkipsPartitionedServers(t *testing.T) {
 	for _, pol := range []Policy{RoundRobin, LeastLoaded} {
 		servers := pool(3)
-		b := MustNew(servers, pol)
+		b := must(New(servers, pol))
 		partitionSet(b, 1)
 		for i := 0; i < 12; i++ {
 			s := b.Route(reqFor(workload.AliNormal))
@@ -39,7 +39,7 @@ func TestPickSkipsPartitionedServers(t *testing.T) {
 // its own up/down state.
 func TestPartitionedServerStaysUp(t *testing.T) {
 	servers := pool(2)
-	b := MustNew(servers, LeastLoaded)
+	b := must(New(servers, LeastLoaded))
 	partitionSet(b, 0)
 	if !servers[0].Up() {
 		t.Fatal("partition took the server down; it must only hide it from routing")
@@ -51,7 +51,7 @@ func TestPartitionedServerStaysUp(t *testing.T) {
 
 func TestRouteNilWhenAllPartitioned(t *testing.T) {
 	servers := pool(2)
-	b := MustNew(servers, LeastLoaded)
+	b := must(New(servers, LeastLoaded))
 	partitionSet(b, 0, 1)
 	if s := b.Route(reqFor(workload.AliNormal)); s != nil {
 		t.Fatalf("Route returned %v with every server partitioned, want nil", s)
@@ -62,7 +62,7 @@ func TestRouteNilWhenAllPartitioned(t *testing.T) {
 // of a partition window closing.
 func TestHealedServerRejoinsRotation(t *testing.T) {
 	servers := pool(3)
-	b := MustNew(servers, RoundRobin)
+	b := must(New(servers, RoundRobin))
 	cut := partitionSet(b, 2)
 	for i := 0; i < 6; i++ {
 		if s := b.Route(reqFor(workload.AliNormal)); s.ID == 2 {
@@ -85,7 +85,7 @@ func TestHealedServerRejoinsRotation(t *testing.T) {
 func TestSuspectPoolSplitSurvivesPartition(t *testing.T) {
 	servers := pool(4)
 	servers[0].Suspect = true
-	b := MustNew(servers, LeastLoaded)
+	b := must(New(servers, LeastLoaded))
 	b.SetSuspectList([]string{workload.Lookup(workload.KMeans).URL})
 
 	// Sanity: suspect traffic lands on the suspect pool while reachable.
@@ -112,7 +112,7 @@ func TestNilPredicateKeepsHistoricalRotation(t *testing.T) {
 	want := []int{1, 2, 0, 1, 2, 0, 1, 2, 0} // rrNext pre-increments
 	run := func(name string, prep func(b *Balancer)) {
 		servers := pool(3)
-		b := MustNew(servers, RoundRobin)
+		b := must(New(servers, RoundRobin))
 		prep(b)
 		for i, w := range want {
 			if got := b.Route(reqFor(workload.AliNormal)).ID; got != w {

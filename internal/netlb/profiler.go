@@ -28,7 +28,6 @@ type SourceProfiler struct {
 	MinObservations int
 
 	sources map[workload.SourceID]*sourceStat
-	flagged uint64
 
 	obs obs.Observer
 }
@@ -81,33 +80,8 @@ func (p *SourceProfiler) Observe(now float64, req *workload.Request) bool {
 			ID: uint64(req.Source), A: rate,
 		})
 	}
-	if st.suspect && !was {
-		p.flagged++
-	}
 	return st.suspect
 }
 
 // SetObserver installs the event sink; flag/unflag transitions are emitted.
 func (p *SourceProfiler) SetObserver(o obs.Observer) { p.obs = o }
-
-// Suspect reports the source's current state without updating it.
-func (p *SourceProfiler) Suspect(src workload.SourceID) bool {
-	st := p.sources[src]
-	return st != nil && st.suspect
-}
-
-// ScoreRate returns the source's current decayed power-cost rate at the
-// time of its last observation (monitoring/debug).
-func (p *SourceProfiler) ScoreRate(src workload.SourceID) float64 {
-	st := p.sources[src]
-	if st == nil {
-		return 0
-	}
-	return st.acc / p.TauSec
-}
-
-// Flagged returns how many distinct source-flagging transitions occurred.
-func (p *SourceProfiler) Flagged() uint64 { return p.flagged }
-
-// Tracked returns how many sources have profiles.
-func (p *SourceProfiler) Tracked() int { return len(p.sources) }

@@ -20,23 +20,33 @@ func profReq(src workload.SourceID, c workload.Class) *workload.Request {
 
 // TestProfilerDecayTimeConstant checks the exponential memory: after one
 // observation, the score rate decays by exactly exp(-dt/Tau) over dt of
-// silence (measured through the next observation's pre-add decay).
+// silence (measured through the next observation's pre-add decay). The
+// rate is read from the flag event, which carries it: with a zero
+// threshold a source is flagged as soon as MinObservations allows.
 func TestProfilerDecayTimeConstant(t *testing.T) {
-	p := NewSourceProfiler()
-	p.MinObservations = 1
 	cf := workload.Lookup(workload.CollaFilt).WattsPerRequestScale()
-
-	p.Observe(0, profReq(7, workload.CollaFilt))
-	r0 := p.ScoreRate(7)
-	if want := cf / p.TauSec; math.Abs(r0-want) > 1e-12 {
-		t.Fatalf("initial rate %g, want %g", r0, want)
+	tau := NewSourceProfiler().TauSec
+	flagRate := func(minObs int, times ...float64) float64 {
+		p := NewSourceProfiler()
+		p.MinObservations = minObs
+		p.SuspectScorePerSec = 0
+		rec := &eventSink{}
+		p.SetObserver(rec)
+		for _, now := range times {
+			p.Observe(now, profReq(7, workload.CollaFilt))
+		}
+		if len(rec.evs) != 1 || rec.evs[0].Kind != obs.KindProfilerFlag {
+			t.Fatalf("events %v, want one flag", rec.evs)
+		}
+		return rec.evs[0].A
 	}
 
+	if r0, want := flagRate(1, 0), cf/tau; math.Abs(r0-want) > 1e-12 {
+		t.Fatalf("initial rate %g, want %g", r0, want)
+	}
 	// One more request a full time constant later: the old score arrives
 	// attenuated by 1/e before the new request's score is added.
-	p.Observe(p.TauSec, profReq(7, workload.CollaFilt))
-	want := (cf*math.Exp(-1) + cf) / p.TauSec
-	if got := p.ScoreRate(7); math.Abs(got-want) > 1e-12 {
+	if got, want := flagRate(2, 0, tau), (cf*math.Exp(-1)+cf)/tau; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("decayed rate %g, want %g", got, want)
 	}
 }
@@ -46,6 +56,8 @@ func TestProfilerDecayTimeConstant(t *testing.T) {
 // guard against condemning a client on its first burst.
 func TestProfilerMinObservationsGuard(t *testing.T) {
 	p := NewSourceProfiler()
+	rec := &eventSink{}
+	p.SetObserver(rec)
 	// Drop the rate threshold below a single observation's contribution:
 	// every request lands at t=0 so nothing decays, the rate is over the
 	// bar from the first observation on, and only the count gates flagging.
@@ -55,20 +67,17 @@ func TestProfilerMinObservationsGuard(t *testing.T) {
 			t.Fatalf("flagged after %d observations, want >= %d", i, p.MinObservations)
 		}
 	}
-	if p.ScoreRate(3) <= p.SuspectScorePerSec {
-		t.Fatal("test premise broken: rate should already exceed the threshold")
-	}
 	if !p.Observe(0, profReq(3, workload.CollaFilt)) {
 		t.Fatalf("not flagged at observation %d", p.MinObservations)
 	}
-	if p.Flagged() != 1 {
-		t.Fatalf("Flagged() = %d, want 1", p.Flagged())
+	if len(rec.evs) != 1 || rec.evs[0].Kind != obs.KindProfilerFlag {
+		t.Fatalf("events %v, want exactly one flag", rec.evs)
 	}
 }
 
 // TestProfilerFlagUnflagBoundary walks one source across the threshold in
-// both directions and checks the suspicion state, the transition counter,
-// and the emitted flag/unflag events.
+// both directions and checks the suspicion state and the emitted
+// flag/unflag events.
 func TestProfilerFlagUnflagBoundary(t *testing.T) {
 	p := NewSourceProfiler()
 	p.MinObservations = 1
@@ -77,10 +86,11 @@ func TestProfilerFlagUnflagBoundary(t *testing.T) {
 
 	// Hammer until flagged.
 	now := 0.0
-	for i := 0; i < 1000 && !p.Suspect(5); i++ {
-		p.Observe(now, profReq(5, workload.CollaFilt))
+	flagged := false
+	for i := 0; i < 1000 && !flagged; i++ {
+		flagged = p.Observe(now, profReq(5, workload.CollaFilt))
 	}
-	if !p.Suspect(5) {
+	if !flagged {
 		t.Fatal("source never flagged under sustained load")
 	}
 
@@ -89,12 +99,6 @@ func TestProfilerFlagUnflagBoundary(t *testing.T) {
 	now += 20 * p.TauSec
 	if p.Observe(now, profReq(5, workload.TextCont)) {
 		t.Fatal("still suspect after 20 time constants of silence")
-	}
-	if p.Suspect(5) {
-		t.Fatal("Suspect disagrees with Observe")
-	}
-	if p.Flagged() != 1 {
-		t.Fatalf("Flagged() = %d, want 1 (unflagging must not count)", p.Flagged())
 	}
 
 	var kinds []obs.Kind

@@ -86,15 +86,6 @@ func (tb *PowerTokenBucket) Admit(now float64, req *workload.Request, costJ floa
 // SetObserver installs the event sink; grants and denials are emitted.
 func (tb *PowerTokenBucket) SetObserver(o obs.Observer) { tb.obs = o }
 
-// Tokens returns current credit in joules.
-func (tb *PowerTokenBucket) Tokens() float64 { return tb.tokens }
-
-// Admitted returns the count of admitted requests.
-func (tb *PowerTokenBucket) Admitted() uint64 { return tb.admitted }
-
-// Dropped returns the count of refused requests.
-func (tb *PowerTokenBucket) Dropped() uint64 { return tb.dropped }
-
 // DropFraction returns dropped/(admitted+dropped), the ">60% of the
 // packages" statistic of Figure 16's discussion.
 func (tb *PowerTokenBucket) DropFraction() float64 {

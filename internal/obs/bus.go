@@ -187,10 +187,6 @@ func (b *Bus) EnableTimeline(widthSec, slaSec float64) *Timeline {
 	return b.tl
 }
 
-// Timeline returns the attached timeline, or nil when EnableTimeline was
-// never called.
-func (b *Bus) Timeline() *Timeline { return b.tl }
-
 // dropCounter returns the per-reason drop counter, building the metric
 // name only on the reason's first occurrence.
 func (b *Bus) dropCounter(reason string) *Counter {
@@ -241,10 +237,9 @@ func (b *Bus) BeginRun() {
 }
 
 // Events exposes the recorded stream for exporters.
+//
+//lint:allow deadcode -- called by perfbench, a separate module that make lint does not load
 func (b *Bus) Events() *Recorder { return &b.rec }
-
-// Metrics exposes the registry for exporters.
-func (b *Bus) Metrics() *Registry { return b.reg }
 
 // WriteChromeTrace renders the recorded events as Chrome trace-event JSON.
 func (b *Bus) WriteChromeTrace(w io.Writer) error { return WriteChromeTrace(w, &b.rec) }

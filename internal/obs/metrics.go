@@ -55,12 +55,6 @@ func (h *Histogram) Observe(v float64) {
 	h.count++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // metric is one registered name with its kind-specific payload.
 type metric struct {
 	help string

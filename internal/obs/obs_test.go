@@ -79,11 +79,11 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []float64{0.5, 1, 1.5, 3, 10} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("Count = %d, want 5", h.Count())
+	if h.count != 5 {
+		t.Fatalf("count = %d, want 5", h.count)
 	}
-	if h.Sum() != 16 { //lint:allow floateq -- exact sum of exactly representable values
-		t.Fatalf("Sum = %v, want 16", h.Sum())
+	if h.sum != 16 { //lint:allow floateq -- exact sum of exactly representable values
+		t.Fatalf("sum = %v, want 16", h.sum)
 	}
 	// Buckets: <=1 gets 0.5 and 1 (SearchFloat64s puts v==bound in its
 	// bucket), <=2 gets 1.5, <=5 gets 3, +Inf gets 10.
@@ -151,7 +151,7 @@ func TestBusMetricsFollowEvents(t *testing.T) {
 	b.Emit(Event{T: 4, Kind: KindSample, A: 900, B: 0.8})
 	b.Emit(Event{T: 5, Kind: KindSample, A: 700, B: 0.7})
 
-	reg := b.Metrics()
+	reg := b.reg
 	if got := reg.Counter("core_drops_total", "").Value(); got != 2 {
 		t.Errorf("drops = %d, want 2", got)
 	}

@@ -33,11 +33,11 @@ func TestValidatePrometheusAcceptsRegistryOutput(t *testing.T) {
 	for _, ev := range sampleEvents() {
 		b.Emit(ev)
 	}
-	check("bus fold", b.Metrics())
+	check("bus fold", b.reg)
 
 	// A fresh bus is the empty-capture case: registrations exist with
 	// all-zero values, and that scrape must still conform.
-	check("fresh bus", NewBus().Metrics())
+	check("fresh bus", NewBus().reg)
 }
 
 func TestValidatePrometheusRejectsMalformed(t *testing.T) {

@@ -25,30 +25,6 @@ type Gatherer interface {
 // concurrently (e.g. after a run), or wrap the writer side in a LiveBus.
 func (r *Registry) GatherPrometheus(w io.Writer) error { return r.WritePrometheus(w) }
 
-// GathererFunc adapts a function to the Gatherer interface.
-type GathererFunc func(io.Writer) error
-
-// GatherPrometheus calls f.
-func (f GathererFunc) GatherPrometheus(w io.Writer) error { return f(w) }
-
-// MultiGatherer concatenates several gatherers into one scrape; nil entries
-// are skipped. Sources must not share metric names — the exposition format
-// forbids duplicate # TYPE lines, and ValidatePrometheus would reject the
-// merged scrape.
-func MultiGatherer(gs ...Gatherer) Gatherer {
-	return GathererFunc(func(w io.Writer) error {
-		for _, g := range gs {
-			if g == nil {
-				continue
-			}
-			if err := g.GatherPrometheus(w); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // Handler serves the gatherer's scrape over HTTP. The scrape is rendered
 // into memory first so a mid-render failure becomes a clean 500 instead of
 // a truncated body.

@@ -110,30 +110,14 @@ func TestLiveBusConcurrentEmitAndScrape(t *testing.T) {
 	}
 }
 
-// TestMultiGathererMergesSources checks concatenation and nil-skipping, and
-// that the merged scrape still validates when the sources share no names.
-func TestMultiGathererMergesSources(t *testing.T) {
-	a := NewRegistry()
-	a.Counter("aaa_total", "a").Inc()
-	b := NewRegistry()
-	b.Gauge("bbb", "b").Set(2)
+// failingGatherer always fails to render.
+type failingGatherer struct{}
 
-	var buf bytes.Buffer
-	if err := MultiGatherer(a, nil, b).GatherPrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidatePrometheus(buf.Bytes()); err != nil {
-		t.Fatalf("merged scrape fails validation: %v\n%s", err, buf.String())
-	}
-	if !bytes.Contains(buf.Bytes(), []byte("aaa_total 1")) ||
-		!bytes.Contains(buf.Bytes(), []byte("bbb 2")) {
-		t.Fatalf("merged scrape missing a source:\n%s", buf.String())
-	}
-}
+func (failingGatherer) GatherPrometheus(io.Writer) error { return fmt.Errorf("boom") }
 
 // TestHandlerReportsRenderErrors turns a failing gatherer into a clean 500.
 func TestHandlerReportsRenderErrors(t *testing.T) {
-	h := Handler(GathererFunc(func(io.Writer) error { return fmt.Errorf("boom") }))
+	h := Handler(failingGatherer{})
 	rec := &responseRecorder{header: http.Header{}}
 	h.ServeHTTP(rec, &http.Request{})
 	if rec.status != http.StatusInternalServerError {

@@ -93,16 +93,6 @@ func NewTimeline(widthSec, slaSec float64) *Timeline {
 	return &Timeline{width: widthSec, sla: slaSec}
 }
 
-// WindowSec returns the configured window width in seconds.
-func (tl *Timeline) WindowSec() float64 { return tl.width }
-
-// SLASec returns the configured SLA bound in seconds.
-func (tl *Timeline) SLASec() float64 { return tl.sla }
-
-// Windows exposes the materialized windows; index i covers
-// [i*WindowSec, (i+1)*WindowSec).
-func (tl *Timeline) Windows() []TimelineWindow { return tl.windows }
-
 // LinkRetries exposes the per-link retry counts, indexed [link][window].
 // Links that never retried have a nil row.
 func (tl *Timeline) LinkRetries() [][]uint64 { return tl.linkRetries }

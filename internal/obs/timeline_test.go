@@ -35,7 +35,7 @@ func TestTimelineWindowEdges(t *testing.T) {
 
 	tl.Add(Event{T: 0.999999, Kind: KindReqArrive})
 	tl.Add(Event{T: 1.0, Kind: KindReqArrive})
-	w := tl.Windows()
+	w := tl.windows
 	if len(w) != 2 {
 		t.Fatalf("materialized %d windows, want 2", len(w))
 	}
@@ -47,11 +47,11 @@ func TestTimelineWindowEdges(t *testing.T) {
 
 func TestTimelineDefaults(t *testing.T) {
 	tl := NewTimeline(0, 0)
-	if tl.WindowSec() != DefaultTimelineWindowSec { //lint:allow floateq -- defaults pass through verbatim
-		t.Errorf("default width = %v, want %v", tl.WindowSec(), DefaultTimelineWindowSec)
+	if tl.width != DefaultTimelineWindowSec { //lint:allow floateq -- defaults pass through verbatim
+		t.Errorf("default width = %v, want %v", tl.width, DefaultTimelineWindowSec)
 	}
-	if tl.SLASec() != DefaultTimelineSLASec { //lint:allow floateq -- defaults pass through verbatim
-		t.Errorf("default SLA = %v, want %v", tl.SLASec(), DefaultTimelineSLASec)
+	if tl.sla != DefaultTimelineSLASec { //lint:allow floateq -- defaults pass through verbatim
+		t.Errorf("default SLA = %v, want %v", tl.sla, DefaultTimelineSLASec)
 	}
 }
 
@@ -80,7 +80,7 @@ func TestTimelineFold(t *testing.T) {
 	} {
 		tl.Add(ev)
 	}
-	w := tl.Windows()
+	w := tl.windows
 	if len(w) != 3 {
 		t.Fatalf("materialized %d windows, want 3", len(w))
 	}

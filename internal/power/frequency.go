@@ -73,9 +73,6 @@ func (l Ladder) Clamp(f GHz) GHz { return l.Level(l.Index(f)) }
 // StepDown returns f lowered by n ladder steps (floored at Min).
 func (l Ladder) StepDown(f GHz, n int) GHz { return l.Level(l.Index(f) - n) }
 
-// StepUp returns f raised by n ladder steps (capped at Max).
-func (l Ladder) StepUp(f GHz, n int) GHz { return l.Level(l.Index(f) + n) }
-
 // Rel returns f as a fraction of the ladder maximum, the normalized
 // frequency used by the power and performance models.
 func (l Ladder) Rel(f GHz) float64 { return float64(f / l.Max) }

@@ -113,25 +113,3 @@ func (g Governor) Release(headroom Watts, victims []Capper,
 	}
 	return added
 }
-
-// FreqForCap solves the RAPL-style actuation problem: the highest ladder
-// frequency whose predicted draw fits under capW, given the server's
-// current load mix. predict must be monotone non-decreasing in frequency
-// (true of the model); the ladder floor is returned when even it exceeds
-// the cap — a power limit cannot shed load, only slow it.
-func FreqForCap(capW Watts, ladder Ladder, predict func(GHz) Watts) GHz {
-	lo, hi := 0, ladder.Levels()-1
-	// predict is monotone: binary-search the highest level under the cap.
-	if predict(ladder.Level(lo)) > capW {
-		return ladder.Level(lo)
-	}
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if predict(ladder.Level(mid)) <= capW {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return ladder.Level(lo)
-}

@@ -68,6 +68,8 @@ func (m Model) Dynamic() Watts { return m.Nameplate * (1 - m.IdleFrac) }
 // Power returns total server draw for the given frequency and load mix.
 // Component utilizations may sum to at most 1; the caller (the server's
 // processor-sharing queue) guarantees that.
+//
+//lint:allow deadcode -- reference of TestTableMatchesModelBitwise and the ModelPower rows of BENCH_3.json
 func (m Model) Power(f GHz, mix []Component) Watts {
 	f = m.Ladder.Clamp(f)
 	rel := m.Ladder.Rel(f)
@@ -157,9 +159,6 @@ func NewTable(m Model, exps []float64) *Table {
 	}
 	return t
 }
-
-// Model returns the model the table was built from.
-func (t *Table) Model() Model { return t.model }
 
 // Power is the memoized equivalent of Model.Power: it returns total server
 // draw for the given frequency and load mix, with every frequency-dependent

@@ -37,16 +37,13 @@ func TestLadderClampAndIndex(t *testing.T) {
 	}
 }
 
-func TestLadderStepUpDown(t *testing.T) {
+func TestLadderStepDown(t *testing.T) {
 	l := DefaultLadder()
 	if got := l.StepDown(2.4, 3); math.Abs(float64(got-2.1)) > 1e-9 {
 		t.Fatalf("StepDown = %v", got)
 	}
 	if got := l.StepDown(1.3, 10); got != 1.2 {
 		t.Fatalf("StepDown floor = %v", got)
-	}
-	if got := l.StepUp(2.3, 5); math.Abs(float64(got-2.4)) > 1e-9 {
-		t.Fatalf("StepUp ceiling = %v", got)
 	}
 }
 
@@ -281,42 +278,5 @@ func BenchmarkModelPower(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		_ = m.Power(2.1, mix)
-	}
-}
-
-func TestFreqForCap(t *testing.T) {
-	l := DefaultLadder()
-	// Linear predict: 10 W per GHz.
-	predict := func(f GHz) Watts { return float64(f) * 10 }
-	// Cap 20 W: highest level at or under 2.0 GHz.
-	if got := FreqForCap(20, l, predict); math.Abs(float64(got-2.0)) > 1e-9 {
-		t.Fatalf("FreqForCap(20) = %v, want 2.0", got)
-	}
-	// Generous cap: ladder max.
-	if got := FreqForCap(1000, l, predict); math.Abs(float64(got-2.4)) > 1e-9 {
-		t.Fatalf("generous cap %v", got)
-	}
-	// Impossible cap: ladder floor.
-	if got := FreqForCap(5, l, predict); got != 1.2 {
-		t.Fatalf("impossible cap %v, want floor", got)
-	}
-	// Exact boundary: 23 W admits 2.3 GHz.
-	if got := FreqForCap(23, l, predict); math.Abs(float64(got-2.3)) > 1e-9 {
-		t.Fatalf("boundary cap %v", got)
-	}
-}
-
-func TestFreqForCapMatchesServerModel(t *testing.T) {
-	m := DefaultModel()
-	mix := []Component{{Util: 0.9, Weight: 1, Alpha: 2.4}}
-	predict := func(f GHz) Watts { return m.Power(f, mix) }
-	cap := 80.0
-	f := FreqForCap(cap, m.Ladder, predict)
-	if predict(f) > cap+1e-9 {
-		t.Fatalf("solved frequency %v draws %g > cap %g", f, predict(f), cap)
-	}
-	// One step up must violate the cap (or f is already the max).
-	if up := m.Ladder.StepUp(f, 1); up != f && predict(up) <= cap {
-		t.Fatalf("not the highest admissible frequency: %v also fits", up)
 	}
 }

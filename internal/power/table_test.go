@@ -65,10 +65,3 @@ func TestTableMatchesModelBitwise(t *testing.T) {
 		}
 	}
 }
-
-func TestTableModelAccessor(t *testing.T) {
-	m := DefaultModel()
-	if got := NewTable(m, benchExps).Model(); got != m {
-		t.Fatalf("Model() = %+v, want %+v", got, m)
-	}
-}

@@ -22,13 +22,19 @@ type MG1PS struct {
 }
 
 // Rho returns the offered load.
+//
+//lint:allow deadcode -- closed-form oracle of core/validation_test.go
 func (q MG1PS) Rho() float64 { return q.Lambda * q.MeanService }
 
 // Stable reports whether the station has a steady state.
+//
+//lint:allow deadcode -- closed-form oracle of core/validation_test.go
 func (q MG1PS) Stable() bool { return q.Rho() < 1 }
 
 // MeanSojourn returns the mean time in system: E[T] = E[S]/(1-rho).
 // It returns +Inf for an unstable station.
+//
+//lint:allow deadcode -- closed-form oracle of core/validation_test.go
 func (q MG1PS) MeanSojourn() float64 {
 	if !q.Stable() {
 		return math.Inf(1)
@@ -37,6 +43,8 @@ func (q MG1PS) MeanSojourn() float64 {
 }
 
 // MeanInSystem returns E[N] = rho/(1-rho) by Little's law.
+//
+//lint:allow deadcode -- closed-form oracle of core/validation_test.go
 func (q MG1PS) MeanInSystem() float64 {
 	if !q.Stable() {
 		return math.Inf(1)
@@ -47,6 +55,8 @@ func (q MG1PS) MeanInSystem() float64 {
 
 // ConditionalSojourn returns the expected sojourn of a request with demand
 // x: E[T|S=x] = x/(1-rho) — PS's proportional-fairness property.
+//
+//lint:allow deadcode -- closed-form oracle of core/validation_test.go
 func (q MG1PS) ConditionalSojourn(x float64) float64 {
 	if !q.Stable() {
 		return math.Inf(1)
@@ -63,6 +73,8 @@ type MMc struct {
 }
 
 // Validate reports whether the parameters are usable.
+//
+//lint:allow deadcode -- closed-form oracle of core/validation_test.go
 func (q MMc) Validate() error {
 	if q.Lambda < 0 || q.Mu <= 0 || q.C <= 0 {
 		return fmt.Errorf("queueing: bad M/M/c parameters %+v", q)
@@ -71,13 +83,19 @@ func (q MMc) Validate() error {
 }
 
 // Rho returns per-server utilization lambda/(c mu).
+//
+//lint:allow deadcode -- closed-form oracle of core/validation_test.go
 func (q MMc) Rho() float64 { return q.Lambda / (float64(q.C) * q.Mu) }
 
 // Stable reports whether the station has a steady state.
+//
+//lint:allow deadcode -- closed-form oracle of core/validation_test.go
 func (q MMc) Stable() bool { return q.Rho() < 1 }
 
 // ErlangC returns the probability an arrival has to wait (all servers
 // busy), computed with the numerically stable iterative form.
+//
+//lint:allow deadcode -- closed-form oracle of core/validation_test.go
 func (q MMc) ErlangC() float64 {
 	if !q.Stable() {
 		return 1
@@ -93,6 +111,8 @@ func (q MMc) ErlangC() float64 {
 }
 
 // MeanWait returns the mean queueing delay (excluding service).
+//
+//lint:allow deadcode -- closed-form oracle of core/validation_test.go
 func (q MMc) MeanWait() float64 {
 	if !q.Stable() {
 		return math.Inf(1)
@@ -101,11 +121,15 @@ func (q MMc) MeanWait() float64 {
 }
 
 // MeanSojourn returns the mean time in system.
+//
+//lint:allow deadcode -- closed-form oracle of core/validation_test.go
 func (q MMc) MeanSojourn() float64 { return q.MeanWait() + 1/q.Mu }
 
 // MDCapacity returns the maximum arrival rate an M/G/1-PS station can carry
 // while keeping the mean sojourn at or below target. Inverting
 // E[T] = E[S]/(1-rho): lambda_max = (1 - E[S]/T) / E[S].
+//
+//lint:allow deadcode -- closed-form oracle of core/validation_test.go
 func MDCapacity(meanService, targetSojourn float64) float64 {
 	if meanService <= 0 || targetSojourn <= meanService {
 		return 0
@@ -121,6 +145,8 @@ func MDCapacity(meanService, targetSojourn float64) float64 {
 // general demand this is an approximation (multicore PS loses the exact
 // insensitivity of the single-core case); it is exact at c=1 for any
 // demand distribution.
+//
+//lint:allow deadcode -- closed-form oracle of core/validation_test.go
 func PSMulticoreApprox(lambda, meanService float64, cores int) float64 {
 	if cores <= 0 || meanService <= 0 {
 		return math.Inf(1)

@@ -86,42 +86,6 @@ func Markdown(w io.Writer, title string, res *core.Result) error {
 	return nil
 }
 
-// Compare writes a side-by-side Markdown table over several labelled runs.
-func Compare(w io.Writer, title string, labels []string, results []*core.Result) error {
-	if len(labels) != len(results) {
-		return fmt.Errorf("report: %d labels for %d results", len(labels), len(results))
-	}
-	fmt.Fprintf(w, "# %s\n\n", title)
-	fmt.Fprintf(w, "| metric |")
-	for _, l := range labels {
-		fmt.Fprintf(w, " %s |", l)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "|---|%s\n", strings.Repeat("---|", len(labels)))
-
-	row := func(name string, get func(*core.Result) string) {
-		fmt.Fprintf(w, "| %s |", name)
-		for _, r := range results {
-			fmt.Fprintf(w, " %s |", get(r))
-		}
-		fmt.Fprintln(w)
-	}
-	row("mean RT (ms)", func(r *core.Result) string { return fmt.Sprintf("%.1f", 1e3*r.MeanRT()) })
-	row("p90 RT (ms)", func(r *core.Result) string { return fmt.Sprintf("%.1f", 1e3*r.TailRT(90)) })
-	row("p99 RT (ms)", func(r *core.Result) string { return fmt.Sprintf("%.1f", 1e3*r.TailRT(99)) })
-	row("availability", func(r *core.Result) string { return fmt.Sprintf("%.4f", r.Availability()) })
-	row("peak power (W)", func(r *core.Result) string { return fmt.Sprintf("%.1f", r.PeakPowerW()) })
-	row("slots over budget", func(r *core.Result) string {
-		return fmt.Sprintf("%.1f%%", 100*r.FracSlotsOverBudget)
-	})
-	row("utility energy (kJ)", func(r *core.Result) string {
-		return fmt.Sprintf("%.1f", r.UtilityEnergyJ/1e3)
-	})
-	row("battery min SoC", func(r *core.Result) string { return fmt.Sprintf("%.2f", r.MinBatterySoC()) })
-	row("outages", func(r *core.Result) string { return fmt.Sprintf("%d", r.Outages) })
-	return nil
-}
-
 // CSV writes one or more aligned time series as comma-separated values with
 // a header row: t,name1,name2,... Series are sampled onto the first
 // series' timestamps by sample-and-hold.

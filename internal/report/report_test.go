@@ -60,33 +60,6 @@ func TestMarkdownContainsSections(t *testing.T) {
 	}
 }
 
-func TestCompareAligns(t *testing.T) {
-	a := sampleResult(t)
-	var sb strings.Builder
-	if err := Compare(&sb, "Cmp", []string{"run-a", "run-b"}, []*core.Result{a, a}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "run-a") || !strings.Contains(out, "run-b") {
-		t.Fatal("labels missing")
-	}
-	// Every metric row has exactly len(labels)+2 pipe-separated fields.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "| mean RT") {
-			if got := strings.Count(line, "|"); got != 4 {
-				t.Fatalf("row has %d pipes: %q", got, line)
-			}
-		}
-	}
-}
-
-func TestCompareRejectsMismatch(t *testing.T) {
-	var sb strings.Builder
-	if err := Compare(&sb, "x", []string{"one"}, nil); err == nil {
-		t.Fatal("mismatched labels accepted")
-	}
-}
-
 func TestCSV(t *testing.T) {
 	var a, b stats.Series
 	for i := 0; i < 5; i++ {

@@ -131,6 +131,8 @@ func boxMuller(u, v float64) (c, s float64) {
 // LogNormal returns a log-normal sample parameterized by the mean and
 // coefficient of variation of the resulting distribution (not of the
 // underlying normal). CV <= 0 degenerates to the constant mean.
+//
+//lint:allow deadcode -- twin-stream oracle of workload's TestFactoryDemandMatchesLogNormal
 func (r *Stream) LogNormal(mean, cv float64) float64 {
 	if mean <= 0 {
 		return 0
@@ -171,14 +173,6 @@ func (r *Stream) Poisson(mean float64) int {
 
 // Bool returns true with probability p.
 func (r *Stream) Bool(p float64) bool { return r.Float64() < p }
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
 
 // Pareto returns a bounded Pareto sample with shape alpha on [min, max].
 // Heavy-tailed per-container utilization in the synthetic trace uses this.

@@ -253,19 +253,6 @@ func TestParetoBounds(t *testing.T) {
 	}
 }
 
-func TestShufflePermutes(t *testing.T) {
-	r := New(31)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make(map[int]bool)
-	for _, x := range xs {
-		seen[x] = true
-	}
-	if len(seen) != 10 {
-		t.Fatal("shuffle lost elements")
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	r := New(37)
 	hits := 0

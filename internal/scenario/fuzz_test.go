@@ -1,11 +1,11 @@
 package scenario_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,15 +16,14 @@ import (
 // FuzzScenario drives arbitrary bytes through the whole DSL front end:
 //
 //   - Parse never panics, and every rejection is a structured *Error;
-//   - any accepted document normalizes to a canonical form that replays
-//     byte-identically from its own serialization (parse -> normalize ->
-//     marshal is a fixed point);
-//   - compilation from the canonical form is deterministic: the same
+//   - any accepted document normalizes to a fixed point: normalizing the
+//     normal form changes nothing;
+//   - compilation from the normal form is deterministic: the same
 //     document always yields the same run labels and seeds, or the same
 //     error.
 //
 // No simulation runs here — the target stays fast enough for the CI fuzz
-// smoke while still covering the parser, normalizer, emitter and compiler.
+// smoke while still covering the parser, normalizer and compiler.
 func FuzzScenario(f *testing.F) {
 	// The checked-in library seeds the corpus with every feature in use.
 	entries, err := os.ReadDir("../../scenarios")
@@ -73,20 +72,13 @@ func FuzzScenario(f *testing.F) {
 			return
 		}
 
-		// Canonical fixed point: the serialization must re-parse, and its
-		// normal form must re-serialize to the same bytes.
-		c1 := scenario.Marshal(ns)
-		s2, err := scenario.Parse("canon.yaml", c1)
+		// Normal-form fixed point: normalizing again changes nothing.
+		ns2, err := scenario.Normalize(ns)
 		if err != nil {
-			t.Fatalf("canonical form does not re-parse: %v\n%s", err, c1)
+			t.Fatalf("normal form does not re-normalize: %v\n%+v", err, ns)
 		}
-		ns2, err := scenario.Normalize(s2)
-		if err != nil {
-			t.Fatalf("canonical form does not re-normalize: %v\n%s", err, c1)
-		}
-		c2 := scenario.Marshal(ns2)
-		if !bytes.Equal(c1, c2) {
-			t.Fatalf("canonical form is not a fixed point:\n--- first ---\n%s\n--- second ---\n%s", c1, c2)
+		if !reflect.DeepEqual(ns, ns2) {
+			t.Fatalf("normal form is not a fixed point:\n%+v\nvs\n%+v", ns, ns2)
 		}
 
 		// Compile determinism: same document, same plan (or same error).

@@ -10,9 +10,7 @@ import (
 // block expands into explicit runs, every default-bearing field is filled
 // with its documented default, and cross-field constraints that depend on
 // those defaults are checked. Normalize never mutates its input, and it is
-// idempotent — Normalize(Normalize(s)) == Normalize(s) — which, together
-// with Marshal emitting exactly the parser's subset, makes
-// parse -> normalize -> serialize -> parse a byte-level fixed point.
+// idempotent: Normalize(Normalize(s)) equals Normalize(s).
 func Normalize(s *Scenario) (*Scenario, error) {
 	out := *s
 

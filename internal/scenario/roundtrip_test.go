@@ -1,16 +1,16 @@
 package scenario_test
 
 import (
-	"bytes"
 	"os"
+	"reflect"
 	"testing"
 
 	"antidope/internal/scenario"
 )
 
-// roundTrip parses, normalizes, and marshals a document, failing the test
-// on any error.
-func roundTrip(t *testing.T, file string, data []byte) []byte {
+// normalized parses and normalizes a document, failing the test on any
+// error.
+func normalized(t *testing.T, file string, data []byte) *scenario.Scenario {
 	t.Helper()
 	s, err := scenario.Parse(file, data)
 	if err != nil {
@@ -20,12 +20,13 @@ func roundTrip(t *testing.T, file string, data []byte) []byte {
 	if err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
-	return scenario.Marshal(ns)
+	return ns
 }
 
-// TestRoundTripFixedPoint: parse -> normalize -> serialize -> parse is a
-// fixed point. The first canonical form must re-parse to byte-identical
-// canonical bytes, for every scenario in the checked-in library.
+// TestRoundTripFixedPoint: normalization is a fixed point. Re-normalizing
+// an already-normal scenario changes nothing, and the scenario LoadDir
+// returns normalizes to the same value as its file, for every scenario in
+// the checked-in library.
 func TestRoundTripFixedPoint(t *testing.T) {
 	entries, err := scenario.LoadDir(scenariosDir)
 	if err != nil {
@@ -38,25 +39,27 @@ func TestRoundTripFixedPoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c1 := roundTrip(t, "first", raw)
-			c2 := roundTrip(t, "second", c1)
-			if !bytes.Equal(c1, c2) {
-				t.Fatalf("canonical form is not a fixed point; first %s", firstDiff(c1, c2))
+			n1 := normalized(t, "first", raw)
+			n2, err := scenario.Normalize(n1)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Normalize must also be idempotent on the already-normal value.
+			if !reflect.DeepEqual(n1, n2) {
+				t.Fatalf("normalization is not a fixed point:\n%+v\nvs\n%+v", n1, n2)
+			}
 			ns, err := scenario.Normalize(e.Scenario)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := scenario.Marshal(ns); !bytes.Equal(got, c1) {
-				t.Fatalf("re-normalizing a normal scenario changed it; first %s", firstDiff(c1, got))
+			if !reflect.DeepEqual(ns, n1) {
+				t.Fatalf("LoadDir's scenario normalizes differently from its file:\n%+v\nvs\n%+v", ns, n1)
 			}
 		})
 	}
 }
 
-// TestRoundTripJSON: a JSON document is accepted and lands on the same
-// canonical YAML as its YAML spelling.
+// TestRoundTripJSON: a JSON document is accepted and normalizes to the
+// same value as its YAML spelling.
 func TestRoundTripJSON(t *testing.T) {
 	yamlDoc := []byte(`scenario: jdemo
 sim:
@@ -74,21 +77,16 @@ assert:
   "attack": {"floods": [{"class": "Colla-Filt", "rate": 50}]},
   "assert": {"sla_ms": 100}
 }`)
-	fromYAML := roundTrip(t, "y.yaml", yamlDoc)
-	fromJSON := roundTrip(t, "j.json", jsonDoc)
-	if !bytes.Equal(fromYAML, fromJSON) {
-		t.Fatalf("JSON and YAML spellings canonicalize differently; first %s",
-			firstDiff(fromYAML, fromJSON))
-	}
-	c2 := roundTrip(t, "again", fromJSON)
-	if !bytes.Equal(fromJSON, c2) {
-		t.Fatalf("JSON-sourced canonical form not a fixed point; first %s", firstDiff(fromJSON, c2))
+	fromYAML := normalized(t, "y.yaml", yamlDoc)
+	fromJSON := normalized(t, "j.json", jsonDoc)
+	if !reflect.DeepEqual(fromYAML, fromJSON) {
+		t.Fatalf("JSON and YAML spellings normalize differently:\n%+v\nvs\n%+v", fromYAML, fromJSON)
 	}
 }
 
 // TestRoundTripDefaultsElided: fields explicitly set to their defaults
-// canonicalize identically to leaving them out — the canonical form is a
-// function of the normalized value, not the spelling.
+// normalize identically to leaving them out — the normal form is a
+// function of the meaning, not the spelling.
 func TestRoundTripDefaultsElided(t *testing.T) {
 	terse := []byte("scenario: d\nsim:\n  horizon: 40\n")
 	verbose := []byte(`scenario: d
@@ -109,9 +107,9 @@ defense:
 assert:
   sla_ms: 250
 `)
-	a := roundTrip(t, "terse", terse)
-	b := roundTrip(t, "verbose", verbose)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("explicit defaults changed the canonical form; first %s", firstDiff(a, b))
+	a := normalized(t, "terse", terse)
+	b := normalized(t, "verbose", verbose)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("explicit defaults changed the normal form:\n%+v\nvs\n%+v", a, b)
 	}
 }

@@ -11,10 +11,11 @@
 //
 // with two contracts the tests and the FuzzScenario target pin:
 //
-//   - Canonical form. Normalize expands syntactic sugar (the matrix block
+//   - Normal form. Normalize expands syntactic sugar (the matrix block
 //     becomes explicit runs, enum spellings canonicalize, defaults fill
-//     in) and Marshal renders the result deterministically; parse ->
-//     normalize -> serialize -> parse is a fixed point, byte-identical.
+//     in) and is a fixed point: normalizing a normal scenario changes
+//     nothing, and JSON, YAML, terse and explicit-default spellings of one
+//     document normalize to equal values.
 //   - Twin equivalence. Compile reuses the exact seams the hand-written
 //     experiments use (experiments.Options.SeedFor per label,
 //     Options.Horizon for Quick-mode window shrinking, the exported job

@@ -12,7 +12,7 @@ import (
 // victim classes, each with enough demand that no benchmark loop completes
 // one — so Advance exercises only the class-clock update.
 func benchServer(n int) *Server {
-	s := MustNew(Config{ID: 0, Cores: 4, MaxInflight: n + 1, Model: power.DefaultModel()})
+	s := must(New(Config{ID: 0, Cores: 4, MaxInflight: n + 1, Model: power.DefaultModel()}))
 	classes := workload.VictimClasses()
 	s.Advance(0)
 	for i := 0; i < n; i++ {
@@ -37,7 +37,7 @@ type saturatedServer struct {
 
 func newSaturatedServer(n int) *saturatedServer {
 	st := &saturatedServer{
-		s:   MustNew(Config{ID: 0, Cores: 4, MaxInflight: n, Model: power.DefaultModel()}),
+		s:   must(New(Config{ID: 0, Cores: 4, MaxInflight: n, Model: power.DefaultModel()})),
 		rnd: rng.New(7),
 	}
 	st.s.Advance(0)
@@ -112,7 +112,7 @@ func BenchmarkPowerAt(b *testing.B) {
 // value each iteration — each completion fully retires it — so the loop
 // measures only the admit/advance/harvest cycle, which is allocation-free.
 func BenchmarkAdvanceCompleting(b *testing.B) {
-	s := MustNew(Config{ID: 0, Cores: 4, MaxInflight: 8, Model: power.DefaultModel()})
+	s := must(New(Config{ID: 0, Cores: 4, MaxInflight: 8, Model: power.DefaultModel()}))
 	now := 0.0
 	s.Advance(now)
 	r := fixedReq(0, workload.CollaFilt, 1e-6)

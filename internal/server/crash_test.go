@@ -57,9 +57,6 @@ func TestCrashedServerRejectsAdmits(t *testing.T) {
 	if !r.Dropped || r.DropReason != "server-down" {
 		t.Fatalf("rejection not labeled: dropped=%v reason=%q", r.Dropped, r.DropReason)
 	}
-	if s.Rejected() != 1 {
-		t.Fatalf("rejected counter %d, want 1", s.Rejected())
-	}
 }
 
 func TestRecoverRebootsAtFullFrequency(t *testing.T) {

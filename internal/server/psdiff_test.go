@@ -30,7 +30,7 @@ type psPair struct {
 }
 
 func newPSPair(tb testing.TB, cores, maxInflight int) *psPair {
-	s := MustNew(Config{ID: 0, Cores: cores, MaxInflight: maxInflight, Model: power.DefaultModel()})
+	s := must(New(Config{ID: 0, Cores: cores, MaxInflight: maxInflight, Model: power.DefaultModel()}))
 	s.Advance(0)
 	return &psPair{tb: tb, s: s, ref: newRefServer(cores, maxInflight, s.Model.Ladder)}
 }
@@ -118,14 +118,14 @@ func (p *psPair) evicted(op string, got, want []*workload.Request) {
 	p.step()
 }
 
-// step closes one operation: the counters must be identical and the next
-// completion instants must agree.
+// step closes one operation: the in-flight counts must be identical and
+// the next completion instants must agree. Admissions and completions are
+// compared request by request where they happen.
 func (p *psPair) step() {
 	p.events++
 	s, ref := p.s, p.ref
-	if s.Inflight() != ref.Inflight() || s.Completed() != ref.completed || s.Rejected() != ref.rejected {
-		p.tb.Fatalf("event %d: inflight/completed/rejected %d/%d/%d, reference %d/%d/%d", p.events,
-			s.Inflight(), s.Completed(), s.Rejected(), ref.Inflight(), ref.completed, ref.rejected)
+	if s.Inflight() != ref.Inflight() {
+		p.tb.Fatalf("event %d: inflight %d, reference %d", p.events, s.Inflight(), ref.Inflight())
 	}
 	at, ok := s.NextCompletion()
 	rat, rok := ref.NextCompletion()
@@ -315,7 +315,7 @@ func TestPSDifferentialLongBusy(t *testing.T) {
 	if rebases < 100 {
 		t.Fatalf("K-means clock rebased %d times, want the busy period to cross 1.0 repeatedly", rebases)
 	}
-	t.Logf("%d events, %d completions, %d K-means rebases, t=%.1f s", p.events, p.s.Completed(), rebases, p.now)
+	t.Logf("%d events, %d completions, %d K-means rebases, t=%.1f s", p.events, p.ref.completed, rebases, p.now)
 }
 
 // TestPSStationDrift bounds how far the class clock lets finish instants
@@ -329,7 +329,7 @@ func TestPSStationDrift(t *testing.T) {
 	const horizon = 20000.0
 	ref := newRefServer(1, math.MaxInt32, power.DefaultLadder())
 	want := runStation(ref.Advance, ref.Admit, ref.NextCompletion, horizon)
-	s := MustNew(Config{Cores: 1, MaxInflight: math.MaxInt32, Model: power.DefaultModel()})
+	s := must(New(Config{Cores: 1, MaxInflight: math.MaxInt32, Model: power.DefaultModel()}))
 	got := runStation(s.Advance, s.Admit, s.NextCompletion, horizon)
 	if len(got) != len(want) {
 		t.Fatalf("%d requests finished, reference %d", len(got), len(want))

@@ -25,7 +25,6 @@ type refServer struct {
 	lastAdv            float64
 	down               bool
 	completed          uint64
-	rejected           uint64
 	speedTab           [workload.NumClasses]float64
 	// near holds the requests whose remaining demand landed within 1e-12
 	// of the 1e-9 completion threshold in the last Advance: rounding may
@@ -104,13 +103,11 @@ func (s *refServer) Admit(now float64, r *workload.Request) bool {
 		panic(fmt.Sprintf("ref: admit at %.9f without advance (at %.9f)", now, s.lastAdv))
 	}
 	if s.down {
-		s.rejected++
 		r.Dropped = true
 		r.DropReason = "server-down"
 		return false
 	}
 	if len(s.active) >= s.maxInflight {
-		s.rejected++
 		r.Dropped = true
 		r.DropReason = "server-queue-full"
 		return false
@@ -173,7 +170,6 @@ func (s *refServer) FailAll() []*workload.Request {
 		r.Dropped = true
 		r.DropReason = "outage"
 	}
-	s.rejected += uint64(len(failed))
 	return failed
 }
 

@@ -73,14 +73,9 @@ type Server struct {
 	down bool
 
 	// Accounting.
-	energyJ       float64
-	busyCoreSecs  float64
-	completed     uint64
-	rejected      uint64
-	lastPower     float64
-	powerDirty    bool
-	demandServed  float64
-	freqChangeCnt uint64
+	energyJ    float64
+	lastPower  float64
+	powerDirty bool
 
 	// perf is the per-class profile cache; an array because the class space
 	// is small, dense and hit on every request advance.
@@ -242,15 +237,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// MustNew is New for tests and examples with known-good configs.
-func MustNew(cfg Config) *Server {
-	s, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // refreshSpeedTab recomputes the per-class depletion factors for the
 // current frequency. This is the only math.Pow site left on the simulation
 // path, and it runs per frequency change, not per request.
@@ -264,30 +250,11 @@ func (s *Server) refreshSpeedTab() {
 // SetObserver installs the event sink. Pass nil to detach.
 func (s *Server) SetObserver(o obs.Observer) { s.obs = o }
 
-// Version increments whenever the server's dynamics change (arrival,
-// completion, frequency change, crash, outage, recovery). It keys the
-// cached mix summary; the simulation driver does not read it, because it
-// cancels and re-arms one completion event per server instead.
-func (s *Server) Version() uint64 { return s.version }
-
 // Inflight returns the number of requests currently in service.
 func (s *Server) Inflight() int { return s.inflight }
 
-// Completed returns the count of finished requests.
-func (s *Server) Completed() uint64 { return s.completed }
-
-// Rejected returns the count of admission rejections.
-func (s *Server) Rejected() uint64 { return s.rejected }
-
 // EnergyJ returns integrated energy since construction.
 func (s *Server) EnergyJ() float64 { return s.energyJ }
-
-// BusyCoreSeconds returns accumulated busy core-time, for utilization math.
-func (s *Server) BusyCoreSeconds() float64 { return s.busyCoreSecs }
-
-// FreqChanges returns how many times the operating frequency moved, a proxy
-// for actuation churn.
-func (s *Server) FreqChanges() uint64 { return s.freqChangeCnt }
 
 // share returns the core share each active request receives.
 //
@@ -323,7 +290,6 @@ func (s *Server) Advance(now float64) []*workload.Request {
 	// Power and speeds are constant over (lastAdv, now] because the driver
 	// always advances to the next event boundary.
 	s.energyJ += s.PowerNow() * dt
-	s.busyCoreSecs += s.share() * float64(s.inflight) * dt
 	s.lastAdv = now
 	if s.occ == 0 {
 		return nil
@@ -371,8 +337,6 @@ func (s *Server) Advance(now float64) []*workload.Request {
 		r := ents[i].r
 		r.Remaining = 0
 		r.FinishAt = now
-		s.completed++
-		s.demandServed += r.Demand
 		done = append(done, r)
 		if s.obs != nil {
 			s.obs.Emit(obs.Event{
@@ -401,13 +365,11 @@ func (s *Server) Admit(now float64, r *workload.Request) bool {
 		panic(fmt.Sprintf("server %d: admit at %.9f without advance (at %.9f)", s.ID, now, s.lastAdv))
 	}
 	if s.down {
-		s.rejected++
 		r.Dropped = true
 		r.DropReason = "server-down"
 		return false
 	}
 	if s.inflight >= s.MaxInflight {
-		s.rejected++
 		r.Dropped = true
 		r.DropReason = "server-queue-full"
 		return false
@@ -530,7 +492,6 @@ func (s *Server) CapFreq(f power.GHz) {
 	s.fidx = s.Model.Ladder.Index(nf)
 	s.version++
 	s.powerDirty = true
-	s.freqChangeCnt++
 	s.refreshSpeedTab()
 	if s.obs != nil {
 		s.obs.Emit(obs.Event{
@@ -538,11 +499,6 @@ func (s *Server) CapFreq(f power.GHz) {
 			Server: int32(s.ID), A: float64(old), B: float64(nf),
 		})
 	}
-}
-
-// Utilization returns the fraction of core capacity in use right now.
-func (s *Server) Utilization() float64 {
-	return s.share() * float64(s.inflight) / float64(s.Cores)
 }
 
 // detach hands the whole active set to the caller in admission order, with
@@ -590,7 +546,6 @@ func (s *Server) FailAll(now float64) []*workload.Request {
 		r.Dropped = true
 		r.DropReason = "outage"
 	}
-	s.rejected += uint64(len(failed))
 	s.version++
 	s.powerDirty = true
 	return failed
@@ -641,7 +596,6 @@ func (s *Server) Recover(now float64) {
 		old := s.freq
 		s.freq = s.Model.Ladder.Max
 		s.fidx = s.Model.Ladder.Index(s.freq)
-		s.freqChangeCnt++
 		s.refreshSpeedTab()
 		if s.obs != nil {
 			s.obs.Emit(obs.Event{

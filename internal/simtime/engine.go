@@ -18,10 +18,11 @@
 // sequence number and one sift down; if the callback schedules nothing, the
 // slot leaves the heap when it returns. Pending never counts it.
 //
-// Callbacks may Schedule, Reschedule, Cancel and Tick, and read Now, Fired
-// and Pending. They must not drive the engine: Step, RunUntil, DrainAt and
-// Reset panic when called from inside a callback. A callback that panics
-// leaves the engine mid-fire, and it stays unusable; discard it.
+// Callbacks may Schedule, Reschedule, Cancel and Tick, and read Now and
+// Pending. They must not drive the engine: DrainAt and Reset panic when
+// called from inside a callback, and so do the test-only drivers Step and
+// RunUntil. A callback that panics leaves the engine mid-fire, and it stays
+// unusable; discard it.
 package simtime
 
 import (
@@ -70,21 +71,6 @@ func (e Event) Cancel() {
 	eng.recycle(ev)
 }
 
-// Pending reports whether the event is still queued to fire: scheduled,
-// not cancelled, not rescheduled, not yet fired.
-func (e Event) Pending() bool {
-	return e.ev != nil && e.ev.gen == e.gen
-}
-
-// At returns the timestamp the event is scheduled for, or 0 once it has
-// fired or been cancelled, or for the zero handle.
-func (e Event) At() Seconds {
-	if !e.Pending() {
-		return 0
-	}
-	return e.ev.at
-}
-
 // Engine owns the virtual clock and the pending event set.
 type Engine struct {
 	now   Seconds
@@ -127,11 +113,9 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Seconds { return e.now }
 
-// Fired returns the number of events executed so far, a cheap progress and
-// determinism probe for tests.
-func (e *Engine) Fired() uint64 { return e.fired }
-
 // Pending returns the number of events still queued.
+//
+//lint:allow deadcode -- read by core's TestQueueHoldsOneCompletionPerServer and the simtime differential
 func (e *Engine) Pending() int {
 	if e.state == slotHeld {
 		return len(e.events) - 1
@@ -262,41 +246,6 @@ func (e *Engine) fire() {
 		e.release(ev)
 	}
 	e.state = idle
-}
-
-// Step fires the single earliest pending event. It returns false when the
-// queue is empty.
-//
-//hot:allocfree
-func (e *Engine) Step() bool {
-	if e.state != idle {
-		panic("simtime: Step called from inside an event callback")
-	}
-	if len(e.events) == 0 {
-		return false
-	}
-	e.fire()
-	return true
-}
-
-// RunUntil fires events in order until the clock would pass horizon or the
-// queue drains. The clock is left at exactly horizon when the horizon is hit
-// so that periodic processes can resume cleanly.
-//
-//hot:allocfree
-func (e *Engine) RunUntil(horizon Seconds) {
-	if e.state != idle {
-		panic("simtime: RunUntil called from inside an event callback")
-	}
-	for len(e.events) > 0 {
-		if e.events[0].at > horizon {
-			break
-		}
-		e.fire()
-	}
-	if e.now < horizon {
-		e.now = horizon
-	}
 }
 
 // DrainAt fires, in scheduling order, every pending event stamped with the

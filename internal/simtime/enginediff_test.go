@@ -25,6 +25,56 @@ func (e Event) Seq() uint64 {
 	return e.ev.seq
 }
 
+// Pending reports whether the event is still queued to fire: scheduled,
+// not cancelled, not rescheduled, not yet fired.
+func (e Event) Pending() bool {
+	return e.ev != nil && e.ev.gen == e.gen
+}
+
+// At returns the timestamp the event is scheduled for, or 0 once it has
+// fired or been cancelled, or for the zero handle.
+func (e Event) At() Seconds {
+	if !e.Pending() {
+		return 0
+	}
+	return e.ev.at
+}
+
+// Fired returns the number of events executed so far, a cheap progress and
+// determinism probe for tests.
+func (e *Engine) Fired() uint64 { return e.fired }
+
+// Step fires the single earliest pending event. It returns false when the
+// queue is empty.
+func (e *Engine) Step() bool {
+	if e.state != idle {
+		panic("simtime: Step called from inside an event callback")
+	}
+	if len(e.events) == 0 {
+		return false
+	}
+	e.fire()
+	return true
+}
+
+// RunUntil fires events in order until the clock would pass horizon or the
+// queue drains. The clock is left at exactly horizon when the horizon is hit
+// so that periodic processes can resume cleanly.
+func (e *Engine) RunUntil(horizon Seconds) {
+	if e.state != idle {
+		panic("simtime: RunUntil called from inside an event callback")
+	}
+	for len(e.events) > 0 {
+		if e.events[0].at > horizon {
+			break
+		}
+		e.fire()
+	}
+	if e.now < horizon {
+		e.now = horizon
+	}
+}
+
 // diffEngine is the surface the differential drives. engineSide adapts
 // Engine to it and refSide adapts refEngine, whose reschedule is Cancel
 // followed by Schedule.

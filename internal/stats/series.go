@@ -1,11 +1,8 @@
 package stats
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Point is one timestamped observation in a Series.
@@ -35,15 +32,6 @@ func (s *Series) Add(t, v float64) {
 
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.Points) }
-
-// Values returns just the observation values, in time order.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.V
-	}
-	return out
-}
 
 // Summary folds all values into a streaming summary.
 func (s *Series) Summary() Summary {
@@ -103,28 +91,6 @@ func (s *Series) MeanOverTime() float64 {
 	return s.Integrate() / span
 }
 
-// FractionAbove returns the fraction of time the series spends strictly
-// above the threshold, used for budget-violation accounting.
-func (s *Series) FractionAbove(threshold float64) float64 {
-	if len(s.Points) < 2 {
-		return 0
-	}
-	above, total := 0.0, 0.0
-	for i := 1; i < len(s.Points); i++ {
-		dt := s.Points[i].T - s.Points[i-1].T
-		total += dt
-		// Attribute the interval to the left endpoint (sample-and-hold),
-		// matching how the control loop samples power.
-		if s.Points[i-1].V > threshold {
-			above += dt
-		}
-	}
-	if total <= 0 {
-		return 0
-	}
-	return above / total
-}
-
 // Downsample returns a series resampled onto n evenly spaced timestamps by
 // sample-and-hold, for compact printing of long trajectories.
 func (s *Series) Downsample(n int) Series {
@@ -150,73 +116,6 @@ func (s *Series) Downsample(n int) Series {
 		out.Points = append(out.Points, Point{T: t, V: s.Points[j].V})
 	}
 	return out
-}
-
-// Histogram buckets samples into fixed-width bins over [lo, hi); samples
-// outside the range clamp into the first/last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []uint64
-	total  uint64
-}
-
-// NewHistogram builds a histogram with the given bin count. It panics on a
-// degenerate range or non-positive bin count: both are construction bugs.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: bad histogram [%g,%g)x%d", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, bins)}
-}
-
-// Add incorporates one sample.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of samples added.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Mode returns the center of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
-}
-
-// FprintASCII renders a quick bar chart, handy in CLI output.
-func (h *Histogram) FprintASCII(w io.Writer, width int) {
-	var maxCount uint64
-	for _, c := range h.Counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	for i, c := range h.Counts {
-		bar := 0
-		if maxCount > 0 {
-			bar = int(math.Round(float64(c) / float64(maxCount) * float64(width)))
-		}
-		fmt.Fprintf(w, "%10.3f | %s %d\n", h.BinCenter(i), strings.Repeat("#", bar), c)
-	}
 }
 
 // Sparkline renders the series as a compact unicode bar string of the given

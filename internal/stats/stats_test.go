@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -32,52 +31,8 @@ func TestSummaryBasics(t *testing.T) {
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Var() != 0 || s.Min() != 0 || s.Max() != 0 || s.CV() != 0 {
+	if s.Mean() != 0 || s.Var() != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Fatal("empty summary not all-zero")
-	}
-}
-
-func TestSummaryMergeMatchesSequential(t *testing.T) {
-	xs := []float64{1, 2, 3, 10, 20, 30, -5, 0.5}
-	var whole, a, b Summary
-	for i, x := range xs {
-		whole.Add(x)
-		if i < 3 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.Count() != whole.Count() ||
-		!almost(a.Mean(), whole.Mean(), 1e-9) ||
-		!almost(a.Var(), whole.Var(), 1e-9) ||
-		a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Fatalf("merge mismatch: %v vs %v", a.String(), whole.String())
-	}
-}
-
-func TestSummaryMergeEmpty(t *testing.T) {
-	var a, b Summary
-	a.Add(1)
-	a.Merge(b) // empty other: no-op
-	if a.Count() != 1 {
-		t.Fatal("merge with empty changed count")
-	}
-	b.Merge(a) // empty receiver adopts other
-	if b.Count() != 1 || b.Mean() != 1 {
-		t.Fatal("empty receiver did not adopt other")
-	}
-}
-
-func TestSummaryAddN(t *testing.T) {
-	var a, b Summary
-	a.AddN(3, 5)
-	for i := 0; i < 5; i++ {
-		b.Add(3)
-	}
-	if a.Count() != b.Count() || a.Mean() != b.Mean() {
-		t.Fatal("AddN mismatch")
 	}
 }
 
@@ -111,7 +66,7 @@ func TestPercentileEmpty(t *testing.T) {
 	if s.Percentile(50) != 0 {
 		t.Fatal("empty percentile not 0")
 	}
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.Mean() != 0 || s.Percentile(0) != 0 || s.Max() != 0 {
 		t.Fatal("empty sample stats not 0")
 	}
 }
@@ -121,7 +76,7 @@ func TestSampleAfterQueryStillMutable(t *testing.T) {
 	s.Add(5)
 	_ = s.Percentile(50)
 	s.Add(1)
-	if got := s.Min(); got != 1 {
+	if got := s.Percentile(0); got != 1 {
 		t.Fatalf("min after post-query add = %g", got)
 	}
 }
@@ -145,29 +100,26 @@ func TestCDFMonotone(t *testing.T) {
 	}
 }
 
-func TestCDFAtAndQuantile(t *testing.T) {
+func TestCDFQuantile(t *testing.T) {
 	var s Sample
 	for i := 1; i <= 100; i++ {
 		s.Add(float64(i))
 	}
 	cdf := s.CDF(100)
-	if got := cdf.At(50); !almost(got, 0.5, 0.02) {
-		t.Fatalf("At(50) = %g", got)
+	if got := cdf.Quantile(0.5); !almost(got, 50, 2) {
+		t.Fatalf("Quantile(0.5) = %g", got)
 	}
 	if got := cdf.Quantile(0.9); !almost(got, 90, 2) {
 		t.Fatalf("Quantile(0.9) = %g", got)
 	}
-	if got := cdf.At(1000); got != 1 {
-		t.Fatalf("At beyond max = %g", got)
-	}
-	if got := cdf.At(-5); got != 0 {
-		t.Fatalf("At below min = %g", got)
+	if got := cdf.Quantile(1); got != 100 {
+		t.Fatalf("Quantile(1) = %g, want the maximum", got)
 	}
 }
 
 func TestCDFEmpty(t *testing.T) {
 	var c CDF
-	if c.At(1) != 0 || c.Quantile(0.5) != 0 {
+	if c.Quantile(0.5) != 0 {
 		t.Fatal("empty CDF not zero")
 	}
 }
@@ -196,19 +148,6 @@ func TestSeriesMeanOverTime(t *testing.T) {
 	single.Add(3, 42)
 	if single.MeanOverTime() != 42 {
 		t.Fatal("single-point mean")
-	}
-}
-
-func TestSeriesFractionAbove(t *testing.T) {
-	var s Series
-	s.Add(0, 50)  // below for [0,10)
-	s.Add(10, 90) // above for [10,20)
-	s.Add(20, 90)
-	if got := s.FractionAbove(80); !almost(got, 0.5, 1e-9) {
-		t.Fatalf("fraction above %g, want 0.5", got)
-	}
-	if got := s.FractionAbove(100); got != 0 {
-		t.Fatalf("fraction above max %g", got)
 	}
 }
 
@@ -255,59 +194,6 @@ func TestSeriesDownsample(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i%10) + 0.5)
-	}
-	for i, c := range h.Counts {
-		if c != 10 {
-			t.Fatalf("bin %d count %d", i, c)
-		}
-	}
-	if h.Total() != 100 {
-		t.Fatalf("total %d", h.Total())
-	}
-	// Clamping.
-	h.Add(-5)
-	h.Add(50)
-	if h.Counts[0] != 11 || h.Counts[9] != 11 {
-		t.Fatal("out-of-range samples not clamped to edge bins")
-	}
-}
-
-func TestHistogramMode(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.Add(3.5)
-	h.Add(3.6)
-	h.Add(7.1)
-	if got := h.Mode(); !almost(got, 3.5, 1e-9) {
-		t.Fatalf("mode %g", got)
-	}
-}
-
-func TestHistogramASCII(t *testing.T) {
-	h := NewHistogram(0, 2, 2)
-	h.Add(0.5)
-	h.Add(1.5)
-	h.Add(1.5)
-	var b strings.Builder
-	h.FprintASCII(&b, 10)
-	out := b.String()
-	if !strings.Contains(out, "#") {
-		t.Fatalf("ascii histogram has no bars:\n%s", out)
-	}
-}
-
-func TestHistogramBadRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad histogram range did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 // Property: percentile is monotone in p and bounded by min/max.
 func TestQuickPercentileMonotone(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -324,48 +210,12 @@ func TestQuickPercentileMonotone(t *testing.T) {
 		prev := math.Inf(-1)
 		for p := 0.0; p <= 100; p += 7 {
 			v := s.Percentile(p)
-			if v < prev || v < s.Min() || v > s.Max() {
+			if v < prev || v < s.Percentile(0) || v > s.Max() {
 				return false
 			}
 			prev = v
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Summary.Merge is equivalent to sequential Add for mean.
-func TestQuickMergeEquivalence(t *testing.T) {
-	f := func(a, b []float64) bool {
-		clean := func(xs []float64) []float64 {
-			out := xs[:0]
-			for _, x := range xs {
-				if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e6 {
-					out = append(out, x)
-				}
-			}
-			return out
-		}
-		a, b = clean(a), clean(b)
-		var sa, sb, whole Summary
-		for _, x := range a {
-			sa.Add(x)
-			whole.Add(x)
-		}
-		for _, x := range b {
-			sb.Add(x)
-			whole.Add(x)
-		}
-		sa.Merge(sb)
-		if sa.Count() != whole.Count() {
-			return false
-		}
-		if whole.Count() == 0 {
-			return true
-		}
-		return almost(sa.Mean(), whole.Mean(), 1e-6*(1+math.Abs(whole.Mean())))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -511,7 +361,7 @@ func TestValuesDefensiveCopy(t *testing.T) {
 	}
 	// Mutating the returned slice must not corrupt the sample...
 	got[0] = 99
-	if s.Min() != 1 || s.Percentile(0) != 1 {
+	if s.Percentile(0) != 1 {
 		t.Fatal("mutating Values() leaked into the sample")
 	}
 	// ...and later Adds must not invalidate an earlier snapshot.
@@ -520,8 +370,8 @@ func TestValuesDefensiveCopy(t *testing.T) {
 	if snap[0] != 1 {
 		t.Fatalf("snapshot changed after Add: %v", snap)
 	}
-	if s.Min() != -7 {
-		t.Fatalf("Min after Add = %g, want -7", s.Min())
+	if got := s.Percentile(0); got != -7 {
+		t.Fatalf("min after Add = %g, want -7", got)
 	}
 }
 

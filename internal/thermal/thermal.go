@@ -242,13 +242,3 @@ func (p *Plant) InletC() float64 { return p.room.InletC() }
 // ThrottleEvents returns how many times a server crossed into thermal
 // throttling.
 func (p *Plant) ThrottleEvents() int { return p.throttleEvents }
-
-// AnyHot reports whether any server is currently throttled.
-func (p *Plant) AnyHot() bool {
-	for _, h := range p.hot {
-		if h {
-			return true
-		}
-	}
-	return false
-}

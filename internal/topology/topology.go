@@ -93,22 +93,6 @@ func seriesAt(s *stats.Series, t float64) float64 {
 	return pts[lo].V
 }
 
-// ChildCapacityW sums the children's rated capacities (leaf: own capacity).
-func (n *Node) ChildCapacityW() float64 {
-	if n.Profile != nil {
-		return n.CapacityW
-	}
-	total := 0.0
-	for _, c := range n.Children {
-		if c.Profile != nil {
-			total += c.CapacityW
-		} else {
-			total += c.ChildCapacityW()
-		}
-	}
-	return total
-}
-
 // OversubscriptionRatio returns sum(direct children capacities)/own
 // capacity — how aggressively this level is provisioned. 0 for leaves or
 // unconstrained nodes.

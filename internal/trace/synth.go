@@ -93,24 +93,6 @@ func (t *Trace) PeakToMean() float64 {
 	return peak / mean
 }
 
-// Window returns a sub-trace covering [from, to) seconds.
-func (t *Trace) Window(from, to float64) *Trace {
-	lo := int(from / t.IntervalSec)
-	hi := int(math.Ceil(to / t.IntervalSec))
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(t.Samples) {
-		hi = len(t.Samples)
-	}
-	if lo >= hi {
-		return &Trace{IntervalSec: t.IntervalSec, Machines: t.Machines}
-	}
-	out := &Trace{IntervalSec: t.IntervalSec, Machines: t.Machines}
-	out.Samples = append(out.Samples, t.Samples[lo:hi]...)
-	return out
-}
-
 // SynthConfig parameterizes the statistical twin of the Alibaba trace.
 type SynthConfig struct {
 	// Machines is the number of simulated machines (the real trace: ~1300).

@@ -132,20 +132,6 @@ func TestRateFnScalesToBase(t *testing.T) {
 	}
 }
 
-func TestWindow(t *testing.T) {
-	tr := &Trace{IntervalSec: 10, Samples: []float64{1, 2, 3, 4, 5, 6}}
-	w := tr.Window(15, 45)
-	if len(w.Samples) != 4 || w.Samples[0] != 2 || w.Samples[3] != 5 {
-		t.Fatalf("window samples %v", w.Samples)
-	}
-	if empty := tr.Window(100, 200); len(empty.Samples) != 0 {
-		t.Fatal("out-of-range window not empty")
-	}
-	if neg := tr.Window(30, 10); len(neg.Samples) != 0 {
-		t.Fatal("inverted window not empty")
-	}
-}
-
 const sampleCSV = `c_1,m_1,0,50,1.0
 c_2,m_2,0,30,1.0
 c_1,m_1,60,70,1.0

@@ -15,17 +15,6 @@ func ConstRate(rps float64) RateFn {
 	return func(float64) float64 { return rps }
 }
 
-// StepRate returns rate a before t0 and rate b from t0 on — the canonical
-// "attack starts at t0" shape.
-func StepRate(a, b, t0 float64) RateFn {
-	return func(t float64) float64 {
-		if t < t0 {
-			return a
-		}
-		return b
-	}
-}
-
 // WindowRate returns rps inside [from, to) and zero outside.
 func WindowRate(rps, from, to float64) RateFn {
 	return func(t float64) float64 {
@@ -33,22 +22,6 @@ func WindowRate(rps, from, to float64) RateFn {
 			return rps
 		}
 		return 0
-	}
-}
-
-// Scale multiplies a rate function by k.
-func Scale(f RateFn, k float64) RateFn {
-	return func(t float64) float64 { return k * f(t) }
-}
-
-// SumRates adds rate functions pointwise.
-func SumRates(fns ...RateFn) RateFn {
-	return func(t float64) float64 {
-		total := 0.0
-		for _, f := range fns {
-			total += f(t)
-		}
-		return total
 	}
 }
 

@@ -173,16 +173,6 @@ func init() {
 	}
 }
 
-// Catalog returns the full class catalog as a map. The map is built fresh
-// per call (callers may mutate their copy); hot paths use Lookup instead.
-func Catalog() map[Class]Profile {
-	out := make(map[Class]Profile, NumClasses)
-	for c := range catalog {
-		out[Class(c)] = catalog[c]
-	}
-	return out
-}
-
 // Lookup returns the profile for c, panicking on an undefined class: every
 // request in the simulator is constructed from the catalog, so a miss is a
 // programming error, not an input error.
@@ -191,17 +181,4 @@ func Lookup(c Class) Profile {
 		panic(fmt.Sprintf("workload: no profile for %v", c))
 	}
 	return catalog[c]
-}
-
-// ByURL returns the profile serving the given URL, and whether one exists.
-// Several classes may share "/"; the first by class order wins, which is
-// fine because the NLB only routes application endpoints by URL.
-func ByURL(url string) (Profile, bool) {
-	for c := Class(0); c < numClasses; c++ {
-		p := Lookup(c)
-		if p.URL == url {
-			return p, true
-		}
-	}
-	return Profile{}, false
 }

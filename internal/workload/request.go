@@ -145,9 +145,6 @@ func (f *Factory) Free(r *Request) {
 	f.free = append(f.free, r)
 }
 
-// Minted returns how many requests the factory has produced.
-func (f *Factory) Minted() uint64 { return f.nextID }
-
 // Reset rewinds the factory for a fresh run on a new stream while keeping
 // the arena: IDs restart from zero, demand randomness comes from rnd, and
 // the free list carries over so the next run mints into recycled structs.

@@ -9,16 +9,31 @@ import (
 	"antidope/internal/rng"
 )
 
+// catalogMap returns every class's profile keyed by class.
+func catalogMap() map[Class]Profile {
+	out := make(map[Class]Profile, NumClasses)
+	for c := Class(0); c < numClasses; c++ {
+		out[c] = Lookup(c)
+	}
+	return out
+}
+
+// stepRate returns rate a before t0 and rate b from t0 on.
+func stepRate(a, b, t0 float64) RateFn {
+	return func(t float64) float64 {
+		if t < t0 {
+			return a
+		}
+		return b
+	}
+}
+
 func TestCatalogComplete(t *testing.T) {
-	cat := Catalog()
-	if len(cat) != NumClasses {
-		t.Fatalf("catalog has %d classes, want %d", len(cat), NumClasses)
+	if len(catalog) != NumClasses {
+		t.Fatalf("catalog has %d classes, want %d", len(catalog), NumClasses)
 	}
 	for c := Class(0); c < numClasses; c++ {
-		p, ok := cat[c]
-		if !ok {
-			t.Fatalf("class %v missing from catalog", c)
-		}
+		p := Lookup(c)
 		if p.Class != c {
 			t.Fatalf("class %v profile labelled %v", c, p.Class)
 		}
@@ -40,7 +55,7 @@ func TestCatalogComplete(t *testing.T) {
 // The calibration facts Section 3 characterizes — these orderings are what
 // the reproduced figures depend on.
 func TestCalibrationOrderings(t *testing.T) {
-	cat := Catalog()
+	cat := catalogMap()
 	// K-means has the highest power per request (Fig. 5-b).
 	for c, p := range cat {
 		if c == KMeans {
@@ -105,16 +120,6 @@ func TestLookupPanicsOnUnknown(t *testing.T) {
 	Lookup(Class(42))
 }
 
-func TestByURL(t *testing.T) {
-	p, ok := ByURL("/recommend")
-	if !ok || p.Class != CollaFilt {
-		t.Fatalf("ByURL(/recommend) = %v, %v", p.Class, ok)
-	}
-	if _, ok := ByURL("/nope"); ok {
-		t.Fatal("unknown URL resolved")
-	}
-}
-
 func TestFactoryMintsUniqueIDs(t *testing.T) {
 	f := NewFactory(rng.New(1))
 	seen := make(map[uint64]bool)
@@ -124,9 +129,6 @@ func TestFactoryMintsUniqueIDs(t *testing.T) {
 			t.Fatal("duplicate request ID")
 		}
 		seen[r.ID] = true
-	}
-	if f.Minted() != 1000 {
-		t.Fatalf("minted %d", f.Minted())
 	}
 }
 
@@ -232,25 +234,14 @@ func TestRequestResponseTime(t *testing.T) {
 	}
 }
 
-func TestConstAndStepRate(t *testing.T) {
+func TestConstAndWindowRate(t *testing.T) {
 	c := ConstRate(5)
 	if c(0) != 5 || c(1000) != 5 {
 		t.Fatal("const rate")
 	}
-	s := StepRate(1, 9, 100)
-	if s(99) != 1 || s(100) != 9 {
-		t.Fatal("step rate")
-	}
 	w := WindowRate(7, 10, 20)
 	if w(9) != 0 || w(10) != 7 || w(19.9) != 7 || w(20) != 0 {
 		t.Fatal("window rate")
-	}
-	sum := SumRates(c, s)
-	if sum(200) != 14 {
-		t.Fatal("sum rate")
-	}
-	if Scale(c, 2)(0) != 10 {
-		t.Fatal("scale rate")
 	}
 }
 
@@ -406,7 +397,7 @@ func TestMixNextAllocFree(t *testing.T) {
 	sources := []Source{
 		{Class: CollaFilt, Origin: Attack, Rate: ConstRate(300), Sources: 4},
 		{Class: AliNormal, Origin: Legit, Rate: ConstRate(700), Sources: 50, FirstSource: 1000},
-		{Class: WordCount, Origin: Legit, Rate: StepRate(0, 50, 1), Sources: 8, FirstSource: 2000},
+		{Class: WordCount, Origin: Legit, Rate: stepRate(0, 50, 1), Sources: 8, FirstSource: 2000},
 	}
 	m := NewMix(sources, []float64{300, 700, 50}, f, rng.New(16))
 	cycle := func() {
@@ -457,7 +448,7 @@ func BenchmarkGenerator(b *testing.B) {
 	f := NewFactory(rng.New(1))
 	sources := []Source{
 		{Class: AliNormal, Origin: Legit, Rate: ConstRate(400), Sources: 200},
-		{Class: CollaFilt, Origin: Attack, Rate: StepRate(200, 800, 50), Sources: 10, FirstSource: 1000},
+		{Class: CollaFilt, Origin: Attack, Rate: stepRate(200, 800, 50), Sources: 10, FirstSource: 1000},
 		{Class: VolumeFlood, Origin: Attack, Rate: ConstRate(5000), Sources: 40, FirstSource: 2000},
 	}
 	m := NewMix(sources, []float64{500, 800, 5000}, f, rng.New(2))
