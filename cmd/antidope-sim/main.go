@@ -66,7 +66,7 @@ func main() {
 		cfg.Thermal = thermal.Config{Enabled: true}
 	}
 
-	budget, err := parseBudget(*budgetName)
+	budget, err := cluster.ParseBudget(*budgetName)
 	if err != nil {
 		fatal(err)
 	}
@@ -190,21 +190,6 @@ func main() {
 		for _, p := range res.Battery.Downsample(40).Points {
 			fmt.Printf("  %7.1f  %6.3f\n", p.T, p.V)
 		}
-	}
-}
-
-func parseBudget(name string) (cluster.BudgetLevel, error) {
-	switch strings.ToLower(name) {
-	case "normal":
-		return cluster.NormalPB, nil
-	case "high":
-		return cluster.HighPB, nil
-	case "medium":
-		return cluster.MediumPB, nil
-	case "low":
-		return cluster.LowPB, nil
-	default:
-		return 0, fmt.Errorf("unknown budget %q (want normal|high|medium|low)", name)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"antidope/internal/attack"
 	"antidope/internal/cluster"
@@ -36,18 +35,11 @@ func main() {
 	cfg.Horizon = *horizon
 	cfg.Seed = *seed
 	cfg.DopeEpochSec = *epoch
-	switch strings.ToLower(*budgetName) {
-	case "normal":
-		cfg.Cluster.Budget = cluster.NormalPB
-	case "high":
-		cfg.Cluster.Budget = cluster.HighPB
-	case "medium":
-		cfg.Cluster.Budget = cluster.MediumPB
-	case "low":
-		cfg.Cluster.Budget = cluster.LowPB
-	default:
-		fatal(fmt.Errorf("unknown budget %q", *budgetName))
+	budget, err := cluster.ParseBudget(*budgetName)
+	if err != nil {
+		fatal(err)
 	}
+	cfg.Cluster.Budget = budget
 	scheme, err := defense.ByName(*schemeName, core.Ladder(cfg))
 	if err != nil {
 		fatal(err)

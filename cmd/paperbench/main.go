@@ -1,12 +1,15 @@
 // Command paperbench regenerates every table and figure of the paper's
 // evaluation (the experiment index in DESIGN.md) and prints them with the
-// qualitative checks EXPERIMENTS.md records.
+// qualitative checks EXPERIMENTS.md records. The experiment groups, and the
+// block each prints, come from the table in internal/experiments: -fig and
+// -x print one group's block exactly as the full suite does.
 //
 // Examples:
 //
 //	paperbench              # full-fidelity suite (minutes)
 //	paperbench -quick       # ~4x shorter windows (CI-grade)
-//	paperbench -fig 17      # a single figure
+//	paperbench -fig 17      # the group drawing one figure (Fig. 17: the Figs. 16/17/19 grid)
+//	paperbench -x ablation  # one experiment group by name
 //	paperbench -parallel 1  # force sequential execution (same output)
 //	paperbench -quick -cpuprofile cpu.pprof   # profile the suite
 //	paperbench -quick -benchjson run.json     # record wall time as bench JSON
@@ -36,8 +39,8 @@ func main() {
 	var (
 		quick    = flag.Bool("quick", false, "shrink observation windows ~4x")
 		seed     = flag.Uint64("seed", 2019, "experiment seed")
-		fig      = flag.Int("fig", 0, "run a single figure (3..19); 0 = all")
-		extra    = flag.String("x", "", "run one beyond-the-paper experiment: ablation|outage|pulse|scale|capacity|detection|robustness|resilience|resilience-net|thermal")
+		fig      = flag.Int("fig", 0, "run the experiment group that draws one figure (3..19); 0 = all")
+		extra    = flag.String("x", "", "run one experiment group: "+groupNames())
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "simulation worker count (output is identical at any setting; 1 = sequential)")
 
 		scenarioFile = flag.String("scenario", "", "run one declarative scenario file (.yaml/.yml/.json; see EXPERIMENTS.md)")
@@ -235,153 +238,30 @@ func run(quick bool, seed uint64, fig int, extra string, parallel int,
 		return 0
 	}
 
-	if extra != "" {
-		var table *experiments.Table
-		var err error
-		switch extra {
-		case "ablation":
-			var r *experiments.AblationResult
-			r, err = experiments.Ablation(o)
-			if err == nil {
-				table = r.Table
-			}
-		case "outage":
-			var r *experiments.OutageResult
-			r, err = experiments.Outage(o)
-			if err == nil {
-				table = r.Table
-			}
-		case "pulse":
-			var r *experiments.PulseResult
-			r, err = experiments.Pulse(o)
-			if err == nil {
-				table = r.Table
-			}
-		case "scale":
-			var r *experiments.ScaleResult
-			r, err = experiments.Scale(o)
-			if err == nil {
-				table = r.Table
-			}
-		case "capacity":
-			var r *experiments.CapacityResult
-			r, err = experiments.Capacity(o)
-			if err == nil {
-				table = r.Table
-			}
-		case "detection":
-			var r *experiments.DetectionResult
-			r, err = experiments.Detection(o)
-			if err == nil {
-				table = r.Table
-			}
-		case "robustness":
-			var r *experiments.RobustnessResult
-			r, err = experiments.Robustness(o)
-			if err == nil {
-				table = r.Table
-			}
-		case "resilience":
-			var r *experiments.ResilienceResult
-			r, err = experiments.Resilience(o)
-			if err == nil {
-				table = r.Table
-			}
-		case "resilience-net":
-			var r *experiments.ResilienceNetResult
-			r, err = experiments.ResilienceNet(o)
-			if err == nil {
-				table = r.Table
-			}
-		case "thermal":
-			var r *experiments.ThermalResult
-			r, err = experiments.Thermal(o)
-			if err == nil {
-				table = r.Table
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "paperbench: unknown extra experiment %q\n", extra)
-			return 1
-		}
-		check(err)
-		table.Fprint(w)
-		return 0
-	}
-
-	if fig == 0 {
+	if fig == 0 && extra == "" {
 		check(experiments.All(o, w))
 		return 0
 	}
-	switch fig {
-	case 3:
-		r, err := experiments.Fig3(o)
-		check(err)
-		r.Table.Fprint(w)
-		fmt.Fprintf(w, "ranking: %v\n", r.Ranking)
-	case 4:
-		r, err := experiments.Fig4(o)
-		check(err)
-		r.TableA.Fprint(w)
-		r.TableB.Fprint(w)
-	case 5:
-		r, err := experiments.Fig5(o)
-		check(err)
-		r.TableA.Fprint(w)
-		r.TableB.Fprint(w)
-	case 6:
-		r, err := experiments.Fig6(o)
-		check(err)
-		r.TableA.Fprint(w)
-		r.TableB.Fprint(w)
-	case 7:
-		r, err := experiments.Fig7(o)
-		check(err)
-		r.Table.Fprint(w)
-	case 8:
-		r, err := experiments.Fig8(o)
-		check(err)
-		r.Table.Fprint(w)
-	case 9:
-		r, err := experiments.Fig9(o)
-		check(err)
-		r.Table.Fprint(w)
-	case 10:
-		r, err := experiments.Fig10(o)
-		check(err)
-		r.Table.Fprint(w)
-	case 11:
-		r, err := experiments.Fig11(o)
-		check(err)
-		r.Table.Fprint(w)
-	case 12:
-		r, err := experiments.Fig12(o)
-		check(err)
-		r.Table.Fprint(w)
-	case 15:
-		r, err := experiments.Fig15(o)
-		check(err)
-		r.TableA.Fprint(w)
-		r.TableB.Fprint(w)
-	case 16, 17, 19:
-		grid, err := experiments.RunEvalGrid(o)
-		check(err)
-		switch fig {
-		case 16:
-			grid.Fig16().Fprint(w)
-		case 17:
-			grid.Fig17().Fprint(w)
-		case 19:
-			grid.Fig19().Fprint(w)
-		}
-	case 18:
-		r, err := experiments.Fig18(o)
-		check(err)
-		r.Table.Fprint(w)
-	default:
+	g, ok := experiments.Lookup(fig, extra)
+	switch {
+	case !ok && extra != "":
+		fmt.Fprintf(os.Stderr, "paperbench: unknown experiment %q (want %s)\n", extra, groupNames())
+		return 1
+	case !ok:
 		fmt.Fprintf(os.Stderr, "paperbench: no experiment for figure %d (figures 1/2/13/14 are diagrams)\n", fig)
 		return 1
 	}
+	check(g.Run(o, w))
 	return 0
+}
+
+// groupNames lists the experiment groups -x accepts.
+func groupNames() string {
+	var names []string
+	for _, g := range experiments.Groups() {
+		names = append(names, g.Name)
+	}
+	return strings.Join(names, "|")
 }
 
 // writeManifest dumps the telemetry's run manifest JSON.

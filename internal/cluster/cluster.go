@@ -5,6 +5,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 
 	"antidope/internal/battery"
 	"antidope/internal/power"
@@ -34,6 +35,18 @@ func (b BudgetLevel) String() string {
 		return fmt.Sprintf("BudgetLevel(%d)", int(b))
 	}
 	return budgetNames[b]
+}
+
+// ParseBudget resolves a level from its short name (normal, high, medium,
+// low) or the name String prints (Normal-PB, ...), ignoring case.
+func ParseBudget(name string) (BudgetLevel, error) {
+	for b, paper := range budgetNames {
+		if strings.EqualFold(name, paper) || strings.EqualFold(name, strings.TrimSuffix(paper, "-PB")) {
+			return BudgetLevel(b), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown budget %q (want normal|high|medium|low or %s)",
+		name, strings.Join(budgetNames[:], "|"))
 }
 
 // Frac returns the supplied power as a fraction of nameplate.

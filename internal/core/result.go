@@ -176,6 +176,23 @@ func (r *Result) Availability() float64 {
 	return float64(r.CompletedLegit) / float64(r.OfferedLegit)
 }
 
+// SLACompliance returns the fraction of offered legitimate requests that
+// completed within sloSec, in [0,1]. Requests dropped, crash-lost or still
+// queued at the horizon count against it; a run that offered nothing
+// reports 1.
+func (r *Result) SLACompliance(sloSec float64) float64 {
+	if r.OfferedLegit == 0 {
+		return 1
+	}
+	n := 0
+	for _, v := range r.LatencyLegit.Values() {
+		if v <= sloSec {
+			n++
+		}
+	}
+	return float64(n) / float64(r.OfferedLegit)
+}
+
 // ClassMeanRT returns the mean response time in seconds of the completed
 // requests of class c, either origin, and false when the class completed
 // none. The sum is kept in completion order, so the mean has exactly the
@@ -197,6 +214,11 @@ func (r *Result) TailRT(p float64) float64 { return r.LatencyLegit.Percentile(p)
 func (r *Result) PeakPowerW() float64 {
 	_, v := r.Power.Max()
 	return v
+}
+
+// PeakOverW returns the peak draw above the budget, floored at zero.
+func (r *Result) PeakOverW() float64 {
+	return max(r.PeakPowerW()-r.BudgetW, 0)
 }
 
 // MinBatterySoC returns the lowest sampled state of charge.

@@ -90,9 +90,8 @@ func RunJobs(o Options, jobs []harness.Job) ([]*core.Result, error) {
 }
 
 // resultCursor returns an iterator over harness results. Figures build
-// their job list and then consume results through the cursor in the exact
-// submission order, which keeps the printed tables byte-identical to the
-// old inline loops.
+// their job list, then walk the same loops again and take each result in
+// submission order, so every row reads the run its loop position built.
 func resultCursor(results []*core.Result) func() *core.Result {
 	i := 0
 	return func() *core.Result {

@@ -13,24 +13,78 @@ import (
 // count as served: dropped, lost, and slower-than-SLO requests all violate.
 const resilienceSLASec = 0.25
 
+// chaosSweep is what tells the two resilience sweeps apart: the fault
+// families injected, the label and seed stems, and the table's wording.
+type chaosSweep struct {
+	// name stems the job labels; seedStem names the generator's seed
+	// under it.
+	name, seedStem string
+	// chaos names the intensity axis in the table's note.
+	chaos string
+	title string
+	// base is the baseline (intensity 1) rate of each fault family over
+	// the horizon; the runner fills in Horizon, Servers and Seed.
+	base faults.GeneratorConfig
+	// ledger names and reads the three counters of a run that close each
+	// table row.
+	ledgerCols [3]string
+	ledger     func(*core.Result) [3]uint64
+}
+
+// faultSweep injects mixed infrastructure chaos: crashes, telemetry
+// corruption, DVFS faults, firewall flaps and battery failures.
+var faultSweep = chaosSweep{
+	name: "resilience", seedStem: "faults", chaos: "fault",
+	title: "Resilience sweep: graceful degradation under infrastructure faults (Medium-PB, DOPE injection)",
+	base: faults.GeneratorConfig{
+		Crashes:         2,
+		TelemetryFaults: 3,
+		DVFSFaults:      2,
+		FirewallFlaps:   1,
+		BatteryFaults:   1,
+		MeanFaultSec:    15,
+	},
+	ledgerCols: [3]string{"crashes", "requeued", "lost"},
+	ledger: func(r *core.Result) [3]uint64 {
+		return [3]uint64{uint64(r.ServerCrashes), r.CrashRequeued, r.CrashLost}
+	},
+}
+
+// netSweep injects link faults only — per-link latency, loss and partition
+// windows — so it isolates network conditions from the mixed chaos of
+// faultSweep. The defense telemetry rides the same degraded links, so
+// intensity raises both the physical damage (lost and late deliveries) and
+// the defense's blindness.
+var netSweep = chaosSweep{
+	name: "resilience-net", seedStem: "links", chaos: "network-chaos",
+	title: "Network-resilience sweep: degradation under link loss/latency/partitions (Medium-PB, DOPE injection)",
+	base: faults.GeneratorConfig{
+		NetFaults:    6,
+		MeanFaultSec: 15,
+	},
+	ledgerCols: [3]string{"lost", "timeout", "retries"},
+	ledger: func(r *core.Result) [3]uint64 {
+		return [3]uint64{r.NetLost, r.NetTimedOut, r.NetRetried}
+	},
+}
+
 // ResilienceResult sweeps the Table 2 schemes across fault-injection
 // intensity: the Section 6 Medium-PB attack scenario with a seeded chaos
-// schedule (crashes, telemetry corruption, DVFS faults, firewall flaps,
-// battery failures) scaled from none to twice the baseline rate. All
-// schemes at one intensity face the identical fault schedule.
+// schedule scaled from none to twice the baseline rate. All schemes at one
+// intensity face the identical fault schedule.
 type ResilienceResult struct {
 	Table *Table
-	// Intensities and Schemes index SLA and OvershootW: SLA[i][j] is the
-	// SLA compliance of scheme j at intensity i, OvershootW[i][j] the peak
-	// power overshoot above budget in watts.
+	// Intensities and Schemes index SLA and Ledger: SLA[i][j] is the SLA
+	// compliance of scheme j at intensity i, Ledger[i][j] the three
+	// counters in that row's last columns.
 	Intensities []float64
 	Schemes     []string
 	SLA         [][]float64
-	OvershootW  [][]float64
+	Ledger      [][][3]uint64
 }
 
-// Resilience runs the fault-intensity sweep.
-func Resilience(o Options) (*ResilienceResult, error) {
+// resilience runs one fault-intensity sweep.
+func resilience(o Options, sw *chaosSweep) (*ResilienceResult, error) {
 	horizon := o.Horizon(240)
 	intensities := []float64{0, 0.5, 1, 2}
 	if o.Quick {
@@ -38,34 +92,26 @@ func Resilience(o Options) (*ResilienceResult, error) {
 	}
 	schemes := []string{"capping", "shaving", "token", "anti-dope"}
 
-	// Baseline (intensity 1) chaos rate over the horizon. The generator
-	// seed derives from the intensity alone, so every scheme at one
-	// intensity faces the same fault schedule — the sweep compares
+	// The generator seed derives from the intensity alone, so every scheme
+	// at one intensity faces the same fault schedule — the sweep compares
 	// defenses, not luck.
-	base := faults.GeneratorConfig{
-		Horizon:         horizon,
-		Servers:         cluster.DefaultConfig().Servers,
-		Crashes:         2,
-		TelemetryFaults: 3,
-		DVFSFaults:      2,
-		FirewallFlaps:   1,
-		BatteryFaults:   1,
-		MeanFaultSec:    15,
-	}
+	base := sw.base
+	base.Horizon = horizon
+	base.Servers = cluster.DefaultConfig().Servers
 
 	out := &ResilienceResult{Intensities: intensities, Schemes: schemes}
 	out.Table = &Table{
-		Title: "Resilience sweep: graceful degradation under infrastructure faults (Medium-PB, DOPE injection)",
-		Header: []string{"intensity", "scheme", "SLA<=250ms", "peak over (W)",
-			"availability", "crashes", "requeued", "lost"},
+		Title: sw.title,
+		Header: []string{"intensity", "scheme", "SLA<=250ms", "peak over (W)", "availability",
+			sw.ledgerCols[0], sw.ledgerCols[1], sw.ledgerCols[2]},
 	}
 
 	var jobs []harness.Job
 	for _, x := range intensities {
 		gen := base.Scaled(x)
-		gen.Seed = o.SeedFor(fmt.Sprintf("resilience/faults/%.2f", x))
+		gen.Seed = o.SeedFor(fmt.Sprintf("%s/%s/%.2f", sw.name, sw.seedStem, x))
 		for _, name := range schemes {
-			label := fmt.Sprintf("resilience/%s/x%.2f", name, x)
+			label := fmt.Sprintf("%s/%s/x%.2f", sw.name, name, x)
 			job := EvalJob(o, label, SchemeByName(name), cluster.MediumPB,
 				EvalAttackSpecs(10, horizon), horizon)
 			if x > 0 {
@@ -82,48 +128,26 @@ func Resilience(o Options) (*ResilienceResult, error) {
 	next := resultCursor(results)
 	for _, x := range intensities {
 		slaRow := make([]float64, 0, len(schemes))
-		overRow := make([]float64, 0, len(schemes))
+		ledgerRow := make([][3]uint64, 0, len(schemes))
 		for _, name := range schemes {
 			r := next()
-			sla := slaCompliance(r, resilienceSLASec)
-			over := r.PeakPowerW() - r.BudgetW
-			if over < 0 {
-				over = 0
-			}
+			sla, ledger := r.SLACompliance(resilienceSLASec), sw.ledger(r)
 			slaRow = append(slaRow, sla)
-			overRow = append(overRow, over)
-			out.Table.AddRow(f2(x), name, pct(sla), f1(over), pct(r.Availability()),
-				fmt.Sprintf("%d", r.ServerCrashes),
-				fmt.Sprintf("%d", r.CrashRequeued),
-				fmt.Sprintf("%d", r.CrashLost))
+			ledgerRow = append(ledgerRow, ledger)
+			out.Table.AddRow(f2(x), name, pct(sla), f1(r.PeakOverW()), pct(r.Availability()),
+				fmt.Sprintf("%d", ledger[0]), fmt.Sprintf("%d", ledger[1]), fmt.Sprintf("%d", ledger[2]))
 		}
 		out.SLA = append(out.SLA, slaRow)
-		out.OvershootW = append(out.OvershootW, overRow)
+		out.Ledger = append(out.Ledger, ledgerRow)
 	}
 	if out.DegradationOrderOK() {
-		out.Table.Notes = append(out.Table.Notes,
-			"at the highest fault intensity the SLA ordering holds: Anti-DOPE >= Token >= Shaving >= Capping.")
+		out.Table.Notes = append(out.Table.Notes, fmt.Sprintf(
+			"at the highest %s intensity the SLA ordering holds: Anti-DOPE >= Token >= Shaving >= Capping.", sw.chaos))
 	} else {
 		out.Table.Notes = append(out.Table.Notes,
 			"WARNING: expected degradation ordering (Anti-DOPE >= Token >= Shaving >= Capping) violated at top intensity.")
 	}
 	return out, nil
-}
-
-// slaCompliance is the fraction of offered legitimate requests that
-// completed within the SLO. Requests dropped, crash-lost, or still queued
-// at the horizon count against it.
-func slaCompliance(r *core.Result, sloSec float64) float64 {
-	if r.OfferedLegit == 0 {
-		return 1
-	}
-	n := 0
-	for _, v := range r.LatencyLegit.Values() {
-		if v <= sloSec {
-			n++
-		}
-	}
-	return float64(n) / float64(r.OfferedLegit)
 }
 
 // DegradationOrderOK reports whether, at the highest fault intensity, SLA

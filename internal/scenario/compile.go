@@ -71,13 +71,6 @@ func Compile(s *Scenario, o experiments.Options) (*Plan, error) {
 	return plan, nil
 }
 
-var budgetLevels = map[string]cluster.BudgetLevel{
-	"Normal-PB": cluster.NormalPB,
-	"High-PB":   cluster.HighPB,
-	"Medium-PB": cluster.MediumPB,
-	"Low-PB":    cluster.LowPB,
-}
-
 var classValues = map[string]workload.Class{
 	"Colla-Filt":   workload.CollaFilt,
 	"K-means":      workload.KMeans,
@@ -133,7 +126,11 @@ func compileRun(s *Scenario, run *RunSpec, o experiments.Options, label string,
 	if s.Defense.Policy == "round-robin" {
 		cfg.Policy = netlb.RoundRobin
 	}
-	cfg.Cluster.Budget = budgetLevels[budgetName]
+	budget, err := cluster.ParseBudget(budgetName)
+	if err != nil {
+		return core.Config{}, RunMeta{}, fmt.Errorf("scenario %s: run %q: %w", s.Name, label, err)
+	}
+	cfg.Cluster.Budget = budget
 	if s.Cluster.Servers > 0 {
 		cfg.Cluster.Servers = s.Cluster.Servers
 	}

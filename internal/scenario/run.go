@@ -100,7 +100,7 @@ func (r *Result) buildTable() *experiments.Table {
 		power := res.Power.Sample()
 		t.AddRow(name, meta.Scheme, meta.Budget,
 			fmt.Sprintf("%.1f%%", 100*res.Availability()),
-			fmt.Sprintf("%.1f%%", 100*slaCompliance(res, slo)),
+			fmt.Sprintf("%.1f%%", 100*res.SLACompliance(slo)),
 			fmt.Sprintf("%.1f", 1e3*res.MeanRT()),
 			fmt.Sprintf("%.1f", 1e3*res.TailRT(90)),
 			fmt.Sprintf("%.1f", power.Mean()),
@@ -132,7 +132,7 @@ func (r *Result) evalChecks() []Check {
 				1e3*res.MeanRT() <= *v)
 		}
 		if v := s.Assert.MaxPeakOverW; v != nil {
-			over := peakOverW(res)
+			over := res.PeakOverW()
 			bound(fmt.Sprintf("%s peak overshoot %.1fW <= %gW", runName(i), over, *v),
 				over <= *v)
 		}
@@ -160,38 +160,13 @@ func (r *Result) evalChecks() []Check {
 	return checks
 }
 
-// slaCompliance is the fraction of offered legitimate requests that
-// completed within the SLO — dropped, crash-lost and still-queued requests
-// all count against it (the resilience-sweep definition).
-func slaCompliance(r *core.Result, sloSec float64) float64 {
-	if r.OfferedLegit == 0 {
-		return 1
-	}
-	n := 0
-	for _, v := range r.LatencyLegit.Values() {
-		if v <= sloSec {
-			n++
-		}
-	}
-	return float64(n) / float64(r.OfferedLegit)
-}
-
-// peakOverW is the peak draw above budget, floored at zero.
-func peakOverW(r *core.Result) float64 {
-	over := r.PeakPowerW() - r.BudgetW
-	if over < 0 {
-		over = 0
-	}
-	return over
-}
-
 // metricOf extracts one named assertion metric from a run result.
 func metricOf(r *core.Result, metric string, sloSec float64) float64 {
 	switch metric {
 	case "availability":
 		return r.Availability()
 	case "sla":
-		return slaCompliance(r, sloSec)
+		return r.SLACompliance(sloSec)
 	case "mean-rt":
 		return r.MeanRT()
 	case "p90-rt":
@@ -205,7 +180,7 @@ func metricOf(r *core.Result, metric string, sloSec float64) float64 {
 	case "over-budget":
 		return r.OverBudgetJ
 	case "peak-over":
-		return peakOverW(r)
+		return r.PeakOverW()
 	}
 	panic(fmt.Sprintf("scenario: unvalidated metric %q", metric))
 }

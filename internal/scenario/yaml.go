@@ -1,8 +1,7 @@
 package scenario
 
-// A deliberately small, dependency-free YAML-subset reader. The canonical
-// serializer (canon.go) emits exactly this subset, which is what makes
-// parse -> normalize -> serialize -> parse a byte-level fixed point:
+// A deliberately small, dependency-free YAML-subset reader. It reads this
+// subset:
 //
 //   - mappings:  "key: value" with two-space block indentation
 //   - sequences: "- item" blocks (compact "- key: value" mappings) and the

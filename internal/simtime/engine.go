@@ -73,9 +73,8 @@ func (e Event) Cancel() {
 
 // Engine owns the virtual clock and the pending event set.
 type Engine struct {
-	now   Seconds
-	seq   uint64
-	fired uint64
+	now Seconds
+	seq uint64
 
 	// events is a 4-ary min-heap ordered by (at, seq); events[i].idx == i.
 	// Outside callbacks it holds exactly the pending events. While a
@@ -229,7 +228,6 @@ func (e *Engine) fire() {
 	ev.gen++
 	at, fn := ev.at, ev.fn
 	e.now = at
-	e.fired++
 	e.state = slotHeld
 	fn(at)
 	if e.state == slotHeld {
@@ -296,7 +294,6 @@ func (e *Engine) Reset() {
 	e.events = e.events[:0]
 	e.now = 0
 	e.seq = 0
-	e.fired = 0
 }
 
 // The event heap is 4-ary: children of i are arity*i+1 .. arity*i+arity,

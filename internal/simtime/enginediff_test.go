@@ -40,10 +40,6 @@ func (e Event) At() Seconds {
 	return e.ev.at
 }
 
-// Fired returns the number of events executed so far, a cheap progress and
-// determinism probe for tests.
-func (e *Engine) Fired() uint64 { return e.fired }
-
 // Step fires the single earliest pending event. It returns false when the
 // queue is empty.
 func (e *Engine) Step() bool {
@@ -88,7 +84,6 @@ type diffEngine interface {
 	Reset()
 	Now() Seconds
 	Pending() int
-	Fired() uint64
 }
 
 type engineSide struct{ *Engine }
@@ -123,7 +118,6 @@ type fireRec struct {
 type view struct {
 	now         Seconds
 	pending     int
-	fired       uint64
 	own, newest handleView
 }
 
@@ -144,7 +138,6 @@ func (p *enginePair) look(s *diffState, id int) view {
 	v := view{
 		now:     s.eng.Now(),
 		pending: s.eng.Pending(),
-		fired:   s.eng.Fired(),
 		newest:  viewOf(s.hs[len(s.hs)-1]),
 	}
 	if id >= 0 {
@@ -329,9 +322,9 @@ func (p *enginePair) compare() {
 			p.tb.Fatalf("op %d: fire %d was %+v, reference %+v", p.op, i, s.log[i], r.log[i])
 		}
 	}
-	if s.eng.Now() != r.eng.Now() || s.eng.Pending() != r.eng.Pending() || s.eng.Fired() != r.eng.Fired() { //lint:allow floateq -- identical histories give identical clocks
-		p.tb.Fatalf("op %d: now/pending/fired %g/%d/%d, reference %g/%d/%d", p.op,
-			s.eng.Now(), s.eng.Pending(), s.eng.Fired(), r.eng.Now(), r.eng.Pending(), r.eng.Fired())
+	if s.eng.Now() != r.eng.Now() || s.eng.Pending() != r.eng.Pending() { //lint:allow floateq -- identical histories give identical clocks
+		p.tb.Fatalf("op %d: now/pending %g/%d, reference %g/%d", p.op,
+			s.eng.Now(), s.eng.Pending(), r.eng.Now(), r.eng.Pending())
 	}
 	if len(s.hs) != len(r.hs) {
 		p.tb.Fatalf("op %d: %d handles, reference %d", p.op, len(s.hs), len(r.hs))

@@ -15,7 +15,6 @@ import (
 type refEngine struct {
 	now    Seconds
 	seq    uint64
-	fired  uint64
 	events []*refEvent
 	live   int
 	free   []*refEvent
@@ -69,9 +68,8 @@ func (e refHandle) Seq() uint64 {
 	return e.ev.seq
 }
 
-func (e *refEngine) Now() Seconds  { return e.now }
-func (e *refEngine) Fired() uint64 { return e.fired }
-func (e *refEngine) Pending() int  { return e.live }
+func (e *refEngine) Now() Seconds { return e.now }
+func (e *refEngine) Pending() int { return e.live }
 
 func refLess(a, b *refEvent) bool {
 	//lint:allow floateq -- deliberate: only bit-identical timestamps tie-break by seq
@@ -133,7 +131,6 @@ func (e *refEngine) Step() bool {
 	at, fn := ev.at, ev.fn
 	e.recycle(ev)
 	e.now = at
-	e.fired++
 	fn(e.now)
 	return true
 }
@@ -153,7 +150,6 @@ func (e *refEngine) RunUntil(horizon Seconds) {
 		at, fn := ev.at, ev.fn
 		e.recycle(ev)
 		e.now = at
-		e.fired++
 		fn(e.now)
 	}
 	if e.now < horizon {
@@ -181,7 +177,6 @@ func (e *refEngine) DrainAt(horizon Seconds) (n int, at Seconds) {
 		fn := ev.fn
 		e.recycle(ev)
 		e.now = at
-		e.fired++
 		n++
 		fn(e.now)
 	}
@@ -201,7 +196,6 @@ func (e *refEngine) Reset() {
 	e.events = e.events[:0]
 	e.now = 0
 	e.seq = 0
-	e.fired = 0
 	e.live = 0
 }
 
