@@ -31,33 +31,36 @@ race:
 	$(GO) test -race ./...
 
 # Coverage-guided smoke of the full simulator; CI runs the same budget.
+# Every fuzz smoke here and in CI passes -fuzzminimizetime=0: minimizing
+# each new input (up to 60 s by default) would stall the 30 s budget. A
+# failing input is still written to testdata/fuzz, unminimized.
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzSim -fuzztime=30s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzSim -fuzztime=30s -fuzzminimizetime=0 ./internal/core
 
 # Scenario-DSL fuzz smoke: arbitrary bytes through parse -> normalize ->
 # compile; asserts no panics, the normal-form fixed point, and
 # deterministic compilation. No simulations run, so iterations are cheap.
 fuzz-scenario:
-	$(GO) test -run='^$$' -fuzz=FuzzScenario -fuzztime=30s ./internal/scenario
+	$(GO) test -run='^$$' -fuzz=FuzzScenario -fuzztime=30s -fuzzminimizetime=0 ./internal/scenario
 
 # Processor-sharing differential smoke: random admit/advance/cap/crash
 # sequences through the virtual-time server and the reference per-request
 # scan in lockstep; asserts identical counts and completion order.
 fuzz-ps:
-	$(GO) test -run='^$$' -fuzz=FuzzPSDifferential -fuzztime=30s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzPSDifferential -fuzztime=30s -fuzzminimizetime=0 ./internal/server
 
 # Chrome-trace export differential smoke: random event streams of every
 # kind, with non-finite, subnormal and half-way timestamps, through the
 # append-buffer writer and the reference writer; asserts identical bytes.
 fuzz-obs:
-	$(GO) test -run='^$$' -fuzz=FuzzChromeTraceDifferential -fuzztime=30s ./internal/obs
+	$(GO) test -run='^$$' -fuzz=FuzzChromeTraceDifferential -fuzztime=30s -fuzzminimizetime=0 ./internal/obs
 
 # Event-engine differential smoke: random schedule/cancel/reschedule/step/
 # drain/reset/ticker sequences through the indexed heap and the reference
 # lazy-cancellation queue in lockstep; asserts identical firing sequences,
 # clocks, counters and handle states.
 fuzz-simtime:
-	$(GO) test -run='^$$' -fuzz=FuzzEngineDifferential -fuzztime=30s ./internal/simtime
+	$(GO) test -run='^$$' -fuzz=FuzzEngineDifferential -fuzztime=30s -fuzzminimizetime=0 ./internal/simtime
 
 # Statement-coverage floor for the scenario DSL front end; mirrors the CI
 # gate so a lost test trips locally too.
@@ -74,7 +77,7 @@ chaos:
 	$(GO) test -race -count=1 ./internal/faults
 	$(GO) test -race -count=1 -run 'Fault|Crash|Telemetry|Firewall|Breaker|Failed|Fade|Down|Recovered|Net|Partition' ./internal/core ./internal/server ./internal/netlb ./internal/battery ./internal/defense
 	$(GO) test -race -count=1 -run 'TestResilience' ./internal/experiments
-	$(GO) test -run='^$$' -fuzz=FuzzFaultSchedule -fuzztime=30s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzFaultSchedule -fuzztime=30s -fuzzminimizetime=0 ./internal/core
 
 # Tier-1 verify: what every PR must keep green. The lint target already
 # includes go vet, and race subsumes plain test.

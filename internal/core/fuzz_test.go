@@ -150,15 +150,21 @@ func TestQuickDeterminismEverywhere(t *testing.T) {
 // FuzzSim is the native-fuzzing entry point CI smoke-runs for 30 s: the
 // coverage-guided mutator explores the config space far more aggressively
 // than testing/quick's uniform draws. Every discovered input must satisfy
-// the global invariants and replay identically.
+// the global invariants, offer exactly the legitimate arrivals counted
+// before it started, and replay identically.
 func FuzzSim(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(0), uint8(0), uint8(40), uint8(4))
 	f.Add(uint64(0xA11CE), uint8(2), uint8(4), uint8(1), uint8(200), uint8(24))
 	f.Add(uint64(42), uint8(3), uint8(5), uint8(3), uint8(0), uint8(3))
 	f.Fuzz(func(t *testing.T, seed uint64, budgetRaw, schemeRaw, classRaw, rateRaw, agentsRaw uint8) {
-		a, err := RunOnce(randomConfig(seed, budgetRaw, schemeRaw, classRaw, rateRaw, agentsRaw))
+		sim, err := New(randomConfig(seed, budgetRaw, schemeRaw, classRaw, rateRaw, agentsRaw))
 		if err != nil {
 			t.Skip("config rejected")
+		}
+		planned := sim.PlannedLegit()
+		a := sim.Run()
+		if planned != a.OfferedLegit {
+			t.Fatalf("PlannedLegit %d before the run, OfferedLegit %d after", planned, a.OfferedLegit)
 		}
 		if av := a.Availability(); av < 0 || av > 1 || math.IsNaN(av) {
 			t.Fatalf("availability out of range: %g", av)

@@ -96,7 +96,9 @@ func New(cfg Config) (*Simulation, error) {
 // is result-identical to New(cfg): pop order depends only on (at, seq) and
 // the arenas affect only where structs live, never what they contain.
 // Everything else (cluster, balancer, schemes, RNG streams) is rebuilt from
-// cfg exactly as New would.
+// cfg exactly as New would. The previous run may be finished or paused
+// between RunTo calls: Reset discards a paused run's pending events, and
+// its in-flight requests are left to the garbage collector.
 func (s *Simulation) Reset(cfg Config) error {
 	eng, factory := s.eng, s.factory
 	if eng != nil {
@@ -407,6 +409,30 @@ func (s *Simulation) Finish() *Result {
 	s.finish()
 	return s.res
 }
+
+// PlannedLegit returns the OfferedLegit the run will finish with: the
+// legitimate arrivals in [WarmupSec, Horizon). Only the merged mix carries
+// legitimate traffic, and its generators decide every arrival from their
+// own streams and rate functions, never from the simulation's state, so the
+// count is known before the run ends. It is exact at any pause: the
+// arrivals already offered, the one scheduled and not yet fired, and what
+// the mix will still return (workload.Mix.CountOrigin, which replays the
+// generators on copies of their streams and so costs about one pass of the
+// legitimate generators). Nothing computes it unless asked.
+func (s *Simulation) PlannedLegit() uint64 {
+	n := s.res.OfferedLegit
+	if s.mix == nil {
+		return n
+	}
+	if r := s.mixNext; r != nil && r.Origin == workload.Legit && r.ArriveAt >= s.cfg.WarmupSec {
+		n++
+	}
+	return n + s.mix.CountOrigin(workload.Legit, s.cfg.WarmupSec, s.cfg.Horizon)
+}
+
+// DroppedLegit returns how many measured legitimate requests the run has
+// dropped so far; it only grows, and ends as the result's DroppedLegit.
+func (s *Simulation) DroppedLegit() uint64 { return s.res.DroppedLegit }
 
 // pumpMix schedules the next arrival from the merged stream; each arrival
 // event re-arms the pump. At most one mix arrival is outstanding, so the

@@ -165,9 +165,10 @@ func (p *Pool) runJob(cache *simCache, j Job, worker int) RunResult {
 }
 
 // simCache is one worker's reusable simulation. Reset is result-identical
-// to New (see core.Simulation.Reset), so reuse only changes where structs
-// live. The cache is dropped after any error or panic: a half-built or
-// mid-run-abandoned simulation must not serve the next job.
+// to New (see core.Simulation.Reset), also after a run paused between RunTo
+// calls, so reuse only changes where structs live. The cache is dropped
+// after any error or panic: a half-built simulation, or one whose engine
+// panicked inside an event callback, must not serve the next job.
 type simCache struct {
 	sim *core.Simulation
 }

@@ -71,15 +71,14 @@ func Compile(s *Scenario, o experiments.Options) (*Plan, error) {
 	return plan, nil
 }
 
-var classValues = map[string]workload.Class{
-	"Colla-Filt":   workload.CollaFilt,
-	"K-means":      workload.KMeans,
-	"Word-Count":   workload.WordCount,
-	"Text-Cont":    workload.TextCont,
-	"AliOS":        workload.AliNormal,
-	"Volume-Flood": workload.VolumeFlood,
-	"Slow-Drip":    workload.SlowDrip,
-}
+// classValues maps each canonical class spelling to its class.
+var classValues = func() map[string]workload.Class {
+	m := make(map[string]workload.Class, workload.NumClasses)
+	for c := workload.Class(0); int(c) < workload.NumClasses; c++ {
+		m[c.String()] = c
+	}
+	return m
+}()
 
 var layerValues = map[string]attack.Layer{
 	"application": attack.ApplicationLayer,

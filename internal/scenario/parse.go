@@ -6,6 +6,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"antidope/internal/cluster"
+	"antidope/internal/workload"
 )
 
 // Parse decodes one scenario document (YAML subset or JSON). Every
@@ -180,12 +183,38 @@ func (d *dec) enum(n *node, path, what string, canon []string, alias map[string]
 	return "", d.errAt(n.pos, path, "unknown %s %q (want %s)", what, s, strings.Join(canon, ", "))
 }
 
+// budgetSpellings returns the budget levels as cluster prints them, in the
+// paper's order, and maps each one's lower-cased short name (without
+// "-PB") to it.
+func budgetSpellings() (canon []string, alias map[string]string) {
+	alias = make(map[string]string)
+	for _, b := range cluster.AllBudgetLevels() {
+		name := b.String()
+		canon = append(canon, name)
+		alias[strings.ToLower(strings.TrimSuffix(name, "-PB"))] = name
+	}
+	return canon, alias
+}
+
+// classSpellings returns the request classes as workload prints them, in
+// declaration order.
+func classSpellings() []string {
+	canon := make([]string, workload.NumClasses)
+	for c := range canon {
+		canon[c] = workload.Class(c).String()
+	}
+	return canon
+}
+
+// The budget and class spellings are the names cluster and workload print.
+var (
+	budgetCanon, budgetAlias = budgetSpellings()
+	classCanon               = classSpellings()
+	classAlias               = map[string]string{"alinormal": workload.AliNormal.String()}
+)
+
 var (
 	schemeCanon   = []string{"none", "capping", "shaving", "token", "anti-dope", "oracle", "hybrid"}
-	budgetCanon   = []string{"Normal-PB", "High-PB", "Medium-PB", "Low-PB"}
-	budgetAlias   = map[string]string{"normal": "Normal-PB", "high": "High-PB", "medium": "Medium-PB", "low": "Low-PB"}
-	classCanon    = []string{"Colla-Filt", "K-means", "Word-Count", "Text-Cont", "AliOS", "Volume-Flood", "Slow-Drip"}
-	classAlias    = map[string]string{"alinormal": "AliOS"}
 	layerCanon    = []string{"application", "transport", "network"}
 	firewallCanon = []string{"off", "on", "limit"}
 	policyCanon   = []string{"least-loaded", "round-robin"}

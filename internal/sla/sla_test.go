@@ -2,6 +2,7 @@ package sla
 
 import (
 	"testing"
+	"testing/quick"
 
 	"antidope/internal/attack"
 	"antidope/internal/cluster"
@@ -155,5 +156,38 @@ func TestMaxLegitRPSSaturatesAtHi(t *testing.T) {
 	}
 	if cap != 50 {
 		t.Fatalf("capacity %g, want hi=50 under a generous SLA", cap)
+	}
+}
+
+// TestAvailabilityLostIsExact checks the arithmetic behind the planner's
+// early exit: whenever availabilityLost holds, the best result the run can
+// still reach, with every request not yet dropped completing, fails the
+// availability objective, and so does any worse one. With no floor, or
+// nothing planned, it never holds.
+func TestAvailabilityLostIsExact(t *testing.T) {
+	f := func(plannedRaw, droppedRaw, worseRaw uint32, floorRaw uint16) bool {
+		planned := uint64(plannedRaw)%200000 + 1
+		dropped := uint64(droppedRaw) % (planned + 1)
+		s := SLA{MinAvailability: float64(floorRaw) / 65535}
+		if !s.availabilityLost(planned, dropped) {
+			return true
+		}
+		best := planned - dropped
+		for _, completed := range []uint64{best, best - uint64(worseRaw)%(best+1)} {
+			if s.Met(&core.Result{OfferedLegit: planned, CompletedLegit: completed}) {
+				t.Logf("planned %d dropped %d completed %d meets floor %g", planned, dropped, completed, s.MinAvailability)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+	if (SLA{}).availabilityLost(100, 100) || Default().availabilityLost(0, 0) {
+		t.Fatal("availabilityLost holds with no floor or nothing planned")
+	}
+	if !Default().availabilityLost(100, 6) || Default().availabilityLost(100, 5) {
+		t.Fatal("availabilityLost misplaces the 95% boundary")
 	}
 }

@@ -7,7 +7,9 @@ import (
 )
 
 // RateFn is a time-varying arrival rate in requests per second. It must be
-// non-negative everywhere.
+// non-negative everywhere, and pure: the same t always gives the same rate,
+// and a call changes nothing. Generator.Count calls it a second time over
+// instants Next has already seen or will see.
 type RateFn func(t float64) float64
 
 // ConstRate returns a flat rate function.
@@ -78,21 +80,53 @@ func NewGenerator(src Source, rateCap float64, factory *Factory, rnd *rng.Stream
 //
 //hot:allocfree
 func (g *Generator) Next(horizon float64) (Arrival, bool) {
+	t, src, ok := g.step(g.rnd, g.now, horizon)
+	// On ok=false, step leaves t at the horizon so the generator can resume
+	// if the caller extends the horizon later.
+	g.now = t
+	if !ok {
+		return Arrival{}, false
+	}
+	req := g.factory.New(t, g.src.Class, g.src.Origin, src)
+	return Arrival{At: t, Req: req}, true
+}
+
+// Count returns how many arrivals Next would return in [from, to) from the
+// generator's current position on. It replays the candidate draws on a copy
+// of the stream, so the generator's own stream, position and factory are
+// untouched: its next Next returns what it would have without the count.
+func (g *Generator) Count(from, to float64) uint64 {
+	st := *g.rnd
 	t := g.now
+	var n uint64
 	for {
-		t += g.rnd.Exp(g.gapMean)
-		if t >= horizon {
-			// Leave now at the horizon so the generator can resume if the
-			// caller extends the horizon later.
-			g.now = horizon
-			return Arrival{}, false
+		var ok bool
+		if t, _, ok = g.step(&st, t, to); !ok {
+			return n
 		}
-		if g.rnd.Float64()*g.rateCap <= g.src.Rate(t) {
-			g.now = t
+		if t >= from {
+			n++
+		}
+	}
+}
+
+// step draws thinning candidates from st after instant t until one is
+// accepted before horizon, and returns its instant and source. It is the
+// whole of an arrival's draws on the generator's stream (gap, thinning
+// uniform, source index), shared by Next, which mints from it, and Count,
+// which replays it. With no arrival before horizon it returns the horizon
+// and ok=false.
+//
+//hot:allocfree
+func (g *Generator) step(st *rng.Stream, t, horizon float64) (at float64, src SourceID, ok bool) {
+	for {
+		t += st.Exp(g.gapMean)
+		if t >= horizon {
+			return horizon, 0, false
+		}
+		if st.Float64()*g.rateCap <= g.src.Rate(t) {
 			//lint:allow hotalloc -- inlined rng.Intn: only its n <= 0 panic message allocates, and NewGenerator keeps Sources >= 1
-			src := g.src.FirstSource + SourceID(g.rnd.Intn(g.src.Sources))
-			req := g.factory.New(t, g.src.Class, g.src.Origin, src)
-			return Arrival{At: t, Req: req}, true
+			return t, g.src.FirstSource + SourceID(st.Intn(g.src.Sources)), true
 		}
 	}
 }
@@ -144,4 +178,22 @@ func (m *Mix) Next(horizon float64) (Arrival, bool) {
 	out := m.pending[best]
 	m.pending[best] = Arrival{}
 	return out, true
+}
+
+// CountOrigin returns how many arrivals of origin o Next would return in
+// [from, to) from the mix's current position on: the ones waiting in the
+// lookahead slots plus each generator's Count. Nothing the mix will return
+// changes.
+func (m *Mix) CountOrigin(o Origin, from, to float64) uint64 {
+	var n uint64
+	for i, gen := range m.gens {
+		if gen.src.Origin != o {
+			continue
+		}
+		if p := m.pending[i]; p.Req != nil && p.At >= from && p.At < to {
+			n++
+		}
+		n += gen.Count(from, to)
+	}
+	return n
 }

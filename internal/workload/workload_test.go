@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"antidope/internal/rng"
+	"antidope/internal/trace"
 )
 
 // catalogMap returns every class's profile keyed by class.
@@ -412,6 +413,117 @@ func TestMixNextAllocFree(t *testing.T) {
 	cycle() // warm the request arena
 	if allocs := testing.AllocsPerRun(10, cycle); allocs > 0 {
 		t.Fatalf("warm Mix.Next/Factory.Free cycle allocated %.1f objects per run, want 0", allocs)
+	}
+}
+
+// TestCountMatchesNext pins Generator.Count as an exact replay of Next for
+// flat, windowed and trace-driven rates. From every tenth position of the
+// stream, Count(from, to) equals the arrivals Next still returns in
+// [from, to). Counting leaves the stream untouched: the generator keeps
+// returning exactly what a twin that never counted returns.
+func TestCountMatchesNext(t *testing.T) {
+	tr := &trace.Trace{IntervalSec: 4, Samples: []float64{0.2, 0.7, 0.4, 0.9, 0.1, 0.5, 0.3, 0.6}}
+	cases := []struct {
+		name    string
+		rate    RateFn
+		rateCap float64
+	}{
+		{"const", ConstRate(60), 60},
+		{"window", WindowRate(90, 7, 19), 90},
+		{"trace", tr.RateFn(50), 50 * tr.PeakToMean()},
+	}
+	const from, to, horizon = 5.0, 25.0, 40.0
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			src := Source{Class: AliNormal, Origin: Legit, Rate: c.rate, Sources: 16, FirstSource: 100}
+			gen := func() *Generator {
+				return NewGenerator(src, c.rateCap, NewFactory(rng.New(3)), rng.New(9))
+			}
+			var all []float64
+			for g := gen(); ; {
+				a, ok := g.Next(horizon)
+				if !ok {
+					break
+				}
+				all = append(all, a.At)
+			}
+			if len(all) < 100 {
+				t.Fatalf("only %d arrivals; the case exercises nothing", len(all))
+			}
+			g, twin := gen(), gen()
+			for i := 0; ; i++ {
+				if i%10 == 0 {
+					var want uint64
+					for _, at := range all[i:] {
+						if at >= from && at < to {
+							want++
+						}
+					}
+					if got := g.Count(from, to); got != want {
+						t.Fatalf("after %d arrivals: Count = %d, Next returns %d in [%g, %g)", i, got, want, from, to)
+					}
+				}
+				a, ok := g.Next(horizon)
+				b, okTwin := twin.Next(horizon)
+				if ok != okTwin {
+					t.Fatalf("arrival %d: ok %v, twin %v", i, ok, okTwin)
+				}
+				if !ok {
+					if i != len(all) {
+						t.Fatalf("%d arrivals, want %d", i, len(all))
+					}
+					return
+				}
+				if a.At != b.At || a.Req.Source != b.Req.Source || a.Req.Demand != b.Req.Demand {
+					t.Fatalf("arrival %d: (%g, %d, %g), twin (%g, %d, %g)",
+						i, a.At, a.Req.Source, a.Req.Demand, b.At, b.Req.Source, b.Req.Demand)
+				}
+			}
+		})
+	}
+}
+
+// TestMixCountOrigin pins Mix.CountOrigin: from any position, including
+// with arrivals waiting in the lookahead slots, it equals the arrivals of
+// that origin the mix still returns in [from, to).
+func TestMixCountOrigin(t *testing.T) {
+	sources := []Source{
+		{Class: AliNormal, Origin: Legit, Rate: ConstRate(40), Sources: 50},
+		{Class: CollaFilt, Origin: Attack, Rate: WindowRate(80, 6, 20), Sources: 4, FirstSource: 1000},
+		{Class: WordCount, Origin: Legit, Rate: stepRate(5, 30, 12), Sources: 8, FirstSource: 2000},
+	}
+	mix := func() *Mix { return NewMix(sources, []float64{40, 80, 30}, NewFactory(rng.New(5)), rng.New(6)) }
+	const from, to, horizon = 4.0, 22.0, 30.0
+	type arrival struct {
+		at     float64
+		origin Origin
+	}
+	var all []arrival
+	for m := mix(); ; {
+		a, ok := m.Next(horizon)
+		if !ok {
+			break
+		}
+		all = append(all, arrival{a.At, a.Req.Origin})
+	}
+	m := mix()
+	for i := 0; i <= len(all); i++ {
+		if i%25 == 0 {
+			for _, o := range []Origin{Legit, Attack} {
+				var want uint64
+				for _, a := range all[i:] {
+					if a.origin == o && a.at >= from && a.at < to {
+						want++
+					}
+				}
+				if got := m.CountOrigin(o, from, to); got != want {
+					t.Fatalf("after %d arrivals: CountOrigin(%v) = %d, want %d", i, o, got, want)
+				}
+			}
+		}
+		if _, ok := m.Next(horizon); ok != (i < len(all)) {
+			t.Fatalf("arrival %d: ok %v with %d arrivals in all", i, ok, len(all))
+		}
 	}
 }
 
