@@ -37,9 +37,9 @@ race:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSim -fuzztime=30s -fuzzminimizetime=0 ./internal/core
 
-# Scenario-DSL fuzz smoke: arbitrary bytes through parse -> normalize ->
-# compile; asserts no panics, the normal-form fixed point, and
-# deterministic compilation. No simulations run, so iterations are cheap.
+# Scenario-DSL fuzz smoke: arbitrary bytes through parse -> compile;
+# asserts no panics, structured rejections, and deterministic decoding and
+# compilation. No simulations run, so iterations are cheap.
 fuzz-scenario:
 	$(GO) test -run='^$$' -fuzz=FuzzScenario -fuzztime=30s -fuzzminimizetime=0 ./internal/scenario
 

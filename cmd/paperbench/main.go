@@ -54,7 +54,7 @@ func main() {
 		traceOut   = flag.String("traceout", "paperbench.trace.json", "trace output path for -trace")
 
 		serveAddr = flag.String("serve", "", "serve live harness telemetry (Prometheus text) on this address for the duration of the run, e.g. 127.0.0.1:9464")
-		manifest  = flag.String("manifest", "", "write the harness run manifest (per-job runtime/retries/worker) as JSON to this file")
+		manifest  = flag.String("manifest", "", "write the harness run manifest (per-job runtime/worker/error) as JSON to this file")
 	)
 	flag.Parse()
 
@@ -199,9 +199,9 @@ func run(quick bool, seed uint64, fig int, extra string, parallel int,
 	}
 	w := os.Stdout
 
-	// check aborts on an experiment error; the harness already retried each
-	// failing run once, so whatever is left is a real configuration problem.
-	// It unwinds via panic (recovered above) so profile writers still flush.
+	// check aborts on an experiment error: runs are deterministic, so a
+	// failed run is a real configuration problem. It unwinds via panic
+	// (recovered above) so profile writers still flush.
 	check := func(err error) {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)

@@ -25,6 +25,11 @@ const (
 	NetworkLayer
 )
 
+// AllLayers lists the layers in declaration order.
+func AllLayers() []Layer {
+	return []Layer{ApplicationLayer, TransportLayer, NetworkLayer}
+}
+
 func (l Layer) String() string {
 	switch l {
 	case ApplicationLayer:

@@ -1,6 +1,6 @@
 // Package core assembles the full system and is the public API of the
 // library: configure a power-constrained cluster behind a load balancer and
-// a firewall, drive it with trace-based legitimate traffic plus attack
+// a firewall, drive it with constant-rate legitimate traffic plus attack
 // traffic (static floods or the adaptive DOPE attacker), defend it with one
 // of the Table 2 schemes, and collect the measurements every figure of the
 // paper is built from.
@@ -17,7 +17,6 @@ import (
 	"antidope/internal/netlb"
 	"antidope/internal/obs"
 	"antidope/internal/thermal"
-	"antidope/internal/trace"
 	"antidope/internal/workload"
 )
 
@@ -62,41 +61,6 @@ func (b BreakerCfg) Defaults() BreakerCfg {
 	return b
 }
 
-// NetPolicy governs the delivery layer that activates when the fault
-// schedule carries network-condition windows (NetDelay/NetLoss/
-// NetPartition): a per-request delivery timeout and bounded retries with
-// exponential backoff and seeded jitter, all in sim-time, so no wall-clock
-// wait enters a run. The zero value selects the documented defaults;
-// without network windows the policy is never consulted.
-type NetPolicy struct {
-	// Attempts is the total number of delivery tries per request
-	// (re-routed through the balancer each time); <= 0 selects the
-	// default of 3.
-	Attempts int
-	// TimeoutSec is how long the sender waits before declaring one
-	// delivery attempt lost or late; 0 selects the default of 1 s.
-	TimeoutSec float64
-	// BackoffSec is the base retry backoff, doubled per attempt; 0
-	// selects the default of 0.05 s.
-	BackoffSec float64
-	// JitterFrac spreads each backoff by up to this fraction (seeded); 0
-	// selects the default of 0.2.
-	JitterFrac float64
-}
-
-// Defaults returns the policy with every unset field replaced by its
-// documented default: 3 attempts, 1 s timeout, 50 ms base backoff, 20%
-// jitter.
-func (p NetPolicy) Defaults() NetPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = 3
-	}
-	p.TimeoutSec = orDefault(p.TimeoutSec, 1)
-	p.BackoffSec = orDefault(p.BackoffSec, 0.05)
-	p.JitterFrac = orDefault(p.JitterFrac, 0.2)
-	return p
-}
-
 // Config describes one simulation run.
 type Config struct {
 	// Cluster is the power domain under test.
@@ -108,14 +72,12 @@ type Config struct {
 	// Policy spreads requests within a balancer pool.
 	Policy netlb.Policy
 
-	// NormalRPS is the mean legitimate request rate; the trace modulates it
-	// over time.
+	// NormalRPS is the constant legitimate request rate of the AliOS
+	// stream.
 	NormalRPS float64
 	// NormalSources is how many distinct legitimate clients the traffic is
 	// spread across (keeps them under the firewall threshold).
 	NormalSources int
-	// Trace modulates the legitimate rate; nil uses a flat rate.
-	Trace *trace.Trace
 	// ExtraSources injects additional arbitrary arrival sources (e.g. a
 	// multi-endpoint legitimate mix) alongside the NormalRPS stream.
 	ExtraSources []SourceSpec
@@ -149,11 +111,6 @@ type Config struct {
 	// outages. The defenses actuate on the faulted telemetry; the physical
 	// ledgers (breaker, energy, thermal) always see the true draw.
 	Faults *faults.Config
-
-	// Net tunes the delivery timeout/retry/backoff machinery that engages
-	// when Faults carries network-condition windows. The zero value means
-	// the documented defaults; it is inert without network windows.
-	Net NetPolicy
 
 	// Observer, when non-nil, receives the structured sim-time event stream
 	// (request lifecycle, defense actuations, breaker/thermal/firewall/fault
@@ -238,9 +195,6 @@ func (c *Config) Validate() error {
 		if c.Breaker.RatingFrac < 0 || c.Breaker.ToleranceSec < 0 || c.Breaker.RepairSec < 0 {
 			return fmt.Errorf("core: negative breaker parameter")
 		}
-	}
-	if c.Net.Attempts < 0 || c.Net.TimeoutSec < 0 || c.Net.BackoffSec < 0 || c.Net.JitterFrac < 0 {
-		return fmt.Errorf("core: negative net policy parameter")
 	}
 	if c.Dope != nil {
 		if err := c.Dope.Validate(); err != nil {

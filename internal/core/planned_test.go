@@ -24,14 +24,22 @@ func TestPlannedLegitIsOfferedLegit(t *testing.T) {
 		exercised func(*Result) bool
 	}{
 		{
-			name: "trace-driven legit rate",
+			// A legitimate source whose cap sits above its rate, so the
+			// generator thins: Count must replay the rejected candidates.
+			name: "thinned legit rate",
 			cfg: func() Config {
 				cfg := quiet()
-				cfg.NormalRPS = 80
-				cfg.Trace = trendTrace()
+				cfg.NormalRPS = 0
+				cfg.ExtraSources = []SourceSpec{{
+					Source: workload.Source{
+						Class: workload.AliNormal, Origin: workload.Legit,
+						Rate: workload.WindowRate(80, 12, 31), Sources: 16, FirstSource: 1000,
+					},
+					RateCap: 120,
+				}}
 				return cfg
 			},
-			exercised: func(r *Result) bool { return r.OfferedAttack == 0 },
+			exercised: func(r *Result) bool { return r.OfferedLegit > 0 && r.OfferedAttack == 0 },
 		},
 		{
 			name: "eval legit mix",

@@ -171,7 +171,7 @@ func (s *Simulation) init(cfg Config) error {
 		s.flt = newFaultRuntime(sched, len(cl.Servers), s.rnd.Split("faults/sensor"))
 		s.env.Telemetry = s.flt.sensor
 		if sched.HasNet() {
-			s.net = newNetRuntime(sched, len(cl.Servers), s.rnd, cfg.Net)
+			s.net = newNetRuntime(sched, len(cl.Servers), s.rnd)
 			// Telemetry reads ride the same degraded network: the defense's
 			// power readings lag, drop, and blind with the link faults.
 			s.flt.sensor.AttachNet(sched, s.rnd.Split("faults/net/telemetry"))
@@ -260,25 +260,14 @@ func (s *Simulation) buildTraffic() {
 	var sources []workload.Source
 	var caps []float64
 	if s.cfg.NormalRPS > 0 {
-		rate := workload.ConstRate(s.cfg.NormalRPS)
-		cap := s.cfg.NormalRPS
-		if s.cfg.Trace != nil {
-			rate = s.cfg.Trace.RateFn(s.cfg.NormalRPS)
-			// The trace multiplies by util/meanUtil; peak-to-mean bounds it.
-			ptm := s.cfg.Trace.PeakToMean()
-			if ptm < 1 {
-				ptm = 1
-			}
-			cap = s.cfg.NormalRPS * ptm * 1.01
-		}
 		sources = append(sources, workload.Source{
 			Class:       workload.AliNormal,
 			Origin:      workload.Legit,
-			Rate:        rate,
+			Rate:        workload.ConstRate(s.cfg.NormalRPS),
 			Sources:     s.cfg.NormalSources,
 			FirstSource: legitSourceBase,
 		})
-		caps = append(caps, cap)
+		caps = append(caps, s.cfg.NormalRPS)
 	}
 	for _, es := range s.cfg.ExtraSources {
 		sources = append(sources, es.Source)
@@ -308,9 +297,8 @@ func (s *Simulation) Run() *Result {
 // Start arms every event chain — faults, arrivals, the adaptive attacker,
 // the control loop — and takes the t=0 sample. Call once, before RunTo.
 func (s *Simulation) Start() {
-	// A resettable observer (obs.Bus) starts the run clean: the harness
-	// reuses the same observer across retry attempts of one job, and only
-	// the final attempt's trace should survive.
+	// A resettable observer (obs.Bus) starts the run clean, so one
+	// observer can capture successive runs.
 	if br, ok := s.obs.(interface{ BeginRun() }); ok {
 		br.BeginRun()
 	}

@@ -237,18 +237,6 @@ func TestDopeAttackerAdaptsAndEvades(t *testing.T) {
 	}
 }
 
-func TestTraceModulatedTraffic(t *testing.T) {
-	cfg := quiet()
-	cfg.Trace = trendTrace()
-	res, err := RunOnce(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OfferedLegit == 0 {
-		t.Fatal("no traffic under trace modulation")
-	}
-}
-
 func TestNilSchemeDefaultsToNone(t *testing.T) {
 	cfg := quiet()
 	cfg.Scheme = nil

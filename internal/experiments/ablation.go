@@ -17,7 +17,6 @@ type AblationResult struct {
 	MeanRT     map[string]float64
 	P90RT      map[string]float64
 	SlotsOver  map[string]float64
-	Availab    map[string]float64
 	Collateral map[string]uint64
 }
 
@@ -57,7 +56,6 @@ func Ablation(o Options) (*AblationResult, error) {
 		MeanRT:     make(map[string]float64),
 		P90RT:      make(map[string]float64),
 		SlotsOver:  make(map[string]float64),
-		Availab:    make(map[string]float64),
 		Collateral: make(map[string]uint64),
 	}
 	out.Table = &Table{
@@ -85,7 +83,6 @@ func Ablation(o Options) (*AblationResult, error) {
 		out.MeanRT[v.name] = res.MeanRT()
 		out.P90RT[v.name] = res.TailRT(90)
 		out.SlotsOver[v.name] = res.FracSlotsOverBudget
-		out.Availab[v.name] = res.Availability()
 		var collateral uint64
 		if ad, ok := scheme.(*defense.AntiDope); ok {
 			collateral = ad.CollateralSlots()

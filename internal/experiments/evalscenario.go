@@ -53,9 +53,12 @@ func EvalAttackSpecs(start, until float64) []attack.Spec {
 	}
 }
 
+// SwitchPeriodSec is the Figure 15/18 rotation period: "attack switches
+// among 3 evaluated DOPE attack types per 2 minutes".
+const SwitchPeriodSec = 120
+
 // SwitchingAttackSpecs rotates a single-class flood among the three DOPE
-// classes every switchSec — the Figure 15/18 "attack switches among 3
-// evaluated DOPE attack types per 2 minutes" scenario.
+// classes every switchSec — the Figure 15/18 scenario at SwitchPeriodSec.
 func SwitchingAttackSpecs(start, until, switchSec float64) []attack.Spec {
 	classes := []workload.Class{workload.CollaFilt, workload.KMeans, workload.WordCount}
 	rates := map[workload.Class]float64{

@@ -35,7 +35,7 @@ type Options struct {
 	// running jobs interleaves their event streams.
 	Observe func(label string) obs.Observer
 	// Telemetry, when non-nil, is attached to every pool the runners
-	// build: the harness records per-job runtime, retries, and worker
+	// build: the harness records per-job runtime, failures, and worker
 	// occupancy into it (scrapeable live, dumpable as a run manifest).
 	// Purely self-observability — results are identical with or without.
 	Telemetry *harness.Telemetry
@@ -72,8 +72,8 @@ func (o Options) pool() *harness.Pool {
 }
 
 // RunJobs executes the jobs on the options' pool and returns the bare
-// results in submission order. A non-nil error joins every job that still
-// failed after the harness's retry; results are unusable in that case.
+// results in submission order. A non-nil error joins every job that
+// failed; results are unusable in that case.
 func RunJobs(o Options, jobs []harness.Job) ([]*core.Result, error) {
 	if o.Observe != nil {
 		for i := range jobs {

@@ -6,7 +6,6 @@ import (
 	"antidope/internal/attack"
 	"antidope/internal/cluster"
 	"antidope/internal/harness"
-	"antidope/internal/stats"
 )
 
 // Fig3Result reproduces Figure 3: the power profile of typical
@@ -15,9 +14,6 @@ import (
 // band while volumetric and connection attacks stay low.
 type Fig3Result struct {
 	Table *Table
-	// Series holds each family's power trajectory (downsampled), keyed by
-	// attack name, for plotting.
-	Series map[string]stats.Series
 	// Ranking is the families ordered by mean power, highest first.
 	Ranking []string
 }
@@ -27,8 +23,7 @@ type Fig3Result struct {
 func Fig3(o Options) (*Fig3Result, error) {
 	horizon := o.Horizon(600)
 	out := &Fig3Result{
-		Table:  &Table{Title: "Figure 3: power profile of typical cyber-attacks"},
-		Series: make(map[string]stats.Series),
+		Table: &Table{Title: "Figure 3: power profile of typical cyber-attacks"},
 	}
 	out.Table.Header = []string{"attack", "layer", "meanW", "peakW", "p95W", "band"}
 
@@ -55,7 +50,6 @@ func Fig3(o Options) (*Fig3Result, error) {
 	for i, spec := range catalog {
 		res := results[i]
 		sum := res.Power.Summary()
-		out.Series[spec.Name] = res.Power.Downsample(60)
 		scores = append(scores, scored{spec.Name, sum.Mean()})
 		out.Table.AddRow(spec.Name, spec.Layer.String(),
 			f1(sum.Mean()), f1(sum.Max()), f1(res.Power.Sample().Percentile(95)),

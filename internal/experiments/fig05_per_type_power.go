@@ -3,7 +3,6 @@ package experiments
 import (
 	"antidope/internal/cluster"
 	"antidope/internal/harness"
-	"antidope/internal/stats"
 	"antidope/internal/workload"
 )
 
@@ -14,14 +13,10 @@ import (
 type Fig5Result struct {
 	TableA *Table
 	TableB *Table
-	// CDFs per class for plotting panel (a).
-	CDFs map[workload.Class]stats.CDF
 	// JoulesPerRequest backs panel (b).
 	JoulesPerRequest map[workload.Class]float64
 	// MeanPowerW per class, for the right-most-CDF check.
 	MeanPowerW map[workload.Class]float64
-	// PowerStdW per class, for the near-vertical check.
-	PowerStdW map[workload.Class]float64
 }
 
 // Fig5Classes are the traffic types panel (a)/(b) compare: the four victim
@@ -38,10 +33,8 @@ func Fig5(o Options) (*Fig5Result, error) {
 	nameplate := float64(ccfg.Servers) * ccfg.Model.Nameplate
 
 	out := &Fig5Result{
-		CDFs:             make(map[workload.Class]stats.CDF),
 		JoulesPerRequest: make(map[workload.Class]float64),
 		MeanPowerW:       make(map[workload.Class]float64),
-		PowerStdW:        make(map[workload.Class]float64),
 	}
 	out.TableA = &Table{
 		Title:  "Figure 5-a: power CDF per traffic type @100 req/s",
@@ -66,9 +59,7 @@ func Fig5(o Options) (*Fig5Result, error) {
 		res := results[i]
 		sample := res.Power.Sample()
 		sum := res.Power.Summary()
-		out.CDFs[class] = sample.CDF(50)
 		out.MeanPowerW[class] = sum.Mean()
-		out.PowerStdW[class] = sum.Std()
 		ps := sample.Percentiles(10, 50, 90)
 		out.TableA.AddRow(class.String(),
 			f1(ps[0]), f1(ps[1]),

@@ -13,10 +13,8 @@ import (
 type Fig15Result struct {
 	TableA *Table
 	TableB *Table
-	// PowerUnderAttack is the defended run's power trajectory; PowerQuiet
-	// the no-attack reference (the figure's red line).
+	// PowerUnderAttack is the defended run's power trajectory.
 	PowerUnderAttack stats.Series
-	PowerQuiet       stats.Series
 	BudgetW          float64
 	// Latency stats: baseline (good user, Normal-PB) vs Anti-DOPE under
 	// attack at Medium-PB.
@@ -33,7 +31,7 @@ func Fig15(o Options) (*Fig15Result, error) {
 	results, err := RunJobs(o, []harness.Job{
 		EvalJob(o, "fig15/quiet", SchemeByName("none"), cluster.NormalPB, nil, horizon),
 		EvalJob(o, "fig15/antidope", SchemeByName("antidope"), cluster.MediumPB,
-			SwitchingAttackSpecs(attackStart, horizon, 120), horizon),
+			SwitchingAttackSpecs(attackStart, horizon, SwitchPeriodSec), horizon),
 	})
 	if err != nil {
 		return nil, err
@@ -42,7 +40,6 @@ func Fig15(o Options) (*Fig15Result, error) {
 
 	out := &Fig15Result{
 		PowerUnderAttack: defended.Power.Downsample(120),
-		PowerQuiet:       quiet.Power.Downsample(120),
 		BudgetW:          defended.BudgetW,
 		BaseMean:         quiet.MeanRT(),
 		BaseP90:          quiet.TailRT(90),

@@ -18,9 +18,8 @@ import (
 // reconfiguration lands.
 type Fig18Result struct {
 	Table *Table
-	// SoC holds each scheme's state-of-charge trajectory.
-	SoC map[string]stats.Series
-	// MinSoC and Exhausted summarize each trajectory.
+	// MinSoC and Exhausted summarize each scheme's state-of-charge
+	// trajectory.
 	MinSoC    map[string]float64
 	Exhausted map[string]bool
 	// DischargeEpisodes counts distinct dips below full charge.
@@ -33,7 +32,7 @@ type Fig18Result struct {
 // DOPE attack, with the gap-sized mini UPS.
 func fig18Job(o Options, scheme defense.Scheme, horizon float64) harness.Job {
 	cfg := EvalConfig(o, "fig18/"+scheme.Name(), scheme, cluster.LowPB,
-		SwitchingAttackSpecs(30, horizon, 120), horizon)
+		SwitchingAttackSpecs(30, horizon, SwitchPeriodSec), horizon)
 	cfg.ExtraSources = Fig18LegitSources()
 	return harness.Job{Label: "fig18/" + scheme.Name(), Config: cfg}
 }
@@ -63,7 +62,6 @@ func Fig18LegitSources() []core.SourceSpec {
 func Fig18(o Options) (*Fig18Result, error) {
 	horizon := o.Horizon(600)
 	out := &Fig18Result{
-		SoC:               make(map[string]stats.Series),
 		MinSoC:            make(map[string]float64),
 		Exhausted:         make(map[string]bool),
 		DischargeEpisodes: make(map[string]int),
@@ -90,7 +88,6 @@ func Fig18(o Options) (*Fig18Result, error) {
 	}
 	for i, name := range names {
 		res := results[i]
-		out.SoC[name] = res.Battery.Downsample(120)
 		min := res.MinBatterySoC()
 		out.MinSoC[name] = min
 		out.Exhausted[name] = min <= 0.02

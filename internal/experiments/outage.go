@@ -18,7 +18,6 @@ type OutageResult struct {
 	// Outages and Downtime per scheme.
 	Outages  map[string]int
 	Downtime map[string]float64
-	Availab  map[string]float64
 }
 
 // Outage runs the steady DOPE injection at Medium-PB with the breaker
@@ -28,7 +27,6 @@ func Outage(o Options) (*OutageResult, error) {
 	out := &OutageResult{
 		Outages:  make(map[string]int),
 		Downtime: make(map[string]float64),
-		Availab:  make(map[string]float64),
 	}
 	out.Table = &Table{
 		Title:  "Outage risk: DOPE vs schemes with branch-circuit protection (Medium-PB)",
@@ -52,7 +50,6 @@ func Outage(o Options) (*OutageResult, error) {
 	for _, res := range results {
 		out.Outages[res.SchemeName] = res.Outages
 		out.Downtime[res.SchemeName] = res.OutageSeconds
-		out.Availab[res.SchemeName] = res.Availability()
 		cause := "-"
 		if res.Outages > 0 {
 			cause = "sustained DOPE overload"

@@ -9,9 +9,10 @@ import (
 	"antidope/internal/harness"
 )
 
-// resilienceSLASec is the latency SLO a legitimate request must meet to
-// count as served: dropped, lost, and slower-than-SLO requests all violate.
-const resilienceSLASec = 0.25
+// SLOSec is the latency SLO a legitimate request must meet to count as
+// served in the resilience sweeps: dropped, lost, and slower-than-SLO
+// requests all violate. It is also the scenario DSL's default SLO.
+const SLOSec = 0.25
 
 // chaosSweep is what tells the two resilience sweeps apart: the fault
 // families injected, the label and seed stems, and the table's wording.
@@ -74,13 +75,12 @@ var netSweep = chaosSweep{
 // intensity face the identical fault schedule.
 type ResilienceResult struct {
 	Table *Table
-	// Intensities and Schemes index SLA and Ledger: SLA[i][j] is the SLA
-	// compliance of scheme j at intensity i, Ledger[i][j] the three
-	// counters in that row's last columns.
-	Intensities []float64
-	Schemes     []string
-	SLA         [][]float64
-	Ledger      [][][3]uint64
+	// Schemes index SLA and Ledger by column: SLA[i][j] is the SLA
+	// compliance of scheme j at the sweep's i-th intensity, Ledger[i][j]
+	// the three counters in that row's last columns.
+	Schemes []string
+	SLA     [][]float64
+	Ledger  [][][3]uint64
 }
 
 // resilience runs one fault-intensity sweep.
@@ -99,7 +99,7 @@ func resilience(o Options, sw *chaosSweep) (*ResilienceResult, error) {
 	base.Horizon = horizon
 	base.Servers = cluster.DefaultConfig().Servers
 
-	out := &ResilienceResult{Intensities: intensities, Schemes: schemes}
+	out := &ResilienceResult{Schemes: schemes}
 	out.Table = &Table{
 		Title: sw.title,
 		Header: []string{"intensity", "scheme", "SLA<=250ms", "peak over (W)", "availability",
@@ -131,7 +131,7 @@ func resilience(o Options, sw *chaosSweep) (*ResilienceResult, error) {
 		ledgerRow := make([][3]uint64, 0, len(schemes))
 		for _, name := range schemes {
 			r := next()
-			sla, ledger := r.SLACompliance(resilienceSLASec), sw.ledger(r)
+			sla, ledger := r.SLACompliance(SLOSec), sw.ledger(r)
 			slaRow = append(slaRow, sla)
 			ledgerRow = append(ledgerRow, ledger)
 			out.Table.AddRow(f2(x), name, pct(sla), f1(r.PeakOverW()), pct(r.Availability()),

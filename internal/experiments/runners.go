@@ -43,16 +43,12 @@ func FloodJob(o Options, label string, class workload.Class, rate float64,
 		cfg.Firewall = firewall.DefaultConfig()
 	}
 	if rate > 0 {
-		agents := int(rate / 100)
-		if agents < 4 {
-			agents = 4
-		}
 		cfg.Attacks = []attack.Spec{{
 			Name:     label,
 			Layer:    attack.ApplicationLayer,
 			Class:    class,
 			RateRPS:  rate,
-			Agents:   agents,
+			Agents:   FloodAgents(rate),
 			Start:    cfg.WarmupSec,
 			Duration: horizon - cfg.WarmupSec,
 		}}
@@ -60,15 +56,22 @@ func FloodJob(o Options, label string, class workload.Class, rate float64,
 	return harness.Job{Label: label, Config: cfg}
 }
 
+// FloodAgents is how many agents a flood of rate req/s spreads over when
+// the run names none: one per 100 req/s, and at least four.
+func FloodAgents(rate float64) int {
+	agents := int(rate / 100)
+	if agents < 4 {
+		agents = 4
+	}
+	return agents
+}
+
 // MixedFloodJob floods all four victim endpoints in equal shares at the
 // given total rate, on the unprotected Normal-PB rack.
 func MixedFloodJob(o Options, label string, totalRate, horizon float64) harness.Job {
 	cfg := BaseConfig(o, label, horizon)
 	perClass := totalRate / 4
-	agents := int(perClass / 100)
-	if agents < 4 {
-		agents = 4
-	}
+	agents := FloodAgents(perClass)
 	for _, class := range workload.VictimClasses() {
 		cfg.Attacks = append(cfg.Attacks, attack.Spec{
 			Name:     label + "/" + class.String(),

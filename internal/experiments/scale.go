@@ -20,8 +20,6 @@ type ScaleResult struct {
 	Sizes          []int
 	CappingP90     map[int]float64
 	AntiDopeP90    map[int]float64
-	AntiDopeMean   map[int]float64
-	CappingMean    map[int]float64
 	AntiDopeOver   map[int]float64
 	UndefendedOver map[int]float64
 }
@@ -76,8 +74,6 @@ func Scale(o Options) (*ScaleResult, error) {
 		Sizes:          sizes,
 		CappingP90:     make(map[int]float64),
 		AntiDopeP90:    make(map[int]float64),
-		AntiDopeMean:   make(map[int]float64),
-		CappingMean:    make(map[int]float64),
 		AntiDopeOver:   make(map[int]float64),
 		UndefendedOver: make(map[int]float64),
 	}
@@ -103,9 +99,7 @@ func Scale(o Options) (*ScaleResult, error) {
 		cap := next()
 		ad := next()
 		out.UndefendedOver[n] = und.FracSlotsOverBudget
-		out.CappingMean[n] = cap.MeanRT()
 		out.CappingP90[n] = cap.TailRT(90)
-		out.AntiDopeMean[n] = ad.MeanRT()
 		out.AntiDopeP90[n] = ad.TailRT(90)
 		out.AntiDopeOver[n] = ad.FracSlotsOverBudget
 		out.Table.AddRow(fmt.Sprintf("%d", n), pct(und.FracSlotsOverBudget),

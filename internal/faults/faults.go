@@ -81,6 +81,15 @@ var kindNames = [...]string{
 	"net-delay", "net-loss", "net-partition",
 }
 
+// AllKinds lists the fault kinds in declaration order.
+func AllKinds() []Kind {
+	kinds := make([]Kind, numKinds)
+	for i := range kinds {
+		kinds[i] = Kind(i)
+	}
+	return kinds
+}
+
 // String returns the kebab-case fault name.
 func (k Kind) String() string {
 	if k < 0 || int(k) >= len(kindNames) {

@@ -8,10 +8,11 @@
 // internal/experiments locks down.
 //
 // The pool also replaces the former crash-on-error behaviour of the
-// experiment runners: a failing job is run once more with the same config
-// and then collected into the RunResult instead of panicking, and a
-// panicking job is recovered into a labeled error carrying its stack, so
-// one bad configuration cannot kill a whole paperbench run.
+// experiment runners: a failing job is collected into the RunResult
+// instead of panicking, and a panicking job is recovered into a labeled
+// error carrying its stack, so one bad configuration cannot kill a whole
+// paperbench run. Each job runs exactly once: runs are deterministic, so
+// running a failed config again would fail the same way.
 package harness
 
 import (
@@ -36,16 +37,9 @@ type Job struct {
 type RunResult struct {
 	Label  string
 	Result *core.Result
-	// Err is the terminal error after the retry; nil on success.
+	// Err is the job's error; nil on success.
 	Err error
-	// Attempts is how many times the job ran.
-	Attempts int
 }
-
-// attempts is how many times the pool runs a failing job: once, then one
-// retry with the identical config (same seed), which is right for assembly
-// errors and harmless for a deterministic failure.
-const attempts = 2
 
 // Pool is a fixed-width worker pool. The zero value is not usable; build
 // with New.
@@ -55,7 +49,7 @@ type Pool struct {
 }
 
 // WithTelemetry attaches a harness self-observability collector: per-job
-// wall runtime, retries, and worker occupancy land in its registry (see
+// wall runtime, failures, and worker occupancy land in its registry (see
 // Telemetry). Nil detaches. Telemetry observes only how the host executed
 // the jobs — the simulations inside stay purely sim-time, so attaching it
 // cannot change any result.
@@ -75,9 +69,8 @@ func New(workers int) *Pool {
 }
 
 // Run executes every job and returns the results in submission order,
-// regardless of completion order. Each failing job is retried once before
-// its error is recorded. Run never panics on job errors; inspect the
-// results (or Errs) for failures.
+// regardless of completion order. Each job runs once. Run never panics on
+// job errors; inspect the results (or Errs) for failures.
 func (p *Pool) Run(jobs []Job) []RunResult {
 	out := make([]RunResult, len(jobs))
 	if len(jobs) == 0 {
@@ -146,22 +139,12 @@ func (p *Pool) Go(fns []func()) {
 	wg.Wait()
 }
 
-// runJob executes one job, retrying a failure once. Retrying after an
-// assembly/validation error reuses the job's config safely (no stateful
-// component observed traffic yet); retrying after a mid-run panic is
-// best-effort — the config's Scheme may have observed part of a run.
+// runJob executes one job once.
 func (p *Pool) runJob(cache *simCache, j Job, worker int) RunResult {
 	done := p.tele.jobBegin(worker, j.Label)
-	var res *core.Result
-	var err error
-	for k := 1; k <= attempts; k++ {
-		if res, err = cache.run(j.Config); err == nil {
-			done(k, nil)
-			return RunResult{Label: j.Label, Result: res, Attempts: k}
-		}
-	}
-	done(attempts, err)
-	return RunResult{Label: j.Label, Result: res, Err: err, Attempts: attempts}
+	res, err := cache.run(j.Config)
+	done(err)
+	return RunResult{Label: j.Label, Result: res, Err: err}
 }
 
 // simCache is one worker's reusable simulation. Reset is result-identical
@@ -173,7 +156,7 @@ type simCache struct {
 	sim *core.Simulation
 }
 
-// run executes one attempt on the cached simulation, converting a panic
+// run executes one job on the cached simulation, converting a panic
 // into an error carrying the panic value and stack, so one broken
 // configuration surfaces in the result set instead of killing the suite.
 func (c *simCache) run(cfg core.Config) (res *core.Result, err error) {

@@ -73,19 +73,27 @@ func TestRunPreservesSubmissionOrder(t *testing.T) {
 	}
 }
 
-func TestRetryOncePolicy(t *testing.T) {
-	rr := New(2).Run([]Job{job(0), badJob("bad/one"), job(1)})
-	if rr[0].Err != nil || rr[0].Attempts != 1 {
-		t.Fatalf("good job: err=%v attempts=%d", rr[0].Err, rr[0].Attempts)
+// TestFailedJobRunsOnce: a failing job is recorded after one run, and the
+// next job on the same worker (whose cached simulation the failure
+// dropped) still succeeds.
+func TestFailedJobRunsOnce(t *testing.T) {
+	tele := NewTelemetry()
+	rr := New(1).WithTelemetry(tele).Run([]Job{job(0), badJob("bad/one"), job(1)})
+	if rr[0].Err != nil {
+		t.Fatalf("good job: %v", rr[0].Err)
 	}
 	if rr[1].Err == nil {
 		t.Fatal("bad job did not error")
 	}
-	if rr[1].Attempts != 2 {
-		t.Fatalf("bad job ran %d times, want 2 (retry-once)", rr[1].Attempts)
+	if rr[2].Err != nil || rr[2].Result == nil {
+		t.Fatalf("job after the failure: err=%v result=%v", rr[2].Err, rr[2].Result)
 	}
-	if rr[2].Err != nil {
-		t.Fatalf("job after the failure errored: %v", rr[2].Err)
+	var buf bytes.Buffer
+	if err := tele.GatherPrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "harness_jobs_started_total 3\n") {
+		t.Fatalf("want 3 job starts, one per job:\n%s", buf.String())
 	}
 	err := Errs(rr)
 	if err == nil || !strings.Contains(err.Error(), "bad/one") {
@@ -107,8 +115,8 @@ func TestPanicBecomesLabeledError(t *testing.T) {
 	cfg.NormalRPS = 10
 	cfg.Scheme = panicScheme{defense.NewNone()}
 	rr := New(1).Run([]Job{{Label: "boom", Config: cfg}})
-	if rr[0].Err == nil || rr[0].Attempts != 2 {
-		t.Fatalf("panicking job: err=%v attempts=%d, want an error after 2 tries", rr[0].Err, rr[0].Attempts)
+	if rr[0].Err == nil {
+		t.Fatal("panicking job did not error")
 	}
 	msg := rr[0].Err.Error()
 	if !strings.Contains(msg, "injected test panic") || !strings.Contains(msg, "ControlSlot") {

@@ -3,12 +3,11 @@ package harness
 // Telemetry is the pool's self-observability: while the simulations inside
 // the jobs remain purely sim-time, the harness around them lives in wall
 // time, and this file is its sanctioned measurement layer. A Telemetry
-// records per-job runtime, retries, and worker occupancy into an
+// records per-job runtime, failures, and worker occupancy into an
 // obs.Registry (scrapeable live via obs.Serve) and keeps a per-job record
 // list that WriteManifest renders as a run-manifest JSON. Wall-clock values
 // never flow into a simulation — they only describe how the host executed
-// it — which is why the timing here carries walltime allows like the
-// watchdog in runOnce.
+// it — which is why the timing here carries walltime allows.
 
 import (
 	"bufio"
@@ -23,7 +22,7 @@ import (
 )
 
 // ManifestSchema tags the manifest JSON written by WriteManifest.
-const ManifestSchema = "antidope-manifest/v2"
+const ManifestSchema = "antidope-manifest/v3"
 
 // jobRuntimeBounds are the histogram buckets for per-job wall runtime, in
 // seconds: simulation jobs span ~ms (unit-test configs) to minutes
@@ -32,10 +31,11 @@ var jobRuntimeBounds = []float64{0.001, 0.01, 0.1, 0.5, 1, 5, 15, 60, 300}
 
 // JobRecord is one completed job's manifest entry.
 type JobRecord struct {
-	Label    string
-	Worker   int
+	Label  string
+	Worker int
+	// Attempts is always 1: the pool runs each job once.
 	Attempts int
-	// RuntimeS is the job's wall runtime in seconds, summed over attempts.
+	// RuntimeS is the job's wall runtime in seconds.
 	RuntimeS float64
 	// Err is the terminal error string; empty on success.
 	Err string
@@ -51,7 +51,6 @@ type Telemetry struct {
 	started   *obs.Counter
 	completed *obs.Counter
 	failed    *obs.Counter
-	retries   *obs.Counter
 	runtime   *obs.Histogram
 
 	workers  *obs.Gauge
@@ -69,9 +68,8 @@ func NewTelemetry() *Telemetry {
 		reg:       reg,
 		started:   reg.Counter("harness_jobs_started_total", "jobs handed to a worker"),
 		completed: reg.Counter("harness_jobs_completed_total", "jobs finished successfully"),
-		failed:    reg.Counter("harness_jobs_failed_total", "jobs that failed on every attempt"),
-		retries:   reg.Counter("harness_job_retries_total", "attempts beyond each job's first"),
-		runtime:   reg.Histogram("harness_job_runtime_seconds", "per-job wall runtime (all attempts)", jobRuntimeBounds),
+		failed:    reg.Counter("harness_jobs_failed_total", "jobs that failed"),
+		runtime:   reg.Histogram("harness_job_runtime_seconds", "per-job wall runtime", jobRuntimeBounds),
 		workers:   reg.Gauge("harness_pool_workers", "configured worker count of the last pool run"),
 		busy:      reg.Gauge("harness_workers_busy", "workers currently running a job"),
 		busyPeak:  reg.Gauge("harness_workers_busy_peak", "maximum concurrently busy workers seen"),
@@ -85,9 +83,9 @@ func NewTelemetry() *Telemetry {
 // long the HOST took to execute a job and never feeds a simulation.
 //
 //lint:allow walltime -- harness self-observability; wall time never enters a simulation
-func (t *Telemetry) jobBegin(worker int, label string) func(attempts int, err error) {
+func (t *Telemetry) jobBegin(worker int, label string) func(err error) {
 	if t == nil {
-		return func(int, error) {}
+		return func(error) {}
 	}
 	t.mu.Lock()
 	t.started.Inc()
@@ -96,17 +94,14 @@ func (t *Telemetry) jobBegin(worker int, label string) func(attempts int, err er
 	t.busyPeak.SetMax(float64(t.inflight))
 	t.mu.Unlock()
 	start := time.Now() //lint:allow walltime -- job runtime measurement only
-	return func(attempts int, err error) {
+	return func(err error) {
 		elapsed := time.Since(start).Seconds() //lint:allow walltime -- job runtime measurement only
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		t.inflight--
 		t.busy.Set(float64(t.inflight))
 		t.runtime.Observe(elapsed)
-		if attempts > 1 {
-			t.retries.Add(uint64(attempts - 1))
-		}
-		rec := JobRecord{Label: label, Worker: worker, Attempts: attempts, RuntimeS: elapsed}
+		rec := JobRecord{Label: label, Worker: worker, Attempts: 1, RuntimeS: elapsed}
 		if err != nil {
 			t.failed.Inc()
 			rec.Err = err.Error()
@@ -161,7 +156,6 @@ func (t *Telemetry) WriteManifest(w io.Writer) error {
 	started := t.started.Value()
 	completed := t.completed.Value()
 	failed := t.failed.Value()
-	retries := t.retries.Value()
 	t.mu.Unlock()
 
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Label < recs[j].Label })
@@ -173,7 +167,6 @@ func (t *Telemetry) WriteManifest(w io.Writer) error {
 	bw.WriteString("  \"jobs_started\": " + strconv.FormatUint(started, 10) + ",\n")
 	bw.WriteString("  \"jobs_completed\": " + strconv.FormatUint(completed, 10) + ",\n")
 	bw.WriteString("  \"jobs_failed\": " + strconv.FormatUint(failed, 10) + ",\n")
-	bw.WriteString("  \"job_retries\": " + strconv.FormatUint(retries, 10) + ",\n")
 	bw.WriteString("  \"jobs\": [")
 	for i, r := range recs {
 		if i > 0 {
@@ -181,7 +174,6 @@ func (t *Telemetry) WriteManifest(w io.Writer) error {
 		}
 		bw.WriteString("\n    {\"label\": " + strconv.Quote(r.Label) +
 			", \"worker\": " + strconv.Itoa(r.Worker) +
-			", \"attempts\": " + strconv.Itoa(r.Attempts) +
 			", \"runtime_s\": " + obs.FormatFloat(r.RuntimeS))
 		if r.Err != "" {
 			bw.WriteString(", \"error\": " + strconv.Quote(r.Err))

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"antidope/internal/core"
@@ -61,12 +62,12 @@ func TestTelemetryRecordsJobs(t *testing.T) {
 	}
 }
 
-// TestTelemetryCountsFailuresAndRetries runs a job that always fails
-// (invalid config) and checks the retry and failure accounting, including
-// the terminal error string in the manifest record.
+// TestTelemetryCountsFailuresAndRetries runs a job that fails (invalid
+// config) and checks the failure accounting: one run, no retry metric, and
+// the error string in the manifest record.
 func TestTelemetryCountsFailuresAndRetries(t *testing.T) {
 	bad := core.DefaultConfig()
-	bad.Horizon = -1 // fails validation on every attempt
+	bad.Horizon = -1 // fails validation
 	tele := NewTelemetry()
 	res := New(1).WithTelemetry(tele).Run([]Job{{Label: "doomed", Config: bad}})
 	if res[0].Err == nil {
@@ -74,7 +75,7 @@ func TestTelemetryCountsFailuresAndRetries(t *testing.T) {
 	}
 
 	recs := tele.Records()
-	if len(recs) != 1 || recs[0].Attempts != 2 || recs[0].Err == "" {
+	if len(recs) != 1 || recs[0].Attempts != 1 || recs[0].Err == "" {
 		t.Fatalf("failure record wrong: %+v", recs)
 	}
 
@@ -87,11 +88,13 @@ func TestTelemetryCountsFailuresAndRetries(t *testing.T) {
 		"harness_jobs_started_total 1",
 		"harness_jobs_completed_total 0",
 		"harness_jobs_failed_total 1",
-		"harness_job_retries_total 1",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want+"\n")) {
 			t.Errorf("scrape missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "retries") {
+		t.Errorf("scrape has a retry metric:\n%s", out)
 	}
 }
 
@@ -140,7 +143,6 @@ func TestTelemetryManifest(t *testing.T) {
 		JobsFailed    uint64 `json:"jobs_failed"`
 		Jobs          []struct {
 			Label    string  `json:"label"`
-			Attempts int     `json:"attempts"`
 			RuntimeS float64 `json:"runtime_s"`
 		} `json:"jobs"`
 	}
@@ -159,7 +161,7 @@ func TestTelemetryManifest(t *testing.T) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	wantKeys := []string{"job_retries", "jobs", "jobs_completed", "jobs_failed", "jobs_started", "schema", "workers"}
+	wantKeys := []string{"jobs", "jobs_completed", "jobs_failed", "jobs_started", "schema", "workers"}
 	if !slices.Equal(keys, wantKeys) {
 		t.Errorf("manifest keys = %v, want %v", keys, wantKeys)
 	}
@@ -171,6 +173,9 @@ func TestTelemetryManifest(t *testing.T) {
 	}
 	if !sort.SliceIsSorted(m.Jobs, func(i, j int) bool { return m.Jobs[i].Label < m.Jobs[j].Label }) {
 		t.Errorf("manifest jobs not sorted by label: %+v", m.Jobs)
+	}
+	if strings.Contains(buf.String(), "attempts") {
+		t.Errorf("manifest still records attempts:\n%s", buf.String())
 	}
 }
 
@@ -201,6 +206,6 @@ func TestTelemetryNilIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := tele.jobBegin(0, "x")
-	done(1, nil) // must not panic
+	done(nil) // must not panic
 	tele.poolStarted(1)
 }

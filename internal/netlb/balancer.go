@@ -32,6 +32,9 @@ const (
 	LeastLoaded
 )
 
+// AllPolicies lists the policies in declaration order.
+func AllPolicies() []Policy { return []Policy{RoundRobin, LeastLoaded} }
+
 func (p Policy) String() string {
 	if p == RoundRobin {
 		return "round-robin"

@@ -15,9 +15,6 @@ type Counter struct{ v uint64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.v++ }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
 

@@ -2,6 +2,8 @@ package scenario_test
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -64,11 +66,7 @@ func TestParseErrors(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := scenario.Parse("case.yaml", []byte(tc.doc))
-			if err == nil {
-				// A few constraints only bind at normalize time.
-				_, err = scenario.Normalize(s)
-			}
+			_, err := scenario.Parse("case.yaml", []byte(tc.doc))
 			if err == nil {
 				t.Fatalf("document accepted:\n%s", tc.doc)
 			}
@@ -100,28 +98,36 @@ func TestParseErrorPositions(t *testing.T) {
 	}
 }
 
-// TestNormalizeErrors covers constraints that only bind after defaults fill
-// in: cross-field DOPE checks, empty faults blocks, matrix duplicates, and
-// ordering assertions that reference unknown runs.
+// TestNormalizeErrors covers constraints that only bind once defaults
+// fill in and every section is read: cross-field DOPE checks, empty faults
+// blocks, matrix duplicates, and ordering assertions that reference
+// unknown runs. Load rejects each with its exact message, which names the
+// file and the path but no position.
 func TestNormalizeErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		doc  string
-		want string
+		want string // the whole error text; empty accepts any *Error
 	}{
-		{"order references unknown run", minimal("runs:\n  - name: a\n  - name: b\nassert:\n  order:\n    - metric: sla\n      runs: [a, ghost]\n"), `unknown run "ghost"`},
+		{"order references unknown run", minimal("runs:\n  - name: a\n  - name: b\nassert:\n  order:\n    - metric: sla\n      runs: [a, ghost]\n"),
+			`case.yaml: assert.order[0].runs[1]: ordering references unknown run "ghost"`},
 		{"empty faults block", minimal("faults: {}\n"), ""}, // rejected at parse: flow mappings are not scalars
-		{"dope max below initial", minimal("attack:\n  dope:\n    initial_rps: 500\n    max_rps: 100\n"), "max_rps 100 below initial_rps 500"},
-		{"dope max_agents below agents", minimal("attack:\n  dope:\n    agents: 64\n    max_agents: 8\n"), "max_agents 8 below agents 64"},
-		{"duplicate matrix cell", minimal("matrix:\n  schemes: [capping, capping]\n"), "duplicate matrix cell"},
+		{"dope max below initial", minimal("attack:\n  dope:\n    initial_rps: 500\n    max_rps: 100\n"),
+			"case.yaml: attack.dope: max_rps 100 below initial_rps 500"},
+		{"dope max_agents below agents", minimal("attack:\n  dope:\n    agents: 64\n    max_agents: 8\n"),
+			"case.yaml: attack.dope: max_agents 8 below agents 64"},
+		{"duplicate matrix cell", minimal("matrix:\n  schemes: [capping, capping]\n"),
+			`case.yaml: matrix: duplicate matrix cell "capping"`},
 	}
+	dir := t.TempDir()
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := scenario.Parse("case.yaml", []byte(tc.doc))
-			if err == nil {
-				_, err = scenario.Normalize(s)
+			path := filepath.Join(dir, "case.yaml")
+			if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+				t.Fatal(err)
 			}
+			_, err := scenario.Load(path)
 			if err == nil {
 				t.Fatalf("document accepted:\n%s", tc.doc)
 			}
@@ -129,8 +135,8 @@ func TestNormalizeErrors(t *testing.T) {
 			if !errors.As(err, &se) {
 				t.Fatalf("error is %T, want *scenario.Error: %v", err, err)
 			}
-			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err.Error(), tc.want)
+			if tc.want != "" && err.Error() != tc.want {
+				t.Fatalf("error %q, want %q", err.Error(), tc.want)
 			}
 		})
 	}

@@ -16,14 +16,13 @@ import (
 // FuzzScenario drives arbitrary bytes through the whole DSL front end:
 //
 //   - Parse never panics, and every rejection is a structured *Error;
-//   - any accepted document normalizes to a fixed point: normalizing the
-//     normal form changes nothing;
-//   - compilation from the normal form is deterministic: the same
-//     document always yields the same run labels and seeds, or the same
-//     error.
+//   - decoding is a function of the bytes: parsing them again gives an
+//     equal Scenario;
+//   - compilation is deterministic: the same document always yields the
+//     same run labels and seeds, or the same error.
 //
 // No simulation runs here — the target stays fast enough for the CI fuzz
-// smoke while still covering the parser, normalizer and compiler.
+// smoke while still covering the decoder and the compiler.
 func FuzzScenario(f *testing.F) {
 	// The checked-in library seeds the corpus with every feature in use.
 	entries, err := os.ReadDir("../../scenarios")
@@ -63,28 +62,18 @@ func FuzzScenario(f *testing.F) {
 			}
 			return
 		}
-		ns, err := scenario.Normalize(s)
+		again, err := scenario.Parse("fuzz.yaml", data)
 		if err != nil {
-			var se *scenario.Error
-			if !errors.As(err, &se) {
-				t.Fatalf("normalize rejection is %T, want *scenario.Error: %v", err, err)
-			}
-			return
+			t.Fatalf("second parse rejects what the first accepted: %v", err)
 		}
-
-		// Normal-form fixed point: normalizing again changes nothing.
-		ns2, err := scenario.Normalize(ns)
-		if err != nil {
-			t.Fatalf("normal form does not re-normalize: %v\n%+v", err, ns)
-		}
-		if !reflect.DeepEqual(ns, ns2) {
-			t.Fatalf("normal form is not a fixed point:\n%+v\nvs\n%+v", ns, ns2)
+		if !reflect.DeepEqual(s, again) {
+			t.Fatalf("decoding is not a function of the bytes:\n%+v\nvs\n%+v", s, again)
 		}
 
 		// Compile determinism: same document, same plan (or same error).
 		opts := experiments.Options{Seed: 7, Quick: true}
-		p1, err1 := scenario.Compile(ns, opts)
-		p2, err2 := scenario.Compile(ns2, opts)
+		p1, err1 := scenario.Compile(s, opts)
+		p2, err2 := scenario.Compile(again, opts)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("compile determinism: %v vs %v", err1, err2)
 		}

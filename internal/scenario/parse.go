@@ -7,16 +7,22 @@ import (
 	"strconv"
 	"strings"
 
+	"antidope/internal/attack"
 	"antidope/internal/cluster"
+	"antidope/internal/defense"
+	"antidope/internal/faults"
+	"antidope/internal/netlb"
 	"antidope/internal/workload"
 )
 
-// Parse decodes one scenario document (YAML subset or JSON). Every
-// diagnostic is a *Error carrying the file, the position and the dotted
-// field path; unknown keys, malformed values, non-finite numbers, unknown
-// enum spellings and overlapping fault windows are all rejected here, so
-// a parsed Scenario is always semantically sound. Parse never panics,
-// whatever the input bytes contain.
+// Parse decodes one scenario document (YAML subset or JSON) into typed,
+// resolved runs. Every diagnostic is a *Error carrying the file, the
+// position and the dotted field path; unknown keys, malformed values,
+// non-finite numbers, unknown enum spellings, overlapping fault windows,
+// contradictory DOPE settings, empty fault blocks, duplicate matrix cells
+// and orderings over unknown runs are all rejected here, so a parsed
+// Scenario is always semantically sound. Parse never panics, whatever the
+// input bytes contain.
 func Parse(file string, data []byte) (*Scenario, error) {
 	root, err := parseDoc(file, data)
 	if err != nil {
@@ -26,8 +32,10 @@ func Parse(file string, data []byte) (*Scenario, error) {
 	return d.scenario(root)
 }
 
-// dec is the document decoder; it carries the file name for diagnostics.
-type dec struct{ file string }
+// dec is the document decoder. It carries the file name for diagnostics
+// and, once decoded, the scenario name that default seed labels derive
+// from.
+type dec struct{ file, name string }
 
 func (d *dec) errAt(p pos, path, format string, args ...any) *Error {
 	return errAt(d.file, p, path, fmt.Sprintf(format, args...))
@@ -141,7 +149,7 @@ func (d *dec) strings(n *node, path string) ([]string, error) {
 	return out, nil
 }
 
-// --- enum canonicalization ------------------------------------------------
+// --- enums ----------------------------------------------------------------
 
 // squash lower-cases a spelling and removes separators, so "Anti-DOPE",
 // "anti_dope" and "antidope" all land on the same key.
@@ -155,77 +163,114 @@ func squash(s string) string {
 	}, strings.ToLower(s))
 }
 
-// canonOf resolves a spelling against a canonical-name list.
-func canonOf(s string, canon []string, alias map[string]string) (string, bool) {
-	key := squash(s)
-	for _, c := range canon {
-		if squash(c) == key {
-			return c, true
-		}
-	}
-	if alias != nil {
-		if c, ok := alias[key]; ok {
-			return c, true
-		}
-	}
-	return "", false
+// enum is a closed set of values with the names their owner prints, in the
+// owner's order. alias maps further squashed spellings to an index.
+type enum[T any] struct {
+	what   string
+	names  []string
+	values []T
+	alias  map[string]int
 }
 
-// enum resolves a spelling against a canonical-name list.
-func (d *dec) enum(n *node, path, what string, canon []string, alias map[string]string) (string, error) {
+// enumOf lists values under the names their String methods print.
+func enumOf[T fmt.Stringer](what string, values []T) *enum[T] {
+	e := &enum[T]{what: what, values: values}
+	for _, v := range values {
+		e.names = append(e.names, v.String())
+	}
+	return e
+}
+
+// nameEnum is an enum whose values are its names.
+func nameEnum(what string, names []string) *enum[string] {
+	return &enum[string]{what: what, names: names, values: names}
+}
+
+// index resolves a spelling, ignoring case and separators.
+func (e *enum[T]) index(s string) (int, bool) {
+	key := squash(s)
+	for i, name := range e.names {
+		if squash(name) == key {
+			return i, true
+		}
+	}
+	i, ok := e.alias[key]
+	return i, ok
+}
+
+// decode reads a scalar and resolves it.
+func (e *enum[T]) decode(d *dec, n *node, path string) (T, error) {
+	var zero T
 	s, err := d.str(n, path)
 	if err != nil {
-		return "", err
+		return zero, err
 	}
-	if c, ok := canonOf(s, canon, alias); ok {
-		return c, nil
+	i, ok := e.index(s)
+	if !ok {
+		return zero, d.errAt(n.pos, path, "unknown %s %q (want %s)", e.what, s, strings.Join(e.names, ", "))
 	}
-	return "", d.errAt(n.pos, path, "unknown %s %q (want %s)", what, s, strings.Join(canon, ", "))
+	return e.values[i], nil
 }
 
-// budgetSpellings returns the budget levels as cluster prints them, in the
-// paper's order, and maps each one's lower-cased short name (without
-// "-PB") to it.
-func budgetSpellings() (canon []string, alias map[string]string) {
-	alias = make(map[string]string)
-	for _, b := range cluster.AllBudgetLevels() {
-		name := b.String()
-		canon = append(canon, name)
-		alias[strings.ToLower(strings.TrimSuffix(name, "-PB"))] = name
+// budgetEnum is cluster's levels, also spelled by their short names
+// (normal, high, medium, low).
+func budgetEnum() *enum[cluster.BudgetLevel] {
+	e := enumOf("budget level", cluster.AllBudgetLevels())
+	e.alias = make(map[string]int)
+	for i, name := range e.names {
+		e.alias[squash(strings.TrimSuffix(name, "-PB"))] = i
 	}
-	return canon, alias
+	return e
 }
 
-// classSpellings returns the request classes as workload prints them, in
-// declaration order.
-func classSpellings() []string {
-	canon := make([]string, workload.NumClasses)
-	for c := range canon {
-		canon[c] = workload.Class(c).String()
+// classEnum is workload's classes, AliOS also spelled "alinormal".
+func classEnum() *enum[workload.Class] {
+	all := make([]workload.Class, workload.NumClasses)
+	for c := range all {
+		all[c] = workload.Class(c)
 	}
-	return canon
+	e := enumOf("request class", all)
+	e.alias = map[string]int{"alinormal": int(workload.AliNormal)}
+	return e
 }
 
-// The budget and class spellings are the names cluster and workload print.
+// The enum spellings are the names their owners print; only the firewall
+// modes and the legitimate mixes are the DSL's own.
 var (
-	budgetCanon, budgetAlias = budgetSpellings()
-	classCanon               = classSpellings()
-	classAlias               = map[string]string{"alinormal": workload.AliNormal.String()}
+	budgets   = budgetEnum()
+	classes   = classEnum()
+	layers    = enumOf("attack layer", attack.AllLayers())
+	policies  = enumOf("balancer policy", netlb.AllPolicies())
+	kinds     = enumOf("fault kind", faults.AllKinds())
+	schemes   = nameEnum("defense scheme", defense.SchemeNames())
+	firewalls = nameEnum("firewall mode", []string{"off", "on", "limit"})
+	mixes     = nameEnum("workload mix", []string{"none", "eval", "fig18"})
+	metrics   = nameEnum("metric", metricNames())
 )
 
-var (
-	schemeCanon   = []string{"none", "capping", "shaving", "token", "anti-dope", "oracle", "hybrid"}
-	layerCanon    = []string{"application", "transport", "network"}
-	firewallCanon = []string{"off", "on", "limit"}
-	policyCanon   = []string{"least-loaded", "round-robin"}
-	mixCanon      = []string{"none", "eval", "fig18"}
-	kindCanon     = []string{"server-crash", "battery-failure", "battery-fade",
-		"telemetry-dropout", "telemetry-noise", "telemetry-stale",
-		"dvfs-delay", "dvfs-stuck", "firewall-down",
-		"net-delay", "net-loss", "net-partition"}
-	metricCanon = []string{"availability", "sla", "mean-rt", "p90-rt",
-		"mean-power", "p50-power", "peak-power", "over-budget", "peak-over"}
-)
+// --- the document as written ----------------------------------------------
+
+// document is a decoded document before its runs are resolved.
+type document struct {
+	s Scenario // everything but Runs
+	// base is the scenario's scheme, budget, firewall, attack program and
+	// fault block, which every run inherits.
+	base RunSpec
+	// runs are the runs list, or the matrix cells, as written; matrix
+	// marks the latter.
+	runs   []runDoc
+	matrix bool
+}
+
+// runDoc is one run as written: empty or nil fields inherit the
+// scenario's.
+type runDoc struct {
+	name, scheme, firewall string
+	budget                 *cluster.BudgetLevel
+	rate                   *float64
+	attack                 *AttackSpec
+	faults                 *FaultsSpec
+}
 
 // --- section decoders -----------------------------------------------------
 
@@ -234,7 +279,8 @@ func (d *dec) scenario(root *node) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Scenario{}
+	doc := &document{}
+	s := &doc.s
 
 	nameNode := m.get("scenario")
 	if nameNode == nil {
@@ -246,6 +292,7 @@ func (d *dec) scenario(root *node) (*Scenario, error) {
 	if s.Name == "" || strings.ContainsAny(s.Name, "/ \t") {
 		return nil, d.errAt(nameNode.pos, "scenario", "scenario name %q must be non-empty and free of slashes and spaces", s.Name)
 	}
+	d.name = s.Name
 	if n := m.get("description"); n != nil {
 		if s.Description, err = d.str(n, "description"); err != nil {
 			return nil, err
@@ -260,7 +307,7 @@ func (d *dec) scenario(root *node) (*Scenario, error) {
 		return nil, err
 	}
 	if n := m.get("cluster"); n != nil {
-		if s.Cluster, err = d.cluster(n, "cluster"); err != nil {
+		if err := d.cluster(n, "cluster", doc); err != nil {
 			return nil, err
 		}
 	}
@@ -270,7 +317,7 @@ func (d *dec) scenario(root *node) (*Scenario, error) {
 		}
 	}
 	if n := m.get("defense"); n != nil {
-		if s.Defense, err = d.defense(n, "defense"); err != nil {
+		if err := d.defense(n, "defense", doc); err != nil {
 			return nil, err
 		}
 	}
@@ -279,32 +326,38 @@ func (d *dec) scenario(root *node) (*Scenario, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.Attack = *a
+		doc.base.Attack = *a
 	}
 	if n := m.get("faults"); n != nil {
-		if s.Faults, err = d.faults(n, "faults"); err != nil {
+		if doc.base.Faults, err = d.faults(n, "faults"); err != nil {
 			return nil, err
 		}
 	}
 	if n := m.get("matrix"); n != nil {
-		if s.Matrix, err = d.matrix(n, "matrix"); err != nil {
+		if doc.runs, err = d.matrix(n, "matrix"); err != nil {
 			return nil, err
 		}
+		doc.matrix = true
 	}
 	if n := m.get("runs"); n != nil {
-		if s.Runs, err = d.runs(n, "runs"); err != nil {
+		runs, err := d.runs(n, "runs")
+		if err != nil {
 			return nil, err
 		}
-		if s.Matrix != nil {
+		if doc.matrix {
 			return nil, d.errAt(n.pos, "runs", "runs and matrix are mutually exclusive")
 		}
+		doc.runs = runs
 	}
 	if n := m.get("assert"); n != nil {
 		if s.Assert, err = d.assert(n, "assert"); err != nil {
 			return nil, err
 		}
 	}
-	return s, m.finish()
+	if err := m.finish(); err != nil {
+		return nil, err
+	}
+	return d.resolve(doc)
 }
 
 func (d *dec) sim(n *node, path string) (SimSpec, error) {
@@ -339,39 +392,41 @@ func (d *dec) sim(n *node, path string) (SimSpec, error) {
 	return out, m.finish()
 }
 
-func (d *dec) cluster(n *node, path string) (ClusterSpec, error) {
-	var out ClusterSpec
+func (d *dec) cluster(n *node, path string, doc *document) error {
+	out := &doc.s.Cluster
 	m, err := d.mapping(n, path)
 	if err != nil {
-		return out, err
+		return err
 	}
 	if vn := m.get("servers"); vn != nil {
 		if out.Servers, err = d.int(vn, m.child("servers")); err != nil {
-			return out, err
+			return err
 		}
 		if out.Servers < 0 {
-			return out, d.errAt(vn.pos, m.child("servers"), "must not be negative")
+			return d.errAt(vn.pos, m.child("servers"), "must not be negative")
 		}
 	}
 	if vn := m.get("budget"); vn != nil {
-		if out.Budget, err = d.enum(vn, m.child("budget"), "budget level", budgetCanon, budgetAlias); err != nil {
-			return out, err
+		b, err := budgets.decode(d, vn, m.child("budget"))
+		if err != nil {
+			return err
 		}
+		doc.base.Budget = &b
 	}
 	if vn := m.get("battery_autonomy_sec"); vn != nil {
 		if out.BatteryAutonomySec, err = d.nonNeg(vn, m.child("battery_autonomy_sec")); err != nil {
-			return out, err
+			return err
 		}
 	}
 	if vn := m.get("battery_sustain_frac"); vn != nil {
 		if out.BatterySustainFrac, err = d.nonNeg(vn, m.child("battery_sustain_frac")); err != nil {
-			return out, err
+			return err
 		}
 		if out.BatterySustainFrac > 1 {
-			return out, d.errAt(vn.pos, m.child("battery_sustain_frac"), "must be a fraction in [0, 1]")
+			return d.errAt(vn.pos, m.child("battery_sustain_frac"), "must be a fraction in [0, 1]")
 		}
 	}
-	return out, m.finish()
+	return m.finish()
 }
 
 func (d *dec) workload(n *node, path string) (WorkloadSpec, error) {
@@ -394,43 +449,45 @@ func (d *dec) workload(n *node, path string) (WorkloadSpec, error) {
 		}
 	}
 	if vn := m.get("mix"); vn != nil {
-		if out.Mix, err = d.enum(vn, m.child("mix"), "workload mix", mixCanon, nil); err != nil {
+		if out.Mix, err = mixes.decode(d, vn, m.child("mix")); err != nil {
 			return out, err
 		}
 	}
 	return out, m.finish()
 }
 
-func (d *dec) defense(n *node, path string) (DefenseSpec, error) {
-	var out DefenseSpec
+func (d *dec) defense(n *node, path string, doc *document) error {
+	out := &doc.s.Defense
 	m, err := d.mapping(n, path)
 	if err != nil {
-		return out, err
+		return err
 	}
 	if vn := m.get("scheme"); vn != nil {
-		if out.Scheme, err = d.enum(vn, m.child("scheme"), "defense scheme", schemeCanon, nil); err != nil {
-			return out, err
+		if doc.base.Scheme, err = schemes.decode(d, vn, m.child("scheme")); err != nil {
+			return err
 		}
 	}
 	if vn := m.get("firewall"); vn != nil {
-		if out.Firewall, err = d.enum(vn, m.child("firewall"), "firewall mode", firewallCanon, nil); err != nil {
-			return out, err
+		if doc.base.Firewall, err = firewalls.decode(d, vn, m.child("firewall")); err != nil {
+			return err
 		}
 	}
 	if vn := m.get("policy"); vn != nil {
-		if out.Policy, err = d.enum(vn, m.child("policy"), "balancer policy", policyCanon, nil); err != nil {
-			return out, err
+		p, err := policies.decode(d, vn, m.child("policy"))
+		if err != nil {
+			return err
 		}
+		out.Policy = &p
 	}
 	if vn := m.get("suspect_pool_frac"); vn != nil {
 		if out.SuspectPoolFrac, err = d.nonNeg(vn, m.child("suspect_pool_frac")); err != nil {
-			return out, err
+			return err
 		}
 		if out.SuspectPoolFrac >= 1 {
-			return out, d.errAt(vn.pos, m.child("suspect_pool_frac"), "must be a fraction below 1")
+			return d.errAt(vn.pos, m.child("suspect_pool_frac"), "must be a fraction below 1")
 		}
 	}
-	return out, m.finish()
+	return m.finish()
 }
 
 func (d *dec) attack(n *node, path string) (*AttackSpec, error) {
@@ -453,7 +510,7 @@ func (d *dec) attack(n *node, path string) (*AttackSpec, error) {
 		}
 	}
 	if dn := m.get("dope"); dn != nil {
-		if out.Dope, err = d.dope(dn, m.child("dope")); err != nil {
+		if out.Dope, out.DopeStart, err = d.dope(dn, m.child("dope")); err != nil {
 			return nil, err
 		}
 	}
@@ -477,7 +534,7 @@ func (d *dec) flood(n *node, path string) (FloodSpec, error) {
 		}
 	}
 	if vn := m.get("layer"); vn != nil {
-		if out.Layer, err = d.enum(vn, m.child("layer"), "attack layer", layerCanon, nil); err != nil {
+		if out.Layer, err = layers.decode(d, vn, m.child("layer")); err != nil {
 			return out, err
 		}
 	}
@@ -485,7 +542,7 @@ func (d *dec) flood(n *node, path string) (FloodSpec, error) {
 	if cn == nil {
 		return out, d.errAt(n.pos, m.child("class"), "missing required key")
 	}
-	if out.Class, err = d.enum(cn, m.child("class"), "request class", classCanon, classAlias); err != nil {
+	if out.Class, err = classes.decode(d, cn, m.child("class")); err != nil {
 		return out, err
 	}
 	if vn := m.get("rate"); vn != nil {
@@ -514,48 +571,62 @@ func (d *dec) flood(n *node, path string) (FloodSpec, error) {
 	return out, m.finish()
 }
 
-func (d *dec) dope(n *node, path string) (*DopeSpec, error) {
-	out := &DopeSpec{}
+// dope decodes the adaptive attacker: attack.DefaultDopeConfig with every
+// non-zero field the document sets, and the attacker's start.
+func (d *dec) dope(n *node, path string) (*attack.DopeConfig, float64, error) {
+	out := attack.DefaultDopeConfig()
+	var start float64
 	m, err := d.mapping(n, path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for _, f := range []struct {
 		key string
 		dst *float64
 	}{
-		{"start", &out.Start}, {"initial_rps", &out.InitialRPS}, {"max_rps", &out.MaxRPS},
+		{"start", &start}, {"initial_rps", &out.InitialRPS}, {"max_rps", &out.MaxRPS},
 		{"growth", &out.Growth}, {"backoff", &out.Backoff}, {"safety_margin", &out.SafetyMargin},
 	} {
 		if vn := m.get(f.key); vn != nil {
-			if *f.dst, err = d.nonNeg(vn, m.child(f.key)); err != nil {
-				return nil, err
+			v, err := d.nonNeg(vn, m.child(f.key))
+			if err != nil {
+				return nil, 0, err
+			}
+			if v > 0 {
+				*f.dst = v
 			}
 		}
 	}
+	var targets int
 	for _, f := range []struct {
 		key string
 		dst *int
 	}{
-		{"agents", &out.Agents}, {"max_agents", &out.MaxAgents}, {"targets", &out.Targets},
+		{"agents", &out.Agents}, {"max_agents", &out.MaxAgents}, {"targets", &targets},
 	} {
 		if vn := m.get(f.key); vn != nil {
-			if *f.dst, err = d.int(vn, m.child(f.key)); err != nil {
-				return nil, err
+			v, err := d.int(vn, m.child(f.key))
+			if err != nil {
+				return nil, 0, err
 			}
-			if *f.dst < 0 {
-				return nil, d.errAt(vn.pos, m.child(f.key), "must not be negative")
+			if v < 0 {
+				return nil, 0, d.errAt(vn.pos, m.child(f.key), "must not be negative")
+			}
+			if v > 0 {
+				*f.dst = v
 			}
 		}
 	}
-	//lint:allow floateq -- exact zero marks an unset config field
-	if vn := m.n.get("growth"); vn != nil && out.Growth != 0 && out.Growth <= 1 {
-		return nil, d.errAt(vn.pos, m.child("growth"), "growth must exceed 1")
+	if targets > 0 {
+		out.Targets = attack.SelectTargets(targets)
+	}
+	if vn := m.n.get("growth"); vn != nil && out.Growth <= 1 {
+		return nil, 0, d.errAt(vn.pos, m.child("growth"), "growth must exceed 1")
 	}
 	if vn := m.n.get("safety_margin"); vn != nil && out.SafetyMargin >= 1 {
-		return nil, d.errAt(vn.pos, m.child("safety_margin"), "safety margin must be below 1")
+		return nil, 0, d.errAt(vn.pos, m.child("safety_margin"), "safety margin must be below 1")
 	}
-	return out, m.finish()
+	return &out, start, m.finish()
 }
 
 func (d *dec) switching(n *node, path string) (*SwitchingSpec, error) {
@@ -582,7 +653,7 @@ func (d *dec) switching(n *node, path string) (*SwitchingSpec, error) {
 }
 
 func (d *dec) faults(n *node, path string) (*FaultsSpec, error) {
-	out := &FaultsSpec{}
+	out := &FaultsSpec{SeedLabel: d.name + "/faults"}
 	m, err := d.mapping(n, path)
 	if err != nil {
 		return nil, err
@@ -605,15 +676,15 @@ func (d *dec) faults(n *node, path string) (*FaultsSpec, error) {
 		}
 	}
 	if gn := m.get("generator"); gn != nil {
-		if out.Generator, err = d.generator(gn, m.child("generator")); err != nil {
+		if err := d.generator(gn, m.child("generator"), out); err != nil {
 			return nil, err
 		}
 	}
 	return out, m.finish()
 }
 
-func (d *dec) faultEvent(n *node, path string) (FaultEventSpec, error) {
-	out := FaultEventSpec{Server: -1}
+func (d *dec) faultEvent(n *node, path string) (faults.Event, error) {
+	out := faults.Event{Server: faults.AllServers}
 	m, err := d.mapping(n, path)
 	if err != nil {
 		return out, err
@@ -622,7 +693,7 @@ func (d *dec) faultEvent(n *node, path string) (FaultEventSpec, error) {
 	if kn == nil {
 		return out, d.errAt(n.pos, m.child("kind"), "missing required key")
 	}
-	if out.Kind, err = d.enum(kn, m.child("kind"), "fault kind", kindCanon, nil); err != nil {
+	if out.Kind, err = kinds.decode(d, kn, m.child("kind")); err != nil {
 		return out, err
 	}
 	if vn := m.get("at"); vn != nil {
@@ -636,18 +707,17 @@ func (d *dec) faultEvent(n *node, path string) (FaultEventSpec, error) {
 			return out, err
 		}
 	}
-	windowed := out.Kind != "battery-fade"
-	if windowed && out.Duration <= 0 {
+	if out.Kind.Windowed() && out.Duration <= 0 {
 		return out, d.errAt(n.pos, m.child("duration"), "%s needs a positive duration", out.Kind)
 	}
-	if !windowed && dn != nil {
-		return out, d.errAt(dn.pos, m.child("duration"), "battery-fade is instantaneous and takes no duration")
+	if !out.Kind.Windowed() && dn != nil {
+		return out, d.errAt(dn.pos, m.child("duration"), "%s is instantaneous and takes no duration", out.Kind)
 	}
 	if vn := m.get("server"); vn != nil {
 		if out.Server, err = d.int(vn, m.child("server")); err != nil {
 			return out, err
 		}
-		if out.Server < -1 {
+		if out.Server < faults.AllServers {
 			return out, d.errAt(vn.pos, m.child("server"), "server must be -1 (all) or a server index")
 		}
 	}
@@ -655,11 +725,11 @@ func (d *dec) faultEvent(n *node, path string) (FaultEventSpec, error) {
 		if out.Param, err = d.nonNeg(vn, m.child("param")); err != nil {
 			return out, err
 		}
-		if out.Kind == "battery-fade" && out.Param > 1 {
-			return out, d.errAt(vn.pos, m.child("param"), "battery-fade param is a capacity fraction in [0, 1]")
+		if out.Kind == faults.BatteryFade && out.Param > 1 {
+			return out, d.errAt(vn.pos, m.child("param"), "%s param is a capacity fraction in [0, 1]", out.Kind)
 		}
-		if out.Kind == "net-loss" && out.Param > 1 {
-			return out, d.errAt(vn.pos, m.child("param"), "net-loss param is a drop probability in [0, 1]")
+		if out.Kind == faults.NetLoss && out.Param > 1 {
+			return out, d.errAt(vn.pos, m.child("param"), "%s param is a drop probability in [0, 1]", out.Kind)
 		}
 	}
 	return out, m.finish()
@@ -669,14 +739,14 @@ func (d *dec) faultEvent(n *node, path string) (FaultEventSpec, error) {
 // The hand-written faults.Schedule silently merges such windows; the DSL
 // holds authors to a stricter contract so a typo'd schedule cannot quietly
 // mean something else.
-func (d *dec) checkOverlaps(events []FaultEventSpec, positions []pos, path string) error {
+func (d *dec) checkOverlaps(events []faults.Event, positions []pos, path string) error {
 	type idx struct {
 		i  int
-		ev FaultEventSpec
+		ev faults.Event
 	}
 	groups := map[string][]idx{}
 	for i, ev := range events {
-		if ev.Kind == "battery-fade" {
+		if !ev.Kind.Windowed() {
 			continue
 		}
 		key := fmt.Sprintf("%s/%d", ev.Kind, ev.Server)
@@ -707,82 +777,113 @@ func (d *dec) checkOverlaps(events []FaultEventSpec, positions []pos, path strin
 	return nil
 }
 
-func (d *dec) generator(n *node, path string) (*GeneratorSpec, error) {
-	out := &GeneratorSpec{}
+// generator decodes the fault generator into out: its counts and window
+// length in faults.GeneratorConfig, scaled by a non-zero intensity, and
+// its seed label.
+func (d *dec) generator(n *node, path string, out *FaultsSpec) error {
+	g := &faults.GeneratorConfig{}
 	m, err := d.mapping(n, path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if vn := m.get("seed_label"); vn != nil {
 		if out.SeedLabel, err = d.str(vn, m.child("seed_label")); err != nil {
-			return nil, err
+			return err
+		}
+		if out.SeedLabel == "" {
+			out.SeedLabel = d.name + "/faults"
 		}
 	}
+	var intensity float64
 	for _, f := range []struct {
 		key string
 		dst *float64
 	}{
-		{"intensity", &out.Intensity}, {"crashes", &out.Crashes},
-		{"telemetry", &out.Telemetry}, {"dvfs", &out.DVFS},
-		{"firewall_flaps", &out.FirewallFlaps}, {"battery", &out.Battery},
-		{"net", &out.Net},
-		{"fade_to", &out.FadeTo}, {"mean_fault_sec", &out.MeanFaultSec},
+		{"intensity", &intensity}, {"crashes", &g.Crashes},
+		{"telemetry", &g.TelemetryFaults}, {"dvfs", &g.DVFSFaults},
+		{"firewall_flaps", &g.FirewallFlaps}, {"battery", &g.BatteryFaults},
+		{"net", &g.NetFaults},
+		{"fade_to", &g.BatteryFadeTo}, {"mean_fault_sec", &g.MeanFaultSec},
 	} {
 		if vn := m.get(f.key); vn != nil {
 			if *f.dst, err = d.nonNeg(vn, m.child(f.key)); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	if vn := m.n.get("fade_to"); vn != nil && out.FadeTo >= 1 {
-		return nil, d.errAt(vn.pos, m.child("fade_to"), "fade_to must be a fraction below 1")
+	if vn := m.n.get("fade_to"); vn != nil && g.BatteryFadeTo >= 1 {
+		return d.errAt(vn.pos, m.child("fade_to"), "fade_to must be a fraction below 1")
 	}
-	return out, m.finish()
+	if intensity > 0 {
+		*g = g.Scaled(intensity)
+	}
+	out.Generator = g
+	return m.finish()
 }
 
-func (d *dec) matrix(n *node, path string) (*MatrixSpec, error) {
-	out := &MatrixSpec{}
+// matrix expands the matrix block into its cells, schemes outer and
+// budgets inner, each named by its axis values as written.
+func (d *dec) matrix(n *node, path string) ([]runDoc, error) {
 	m, err := d.mapping(n, path)
 	if err != nil {
 		return nil, err
 	}
+	cells := []runDoc{{}}
 	if vn := m.get("schemes"); vn != nil {
-		raw, err := d.strings(vn, m.child("schemes"))
+		spellings, err := d.strings(vn, m.child("schemes"))
 		if err != nil {
 			return nil, err
 		}
-		for i, s := range raw {
-			if _, err := d.enum(vn.items[i], fmt.Sprintf("%s[%d]", m.child("schemes"), i),
-				"defense scheme", schemeCanon, nil); err != nil {
+		var next []runDoc
+		for i, it := range vn.items {
+			name, err := schemes.decode(d, it, fmt.Sprintf("%s[%d]", m.child("schemes"), i))
+			if err != nil {
 				return nil, err
 			}
-			out.Schemes = append(out.Schemes, s)
+			next = append(next, runDoc{name: spellings[i], scheme: name})
+		}
+		if len(next) > 0 {
+			cells = next
 		}
 	}
 	if vn := m.get("budgets"); vn != nil {
-		raw, err := d.strings(vn, m.child("budgets"))
+		spellings, err := d.strings(vn, m.child("budgets"))
 		if err != nil {
 			return nil, err
 		}
-		for i, s := range raw {
-			if _, err := d.enum(vn.items[i], fmt.Sprintf("%s[%d]", m.child("budgets"), i),
-				"budget level", budgetCanon, budgetAlias); err != nil {
+		levels := make([]cluster.BudgetLevel, len(vn.items))
+		for j, it := range vn.items {
+			if levels[j], err = budgets.decode(d, it, fmt.Sprintf("%s[%d]", m.child("budgets"), j)); err != nil {
 				return nil, err
 			}
-			out.Budgets = append(out.Budgets, s)
+		}
+		if len(levels) > 0 {
+			var next []runDoc
+			for _, c := range cells {
+				for j := range levels {
+					cell := c
+					cell.name = spellings[j]
+					if c.name != "" {
+						cell.name = c.name + "/" + spellings[j]
+					}
+					cell.budget = &levels[j]
+					next = append(next, cell)
+				}
+			}
+			cells = next
 		}
 	}
-	if len(out.Schemes) == 0 && len(out.Budgets) == 0 {
+	if cells[0].name == "" {
 		return nil, d.errAt(n.pos, path, "matrix needs at least one axis (schemes, budgets)")
 	}
-	return out, m.finish()
+	return cells, m.finish()
 }
 
-func (d *dec) runs(n *node, path string) ([]RunSpec, error) {
+func (d *dec) runs(n *node, path string) ([]runDoc, error) {
 	if n.kind != seqNode {
 		return nil, d.errAt(n.pos, path, "expected a list")
 	}
-	out := make([]RunSpec, 0, len(n.items))
+	out := make([]runDoc, 0, len(n.items))
 	seen := map[string]int{}
 	for i, it := range n.items {
 		rpath := fmt.Sprintf("%s[%d]", path, i)
@@ -790,17 +891,17 @@ func (d *dec) runs(n *node, path string) ([]RunSpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		if prev, dup := seen[r.Name]; dup {
-			return nil, d.errAt(it.pos, rpath, "duplicate run name %q (first at runs[%d])", r.Name, prev)
+		if prev, dup := seen[r.name]; dup {
+			return nil, d.errAt(it.pos, rpath, "duplicate run name %q (first at runs[%d])", r.name, prev)
 		}
-		seen[r.Name] = i
+		seen[r.name] = i
 		out = append(out, r)
 	}
 	return out, nil
 }
 
-func (d *dec) run(n *node, path string) (RunSpec, error) {
-	var out RunSpec
+func (d *dec) run(n *node, path string) (runDoc, error) {
+	var out runDoc
 	m, err := d.mapping(n, path)
 	if err != nil {
 		return out, err
@@ -809,24 +910,26 @@ func (d *dec) run(n *node, path string) (RunSpec, error) {
 	if nn == nil {
 		return out, d.errAt(n.pos, m.child("name"), "missing required key")
 	}
-	if out.Name, err = d.str(nn, m.child("name")); err != nil {
+	if out.name, err = d.str(nn, m.child("name")); err != nil {
 		return out, err
 	}
-	if out.Name == "" || strings.ContainsAny(out.Name, " \t") {
+	if out.name == "" || strings.ContainsAny(out.name, " \t") {
 		return out, d.errAt(nn.pos, m.child("name"), "run name must be non-empty and free of spaces")
 	}
 	if vn := m.get("scheme"); vn != nil {
-		if out.Scheme, err = d.enum(vn, m.child("scheme"), "defense scheme", schemeCanon, nil); err != nil {
+		if out.scheme, err = schemes.decode(d, vn, m.child("scheme")); err != nil {
 			return out, err
 		}
 	}
 	if vn := m.get("budget"); vn != nil {
-		if out.Budget, err = d.enum(vn, m.child("budget"), "budget level", budgetCanon, budgetAlias); err != nil {
+		b, err := budgets.decode(d, vn, m.child("budget"))
+		if err != nil {
 			return out, err
 		}
+		out.budget = &b
 	}
 	if vn := m.get("firewall"); vn != nil {
-		if out.Firewall, err = d.enum(vn, m.child("firewall"), "firewall mode", firewallCanon, nil); err != nil {
+		if out.firewall, err = firewalls.decode(d, vn, m.child("firewall")); err != nil {
 			return out, err
 		}
 	}
@@ -835,15 +938,15 @@ func (d *dec) run(n *node, path string) (RunSpec, error) {
 		if err != nil {
 			return out, err
 		}
-		out.Rate = &v
+		out.rate = &v
 	}
 	if vn := m.get("attack"); vn != nil {
-		if out.Attack, err = d.attack(vn, m.child("attack")); err != nil {
+		if out.attack, err = d.attack(vn, m.child("attack")); err != nil {
 			return out, err
 		}
 	}
 	if vn := m.get("faults"); vn != nil {
-		if out.Faults, err = d.faults(vn, m.child("faults")); err != nil {
+		if out.faults, err = d.faults(vn, m.child("faults")); err != nil {
 			return out, err
 		}
 	}
@@ -906,7 +1009,7 @@ func (d *dec) order(n *node, path string) (OrderSpec, error) {
 	if mn == nil {
 		return out, d.errAt(n.pos, m.child("metric"), "missing required key")
 	}
-	if out.Metric, err = d.enum(mn, m.child("metric"), "metric", metricCanon, nil); err != nil {
+	if out.Metric, err = metrics.decode(d, mn, m.child("metric")); err != nil {
 		return out, err
 	}
 	rn := m.get("runs")
@@ -925,4 +1028,115 @@ func (d *dec) order(n *node, path string) (OrderSpec, error) {
 		}
 	}
 	return out, m.finish()
+}
+
+// --- resolving the runs ---------------------------------------------------
+
+// resolve checks the constraints that span sections and expands the
+// document into its runs: each run is the scenario's settings with the
+// run's own on top. The checks run once every section is read, so a
+// document's first malformed value is reported before any of them; their
+// errors name a path but no position.
+func (d *dec) resolve(doc *document) (*Scenario, error) {
+	s, base := &doc.s, doc.base
+	if err := d.checkDope(base.Attack.Dope, "attack"); err != nil {
+		return nil, err
+	}
+	if err := d.checkFaults(base.Faults, "faults"); err != nil {
+		return nil, err
+	}
+	if base.Scheme == "" {
+		base.Scheme = "none"
+	}
+	runs := doc.runs
+	if len(runs) == 0 {
+		runs = []runDoc{{}}
+	}
+	seen := map[string]bool{}
+	for i, r := range runs {
+		if doc.matrix && seen[r.name] {
+			return nil, d.errAt(pos{}, "matrix", "duplicate matrix cell %q", r.name)
+		}
+		seen[r.name] = true
+		path := fmt.Sprintf("runs[%d]", i)
+		run := base
+		run.Name = r.name
+		if r.attack != nil {
+			if err := d.checkDope(r.attack.Dope, path+".attack"); err != nil {
+				return nil, err
+			}
+			run.Attack = *r.attack
+		}
+		if err := d.checkFaults(r.faults, path+".faults"); err != nil {
+			return nil, err
+		}
+		if r.faults != nil {
+			run.Faults = r.faults
+		}
+		if r.scheme != "" {
+			run.Scheme = r.scheme
+		}
+		if r.budget != nil {
+			run.Budget = r.budget
+		}
+		if r.firewall != "" {
+			run.Firewall = r.firewall
+		}
+		if r.rate != nil {
+			// A run-level rate overrides every flood's.
+			floods := make([]FloodSpec, len(run.Attack.Floods))
+			for k, f := range run.Attack.Floods {
+				f.Rate = *r.rate
+				floods[k] = f
+			}
+			run.Attack.Floods = floods
+		}
+		s.Runs = append(s.Runs, run)
+	}
+	return s, d.checkOrderRefs(s)
+}
+
+// checkDope rejects a DOPE attacker whose fields, with the defaults filled
+// in, contradict each other.
+func (d *dec) checkDope(dc *attack.DopeConfig, path string) error {
+	switch {
+	case dc == nil:
+		return nil
+	case dc.MaxRPS < dc.InitialRPS:
+		return d.errAt(pos{}, path+".dope", "max_rps %g below initial_rps %g", dc.MaxRPS, dc.InitialRPS)
+	case dc.Backoff >= 1:
+		return d.errAt(pos{}, path+".dope.backoff", "backoff %g must be below 1", dc.Backoff)
+	case dc.MaxAgents < dc.Agents:
+		return d.errAt(pos{}, path+".dope", "max_agents %d below agents %d", dc.MaxAgents, dc.Agents)
+	}
+	return nil
+}
+
+// checkFaults rejects a fault block with nothing in it.
+func (d *dec) checkFaults(f *FaultsSpec, path string) error {
+	if f != nil && len(f.Events) == 0 && f.Generator == nil {
+		return d.errAt(pos{}, path, "faults block needs events or a generator")
+	}
+	return nil
+}
+
+// checkOrderRefs validates that every ordering assertion names a run of
+// the runs list or the matrix; the implicit unnamed run has no name to
+// order by.
+func (d *dec) checkOrderRefs(s *Scenario) error {
+	names := map[string]bool{}
+	for _, r := range s.Runs {
+		if r.Name != "" {
+			names[r.Name] = true
+		}
+	}
+	for i, o := range s.Assert.Orders {
+		for j, rn := range o.Runs {
+			if !names[rn] {
+				return d.errAt(pos{}, fmt.Sprintf("assert.order[%d].runs[%d]", i, j),
+					"ordering references unknown run %q", rn)
+			}
+		}
+	}
+	return nil
 }

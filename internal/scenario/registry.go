@@ -8,22 +8,13 @@ import (
 	"strings"
 )
 
-// Load reads, parses and normalizes one scenario file (.yaml, .yml or
-// .json).
+// Load reads and parses one scenario file (.yaml, .yml or .json).
 func Load(path string) (*Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	s, err := Parse(filepath.Base(path), data)
-	if err != nil {
-		return nil, err
-	}
-	ns, err := Normalize(s)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
-	}
-	return ns, nil
+	return Parse(filepath.Base(path), data)
 }
 
 // Entry is one scenario of a directory suite.

@@ -5,28 +5,42 @@ import (
 	"reflect"
 	"testing"
 
+	"antidope/internal/experiments"
+	"antidope/internal/harness"
 	"antidope/internal/scenario"
 )
 
-// normalized parses and normalizes a document, failing the test on any
-// error.
-func normalized(t *testing.T, file string, data []byte) *scenario.Scenario {
+// compiled parses and compiles a document at the quick golden options,
+// failing the test on any error.
+func compiled(t *testing.T, file string, data []byte) *scenario.Plan {
 	t.Helper()
 	s, err := scenario.Parse(file, data)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	ns, err := scenario.Normalize(s)
+	p, err := scenario.Compile(s, quickOptions(0))
 	if err != nil {
-		t.Fatalf("normalize: %v", err)
+		t.Fatalf("compile: %v", err)
 	}
-	return ns
+	return p
 }
 
-// TestRoundTripFixedPoint: normalization is a fixed point. Re-normalizing
-// an already-normal scenario changes nothing, and the scenario LoadDir
-// returns normalizes to the same value as its file, for every scenario in
-// the checked-in library.
+// samePlan fails the test unless two plans run the same jobs: labels,
+// configs (scheme instances compared by value), report metadata and
+// horizon.
+func samePlan(t *testing.T, a, b *scenario.Plan) {
+	t.Helper()
+	if a.Horizon != b.Horizon || !reflect.DeepEqual(a.Metas, b.Metas) {
+		t.Fatalf("plans differ:\n%s\nvs\n%s", planFingerprint(a), planFingerprint(b))
+	}
+	if !reflect.DeepEqual(a.Jobs, b.Jobs) {
+		t.Fatalf("job configs differ:\n%+v\nvs\n%+v", a.Jobs, b.Jobs)
+	}
+}
+
+// TestRoundTripFixedPoint: every library file decodes to one value,
+// whether LoadDir reads it or Parse reads its bytes again, and that value
+// compiles to the same labels, seeds and runs every time.
 func TestRoundTripFixedPoint(t *testing.T) {
 	entries, err := scenario.LoadDir(scenariosDir)
 	if err != nil {
@@ -39,27 +53,30 @@ func TestRoundTripFixedPoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n1 := normalized(t, "first", raw)
-			n2, err := scenario.Normalize(n1)
+			again, err := scenario.Parse("again", raw)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(n1, n2) {
-				t.Fatalf("normalization is not a fixed point:\n%+v\nvs\n%+v", n1, n2)
+			if !reflect.DeepEqual(e.Scenario, again) {
+				t.Fatalf("LoadDir and Parse decode differently:\n%+v\nvs\n%+v", e.Scenario, again)
 			}
-			ns, err := scenario.Normalize(e.Scenario)
+			p1, err := scenario.Compile(e.Scenario, quickOptions(0))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(ns, n1) {
-				t.Fatalf("LoadDir's scenario normalizes differently from its file:\n%+v\nvs\n%+v", ns, n1)
+			p2, err := scenario.Compile(again, quickOptions(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fp1, fp2 := planFingerprint(p1), planFingerprint(p2); fp1 != fp2 {
+				t.Fatalf("plans differ:\n%s\nvs\n%s", fp1, fp2)
 			}
 		})
 	}
 }
 
-// TestRoundTripJSON: a JSON document is accepted and normalizes to the
-// same value as its YAML spelling.
+// TestRoundTripJSON: a JSON document is accepted and compiles to the same
+// plan as its YAML spelling.
 func TestRoundTripJSON(t *testing.T) {
 	yamlDoc := []byte(`scenario: jdemo
 sim:
@@ -77,16 +94,17 @@ assert:
   "attack": {"floods": [{"class": "Colla-Filt", "rate": 50}]},
   "assert": {"sla_ms": 100}
 }`)
-	fromYAML := normalized(t, "y.yaml", yamlDoc)
-	fromJSON := normalized(t, "j.json", jsonDoc)
-	if !reflect.DeepEqual(fromYAML, fromJSON) {
-		t.Fatalf("JSON and YAML spellings normalize differently:\n%+v\nvs\n%+v", fromYAML, fromJSON)
+	fromYAML := compiled(t, "y.yaml", yamlDoc)
+	fromJSON := compiled(t, "j.json", jsonDoc)
+	samePlan(t, fromYAML, fromJSON)
+	if !reflect.DeepEqual(fromYAML.Scenario.Assert, fromJSON.Scenario.Assert) {
+		t.Fatalf("assertions differ: %+v vs %+v", fromYAML.Scenario.Assert, fromJSON.Scenario.Assert)
 	}
 }
 
 // TestRoundTripDefaultsElided: fields explicitly set to their defaults
-// normalize identically to leaving them out — the normal form is a
-// function of the meaning, not the spelling.
+// compile to the same plan as leaving them out — a run is a function of
+// the meaning, not the spelling.
 func TestRoundTripDefaultsElided(t *testing.T) {
 	terse := []byte("scenario: d\nsim:\n  horizon: 40\n")
 	verbose := []byte(`scenario: d
@@ -107,9 +125,19 @@ defense:
 assert:
   sla_ms: 250
 `)
-	a := normalized(t, "terse", terse)
-	b := normalized(t, "verbose", verbose)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("explicit defaults changed the normal form:\n%+v\nvs\n%+v", a, b)
+	samePlan(t, compiled(t, "terse", terse), compiled(t, "verbose", verbose))
+}
+
+// TestBareDocumentIsBaseConfig: a document that sets nothing but its
+// horizon compiles to experiments.BaseConfig with the none scheme — the
+// DSL keeps no base rack of its own.
+func TestBareDocumentIsBaseConfig(t *testing.T) {
+	p := compiled(t, "bare", []byte("scenario: bare\nsim:\n  horizon: 60\n"))
+	o := quickOptions(0)
+	cfg := experiments.BaseConfig(o, "bare", o.Horizon(60))
+	cfg.Scheme = experiments.SchemeByName("none")
+	want := []harness.Job{{Label: "bare", Config: cfg}}
+	if !reflect.DeepEqual(p.Jobs, want) {
+		t.Fatalf("bare document compiles to\n%+v\nwant\n%+v", p.Jobs, want)
 	}
 }

@@ -90,7 +90,7 @@ func (r *Result) buildTable() *experiments.Table {
 		Header: []string{"run", "scheme", "budget", "avail", "sla",
 			"meanRT(ms)", "p90(ms)", "meanW", "peakW", "over(kJ)"},
 	}
-	slo := s.Assert.SLAms / 1e3
+	slo := s.Assert.sloSec()
 	for i, res := range r.Results {
 		meta := r.Plan.Metas[i]
 		name := meta.Name
@@ -149,8 +149,8 @@ func (r *Result) evalChecks() []Check {
 		}
 		ok := true
 		for i := 0; i+1 < len(o.Runs); i++ {
-			a := metricOf(byName[o.Runs[i]], o.Metric, s.Assert.SLAms/1e3)
-			b := metricOf(byName[o.Runs[i+1]], o.Metric, s.Assert.SLAms/1e3)
+			a := metricOf(byName[o.Runs[i]], o.Metric, s.Assert.sloSec())
+			b := metricOf(byName[o.Runs[i+1]], o.Metric, s.Assert.sloSec())
 			if o.Decreasing && a < b || !o.Decreasing && a > b {
 				ok = false
 			}
@@ -160,27 +160,47 @@ func (r *Result) evalChecks() []Check {
 	return checks
 }
 
-// metricOf extracts one named assertion metric from a run result.
+// metricTable lists the order-assertion metrics under the names documents
+// use, each with how to read it from a run.
+var metricTable = []struct {
+	name string
+	of   func(r *core.Result, sloSec float64) float64
+}{
+	{"availability", func(r *core.Result, _ float64) float64 { return r.Availability() }},
+	{"sla", func(r *core.Result, slo float64) float64 { return r.SLACompliance(slo) }},
+	{"mean-rt", func(r *core.Result, _ float64) float64 { return r.MeanRT() }},
+	{"p90-rt", func(r *core.Result, _ float64) float64 { return r.TailRT(90) }},
+	{"mean-power", func(r *core.Result, _ float64) float64 { return r.Power.Sample().Mean() }},
+	{"p50-power", func(r *core.Result, _ float64) float64 { return r.Power.Sample().Percentile(50) }},
+	{"peak-power", func(r *core.Result, _ float64) float64 { return r.PeakPowerW() }},
+	{"over-budget", func(r *core.Result, _ float64) float64 { return r.OverBudgetJ }},
+	{"peak-over", func(r *core.Result, _ float64) float64 { return r.PeakOverW() }},
+}
+
+// metricNames lists the metric table's names, which Parse accepts.
+func metricNames() []string {
+	names := make([]string, len(metricTable))
+	for i, m := range metricTable {
+		names[i] = m.name
+	}
+	return names
+}
+
+// metricOf reads one named assertion metric from a run result.
 func metricOf(r *core.Result, metric string, sloSec float64) float64 {
-	switch metric {
-	case "availability":
-		return r.Availability()
-	case "sla":
-		return r.SLACompliance(sloSec)
-	case "mean-rt":
-		return r.MeanRT()
-	case "p90-rt":
-		return r.TailRT(90)
-	case "mean-power":
-		return r.Power.Sample().Mean()
-	case "p50-power":
-		return r.Power.Sample().Percentile(50)
-	case "peak-power":
-		return r.PeakPowerW()
-	case "over-budget":
-		return r.OverBudgetJ
-	case "peak-over":
-		return r.PeakOverW()
+	for _, m := range metricTable {
+		if m.name == metric {
+			return m.of(r, sloSec)
+		}
 	}
 	panic(fmt.Sprintf("scenario: unvalidated metric %q", metric))
+}
+
+// sloSec is the latency SLO behind the "sla" column and metric: the
+// document's sla_ms, or experiments.SLOSec.
+func (a *AssertSpec) sloSec() float64 {
+	if a.SLAms > 0 {
+		return a.SLAms / 1e3
+	}
+	return experiments.SLOSec
 }

@@ -412,6 +412,47 @@ func TestIncrementalSortMatchesFullSort(t *testing.T) {
 	}
 }
 
+// TestMeanIgnoresQueryOrder: every sorting query leaves Mean's bits
+// alone, and those bits are the insertion-order sum over the count.
+func TestMeanIgnoresQueryOrder(t *testing.T) {
+	queries := []struct {
+		name string
+		run  func(*Sample)
+	}{
+		{"Percentile", func(s *Sample) { s.Percentile(90) }},
+		{"Values", func(s *Sample) { s.Values() }},
+		{"Max", func(s *Sample) { s.Max() }},
+		{"CDF", func(s *Sample) { s.CDF(50) }},
+	}
+	for _, q := range queries {
+		f := func(raw []float64) bool {
+			var s Sample
+			sum := 0.0
+			for _, x := range raw {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					continue
+				}
+				// Spread the magnitudes so reordering the sum moves bits.
+				x = math.Mod(x, 1e6) / 7
+				s.Add(x)
+				sum += x
+			}
+			before := s.Mean()
+			q.run(&s)
+			after := s.Mean()
+			want := 0.0
+			if s.Len() > 0 {
+				want = sum / float64(s.Len())
+			}
+			return math.Float64bits(before) == math.Float64bits(want) &&
+				math.Float64bits(after) == math.Float64bits(want)
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Errorf("%s: %v", q.name, err)
+		}
+	}
+}
+
 func TestPercentilesBatch(t *testing.T) {
 	var s Sample
 	for i := 100; i >= 1; i-- {

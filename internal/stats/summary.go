@@ -84,8 +84,13 @@ func (s Summary) String() string {
 // query sorts just the suffix appended since the last query, merging it
 // into the already-sorted prefix in one linear pass — so interleaved
 // Add/Percentile workloads stop paying a full re-sort per query.
+//
+// Sorting reorders the stored observations, so Mean divides a sum kept in
+// insertion order: its bits do not depend on which queries came first.
 type Sample struct {
 	xs []float64
+	// sum totals the observations in the order they were Added.
+	sum float64
 	// sortedN is the length of the sorted prefix of xs; everything past it
 	// was Added since the last quantile query.
 	sortedN int
@@ -98,6 +103,7 @@ type Sample struct {
 //hot:allocfree
 func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
+	s.sum += x
 }
 
 // Len returns the number of observations.
@@ -192,16 +198,13 @@ func (s *Sample) Percentiles(ps ...float64) []float64 {
 	return out
 }
 
-// Mean returns the sample mean, or 0 with no samples.
+// Mean returns the sample mean, or 0 with no samples. It divides the
+// insertion-order sum, so a quantile query before it changes nothing.
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
 		return 0
 	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
+	return s.sum / float64(len(s.xs))
 }
 
 // Max returns the largest observation, or 0 with no samples.

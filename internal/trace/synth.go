@@ -8,9 +8,11 @@
 //   - LoadCSV: a reader for the real trace's container_usage.csv schema, so
 //     the genuine data drops in unchanged when available.
 //
-// The evaluation only consumes the aggregate: a time-varying multiplier
-// applied to the legitimate arrival rate. Both paths produce the same Trace
-// type.
+// Both paths produce the same Trace type, whose aggregate statistics
+// (mean utilization, peak-to-mean, the oversubscription report) cmd/tracegen
+// prints. The simulator does not read a trace: its legitimate load is
+// constant-rate (core.Config.NormalRPS and the experiments' legitimate
+// mixes).
 package trace
 
 import (
@@ -34,35 +36,6 @@ type Trace struct {
 // Duration returns the trace length in seconds.
 func (t *Trace) Duration() float64 {
 	return float64(len(t.Samples)) * t.IntervalSec
-}
-
-// At returns the utilization at time ts (sample-and-hold; clamped to the
-// trace range, wrapping would hide trace exhaustion bugs).
-func (t *Trace) At(ts float64) float64 {
-	if len(t.Samples) == 0 {
-		return 0
-	}
-	idx := int(ts / t.IntervalSec)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(t.Samples) {
-		idx = len(t.Samples) - 1
-	}
-	return t.Samples[idx]
-}
-
-// RateFn converts the trace into an arrival-rate function for legitimate
-// traffic: rate(t) = baseRPS · util(t)/meanUtil, so baseRPS is the mean
-// request rate over the trace.
-func (t *Trace) RateFn(baseRPS float64) func(float64) float64 {
-	mean := t.MeanUtil()
-	if mean <= 0 {
-		return func(float64) float64 { return baseRPS }
-	}
-	return func(ts float64) float64 {
-		return baseRPS * t.At(ts) / mean
-	}
 }
 
 // MeanUtil returns the average utilization over the whole trace.

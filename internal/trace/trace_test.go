@@ -99,39 +99,6 @@ func TestSynthValidate(t *testing.T) {
 	}
 }
 
-func TestTraceAt(t *testing.T) {
-	tr := &Trace{IntervalSec: 10, Samples: []float64{0.1, 0.2, 0.3}}
-	cases := []struct{ ts, want float64 }{
-		{-5, 0.1}, {0, 0.1}, {9.9, 0.1}, {10, 0.2}, {25, 0.3}, {1e6, 0.3},
-	}
-	for _, c := range cases {
-		if got := tr.At(c.ts); got != c.want {
-			t.Fatalf("At(%g) = %g, want %g", c.ts, got, c.want)
-		}
-	}
-	empty := &Trace{IntervalSec: 10}
-	if empty.At(0) != 0 {
-		t.Fatal("empty trace At != 0")
-	}
-}
-
-func TestRateFnScalesToBase(t *testing.T) {
-	tr := &Trace{IntervalSec: 1, Samples: []float64{0.2, 0.4, 0.6}}
-	rate := tr.RateFn(100)
-	// Mean util is 0.4, so base 100 rps maps util 0.4 → 100 rps.
-	if got := rate(1); math.Abs(got-100) > 1e-9 {
-		t.Fatalf("rate at mean util = %g", got)
-	}
-	if got := rate(2); math.Abs(got-150) > 1e-9 {
-		t.Fatalf("rate at peak = %g", got)
-	}
-	// Degenerate trace falls back to flat base rate.
-	flat := (&Trace{IntervalSec: 1}).RateFn(42)
-	if flat(0) != 42 {
-		t.Fatal("empty-trace rate fallback")
-	}
-}
-
 const sampleCSV = `c_1,m_1,0,50,1.0
 c_2,m_2,0,30,1.0
 c_1,m_1,60,70,1.0

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"antidope/internal/rng"
-	"antidope/internal/trace"
 )
 
 // catalogMap returns every class's profile keyed by class.
@@ -417,12 +416,11 @@ func TestMixNextAllocFree(t *testing.T) {
 }
 
 // TestCountMatchesNext pins Generator.Count as an exact replay of Next for
-// flat, windowed and trace-driven rates. From every tenth position of the
+// flat, windowed and stepped rates. From every tenth position of the
 // stream, Count(from, to) equals the arrivals Next still returns in
 // [from, to). Counting leaves the stream untouched: the generator keeps
 // returning exactly what a twin that never counted returns.
 func TestCountMatchesNext(t *testing.T) {
-	tr := &trace.Trace{IntervalSec: 4, Samples: []float64{0.2, 0.7, 0.4, 0.9, 0.1, 0.5, 0.3, 0.6}}
 	cases := []struct {
 		name    string
 		rate    RateFn
@@ -430,7 +428,7 @@ func TestCountMatchesNext(t *testing.T) {
 	}{
 		{"const", ConstRate(60), 60},
 		{"window", WindowRate(90, 7, 19), 90},
-		{"trace", tr.RateFn(50), 50 * tr.PeakToMean()},
+		{"step", stepRate(20, 70, 13), 90},
 	}
 	const from, to, horizon = 5.0, 25.0, 40.0
 	for _, c := range cases {

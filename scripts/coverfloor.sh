@@ -3,7 +3,7 @@
 #
 # Runs the packages' tests with a coverage profile and fails when the total
 # statement coverage (go tool cover -func) drops below the floor. CI gates
-# the scenario DSL front end with this so parser/normalizer/compiler
+# the scenario DSL front end with this so parser/decoder/compiler
 # branches cannot quietly lose their tests.
 set -eu
 
