@@ -17,17 +17,11 @@
 //	go run ./cmd/antidope-lint ./...
 //	go run ./cmd/antidope-lint -vet=false ./internal/core
 //	go run ./cmd/antidope-lint -json ./...               # machine output
-//	go run ./cmd/antidope-lint -baseline lint.baseline.json ./...
-//	go run ./cmd/antidope-lint -write-baseline lint.baseline.json ./...
 //
 // A finding is suppressed by a `//lint:allow <analyzer>` comment on the
 // flagged line or the line above it; the whole-program analyzers instead
 // require the comment on the declaration of the function containing the
 // finding. See internal/lint.
-//
-// With -baseline, findings recorded in the snapshot are tolerated
-// (ratcheting: new debt fails, old debt is pinned); -write-baseline
-// records the current findings as that snapshot.
 package main
 
 import (
@@ -45,8 +39,6 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzers in the suite and exit")
 	program := flag.Bool("program", true, "run the whole-program analyzers (call-graph reachability, hotalloc)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	baselinePath := flag.String("baseline", "", "tolerate findings recorded in this baseline `file`")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline `file` and exit 0")
 	flag.Parse()
 
 	if *list {
@@ -65,7 +57,7 @@ func main() {
 	}
 
 	vetFailed := false
-	if *vet && *writeBaseline == "" {
+	if *vet {
 		cmd := exec.Command("go", append([]string{"vet"}, patterns...)...)
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
@@ -85,6 +77,9 @@ func main() {
 
 	var diags []lint.Diagnostic
 	for _, pkg := range pkgs {
+		if pkg.Dep {
+			continue
+		}
 		ds, err := lint.RunPackage(pkg, lint.All())
 		if err != nil {
 			fatal(err)
@@ -101,29 +96,6 @@ func main() {
 	}
 
 	findings := lint.ToJSON(prog.Fset(), root, diags)
-
-	if *writeBaseline != "" {
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
-			fatal(err)
-		}
-		if err := lint.WriteBaseline(f, findings); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "antidope-lint: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return
-	}
-
-	if *baselinePath != "" {
-		base, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		findings = base.Filter(findings)
-	}
 
 	if *jsonOut {
 		if err := lint.WriteJSON(os.Stdout, findings); err != nil {

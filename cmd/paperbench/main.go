@@ -226,7 +226,7 @@ func run(quick bool, seed uint64, fig int, extra string, parallel int,
 		}
 		failed := 0
 		for _, e := range entries {
-			res, err := scenario.Run(e.Scenario, o)
+			res, err := experiments.RunScenario(e.Scenario, o)
 			check(err)
 			res.Fprint(w)
 			failed += res.Failed()

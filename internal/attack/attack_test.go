@@ -7,50 +7,6 @@ import (
 	"antidope/internal/workload"
 )
 
-func TestCatalogValid(t *testing.T) {
-	specs := Catalog()
-	if len(specs) < 6 {
-		t.Fatalf("catalog has %d families", len(specs))
-	}
-	names := map[string]bool{}
-	for _, s := range specs {
-		if err := s.Validate(); err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
-		}
-		if names[s.Name] {
-			t.Fatalf("duplicate attack name %s", s.Name)
-		}
-		names[s.Name] = true
-	}
-	for _, want := range []string{"HTTP-Flood", "DNS-Flood", "SYN-Flood", "UDP-Flood", "ICMP-Flood", "Slowloris"} {
-		if !names[want] {
-			t.Fatalf("missing family %s", want)
-		}
-	}
-}
-
-// The Figure 3 premise: application-layer floods inject more compute power
-// (rate × per-request power score) than volumetric floods, and Slowloris
-// the least.
-func TestCatalogPowerOrdering(t *testing.T) {
-	score := func(s Spec) float64 {
-		return s.RateRPS * workload.Lookup(s.Class).WattsPerRequestScale()
-	}
-	byName := map[string]Spec{}
-	for _, s := range Catalog() {
-		byName[s.Name] = s
-	}
-	if score(byName["HTTP-Flood"]) <= score(byName["SYN-Flood"]) {
-		t.Fatal("HTTP flood should out-power SYN flood")
-	}
-	if score(byName["DNS-Flood"]) <= score(byName["UDP-Flood"]) {
-		t.Fatal("DNS flood should out-power UDP flood")
-	}
-	if score(byName["Slowloris"]) >= score(byName["SYN-Flood"]) {
-		t.Fatal("Slowloris should be the weakest power source")
-	}
-}
-
 func TestSpecSource(t *testing.T) {
 	s := Spec{Name: "x", Class: workload.CollaFilt, RateRPS: 100, Agents: 5, Start: 10, Duration: 20}
 	src := s.Source(1000)

@@ -1,9 +1,10 @@
-// Package attack implements the adversary side of the paper: the catalog of
-// conventional flood families profiled in Figure 3, constant-rate HTTP
-// flood tools (the http-load / ApacheBench stand-ins of Table 1), and the
-// adaptive DOPE attack algorithm of Figure 12 that walks its request rate
-// up to just under the firewall's detection line while maximizing victim
-// power.
+// Package attack implements the adversary side of the paper: the attack
+// spec that every flood is (the conventional families that Figure 3
+// profiles are specs in scenarios/fig03_attack_profiles.yaml), constant-rate
+// HTTP flood tools (the http-load / ApacheBench stand-ins of Table 1), and
+// the adaptive DOPE attack algorithm of Figure 12 that walks its request
+// rate up to just under the firewall's detection line while maximizing
+// victim power.
 package attack
 
 import (
@@ -79,28 +80,6 @@ func (s Spec) Source(firstSource workload.SourceID) workload.Source {
 		Rate:        workload.WindowRate(s.RateRPS, s.Start, s.Start+s.Duration),
 		Sources:     s.Agents,
 		FirstSource: firstSource,
-	}
-}
-
-// Catalog returns the attack families of Figure 3, calibrated so that the
-// application-layer floods produce the high power band, volumetric floods
-// the medium/low band, and connection-exhaustion attacks the lowest — the
-// ordering Section 3.1 measures. All run over the figure's 600 s window.
-func Catalog() []Spec {
-	const dur = 600
-	return []Spec{
-		{Name: "HTTP-Flood", Layer: ApplicationLayer, Class: workload.AliNormal,
-			RateRPS: 900, Agents: 40, Start: 0, Duration: dur},
-		{Name: "DNS-Flood", Layer: ApplicationLayer, Class: workload.TextCont,
-			RateRPS: 1600, Agents: 40, Start: 0, Duration: dur},
-		{Name: "SYN-Flood", Layer: TransportLayer, Class: workload.VolumeFlood,
-			RateRPS: 5000, Agents: 60, Start: 0, Duration: dur},
-		{Name: "UDP-Flood", Layer: NetworkLayer, Class: workload.VolumeFlood,
-			RateRPS: 8000, Agents: 60, Start: 0, Duration: dur},
-		{Name: "ICMP-Flood", Layer: NetworkLayer, Class: workload.VolumeFlood,
-			RateRPS: 6000, Agents: 60, Start: 0, Duration: dur},
-		{Name: "Slowloris", Layer: ApplicationLayer, Class: workload.SlowDrip,
-			RateRPS: 300, Agents: 20, Start: 0, Duration: dur},
 	}
 }
 

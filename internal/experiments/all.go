@@ -134,7 +134,7 @@ var suite = []Group{
 		return nil
 	}},
 	{"evalgrid", []int{16, 17, 19}, func(o Options, w io.Writer) error {
-		grid, err := RunEvalGrid(o)
+		grid, err := runEvalGrid(o)
 		if err != nil {
 			return err
 		}

@@ -7,7 +7,6 @@ import (
 	"antidope/internal/defense"
 	"antidope/internal/firewall"
 	"antidope/internal/harness"
-	"antidope/internal/netlb"
 	"antidope/internal/workload"
 )
 
@@ -16,10 +15,10 @@ import (
 // concurrent Colla-Filt / K-means / Word-Count floods, each spread over 32
 // agents so no source approaches the firewall threshold.
 
-// EvalLegitSources is the legitimate mix: the blended AliOS stream plus
+// evalLegitSources is the legitimate mix: the blended AliOS stream plus
 // low-rate organic traffic to every victim endpoint (so PDF's collateral
 // effect on heavy legitimate requests is measurable, as in Figure 15-b).
-func EvalLegitSources() []core.SourceSpec {
+func evalLegitSources() []core.SourceSpec {
 	mk := func(class workload.Class, rps float64, n int, base workload.SourceID) core.SourceSpec {
 		return core.SourceSpec{
 			Source: workload.Source{
@@ -53,13 +52,13 @@ func EvalAttackSpecs(start, until float64) []attack.Spec {
 	}
 }
 
-// SwitchPeriodSec is the Figure 15/18 rotation period: "attack switches
+// switchPeriodSec is the Figure 15/18 rotation period: "attack switches
 // among 3 evaluated DOPE attack types per 2 minutes".
-const SwitchPeriodSec = 120
+const switchPeriodSec = 120
 
-// SwitchingAttackSpecs rotates a single-class flood among the three DOPE
-// classes every switchSec — the Figure 15/18 scenario at SwitchPeriodSec.
-func SwitchingAttackSpecs(start, until, switchSec float64) []attack.Spec {
+// switchingAttackSpecs rotates a single-class flood among the three DOPE
+// classes every switchSec — the Figure 15/18 scenario at switchPeriodSec.
+func switchingAttackSpecs(start, until, switchSec float64) []attack.Spec {
 	classes := []workload.Class{workload.CollaFilt, workload.KMeans, workload.WordCount}
 	rates := map[workload.Class]float64{
 		workload.CollaFilt: 90,
@@ -84,28 +83,21 @@ func SwitchingAttackSpecs(start, until, switchSec float64) []attack.Spec {
 	return specs
 }
 
-// EvalConfig assembles one Section 6 run. The firewall is live (DOPE flies
-// under it); legit traffic and the attack mix are fixed; scheme and budget
-// vary.
+// EvalConfig assembles one Section 6 run: BaseConfig with the firewall
+// live (DOPE flies under it), a 10 s warm-up, no AliOS stream (callers add
+// the legitimate mix as extra sources), the given scheme, budget and
+// attacks, and the mini UPS sized against the oversubscription gap (20% of
+// nameplate), so Figure 18's exhaustion dynamics land inside the
+// observation window.
 func EvalConfig(o Options, label string, scheme defense.Scheme,
 	budget cluster.BudgetLevel, attacks []attack.Spec, horizon float64) core.Config {
-	cfg := core.Config{
-		Cluster:               cluster.DefaultConfig(),
-		Scheme:                scheme,
-		Firewall:              firewall.DefaultConfig(),
-		Policy:                netlb.LeastLoaded,
-		Horizon:               horizon,
-		SlotSec:               1,
-		WarmupSec:             10,
-		DopeEpochSec:          10,
-		DopeEffectiveSlowdown: 3,
-		Seed:                  o.SeedFor(label),
-		Attacks:               attacks,
-	}
+	cfg := BaseConfig(o, label, horizon)
+	cfg.Firewall = firewall.DefaultConfig()
+	cfg.WarmupSec = 10
+	cfg.NormalRPS, cfg.NormalSources = 0, 0
+	cfg.Scheme = scheme
 	cfg.Cluster.Budget = budget
-	// The evaluation sizes the mini UPS against the oversubscription gap
-	// (20% of nameplate) so Figure 18's exhaustion dynamics land inside the
-	// observation window.
+	cfg.Attacks = attacks
 	cfg.Cluster.BatterySustainW = 0.2 * float64(cfg.Cluster.Servers) * cfg.Cluster.Model.Nameplate
 	return cfg
 }
@@ -115,6 +107,6 @@ func EvalConfig(o Options, label string, scheme defense.Scheme,
 func EvalJob(o Options, label string, scheme defense.Scheme,
 	budget cluster.BudgetLevel, attacks []attack.Spec, horizon float64) harness.Job {
 	cfg := EvalConfig(o, label, scheme, budget, attacks, horizon)
-	cfg.ExtraSources = EvalLegitSources()
+	cfg.ExtraSources = evalLegitSources()
 	return harness.Job{Label: label, Config: cfg}
 }

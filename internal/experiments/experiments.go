@@ -4,6 +4,12 @@
 // paper plots. cmd/paperbench and the repository-root benchmarks are thin
 // wrappers over this package; EXPERIMENTS.md records paper-vs-measured for
 // every runner.
+//
+// The package is also the back end of the scenario DSL (scenario.go):
+// CompileScenario lowers a parsed scenario.Scenario onto the same seams
+// the runners use, and RunScenario runs and reports it. Fig3, Fig10,
+// Fig12, the evaluation grid and Fig18 run that way from the checked-in
+// documents under scenarios/, so their axes are written only there.
 package experiments
 
 import (
@@ -42,9 +48,8 @@ type Options struct {
 }
 
 // Horizon picks the observation window, honouring Quick mode: Quick
-// shrinks the full-fidelity window ~4x with a 30 s floor. The scenario
-// compiler (internal/scenario) reuses this seam so DSL-compiled runs
-// shrink exactly like their hand-written twins.
+// shrinks the full-fidelity window ~4x with a 30 s floor. CompileScenario
+// shrinks a document's horizon through it too.
 func (o Options) Horizon(full float64) float64 {
 	if o.Quick {
 		h := full / 4

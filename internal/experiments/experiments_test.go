@@ -186,7 +186,7 @@ func TestFig15Shape(t *testing.T) {
 }
 
 func TestEvalGridHeadline(t *testing.T) {
-	g, err := RunEvalGrid(quick())
+	g, err := runEvalGrid(quick())
 	if err != nil {
 		t.Fatal(err)
 	}

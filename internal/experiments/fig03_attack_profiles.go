@@ -3,9 +3,7 @@ package experiments
 import (
 	"sort"
 
-	"antidope/internal/attack"
 	"antidope/internal/cluster"
-	"antidope/internal/harness"
 )
 
 // Fig3Result reproduces Figure 3: the power profile of typical
@@ -18,10 +16,10 @@ type Fig3Result struct {
 	Ranking []string
 }
 
-// Fig3 runs every attack family of the catalog against the Section 3 rack
-// (Normal-PB, no firewall — raw power observation).
+// Fig3 runs every attack family of scenarios/fig03_attack_profiles.yaml
+// against the Section 3 rack (Normal-PB, no firewall — raw power
+// observation).
 func Fig3(o Options) (*Fig3Result, error) {
-	horizon := o.Horizon(600)
 	out := &Fig3Result{
 		Table: &Table{Title: "Figure 3: power profile of typical cyber-attacks"},
 	}
@@ -33,27 +31,17 @@ func Fig3(o Options) (*Fig3Result, error) {
 	}
 	var scores []scored
 
-	catalog := attack.Catalog()
-	var jobs []harness.Job
-	for _, spec := range catalog {
-		spec.Duration = horizon - 5
-		spec.Start = 5
-		cfg := BaseConfig(o, "fig3/"+spec.Name, horizon)
-		cfg.Attacks = []attack.Spec{spec}
-		jobs = append(jobs, harness.Job{Label: "fig3/" + spec.Name, Config: cfg})
-	}
-	results, err := RunJobs(o, jobs)
+	plan, results, err := runDocument(o, "fig03_attack_profiles")
 	if err != nil {
 		return nil, err
 	}
-
-	for i, spec := range catalog {
-		res := results[i]
+	for i, job := range plan.Jobs {
+		spec, res := job.Config.Attacks[0], results[i]
 		sum := res.Power.Summary()
 		scores = append(scores, scored{spec.Name, sum.Mean()})
 		out.Table.AddRow(spec.Name, spec.Layer.String(),
 			f1(sum.Mean()), f1(sum.Max()), f1(res.Power.Sample().Percentile(95)),
-			bandOf(sum.Mean(), cluster.DefaultConfig()))
+			bandOf(sum.Mean(), job.Config.Cluster))
 	}
 
 	sort.SliceStable(scores, func(i, j int) bool { return scores[i].mean > scores[j].mean })

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"antidope/internal/attack"
 	"antidope/internal/cluster"
 	"antidope/internal/core"
 	"antidope/internal/firewall"
@@ -24,11 +23,10 @@ type Fig10Result struct {
 	PeakWith map[workload.Class]float64
 }
 
-// Fig10 runs each victim class at 1000 req/s from only 4 agents (250
-// req/s/agent — well above the deflate threshold) with the firewall off and
-// on.
+// Fig10 runs each victim class of scenarios/fig10_firewall.yaml at 1000
+// req/s from only 4 agents (250 req/s/agent — well above the deflate
+// threshold) with the firewall off and on.
 func Fig10(o Options) (*Fig10Result, error) {
-	horizon := o.Horizon(300)
 	out := &Fig10Result{
 		With:     make(map[workload.Class]stats.CDF),
 		Without:  make(map[workload.Class]stats.CDF),
@@ -38,31 +36,31 @@ func Fig10(o Options) (*Fig10Result, error) {
 		Title:  "Figure 10: power with and without firewall (1000 req/s, 4 agents)",
 		Header: []string{"type", "p50 no-fw(W)", "p50 fw(W)", "peak fw(W)", "fw bans"},
 	}
-	mkJob := func(class workload.Class, fwOn bool) harness.Job {
-		label := fmt.Sprintf("fig10/%v/fw=%v", class, fwOn)
-		cfg := BaseConfig(o, label, horizon)
-		if fwOn {
-			cfg.Firewall = firewall.DefaultConfig()
-		}
-		cfg.Attacks = []attack.Spec{{
-			Name: label, Layer: attack.ApplicationLayer, Class: class,
-			RateRPS: 1000, Agents: 4, Start: cfg.WarmupSec,
-			Duration: horizon - cfg.WarmupSec,
-		}}
-		return harness.Job{Label: label, Config: cfg}
-	}
-	var jobs []harness.Job
-	for _, class := range workload.VictimClasses() {
-		jobs = append(jobs, mkJob(class, false), mkJob(class, true))
-	}
-	results, err := RunJobs(o, jobs)
+	plan, results, err := runDocument(o, "fig10_firewall")
 	if err != nil {
 		return nil, err
 	}
-	next := resultCursor(results)
-	for _, class := range workload.VictimClasses() {
-		woRes := next()
-		wRes := next()
+	// Each class is one row: its run without the firewall and its run with
+	// it, in the order the document first names the class.
+	var classes []workload.Class
+	without := map[workload.Class]*core.Result{}
+	with := map[workload.Class]*core.Result{}
+	for i, job := range plan.Jobs {
+		class := job.Config.Attacks[0].Class
+		if without[class] == nil && with[class] == nil {
+			classes = append(classes, class)
+		}
+		if job.Config.Firewall.Disabled {
+			without[class] = results[i]
+		} else {
+			with[class] = results[i]
+		}
+	}
+	for _, class := range classes {
+		woRes, wRes := without[class], with[class]
+		if woRes == nil || wRes == nil {
+			return nil, fmt.Errorf("fig10: %v needs one run with and one without the firewall", class)
+		}
 		woSample := woRes.Power.Sample()
 		wSample := wRes.Power.Sample()
 		out.Without[class] = woSample.CDF(50)
@@ -194,17 +192,10 @@ type Fig12Result struct {
 	BudgetViolatedJ float64
 }
 
-// Fig12 runs the Figure 12 attacker against the firewalled, undefended
-// Medium-PB rack.
+// Fig12 runs the Figure 12 attacker of scenarios/fig12_dope.yaml against
+// the firewalled, undefended Medium-PB rack.
 func Fig12(o Options) (*Fig12Result, error) {
-	horizon := o.Horizon(600)
-	cfg := BaseConfig(o, "fig12", horizon)
-	cfg.Firewall = firewall.DefaultConfig()
-	cfg.Cluster.Budget = cluster.MediumPB
-	d := attack.DefaultDopeConfig()
-	cfg.Dope = &d
-	cfg.DopeStart = 10
-	results, err := RunJobs(o, []harness.Job{{Label: "fig12", Config: cfg}})
+	_, results, err := runDocument(o, "fig12_dope")
 	if err != nil {
 		return nil, err
 	}

@@ -31,7 +31,7 @@ func Fig15(o Options) (*Fig15Result, error) {
 	results, err := RunJobs(o, []harness.Job{
 		EvalJob(o, "fig15/quiet", SchemeByName("none"), cluster.NormalPB, nil, horizon),
 		EvalJob(o, "fig15/antidope", SchemeByName("antidope"), cluster.MediumPB,
-			SwitchingAttackSpecs(attackStart, horizon, SwitchPeriodSec), horizon),
+			switchingAttackSpecs(attackStart, horizon, switchPeriodSec), horizon),
 	})
 	if err != nil {
 		return nil, err

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"antidope/internal/cluster"
 	"antidope/internal/core"
-	"antidope/internal/harness"
 )
 
 // EvalGrid is the shared scheme × budget sweep behind Figures 16, 17 and 19
@@ -19,32 +19,25 @@ type EvalGrid struct {
 	Budgets     []cluster.BudgetLevel
 }
 
-// RunEvalGrid executes the sweep once; the figure builders share it.
-func RunEvalGrid(o Options) (*EvalGrid, error) {
-	horizon := o.Horizon(300)
-	grid := &EvalGrid{
-		Results:     make(map[string]map[cluster.BudgetLevel]*core.Result),
-		SchemeOrder: []string{"Capping", "Shaving", "Token", "Anti-DOPE"},
-		Budgets:     cluster.AllBudgetLevels(),
-	}
-	var jobs []harness.Job
-	for _, name := range grid.SchemeOrder {
-		for _, budget := range grid.Budgets {
-			label := fmt.Sprintf("eval/%s/%s", name, budget)
-			jobs = append(jobs, EvalJob(o, label, SchemeByName(name), budget,
-				EvalAttackSpecs(10, horizon), horizon))
-		}
-	}
-	results, err := RunJobs(o, jobs)
+// runEvalGrid runs scenarios/eval_grid.yaml once; the figure builders
+// share it. The schemes and budgets are the document's, in the order its
+// runs first name them.
+func runEvalGrid(o Options) (*EvalGrid, error) {
+	plan, results, err := runDocument(o, "eval_grid")
 	if err != nil {
 		return nil, err
 	}
-	next := resultCursor(results)
-	for _, name := range grid.SchemeOrder {
-		grid.Results[name] = make(map[cluster.BudgetLevel]*core.Result)
-		for _, budget := range grid.Budgets {
-			grid.Results[name][budget] = next()
+	grid := &EvalGrid{Results: make(map[string]map[cluster.BudgetLevel]*core.Result)}
+	for i, job := range plan.Jobs {
+		name, budget := job.Config.Scheme.Name(), job.Config.Cluster.Budget
+		if grid.Results[name] == nil {
+			grid.Results[name] = make(map[cluster.BudgetLevel]*core.Result)
+			grid.SchemeOrder = append(grid.SchemeOrder, name)
 		}
+		if !slices.Contains(grid.Budgets, budget) {
+			grid.Budgets = append(grid.Budgets, budget)
+		}
+		grid.Results[name][budget] = results[i]
 	}
 	return grid, nil
 }

@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"antidope/internal/cluster"
 	"antidope/internal/core"
-	"antidope/internal/defense"
-	"antidope/internal/harness"
 	"antidope/internal/stats"
 	"antidope/internal/workload"
 )
@@ -26,22 +23,11 @@ type Fig18Result struct {
 	DischargeEpisodes map[string]int
 }
 
-// fig18Job builds the Figure 18 scenario for one scheme: a Low-PB rack
-// whose legitimate load keeps the innocent pool warm (so attack-onset
-// transients actually cross the tight budget), under the 2-minute-switching
-// DOPE attack, with the gap-sized mini UPS.
-func fig18Job(o Options, scheme defense.Scheme, horizon float64) harness.Job {
-	cfg := EvalConfig(o, "fig18/"+scheme.Name(), scheme, cluster.LowPB,
-		SwitchingAttackSpecs(30, horizon, SwitchPeriodSec), horizon)
-	cfg.ExtraSources = Fig18LegitSources()
-	return harness.Job{Label: "fig18/" + scheme.Name(), Config: cfg}
-}
-
-// Fig18LegitSources is the warm-pool legitimate mix of the battery study:
+// fig18LegitSources is the warm-pool legitimate mix of the battery study:
 // a heavy AliOS stream plus light victim-endpoint traffic, keeping the
 // innocent pool busy enough that attack-onset transients cross the tight
-// Low-PB budget. The scenario compiler's "fig18" workload mix reuses it.
-func Fig18LegitSources() []core.SourceSpec {
+// Low-PB budget: the scenario DSL's "fig18" workload mix.
+func fig18LegitSources() []core.SourceSpec {
 	mk := func(class workload.Class, rps float64, n int, base workload.SourceID) core.SourceSpec {
 		return core.SourceSpec{
 			Source: workload.Source{
@@ -58,9 +44,12 @@ func Fig18LegitSources() []core.SourceSpec {
 	}
 }
 
-// Fig18 runs the switching attack at Low-PB for every scheme.
+// Fig18 runs the switching attack of scenarios/fig18_battery.yaml at
+// Low-PB for every scheme it lists: a rack whose legitimate load keeps the
+// innocent pool warm (so attack-onset transients actually cross the tight
+// budget), under the 2-minute-switching DOPE attack, with the gap-sized
+// mini UPS.
 func Fig18(o Options) (*Fig18Result, error) {
-	horizon := o.Horizon(600)
 	out := &Fig18Result{
 		MinSoC:            make(map[string]float64),
 		Exhausted:         make(map[string]bool),
@@ -70,24 +59,12 @@ func Fig18(o Options) (*Fig18Result, error) {
 		Title:  "Figure 18: battery behaviour under switching DOPE (Low-PB, gap-sized UPS)",
 		Header: []string{"scheme", "min SoC", "exhausted", "discharge episodes", "battery J used"},
 	}
-	names := []string{"Capping", "Shaving", "Token", "Anti-DOPE"}
-	var jobs []harness.Job
-	for _, name := range names {
-		scheme := SchemeByName(name)
-		if ad, ok := scheme.(*defense.AntiDope); ok {
-			// The switching flood saturates more than one node's worth of
-			// work; the Figure 18 deployment dedicates half the rack to the
-			// suspect pool.
-			ad.SuspectPoolFrac = 0.5
-		}
-		jobs = append(jobs, fig18Job(o, scheme, horizon))
-	}
-	results, err := RunJobs(o, jobs)
+	plan, results, err := runDocument(o, "fig18_battery")
 	if err != nil {
 		return nil, err
 	}
-	for i, name := range names {
-		res := results[i]
+	for i, job := range plan.Jobs {
+		name, res := job.Config.Scheme.Name(), results[i]
 		min := res.MinBatterySoC()
 		out.MinSoC[name] = min
 		out.Exhausted[name] = min <= 0.02

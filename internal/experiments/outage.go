@@ -36,7 +36,7 @@ func Outage(o Options) (*OutageResult, error) {
 	for _, name := range []string{"none", "capping", "shaving", "token", "anti-dope"} {
 		cfg := EvalConfig(o, "outage/"+name, SchemeByName(name), cluster.MediumPB,
 			EvalAttackSpecs(10, horizon), horizon)
-		cfg.ExtraSources = EvalLegitSources()
+		cfg.ExtraSources = evalLegitSources()
 		// Rating at exactly the provisioned feed: the utility contract is
 		// the budget, and the DOPE draw sits only ~6% above it — precisely
 		// the low-and-slow overload an inverse-time breaker integrates.

@@ -40,7 +40,7 @@ func Pulse(o Options) (*PulseResult, error) {
 		// Each job gets its own pulse specs: configs must not share slices.
 		pulses := attack.Pulse(workload.CollaFilt, 90, 32, 20, horizon, 30, 30)
 		cfg := EvalConfig(o, "pulse/"+name, SchemeByName(name), cluster.LowPB, pulses, horizon)
-		cfg.ExtraSources = EvalLegitSources()
+		cfg.ExtraSources = evalLegitSources()
 		jobs = append(jobs, harness.Job{Label: "pulse/" + name, Config: cfg})
 	}
 	results, err := RunJobs(o, jobs)

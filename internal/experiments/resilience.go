@@ -7,12 +7,8 @@ import (
 	"antidope/internal/core"
 	"antidope/internal/faults"
 	"antidope/internal/harness"
+	"antidope/internal/obs"
 )
-
-// SLOSec is the latency SLO a legitimate request must meet to count as
-// served in the resilience sweeps: dropped, lost, and slower-than-SLO
-// requests all violate. It is also the scenario DSL's default SLO.
-const SLOSec = 0.25
 
 // chaosSweep is what tells the two resilience sweeps apart: the fault
 // families injected, the label and seed stems, and the table's wording.
@@ -102,7 +98,7 @@ func resilience(o Options, sw *chaosSweep) (*ResilienceResult, error) {
 	out := &ResilienceResult{Schemes: schemes}
 	out.Table = &Table{
 		Title: sw.title,
-		Header: []string{"intensity", "scheme", "SLA<=250ms", "peak over (W)", "availability",
+		Header: []string{"intensity", "scheme", fmt.Sprintf("SLA<=%gms", obs.SLOSec*1e3), "peak over (W)", "availability",
 			sw.ledgerCols[0], sw.ledgerCols[1], sw.ledgerCols[2]},
 	}
 
@@ -131,7 +127,7 @@ func resilience(o Options, sw *chaosSweep) (*ResilienceResult, error) {
 		ledgerRow := make([][3]uint64, 0, len(schemes))
 		for _, name := range schemes {
 			r := next()
-			sla, ledger := r.SLACompliance(SLOSec), sw.ledger(r)
+			sla, ledger := r.SLACompliance(obs.SLOSec), sw.ledger(r)
 			slaRow = append(slaRow, sla)
 			ledgerRow = append(ledgerRow, ledger)
 			out.Table.AddRow(f2(x), name, pct(sla), f1(r.PeakOverW()), pct(r.Availability()),

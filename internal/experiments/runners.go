@@ -48,7 +48,7 @@ func FloodJob(o Options, label string, class workload.Class, rate float64,
 			Layer:    attack.ApplicationLayer,
 			Class:    class,
 			RateRPS:  rate,
-			Agents:   FloodAgents(rate),
+			Agents:   floodAgents(rate),
 			Start:    cfg.WarmupSec,
 			Duration: horizon - cfg.WarmupSec,
 		}}
@@ -56,9 +56,9 @@ func FloodJob(o Options, label string, class workload.Class, rate float64,
 	return harness.Job{Label: label, Config: cfg}
 }
 
-// FloodAgents is how many agents a flood of rate req/s spreads over when
+// floodAgents is how many agents a flood of rate req/s spreads over when
 // the run names none: one per 100 req/s, and at least four.
-func FloodAgents(rate float64) int {
+func floodAgents(rate float64) int {
 	agents := int(rate / 100)
 	if agents < 4 {
 		agents = 4
@@ -71,7 +71,7 @@ func FloodAgents(rate float64) int {
 func MixedFloodJob(o Options, label string, totalRate, horizon float64) harness.Job {
 	cfg := BaseConfig(o, label, horizon)
 	perClass := totalRate / 4
-	agents := FloodAgents(perClass)
+	agents := floodAgents(perClass)
 	for _, class := range workload.VictimClasses() {
 		cfg.Attacks = append(cfg.Attacks, attack.Spec{
 			Name:     label + "/" + class.String(),

@@ -2,17 +2,22 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"antidope/internal/cluster"
+	"antidope/internal/core"
 	"antidope/internal/defense"
+	"antidope/internal/firewall"
+	"antidope/internal/netlb"
 	"antidope/internal/workload"
 )
 
-// The scenario DSL (internal/scenario) compiles against these seams and
-// pins its output byte-identical to the hand-written figures, so their
-// exact behaviour — seed derivation, quick-mode shrinking, flood
-// defaulting — is load-bearing API, not an implementation detail.
+// The scenario DSL's compiler (scenario.go) lowers documents through these
+// seams, and the figures that run from a document are pinned by the same
+// goldens as the rest, so their exact behaviour — seed derivation,
+// quick-mode shrinking, flood defaulting — is load-bearing API, not an
+// implementation detail.
 
 // TestSeedForPinned pins the per-label seed derivation to known values:
 // changing the hash silently invalidates every golden in the repo, so the
@@ -147,7 +152,7 @@ func TestEvalAttackSpecsShape(t *testing.T) {
 // TestSwitchingAttackSpecsClamp pins the rotation and the end-clamping of
 // the final window.
 func TestSwitchingAttackSpecsClamp(t *testing.T) {
-	specs := SwitchingAttackSpecs(30, 300, 120)
+	specs := switchingAttackSpecs(30, 300, 120)
 	if len(specs) != 3 {
 		t.Fatalf("specs = %d, want 3 (30..150..270..300)", len(specs))
 	}
@@ -168,33 +173,41 @@ func TestSwitchingAttackSpecsClamp(t *testing.T) {
 	}
 }
 
-// TestEvalConfigKnobs pins the evaluation rack: warmup 10, live firewall,
-// and the gap-sized mini UPS (20% of aggregate nameplate).
+// TestEvalConfigKnobs pins the evaluation rack: BaseConfig with warmup 10,
+// a live firewall, no AliOS stream, and the gap-sized mini UPS (20% of
+// aggregate nameplate), field for field.
 func TestEvalConfigKnobs(t *testing.T) {
 	o := Options{Seed: 3}
-	cfg := EvalConfig(o, "lbl", SchemeByName("token"), cluster.MediumPB, nil, 300)
-	if cfg.WarmupSec != 10 { //lint:allow floateq -- value assigned verbatim
-		t.Errorf("warmup %g, want 10", cfg.WarmupSec)
+	scheme := SchemeByName("token")
+	attacks := EvalAttackSpecs(10, 300)
+	cfg := EvalConfig(o, "lbl", scheme, cluster.MediumPB, attacks, 300)
+	want := core.Config{
+		Cluster:               cluster.DefaultConfig(),
+		Scheme:                scheme,
+		Firewall:              firewall.DefaultConfig(),
+		Policy:                netlb.LeastLoaded,
+		Horizon:               300,
+		SlotSec:               1,
+		WarmupSec:             10,
+		DopeEpochSec:          10,
+		DopeEffectiveSlowdown: 3,
+		Seed:                  o.SeedFor("lbl"),
+		Attacks:               attacks,
 	}
-	if cfg.Firewall.Disabled {
-		t.Error("evaluation firewall must be live")
-	}
-	want := 0.2 * float64(cfg.Cluster.Servers) * cfg.Cluster.Model.Nameplate
-	if math.Abs(cfg.Cluster.BatterySustainW-want) > 1e-9 {
-		t.Errorf("battery sustain %g W, want %g", cfg.Cluster.BatterySustainW, want)
-	}
-	if cfg.Seed != o.SeedFor("lbl") {
-		t.Error("seed not derived from the label")
+	want.Cluster.Budget = cluster.MediumPB
+	want.Cluster.BatterySustainW = 0.2 * float64(want.Cluster.Servers) * want.Cluster.Model.Nameplate
+	if !reflect.DeepEqual(cfg, want) {
+		t.Errorf("EvalConfig =\n%+v\nwant\n%+v", cfg, want)
 	}
 	job := EvalJob(o, "lbl", SchemeByName("token"), cluster.MediumPB, nil, 300)
-	if len(job.Config.ExtraSources) != len(EvalLegitSources()) {
+	if len(job.Config.ExtraSources) != len(evalLegitSources()) {
 		t.Error("EvalJob did not inject the legitimate mix")
 	}
 }
 
 // TestFig18LegitSources pins the extracted Figure 18 mix seam.
 func TestFig18LegitSources(t *testing.T) {
-	srcs := Fig18LegitSources()
+	srcs := fig18LegitSources()
 	if len(srcs) != 3 {
 		t.Fatalf("sources = %d, want 3", len(srcs))
 	}

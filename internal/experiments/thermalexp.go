@@ -51,7 +51,7 @@ func Thermal(o Options) (*ThermalResult, error) {
 				attack.HTTPLoadTool(workload.CollaFilt, 80, 32, 30, horizon-40),
 				attack.HTTPLoadTool(workload.KMeans, 40, 32, 30, horizon-40),
 			}, horizon)
-		cfg.ExtraSources = EvalLegitSources()
+		cfg.ExtraSources = evalLegitSources()
 		// Cooling provisioned for the aggressive (Low-PB) level even though
 		// the feed is at Normal — cooling plants are oversubscribed too, and
 		// more recirculation-prone than this rack's feed.

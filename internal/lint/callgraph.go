@@ -31,6 +31,9 @@ import (
 //   - Taking a function's value, or creating a literal, is itself an edge
 //     from the enclosing function: the value may be handed to code outside
 //     the load (a comparator passed to sort.Slice) that calls it invisibly.
+//     A literal called where it is written (func(){…}(), or after defer
+//     or go) is no value: that edge is its only caller, and it answers no
+//     dynamic call.
 //   - Package-level var initializers are walked into one node per package,
 //     named "pkg/path.var", so a literal stored in a package variable is a
 //     node too.
@@ -113,7 +116,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		byObj:         map[*types.Func]*FuncNode{},
 		methodsByName: map[string][]*FuncNode{},
 	}
-	b := &graphBuilder{g: g, called: map[*ast.Ident]bool{}}
+	b := &graphBuilder{g: g, called: map[*ast.Ident]bool{}, inPlace: map[*ast.FuncLit]bool{}}
 	// Pass 1: create nodes for every declared function and method, and
 	// index concrete methods for interface resolution.
 	for _, pkg := range pkgs {
@@ -190,6 +193,8 @@ type graphBuilder struct {
 	// called marks identifiers in call position, which recordCall has
 	// already classified; recordUse skips them.
 	called map[*ast.Ident]bool
+	// inPlace marks literals in call position, which run only there.
+	inPlace map[*ast.FuncLit]bool
 }
 
 type dynCall struct {
@@ -226,9 +231,12 @@ func (b *graphBuilder) walkBody(node *FuncNode, pkg *Package, bodies ...ast.Node
 			b.g.Nodes[lit.Name] = lit
 			// A literal only runs if something calls its value: whoever
 			// creates it may (it can escape to code outside the load), and
-			// so may every dynamic call of its type.
+			// so may every dynamic call of its type, unless it is called
+			// in place and so never becomes a value.
 			owner.Calls = append(owner.Calls, CallEdge{Callee: lit, Pos: e.Pos()})
-			b.g.addrTaken = append(b.g.addrTaken, lit)
+			if !b.inPlace[e] {
+				b.g.addrTaken = append(b.g.addrTaken, lit)
+			}
 			ast.Inspect(e.Body, func(m ast.Node) bool { return walk(m, lit) })
 			return false // children handled under the literal's identity
 		case *ast.CallExpr:
@@ -255,6 +263,10 @@ func (b *graphBuilder) recordCall(owner *FuncNode, pkg *Package, call *ast.CallE
 		b.called[fn] = true
 	case *ast.SelectorExpr:
 		b.called[fn.Sel] = true
+	case *ast.FuncLit:
+		// Called in place: walkBody's creation edge is the call.
+		b.inPlace[fn] = true
+		return
 	}
 
 	// Conversions and builtin calls are not calls for our purposes.

@@ -5,36 +5,21 @@ import (
 	"fmt"
 	"go/token"
 	"io"
-	"os"
 	"path/filepath"
-	"sort"
 )
 
 // This file is the lint suite's machine interface: a stable JSON shape for
-// diagnostics (CI artifacts, editor integrations) and a baseline mechanism
-// for ratcheting — a checked-in snapshot of tolerated findings that lets a
-// new analyzer land strict without first sweeping every historical debt,
-// while still failing the build on anything NOT in the snapshot.
-
-// BaselineVersion identifies the baseline file schema.
-const BaselineVersion = "antidope-lint-baseline/v1"
+// diagnostics (CI artifacts, editor integrations).
 
 // JSONDiagnostic is the serialized form of one finding. File is
-// module-root-relative with forward slashes, so baselines and artifacts
-// are portable across checkouts.
+// module-root-relative with forward slashes, so artifacts are portable
+// across checkouts.
 type JSONDiagnostic struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-}
-
-// baselineKey identifies a finding across line drift: edits above a
-// tolerated finding must not break the build, so the key deliberately
-// omits the position.
-func (d JSONDiagnostic) baselineKey() string {
-	return d.File + "\x00" + d.Analyzer + "\x00" + d.Message
 }
 
 // String renders the go-vet-style human form.
@@ -61,85 +46,6 @@ func ToJSON(fset *token.FileSet, root string, diags []Diagnostic) []JSONDiagnost
 		})
 	}
 	return out
-}
-
-// Baseline is a multiset of tolerated findings.
-type Baseline struct {
-	counts map[string]int
-}
-
-// baselineFile is the on-disk schema.
-type baselineFile struct {
-	Version  string           `json:"version"`
-	Findings []JSONDiagnostic `json:"findings"`
-}
-
-// LoadBaseline reads a baseline file written by WriteBaseline.
-func LoadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var bf baselineFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, fmt.Errorf("baseline %s: %v", path, err)
-	}
-	if bf.Version != BaselineVersion {
-		return nil, fmt.Errorf("baseline %s: version %q, want %q", path, bf.Version, BaselineVersion)
-	}
-	b := &Baseline{counts: map[string]int{}}
-	for _, d := range bf.Findings {
-		b.counts[d.baselineKey()]++
-	}
-	return b, nil
-}
-
-// Filter returns the findings not covered by the baseline. Each baseline
-// entry absorbs at most one finding with the same (file, analyzer,
-// message), so duplicating a tolerated pattern still fails.
-func (b *Baseline) Filter(diags []JSONDiagnostic) []JSONDiagnostic {
-	if b == nil {
-		return diags
-	}
-	remaining := make(map[string]int, len(b.counts))
-	for k, v := range b.counts {
-		remaining[k] = v
-	}
-	var fresh []JSONDiagnostic
-	for _, d := range diags {
-		k := d.baselineKey()
-		if remaining[k] > 0 {
-			remaining[k]--
-			continue
-		}
-		fresh = append(fresh, d)
-	}
-	return fresh
-}
-
-// WriteBaseline serializes the findings as a baseline snapshot, sorted for
-// stable diffs.
-func WriteBaseline(w io.Writer, diags []JSONDiagnostic) error {
-	sorted := append([]JSONDiagnostic(nil), diags...)
-	sort.Slice(sorted, func(i, j int) bool {
-		a, b := sorted[i], sorted[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
-	})
-	if sorted == nil {
-		sorted = []JSONDiagnostic{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(baselineFile{Version: BaselineVersion, Findings: sorted})
 }
 
 // WriteJSON emits the findings as a JSON array (the -json CLI output and

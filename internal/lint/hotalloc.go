@@ -69,6 +69,9 @@ func runHotAlloc(prog *Program) ([]Diagnostic, error) {
 	tokFiles := map[string]*token.File{}
 
 	for _, pkg := range prog.Pkgs {
+		if pkg.Dep {
+			continue // its annotations are checked where it is matched
+		}
 		for _, f := range pkg.Files {
 			tf := fset.File(f.Pos())
 			if tf == nil {

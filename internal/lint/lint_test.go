@@ -42,6 +42,13 @@ func TestDeadCode(t *testing.T) {
 	linttest.RunProgram(t, lint.DeadCode, "./testdata/src/progdead/...")
 }
 
+// A call that only a dependency outside the patterns makes still reaches
+// its callee: the loader type-checks dependencies from source too, and
+// reports nothing in them.
+func TestDeadCodeDependencyCalls(t *testing.T) {
+	linttest.RunProgram(t, lint.DeadCode, "./testdata/src/progdep")
+}
+
 // Without a main package there is no entry point, so a partial load must
 // report nothing rather than every function in it.
 func TestDeadCodeNeedsMain(t *testing.T) {

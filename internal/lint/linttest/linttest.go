@@ -147,7 +147,9 @@ func RunProgram(t *testing.T, a *lint.ProgramAnalyzer, patterns ...string) {
 	fset := prog.Fset()
 	var files []*ast.File
 	for _, pkg := range pkgs {
-		files = append(files, pkg.Files...)
+		if !pkg.Dep {
+			files = append(files, pkg.Files...)
+		}
 	}
 	wants := collectWants(t, fset, files)
 	for _, d := range diags {

@@ -23,6 +23,12 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+	// Dep marks a package the patterns did not match, loaded because a
+	// matched package imports it. Its bodies join the call graph, so a
+	// call that only a dependency makes (an interface call in core of a
+	// method the matched package defines) still reaches its callee, but
+	// no analyzer reports in it.
+	Dep bool
 }
 
 // listedPkg is the subset of `go list -json` output the loader consumes.
@@ -38,7 +44,8 @@ type listedPkg struct {
 
 // Load enumerates the packages matching patterns with the go command,
 // compiles export data for their dependency graph, and type-checks each
-// matched package from source. Test files are excluded by construction
+// matched package, and each dependency outside the standard library
+// (marked Dep), from source. Test files are excluded by construction
 // (GoFiles never contains *_test.go), which is also the analyzers'
 // contract: the determinism rules bind non-test code.
 func Load(dir string, patterns []string) ([]*Package, error) {
@@ -65,7 +72,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if !p.DepOnly && !p.Standard {
+		if !p.Standard {
 			targets = append(targets, p)
 		}
 	}
@@ -106,6 +113,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 			Files: files,
 			Types: pkg,
 			Info:  info,
+			Dep:   t.DepOnly,
 		})
 	}
 	return pkgs, nil

@@ -125,6 +125,14 @@ func RunProgram(prog *Program, analyzers []*ProgramAnalyzer) ([]Diagnostic, erro
 		}
 	}
 	fset := prog.Fset()
+	// Findings land only in matched packages; a dependency is loaded for
+	// its call edges alone.
+	matched := map[string]bool{}
+	for _, pkg := range prog.Pkgs {
+		for _, f := range pkg.Files {
+			matched[fset.File(f.Pos()).Name()] = !pkg.Dep
+		}
+	}
 	var kept []Diagnostic
 	for _, a := range analyzers {
 		diags, err := a.Run(prog)
@@ -133,7 +141,7 @@ func RunProgram(prog *Program, analyzers []*ProgramAnalyzer) ([]Diagnostic, erro
 		}
 		for _, d := range diags {
 			d.Analyzer = a.Name
-			if !sup.suppressed(fset, d) {
+			if matched[fset.Position(d.Pos).Filename] && !sup.suppressed(fset, d) {
 				kept = append(kept, d)
 			}
 		}

@@ -4,7 +4,8 @@
 // through a stored func value — the three edge kinds the call-graph facts
 // layer must not lose. It also pins the suppression semantics: an allow on
 // the sink line survives as a finding, an allow on the declaration does
-// not.
+// not. And it pins that a literal called in place is no func value: it
+// neither fires as a dynamic call nor answers one.
 package progwalltime
 
 import (
@@ -36,14 +37,19 @@ func New() *Sim {
 //lint:root
 func (s *Sim) Run() float64 {
 	total := float64(inner.Helper()) // cross-package static chain
-	total += s.clk.Tick()   // interface dispatch
+	total += s.clk.Tick()            // interface dispatch
 	if s.cb != nil {
 		total += s.cb() // dynamic call through a stored func value
 	}
 	total += sinkAllowed()
 	total += headAllowed()
+	func() { total++ }() // runs this literal only, not every func() value
 	return total
 }
+
+// stored is a func() value nothing calls. Run's in-place literal shares
+// its type, and must not reach it.
+var stored = func() { _ = time.Now() }
 
 // sinkAllowed keeps its allow on the SINK line. That satisfies only the
 // per-package walltime analyzer; the transitive finding anchors its
@@ -65,4 +71,11 @@ func headAllowed() float64 {
 // (the per-package walltime analyzer would still flag the sink).
 func Orphan() float64 {
 	return float64(time.Now().UnixNano())
+}
+
+// Detached is never called from the root either. Its literal runs in
+// place, so the callback Run fires through s.cb, which shares the
+// literal's type, cannot be it.
+func Detached() float64 {
+	return func() float64 { return float64(time.Now().UnixNano()) }()
 }

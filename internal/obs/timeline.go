@@ -18,11 +18,15 @@ var errNoTimeline = errors.New("obs: no timeline attached; call EnableTimeline b
 // Pinned against latencyBounds by TestTimelineBucketConstant.
 const timelineBuckets = 11
 
-// Defaults applied by NewTimeline when the caller passes zero values.
-const (
-	DefaultTimelineWindowSec = 1.0
-	DefaultTimelineSLASec    = 0.25
-)
+// DefaultTimelineWindowSec is the window width NewTimeline applies when
+// the caller passes zero.
+const DefaultTimelineWindowSec = 1.0
+
+// SLOSec is the paper's latency SLO: a legitimate request slower than
+// 250 ms violates it. NewTimeline counts violations against it by
+// default, the resilience sweeps score SLA compliance with it, and it is
+// the scenario DSL's default sla_ms.
+const SLOSec = 0.25
 
 // TimelineSchema is the schema tag of the JSON timeline export.
 const TimelineSchema = "antidope-timeline/v1"
@@ -88,7 +92,7 @@ func NewTimeline(widthSec, slaSec float64) *Timeline {
 		widthSec = DefaultTimelineWindowSec
 	}
 	if slaSec <= 0 {
-		slaSec = DefaultTimelineSLASec
+		slaSec = SLOSec
 	}
 	return &Timeline{width: widthSec, sla: slaSec}
 }

@@ -50,8 +50,8 @@ func TestTimelineDefaults(t *testing.T) {
 	if tl.width != DefaultTimelineWindowSec { //lint:allow floateq -- defaults pass through verbatim
 		t.Errorf("default width = %v, want %v", tl.width, DefaultTimelineWindowSec)
 	}
-	if tl.sla != DefaultTimelineSLASec { //lint:allow floateq -- defaults pass through verbatim
-		t.Errorf("default SLA = %v, want %v", tl.sla, DefaultTimelineSLASec)
+	if tl.sla != SLOSec { //lint:allow floateq -- defaults pass through verbatim
+		t.Errorf("default SLA = %v, want %v", tl.sla, SLOSec)
 	}
 }
 

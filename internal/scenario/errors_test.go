@@ -48,6 +48,7 @@ func TestParseErrors(t *testing.T) {
 		{"missing horizon", "scenario: t\nsim:\n  slot: 1\n", "sim.horizon: missing required key"},
 		{"missing flood class", minimal("attack:\n  floods:\n    - rate: 5\n"), "class: missing required key"},
 		{"slash in scenario name", "scenario: a/b\nsim:\n  horizon: 60\n", "free of slashes"},
+		{"percent verb in scenario name", "scenario: \"a%d b\"\nsim:\n  horizon: 60\n", `scenario name "a%d b" must be`},
 		{"duplicate run name", minimal("runs:\n  - name: a\n  - name: a\n"), `duplicate run name "a"`},
 		{"runs and matrix together", minimal("matrix:\n  schemes: [capping]\nruns:\n  - name: a\n"), "mutually exclusive"},
 		{"empty matrix", minimal("matrix: {}\n"), ""}, // flow mappings are rejected by the parser itself

@@ -3,14 +3,14 @@ package scenario_test
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"io/fs"
 	"reflect"
 	"strings"
 	"testing"
 
 	"antidope/internal/experiments"
 	"antidope/internal/scenario"
+	"antidope/scenarios"
 )
 
 // FuzzScenario drives arbitrary bytes through the whole DSL front end:
@@ -25,15 +25,12 @@ import (
 // smoke while still covering the decoder and the compiler.
 func FuzzScenario(f *testing.F) {
 	// The checked-in library seeds the corpus with every feature in use.
-	entries, err := os.ReadDir("../../scenarios")
+	entries, err := fs.ReadDir(scenarios.FS, ".")
 	if err != nil {
 		f.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		raw, err := os.ReadFile(filepath.Join("../../scenarios", e.Name()))
+		raw, err := fs.ReadFile(scenarios.FS, e.Name())
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -72,8 +69,8 @@ func FuzzScenario(f *testing.F) {
 
 		// Compile determinism: same document, same plan (or same error).
 		opts := experiments.Options{Seed: 7, Quick: true}
-		p1, err1 := scenario.Compile(s, opts)
-		p2, err2 := scenario.Compile(again, opts)
+		p1, err1 := experiments.CompileScenario(s, opts)
+		p2, err2 := experiments.CompileScenario(again, opts)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("compile determinism: %v vs %v", err1, err2)
 		}
@@ -90,12 +87,12 @@ func FuzzScenario(f *testing.F) {
 }
 
 // planFingerprint condenses a compiled plan to its identity-bearing parts.
-func planFingerprint(p *scenario.Plan) string {
+func planFingerprint(p *experiments.ScenarioPlan) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "horizon=%g\n", p.Horizon)
 	for i, j := range p.Jobs {
 		fmt.Fprintf(&b, "%s seed=%d scheme=%s budget=%v horizon=%g attacks=%d\n",
-			j.Label, j.Config.Seed, p.Metas[i].Scheme, j.Config.Cluster.Budget,
+			j.Label, j.Config.Seed, p.Scenario.Runs[i].Scheme, j.Config.Cluster.Budget,
 			j.Config.Horizon, len(j.Config.Attacks))
 	}
 	return b.String()

@@ -56,7 +56,7 @@ func TestScenarioLibraryGolden(t *testing.T) {
 		base := strings.TrimSuffix(filepath.Base(e.Path), filepath.Ext(e.Path))
 		t.Run(base, func(t *testing.T) {
 			t.Parallel()
-			res, err := scenario.Run(e.Scenario, quickOptions(0))
+			res, err := experiments.RunScenario(e.Scenario, quickOptions(0))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -38,7 +38,7 @@ func Parse(file string, data []byte) (*Scenario, error) {
 type dec struct{ file, name string }
 
 func (d *dec) errAt(p pos, path, format string, args ...any) *Error {
-	return errAt(d.file, p, path, fmt.Sprintf(format, args...))
+	return errAt(d.file, p, path, format, args...)
 }
 
 // mapReader consumes the entries of a mapping node and reports the first

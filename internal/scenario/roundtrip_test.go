@@ -12,13 +12,13 @@ import (
 
 // compiled parses and compiles a document at the quick golden options,
 // failing the test on any error.
-func compiled(t *testing.T, file string, data []byte) *scenario.Plan {
+func compiled(t *testing.T, file string, data []byte) *experiments.ScenarioPlan {
 	t.Helper()
 	s, err := scenario.Parse(file, data)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	p, err := scenario.Compile(s, quickOptions(0))
+	p, err := experiments.CompileScenario(s, quickOptions(0))
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -26,11 +26,11 @@ func compiled(t *testing.T, file string, data []byte) *scenario.Plan {
 }
 
 // samePlan fails the test unless two plans run the same jobs: labels,
-// configs (scheme instances compared by value), report metadata and
-// horizon.
-func samePlan(t *testing.T, a, b *scenario.Plan) {
+// configs (scheme instances compared by value), the scheme names the
+// report prints, and horizon.
+func samePlan(t *testing.T, a, b *experiments.ScenarioPlan) {
 	t.Helper()
-	if a.Horizon != b.Horizon || !reflect.DeepEqual(a.Metas, b.Metas) {
+	if a.Horizon != b.Horizon || planFingerprint(a) != planFingerprint(b) {
 		t.Fatalf("plans differ:\n%s\nvs\n%s", planFingerprint(a), planFingerprint(b))
 	}
 	if !reflect.DeepEqual(a.Jobs, b.Jobs) {
@@ -60,11 +60,11 @@ func TestRoundTripFixedPoint(t *testing.T) {
 			if !reflect.DeepEqual(e.Scenario, again) {
 				t.Fatalf("LoadDir and Parse decode differently:\n%+v\nvs\n%+v", e.Scenario, again)
 			}
-			p1, err := scenario.Compile(e.Scenario, quickOptions(0))
+			p1, err := experiments.CompileScenario(e.Scenario, quickOptions(0))
 			if err != nil {
 				t.Fatal(err)
 			}
-			p2, err := scenario.Compile(again, quickOptions(0))
+			p2, err := experiments.CompileScenario(again, quickOptions(0))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,33 +1,25 @@
-// Package scenario is the declarative experiment layer: a YAML/JSON
-// document format that composes workload mix, cluster shape, attack
+// Package scenario is the declarative experiment layer's document: a
+// YAML/JSON format that composes workload mix, cluster shape, attack
 // program (static floods, the adaptive DOPE attacker, the switching
 // rotation), fault schedule, defense scheme and firewall/balancer policy,
-// and acceptance assertions into a single scenario that compiles to
-// core.Config runs on the existing harness.Pool.
+// and acceptance assertions into a single scenario.
 //
 // The pipeline is
 //
-//	Parse -> Compile -> Run
+//	Parse (this package) -> experiments.CompileScenario -> experiments.RunScenario
 //
 // Parse decodes a document once into typed runs: every enum holds the
 // value of the package that owns it (cluster.BudgetLevel, workload.Class,
 // attack.Layer, netlb.Policy, faults.Event, and defense's scheme names),
 // the matrix block expands into runs, and each run carries its overrides
-// of the scenario's defaults already resolved. Compile starts every run
-// from experiments.BaseConfig, the Section 3 rack the hand-written figures
-// share, and overrides only what the document sets; a zero number means
-// unset. The defaults that only the DSL has come from their owners too:
-// the DOPE attacker from attack.DefaultDopeConfig, flood agents from
-// experiments.FloodAgents, the switching period and the SLO from
-// experiments.SwitchPeriodSec and experiments.SLOSec.
-//
-// Twin equivalence is the contract the tests pin: Compile reuses the seams
-// the hand-written experiments use (experiments.Options.SeedFor per label,
-// Options.Horizon for Quick-mode window shrinking, BaseConfig and the job
-// builders' defaulting rules), so a checked-in scenario mirroring a figure
-// produces the same core.Config — and therefore a byte-identical report —
-// as its Go counterpart at any -parallel setting. The goldens under
-// testdata/ pin this.
+// of the scenario's defaults already resolved. The compiler lives in
+// internal/experiments, next to the job builders it lowers runs onto, and
+// the figures whose runs a checked-in document describes compile that
+// document; this package imports no experiments code. The compiler
+// starts every run from experiments.BaseConfig and overrides only what
+// the document sets; a zero number means unset. The assertion metrics and the SLO
+// default are read here (Metric, AssertSpec.SLOSec), so a name and the
+// value it reads stay one table.
 //
 // Every parse/validation failure is a *scenario.Error carrying the file,
 // the line/column (for YAML input), and the dotted field path; malformed
@@ -59,7 +51,8 @@ type Scenario struct {
 	// a run does not set its own. A matrix block expands into one run per
 	// cell; a document with neither runs nor matrix has one unnamed run.
 	Runs []RunSpec
-	// Assert holds the acceptance checks printed (and enforced) by Run.
+	// Assert holds the acceptance checks experiments.RunScenario prints
+	// (and enforces).
 	Assert AssertSpec
 }
 
@@ -68,7 +61,7 @@ type Scenario struct {
 type SimSpec struct {
 	// Horizon is the full-fidelity observation window in seconds; Quick
 	// mode shrinks it through experiments.Options.Horizon exactly like the
-	// hand-written figures.
+	// figures' windows.
 	Horizon float64
 	// Slot is the power-control period.
 	Slot float64
@@ -124,10 +117,11 @@ type FloodSpec struct {
 	// Class is the victim endpoint.
 	Class workload.Class
 	// Rate is the aggregate request rate; a non-positive rate drops the
-	// flood at compile time (the hand-written FloodJob convention).
+	// flood at compile time (experiments.FloodJob's convention).
 	Rate float64
-	// Agents spreads the traffic over distinct sources; 0 takes
-	// experiments.FloodAgents(Rate), as FloodJob does.
+	// Agents spreads the traffic over distinct sources; 0 derives them
+	// from Rate as experiments.FloodJob does: one per 100 req/s, at least
+	// four.
 	Agents int
 	// Start and Duration bound the flood window; Duration 0 runs to the
 	// horizon.
@@ -138,7 +132,7 @@ type FloodSpec struct {
 // SwitchingSpec enables the rotating single-class flood of Figures 15/18.
 type SwitchingSpec struct {
 	Start float64
-	// Period is the rotation interval; 0 takes experiments.SwitchPeriodSec.
+	// Period is the rotation interval; 0 takes the paper's two minutes.
 	Period float64
 }
 
@@ -193,7 +187,7 @@ type RunSpec struct {
 // non-increasing along Runs when Decreasing (the default), non-decreasing
 // otherwise.
 type OrderSpec struct {
-	// Metric names one entry of the metric table in run.go.
+	// Metric names one entry of the metric table in metrics.go.
 	Metric     string
 	Runs       []string
 	Decreasing bool
@@ -202,7 +196,7 @@ type OrderSpec struct {
 // AssertSpec is the acceptance contract the report checks.
 type AssertSpec struct {
 	// SLAms is the latency SLO (milliseconds) behind the "sla" metric;
-	// 0 takes experiments.SLOSec.
+	// 0 takes obs.SLOSec.
 	SLAms float64
 	// MinAvailability / MaxMeanMs / MaxPeakOverW, when present, bound
 	// every run.

@@ -1,144 +1,68 @@
 package scenario_test
 
 import (
-	"bytes"
-	"fmt"
+	"hash/maphash"
+	"io"
+	"math"
 	"path/filepath"
+	"sync"
 	"testing"
 
-	"antidope/internal/attack"
-	"antidope/internal/cluster"
-	"antidope/internal/defense"
 	"antidope/internal/experiments"
-	"antidope/internal/faults"
-	"antidope/internal/firewall"
-	"antidope/internal/harness"
+	"antidope/internal/obs"
 	"antidope/internal/scenario"
-	"antidope/internal/workload"
 )
 
-// Twin equivalence: every checked-in scenario must produce a report
-// byte-identical to jobs hand-built the way the original experiments build
-// them — same seams (BaseConfig, FloodJob, EvalJob, SchemeByName), same
-// labels, and therefore same per-label seeds. The twin runs at a different
-// -parallel setting than the DSL run, so one comparison pins both compile
-// correctness and worker-count invariance.
+// streamHash fingerprints one run's event stream: every field of every
+// event, in emission order. Each step (h^x)*p is a bijection of h, so two
+// streams that differ in one word always hash apart.
+type streamHash struct{ h uint64 }
 
-// twinJobs rebuilds a library scenario's job list by hand, mirroring the
-// corresponding internal/experiments code path.
-func twinJobs(t *testing.T, name string, o experiments.Options) []harness.Job {
-	t.Helper()
-	var jobs []harness.Job
-	switch name {
-	case "fig3":
-		horizon := o.Horizon(600)
-		for _, spec := range attack.Catalog() {
-			spec.Duration = horizon - 5
-			spec.Start = 5
-			cfg := experiments.BaseConfig(o, "fig3/"+spec.Name, horizon)
-			cfg.Attacks = []attack.Spec{spec}
-			jobs = append(jobs, harness.Job{Label: "fig3/" + spec.Name, Config: cfg})
-		}
-	case "fig7":
-		horizon := o.Horizon(240)
-		for _, rate := range []float64{0, 100, 400, 1000} {
-			label := fmt.Sprintf("fig7/%g", rate)
-			jobs = append(jobs, experiments.FloodJob(o, label, workload.CollaFilt, rate,
-				cluster.LowPB, experiments.SchemeByName("capping"), false, horizon))
-		}
-	case "fig10":
-		horizon := o.Horizon(300)
-		for _, class := range workload.VictimClasses() {
-			for _, fwOn := range []bool{false, true} {
-				label := fmt.Sprintf("fig10/%v/fw=%v", class, fwOn)
-				cfg := experiments.BaseConfig(o, label, horizon)
-				if fwOn {
-					cfg.Firewall = firewall.DefaultConfig()
-				}
-				cfg.Attacks = []attack.Spec{{
-					Name: label, Layer: attack.ApplicationLayer, Class: class,
-					RateRPS: 1000, Agents: 4, Start: cfg.WarmupSec,
-					Duration: horizon - cfg.WarmupSec,
-				}}
-				jobs = append(jobs, harness.Job{Label: label, Config: cfg})
-			}
-		}
-	case "fig12":
-		horizon := o.Horizon(600)
-		cfg := experiments.BaseConfig(o, "fig12", horizon)
-		cfg.Firewall = firewall.DefaultConfig()
-		cfg.Cluster.Budget = cluster.MediumPB
-		d := attack.DefaultDopeConfig()
-		cfg.Dope = &d
-		cfg.DopeStart = 10
-		jobs = append(jobs, harness.Job{Label: "fig12", Config: cfg})
-	case "eval":
-		horizon := o.Horizon(300)
-		for _, schemeName := range []string{"Capping", "Shaving", "Token", "Anti-DOPE"} {
-			for _, budget := range cluster.AllBudgetLevels() {
-				label := fmt.Sprintf("eval/%s/%s", schemeName, budget)
-				jobs = append(jobs, experiments.EvalJob(o, label,
-					experiments.SchemeByName(schemeName), budget,
-					experiments.EvalAttackSpecs(10, horizon), horizon))
-			}
-		}
-	case "fig18":
-		horizon := o.Horizon(600)
-		for _, schemeName := range []string{"Capping", "Shaving", "Token", "Anti-DOPE"} {
-			scheme := experiments.SchemeByName(schemeName)
-			if ad, ok := scheme.(*defense.AntiDope); ok {
-				ad.SuspectPoolFrac = 0.5
-			}
-			label := "fig18/" + scheme.Name()
-			cfg := experiments.EvalConfig(o, label, scheme, cluster.LowPB,
-				experiments.SwitchingAttackSpecs(30, horizon, 120), horizon)
-			cfg.ExtraSources = experiments.Fig18LegitSources()
-			jobs = append(jobs, harness.Job{Label: label, Config: cfg})
-		}
-	case "resilience":
-		horizon := o.Horizon(240)
-		base := faults.GeneratorConfig{
-			Horizon:         horizon,
-			Servers:         cluster.DefaultConfig().Servers,
-			Crashes:         2,
-			TelemetryFaults: 3,
-			DVFSFaults:      2,
-			FirewallFlaps:   1,
-			BatteryFaults:   1,
-			MeanFaultSec:    15,
-		}
-		base.Seed = o.SeedFor("resilience/faults/1.00")
-		for _, schemeName := range []string{"capping", "shaving", "token", "anti-dope"} {
-			label := fmt.Sprintf("resilience/%s/x1.00", schemeName)
-			job := experiments.EvalJob(o, label, experiments.SchemeByName(schemeName),
-				cluster.MediumPB, experiments.EvalAttackSpecs(10, horizon), horizon)
-			g := base
-			job.Config.Faults = &faults.Config{Generator: &g}
-			jobs = append(jobs, job)
-		}
-	case "resilience-net":
-		horizon := o.Horizon(240)
-		base := faults.GeneratorConfig{
-			Horizon:      horizon,
-			Servers:      cluster.DefaultConfig().Servers,
-			NetFaults:    6,
-			MeanFaultSec: 15,
-		}
-		base.Seed = o.SeedFor("resilience-net/links/1.00")
-		for _, schemeName := range []string{"capping", "shaving", "token", "anti-dope"} {
-			label := fmt.Sprintf("resilience-net/%s/x1.00", schemeName)
-			job := experiments.EvalJob(o, label, experiments.SchemeByName(schemeName),
-				cluster.MediumPB, experiments.EvalAttackSpecs(10, horizon), horizon)
-			g := base
-			job.Config.Faults = &faults.Config{Generator: &g}
-			jobs = append(jobs, job)
-		}
-	default:
-		t.Fatalf("no hand-written twin for scenario %q", name)
-	}
-	return jobs
+func (s *streamHash) mix(x uint64) { s.h = (s.h ^ x) * 0x100000001b3 }
+
+func (s *streamHash) Emit(ev obs.Event) {
+	s.mix(math.Float64bits(ev.T))
+	s.mix(uint64(ev.Kind)<<32 | uint64(uint32(ev.Server)))
+	s.mix(uint64(uint32(ev.Class)))
+	s.mix(ev.ID)
+	s.mix(math.Float64bits(ev.A))
+	s.mix(math.Float64bits(ev.B))
+	s.mix(maphash.String(labelSeed, ev.Label))
 }
 
+// labelSeed keys the label hash; both runs of a comparison share it.
+var labelSeed = maphash.MakeSeed()
+
+// streams attaches a fresh streamHash to every job the options run and
+// returns each label's fingerprint once the runs are done.
+func streams(o *experiments.Options) func() map[string]uint64 {
+	var mu sync.Mutex
+	byLabel := map[string]*streamHash{}
+	o.Observe = func(label string) obs.Observer {
+		mu.Lock()
+		defer mu.Unlock()
+		s := &streamHash{h: 0xcbf29ce484222325}
+		byLabel[label] = s
+		return s
+	}
+	return func() map[string]uint64 {
+		out := make(map[string]uint64, len(byLabel))
+		for label, s := range byLabel {
+			out[label] = s.h
+		}
+		return out
+	}
+}
+
+// TestTwinEquivalence runs every checked-in document and the experiment
+// group whose runs it describes (the group named like the scenario, and
+// evalgrid for eval), each with an event-stream fingerprint per run
+// label. Every run of the document must be a run of the group, with an
+// identical stream. The figures that compile their document pass by
+// construction unless the compiler or the group's reading of it drifts;
+// the documents that only mirror Go code (fig7, the resilience sweeps)
+// stay pinned to it. The group runs at a different worker count than the
+// document, so one comparison also pins worker-count invariance.
 func TestTwinEquivalence(t *testing.T) {
 	entries, err := scenario.LoadDir(scenariosDir)
 	if err != nil {
@@ -148,41 +72,45 @@ func TestTwinEquivalence(t *testing.T) {
 		e := e
 		t.Run(filepath.Base(e.Path), func(t *testing.T) {
 			t.Parallel()
-			dslOpts := quickOptions(0)
-			plan, err := scenario.Compile(e.Scenario, dslOpts)
+			name := e.Scenario.Name
+			if name == "eval" {
+				name = "evalgrid"
+			}
+			g, ok := experiments.Lookup(0, name)
+			if !ok {
+				t.Fatalf("no experiment group %q for scenario %q", name, e.Scenario.Name)
+			}
+
+			docOpts := quickOptions(0)
+			docStreams := streams(&docOpts)
+			plan, err := experiments.CompileScenario(e.Scenario, docOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The twin runs at a deliberately different worker count: the
-			// cheap single-run scenarios sequentially, the sweeps at a fixed
-			// fan-out. Identical bytes across the settings is the guarantee.
-			twinOpts := quickOptions(8)
+			if _, err := experiments.RunJobs(docOpts, plan.Jobs); err != nil {
+				t.Fatal(err)
+			}
+
+			// The cheap single-run groups run sequentially, the sweeps at
+			// a fixed fan-out.
+			groupOpts := quickOptions(8)
 			if len(plan.Jobs) <= 4 {
-				twinOpts = quickOptions(1)
+				groupOpts = quickOptions(1)
 			}
-			twins := twinJobs(t, e.Scenario.Name, twinOpts)
-			if len(twins) != len(plan.Jobs) {
-				t.Fatalf("twin builds %d jobs, DSL compiled %d", len(twins), len(plan.Jobs))
+			groupStreams := streams(&groupOpts)
+			if err := g.Run(groupOpts, io.Discard); err != nil {
+				t.Fatal(err)
 			}
-			for i := range twins {
-				if twins[i].Label != plan.Jobs[i].Label {
-					t.Fatalf("job %d label: twin %q, DSL %q", i, twins[i].Label, plan.Jobs[i].Label)
+
+			doc, group := docStreams(), groupStreams()
+			for _, job := range plan.Jobs {
+				want, ok := group[job.Label]
+				switch {
+				case !ok:
+					t.Errorf("run %s is not a run of group %s", job.Label, g.Name)
+				case doc[job.Label] != want:
+					t.Errorf("run %s: the document's event stream differs from group %s's", job.Label, g.Name)
 				}
-			}
-			dslResults, err := experiments.RunJobs(dslOpts, plan.Jobs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			twinResults, err := experiments.RunJobs(twinOpts, twins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var dslOut, twinOut bytes.Buffer
-			scenario.Report(plan, dslResults).Fprint(&dslOut)
-			scenario.Report(plan, twinResults).Fprint(&twinOut)
-			if !bytes.Equal(dslOut.Bytes(), twinOut.Bytes()) {
-				t.Fatalf("DSL and hand-written twin reports differ; first %s",
-					firstDiff(twinOut.Bytes(), dslOut.Bytes()))
 			}
 		})
 	}
