@@ -31,7 +31,7 @@ func main() {
 	fmt.Println()
 
 	for _, auto := range autonomies {
-		fmt.Printf("%-20.0fs ", auto)
+		fmt.Printf("%-22s", fmt.Sprintf("%.0fs", auto))
 		for _, dur := range durations {
 			res := run(auto, dur)
 			min := res.MinBatterySoC()

@@ -100,11 +100,6 @@ type Config struct {
 	// instead of only an accounting entry.
 	Breaker BreakerCfg
 
-	// RecordPerServer additionally samples each server's power draw every
-	// control slot into Result.PerServerPower, for power-topology analysis
-	// (internal/topology).
-	RecordPerServer bool
-
 	// Faults, when non-nil, injects infrastructure failures from a scripted
 	// or generated schedule (internal/faults): server crashes, battery
 	// faults, telemetry corruption, DVFS actuation faults, firewall

@@ -32,9 +32,6 @@ type Result struct {
 	Battery stats.Series
 	VFRed   stats.Series
 	Freq    stats.Series
-	// PerServerPower holds one series per server, sampled every control
-	// slot, when Config.RecordPerServer is set.
-	PerServerPower []stats.Series
 
 	// LatencyLegit holds the end-to-end response time of every completed
 	// legitimate request, in completion order.

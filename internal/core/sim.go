@@ -691,14 +691,6 @@ func (s *Simulation) sample(now float64) {
 	s.res.Battery.Add(now, s.cl.UPS.SoC())
 	s.res.VFRed.Add(now, s.cl.MeanVFReduction())
 	s.res.Freq.Add(now, float64(s.cl.MeanFreq()))
-	if s.cfg.RecordPerServer {
-		if s.res.PerServerPower == nil {
-			s.res.PerServerPower = make([]stats.Series, len(s.cl.Servers))
-		}
-		for i, sv := range s.cl.Servers {
-			s.res.PerServerPower[i].Add(now, sv.PowerNow())
-		}
-	}
 }
 
 // recordCompletion is the funnel every finished request leaves through. A

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"antidope/internal/workload"
 )
 
 func TestLadderLevels(t *testing.T) {
@@ -116,16 +118,39 @@ func TestModelMonotoneInUtil(t *testing.T) {
 	}
 }
 
+// TestModelMonotoneInFreq is the DVFS power relation: at equal utilisation
+// a higher ladder level never draws less. Every workload class's
+// PowerWeight and PowerAlpha run alone at utilisations 0.1 to 1, through
+// the analytic Model.Power and through Table.PowerAt, the lookup servers
+// read (one exponent per class, as server.NewTable builds it).
+// Tolerance: none. Adjacent levels are 0.1 GHz apart, so rel^alpha moves by
+// orders of magnitude more than an ulp and rounding cannot reorder them.
 func TestModelMonotoneInFreq(t *testing.T) {
 	m := DefaultModel()
 	l := m.Ladder
-	prev := -1.0
-	for i := 0; i < l.Levels(); i++ {
-		p := m.Power(l.Level(i), []Component{{Util: 0.7, Weight: 1, Alpha: 2.4}})
-		if p < prev {
-			t.Fatalf("power not monotone in frequency at level %d", i)
+	var alphas [workload.NumClasses]float64
+	for c := range alphas {
+		alphas[c] = workload.Lookup(workload.Class(c)).PowerAlpha
+	}
+	tab := NewTable(m, alphas[:])
+	for c := workload.Class(0); int(c) < workload.NumClasses; c++ {
+		p := workload.Lookup(c)
+		for u := 1; u <= 10; u++ {
+			util := float64(u) / 10
+			mix := []Component{{Util: util, Weight: p.PowerWeight, Alpha: p.PowerAlpha}}
+			imix := []IndexedComponent{{Util: util, Weight: p.PowerWeight, Exp: int(c)}}
+			prevModel, prevTable := -1.0, -1.0
+			for i := 0; i < l.Levels(); i++ {
+				pm, pt := m.Power(l.Level(i), mix), tab.PowerAt(i, imix)
+				if pm < prevModel {
+					t.Errorf("%v at util %.1f: Model.Power falls from %g to %g W at level %d", c, util, prevModel, pm, i)
+				}
+				if pt < prevTable {
+					t.Errorf("%v at util %.1f: Table.PowerAt falls from %g to %g W at level %d", c, util, prevTable, pt, i)
+				}
+				prevModel, prevTable = pm, pt
+			}
 		}
-		prev = p
 	}
 }
 

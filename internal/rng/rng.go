@@ -170,18 +170,3 @@ func (r *Stream) Poisson(mean float64) int {
 		k++
 	}
 }
-
-// Bool returns true with probability p.
-func (r *Stream) Bool(p float64) bool { return r.Float64() < p }
-
-// Pareto returns a bounded Pareto sample with shape alpha on [min, max].
-// Heavy-tailed per-container utilization in the synthetic trace uses this.
-func (r *Stream) Pareto(alpha, min, max float64) float64 {
-	if min >= max || alpha <= 0 {
-		return min
-	}
-	u := r.Float64()
-	la := math.Pow(min, alpha)
-	ha := math.Pow(max, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-}

@@ -243,31 +243,6 @@ func TestPoissonZero(t *testing.T) {
 	}
 }
 
-func TestParetoBounds(t *testing.T) {
-	r := New(29)
-	for i := 0; i < 10000; i++ {
-		v := r.Pareto(1.5, 1, 100)
-		if v < 1-1e-9 || v > 100+1e-9 {
-			t.Fatalf("Pareto sample %.4f out of [1,100]", v)
-		}
-	}
-}
-
-func TestBoolProbability(t *testing.T) {
-	r := New(37)
-	hits := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if r.Bool(0.3) {
-			hits++
-		}
-	}
-	frac := float64(hits) / n
-	if math.Abs(frac-0.3) > 0.01 {
-		t.Fatalf("Bool(0.3) hit rate %.4f", frac)
-	}
-}
-
 // Property: Float64 stays in [0,1) for any seed.
 func TestQuickFloat64InRange(t *testing.T) {
 	f := func(seed uint64) bool {

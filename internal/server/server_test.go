@@ -551,3 +551,104 @@ func TestFailAllWithoutAdvancePanics(t *testing.T) {
 	}()
 	s.FailAll(5)
 }
+
+// TestHigherCapNeverDelaysCompletion is the DVFS performance relation: with
+// the same requests admitted at the same instants and the in-flight bound
+// never reached, every request finishes no later under cap level k+1 than
+// under level k. In real arithmetic it holds exactly: while the faster
+// server holds a subset of the slower one's requests, each of them gets a
+// core share min(1, cores/n) and a speed (f/f_max)^beta at least as large,
+// so it finishes first and the subset property persists. It runs for each
+// class alone and for an even mix of all of them, at load 0.7 on the
+// slowest level.
+// Tolerance: 1e-6 s. Advance harvests a request within 1e-9 of its demand,
+// so a finish instant can run early by 1e-9 over its depletion rate
+// share × speed, which is at least (4/48) × 0.5 here: under 3e-8 s.
+func TestHigherCapNeverDelaysCompletion(t *testing.T) {
+	const (
+		cores, inflight, n = 4, 48, 2000
+		load, tol          = 0.7, 1e-6
+	)
+	ladder := power.DefaultModel().Ladder
+	type arrival struct {
+		at, demand float64
+		c          workload.Class
+	}
+	finishes := func(t *testing.T, arr []arrival, level int) []float64 {
+		s := must(New(Config{Cores: cores, MaxInflight: inflight, Model: power.DefaultModel()}))
+		s.Advance(0)
+		s.CapFreq(ladder.Level(level))
+		fin := make([]float64, len(arr))
+		record := func(now float64) {
+			for _, q := range s.Advance(now) {
+				fin[q.ID] = q.FinishAt
+			}
+		}
+		for id, a := range arr {
+			for at, ok := s.NextCompletion(); ok && at <= a.at; at, ok = s.NextCompletion() {
+				record(at)
+			}
+			record(a.at)
+			r := &workload.Request{ID: uint64(id), Class: a.c, ArriveAt: a.at, Demand: a.demand, Remaining: a.demand}
+			if !s.Admit(a.at, r) {
+				t.Fatalf("level %d: request %d hit the in-flight bound", level, id)
+			}
+		}
+		for at, ok := s.NextCompletion(); ok; at, ok = s.NextCompletion() {
+			record(at)
+		}
+		return fin
+	}
+
+	mixes := [][]workload.Class{}
+	all := []workload.Class{}
+	for c := workload.Class(0); int(c) < workload.NumClasses; c++ {
+		mixes = append(mixes, []workload.Class{c})
+		all = append(all, c)
+	}
+	mixes = append(mixes, all)
+	for _, mix := range mixes {
+		t.Run(fmt.Sprint(mix), func(t *testing.T) {
+			// Each class offers an equal part of the load at the lowest level.
+			rate := make([]float64, len(mix))
+			total := 0.0
+			for i, c := range mix {
+				p := workload.Lookup(c)
+				speed := math.Pow(ladder.Rel(ladder.Level(0)), p.PerfBeta)
+				rate[i] = load * cores * speed / (float64(len(mix)) * p.MeanDemand)
+				total += rate[i]
+			}
+			r := rng.New(1)
+			arr := make([]arrival, n)
+			now := 0.0
+			for i := range arr {
+				now += r.Exp(1 / total)
+				k, u := 0, r.Float64()*total
+				for k < len(mix)-1 && u >= rate[k] {
+					u -= rate[k]
+					k++
+				}
+				arr[i] = arrival{at: now, demand: r.Exp(workload.Lookup(mix[k]).MeanDemand), c: mix[k]}
+			}
+			prev := finishes(t, arr, 0)
+			for level := 1; level < ladder.Levels(); level++ {
+				fin := finishes(t, arr, level)
+				slower, faster := 0.0, 0.0
+				for id := range fin {
+					if fin[id] > prev[id]+tol {
+						t.Fatalf("level %d: request %d finishes at %.9f s, %.3g s later than at level %d",
+							level, id, fin[id], fin[id]-prev[id], level-1)
+					}
+					slower += prev[id] - arr[id].at
+					faster += fin[id] - arr[id].at
+				}
+				// The relation is not vacuous: every class has beta > 0, so
+				// the total response time strictly falls.
+				if faster >= slower {
+					t.Fatalf("level %d: total response time %.6f s, not below level %d's %.6f s", level, faster, level-1, slower)
+				}
+				prev = fin
+			}
+		})
+	}
+}
