@@ -43,7 +43,7 @@ func BenchmarkTable1WorkloadCatalog(b *testing.B) {
 // BenchmarkTable2Schemes runs one short attacked window under each of the
 // four Table 2 schemes.
 func BenchmarkTable2Schemes(b *testing.B) {
-	ladder := core.Ladder(core.DefaultConfig())
+	ladder := core.DefaultConfig().Cluster.Model.Ladder
 	for i := 0; i < b.N; i++ {
 		for _, scheme := range []defense.Scheme{
 			defense.NewCapping(ladder), defense.NewShaving(ladder),

@@ -1,11 +1,14 @@
-// Command antidope-sim runs one simulation scenario: a power-constrained
-// rack under configurable legitimate load and DOPE-style floods, defended
-// by one of the Table 2 schemes, and prints the measurement summary.
+// Command antidope-sim runs one run of a scenario document and prints its
+// measurement summary: the run paperbench -scenario reports as one table
+// row, at the same -seed, with its time series, reports and observability
+// captures on request. The document describes the run (see EXPERIMENTS.md
+// "Authoring scenarios"); the flags only choose it and its exports.
 //
 // Examples:
 //
-//	antidope-sim -scheme anti-dope -budget medium -attack colla-filt:60,k-means:40 -horizon 300
-//	antidope-sim -scheme capping -budget low -attack colla-filt:400 -series
+//	antidope-sim -scenario examples/quickstart.yaml -run anti-dope
+//	antidope-sim -scenario scenarios/fig12_dope.yaml -series
+//	antidope-sim -scenario examples/quickstart.yaml -run capping -trace run.trace.json -events run.csv
 package main
 
 import (
@@ -13,76 +16,51 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
-	"antidope/internal/attack"
-	"antidope/internal/cluster"
 	"antidope/internal/core"
-	"antidope/internal/defense"
+	"antidope/internal/experiments"
+	"antidope/internal/harness"
 	"antidope/internal/obs"
 	"antidope/internal/report"
+	"antidope/internal/scenario"
 	"antidope/internal/stats"
-	"antidope/internal/thermal"
-	"antidope/internal/workload"
 )
 
 func main() {
 	var (
-		schemeName = flag.String("scheme", "anti-dope", "defense scheme: none|capping|shaving|token|anti-dope")
-		budgetName = flag.String("budget", "medium", "power budget: normal|high|medium|low")
-		attackSpec = flag.String("attack", "", "comma-separated class:rps floods, e.g. colla-filt:60,k-means:40")
-		agents     = flag.Int("agents", 32, "attacker agents per flood")
-		normalRPS  = flag.Float64("normal", 120, "legitimate request rate (req/s)")
-		horizon    = flag.Float64("horizon", 300, "simulated seconds")
-		warmup     = flag.Float64("warmup", 10, "seconds excluded from latency stats")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		noFirewall = flag.Bool("no-firewall", false, "disable the perimeter firewall")
-		servers    = flag.Int("servers", 4, "servers in the rack")
-		series     = flag.Bool("series", false, "also print the power/battery time series")
-		reportPath = flag.String("report", "", "write a Markdown report to this file")
-		csvPath    = flag.String("csv", "", "write the power/battery/frequency series as CSV to this file")
-		jsonPath   = flag.String("json", "", "write the machine-readable summary as JSON to this file")
-		thermalOn  = flag.Bool("thermal", false, "enable the cooling plane (CRAC sized to the power budget)")
-		tracePath  = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in Perfetto)")
-		promPath   = flag.String("metrics", "", "write the run's metrics in Prometheus text format to this file")
-		eventsPath = flag.String("events", "", "write the full structured event stream as CSV to this file")
-		tlJSON     = flag.String("timeline", "", "write the sim-time timeline (fixed windows of power/admits/drops/retries/SLA) as JSON to this file")
-		tlCSV      = flag.String("timeline-csv", "", "write the sim-time timeline as CSV to this file")
-		serveAddr  = flag.String("serve", "", "serve the run's metrics live (Prometheus text) on this address while it executes, e.g. 127.0.0.1:9464")
+		scenarioPath = flag.String("scenario", "", "scenario document holding the run (.yaml/.yml/.json)")
+		runName      = flag.String("run", "", "name of the run to execute; a one-run document needs none")
+		seed         = flag.Uint64("seed", 2019, "experiment seed every run's seed derives from (paperbench's -seed)")
+		series       = flag.Bool("series", false, "also print the power/battery time series")
+		reportPath   = flag.String("report", "", "write a Markdown report to this file")
+		csvPath      = flag.String("csv", "", "write the power/battery/frequency series as CSV to this file")
+		jsonPath     = flag.String("json", "", "write the machine-readable summary as JSON to this file")
+		tracePath    = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in Perfetto)")
+		promPath     = flag.String("metrics", "", "write the run's metrics in Prometheus text format to this file")
+		eventsPath   = flag.String("events", "", "write the full structured event stream as CSV to this file")
+		tlJSON       = flag.String("timeline", "", "write the sim-time timeline (fixed windows of power/admits/drops/retries/SLA) as JSON to this file")
+		tlCSV        = flag.String("timeline-csv", "", "write the sim-time timeline as CSV to this file")
+		serveAddr    = flag.String("serve", "", "serve the run's metrics live (Prometheus text) on this address while it executes, e.g. 127.0.0.1:9464")
 	)
 	flag.Parse()
 
-	cfg := core.DefaultConfig()
-	cfg.NormalRPS = *normalRPS
-	cfg.Horizon = *horizon
-	cfg.WarmupSec = *warmup
-	cfg.Seed = *seed
-	cfg.Cluster.Servers = *servers
-	if *noFirewall {
-		cfg.Firewall.Disabled = true
+	if *scenarioPath == "" {
+		fatal(fmt.Errorf("-scenario is required"))
 	}
-	if *thermalOn {
-		cfg.Thermal = thermal.Config{Enabled: true}
-	}
-
-	budget, err := cluster.ParseBudget(*budgetName)
+	s, err := scenario.Load(*scenarioPath)
 	if err != nil {
 		fatal(err)
 	}
-	cfg.Cluster.Budget = budget
-
-	scheme, err := defense.ByName(*schemeName, core.Ladder(cfg))
+	plan, err := experiments.CompileScenario(s, experiments.Options{Seed: *seed})
 	if err != nil {
 		fatal(err)
 	}
-	cfg.Scheme = scheme
-
-	attacks, err := parseAttacks(*attackSpec, *agents, cfg.WarmupSec, cfg.Horizon)
+	job, err := pickRun(plan, *runName)
 	if err != nil {
 		fatal(err)
 	}
-	cfg.Attacks = attacks
+	cfg := job.Config
 
 	// A live endpoint needs the mutex-wrapped LiveBus so the scraper can
 	// read while the run emits; file-only exports keep the lock-free Bus.
@@ -136,7 +114,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		title := fmt.Sprintf("antidope-sim: %s at %s", res.SchemeName, *budgetName)
+		title := "antidope-sim: " + job.Label
 		if err := report.Markdown(f, title, res); err != nil {
 			fatal(err)
 		}
@@ -193,40 +171,24 @@ func main() {
 	}
 }
 
-func parseClass(name string) (workload.Class, error) {
-	for c := workload.Class(0); int(c) < workload.NumClasses; c++ {
-		if strings.EqualFold(c.String(), name) {
-			return c, nil
+// pickRun finds the run -run names, as the scenario report names it. An
+// empty name picks the only run of a one-run document.
+func pickRun(plan *experiments.ScenarioPlan, name string) (harness.Job, error) {
+	if name == "" && len(plan.Jobs) == 1 {
+		return plan.Jobs[0], nil
+	}
+	names := make([]string, len(plan.Jobs))
+	for i, job := range plan.Jobs {
+		if names[i] = plan.RunName(i); names[i] == name {
+			return job, nil
 		}
 	}
-	return 0, fmt.Errorf("unknown class %q (want e.g. colla-filt, k-means, word-count, text-cont)", name)
-}
-
-func parseAttacks(spec string, agents int, start, horizon float64) ([]attack.Spec, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
+	if name == "" {
+		return harness.Job{}, fmt.Errorf("scenario %s has %d runs; choose one with -run (%s)",
+			plan.Scenario.Name, len(names), strings.Join(names, ", "))
 	}
-	var out []attack.Spec
-	for _, part := range strings.Split(spec, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), ":", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("attack %q: want class:rps", part)
-		}
-		class, err := parseClass(kv[0])
-		if err != nil {
-			return nil, err
-		}
-		rps, err := strconv.ParseFloat(kv[1], 64)
-		if err != nil || rps <= 0 {
-			return nil, fmt.Errorf("attack %q: bad rate", part)
-		}
-		out = append(out, attack.Spec{
-			Name: "cli-" + class.String(), Layer: attack.ApplicationLayer,
-			Class: class, RateRPS: rps, Agents: agents,
-			Start: start, Duration: horizon - start,
-		})
-	}
-	return out, nil
+	return harness.Job{}, fmt.Errorf("scenario %s has no run %q (want %s)",
+		plan.Scenario.Name, name, strings.Join(names, ", "))
 }
 
 // writeObs exports the run's observability capture to whichever of the

@@ -155,7 +155,7 @@ func run(quick bool, seed uint64, fig int, extra string, parallel int,
 		}
 		if manifest != "" {
 			// Written even for failed runs: the manifest records which jobs
-			// failed and after how many attempts.
+			// failed and with what error.
 			defer func() {
 				if err := writeManifest(manifest, tele); err != nil {
 					fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)

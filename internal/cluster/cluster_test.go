@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"antidope/internal/workload"
@@ -227,33 +226,5 @@ func TestTotalEnergy(t *testing.T) {
 	want := 10 * c.PowerNow() // idle power constant over the window
 	if math.Abs(c.TotalEnergyJ()-want) > 1e-6 {
 		t.Fatalf("total energy %g, want %g", c.TotalEnergyJ(), want)
-	}
-}
-
-func TestParseBudget(t *testing.T) {
-	cases := []struct {
-		name string
-		want BudgetLevel
-	}{
-		{"normal", NormalPB}, {"High", HighPB}, {"MEDIUM", MediumPB}, {"low", LowPB},
-		{"Normal-PB", NormalPB}, {"High-PB", HighPB}, {"medium-pb", MediumPB}, {"Low-PB", LowPB},
-	}
-	for _, c := range cases {
-		got, err := ParseBudget(c.name)
-		if err != nil || got != c.want {
-			t.Errorf("ParseBudget(%q) = %v, %v; want %v", c.name, got, err, c.want)
-		}
-	}
-	for _, bad := range []string{"", "mid", "PB", "Low-"} {
-		_, err := ParseBudget(bad)
-		if err == nil {
-			t.Errorf("ParseBudget(%q) accepted", bad)
-			continue
-		}
-		for _, spelling := range []string{"normal|high|medium|low", "Normal-PB|High-PB|Medium-PB|Low-PB"} {
-			if !strings.Contains(err.Error(), spelling) {
-				t.Errorf("ParseBudget(%q) error %q does not list %s", bad, err, spelling)
-			}
-		}
 	}
 }

@@ -16,7 +16,7 @@ func Example() {
 	cfg := core.DefaultConfig()
 	cfg.Horizon = 60
 	cfg.Cluster.Budget = cluster.MediumPB
-	cfg.Scheme = defense.NewAntiDope(core.Ladder(cfg))
+	cfg.Scheme = defense.NewAntiDope(cfg.Cluster.Model.Ladder)
 	cfg.Attacks = []attack.Spec{{
 		Name: "dope", Layer: attack.ApplicationLayer,
 		Class: workload.CollaFilt, RateRPS: 60, Agents: 32,

@@ -801,7 +801,3 @@ func RunOnce(cfg Config) (*Result, error) {
 	}
 	return sim.Run(), nil
 }
-
-// Ladder returns the configuration's frequency ladder, the argument every
-// scheme constructor wants.
-func Ladder(cfg Config) power.Ladder { return cfg.Cluster.Model.Ladder }

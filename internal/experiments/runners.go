@@ -7,27 +7,20 @@ import (
 	"antidope/internal/defense"
 	"antidope/internal/firewall"
 	"antidope/internal/harness"
-	"antidope/internal/netlb"
 	"antidope/internal/power"
 	"antidope/internal/workload"
 )
 
-// BaseConfig is the shared scaled-down rack of Section 3: four 100 W
-// nodes, least-loaded balancing, light legitimate background traffic.
+// BaseConfig is the shared scaled-down rack of Section 3: core's default
+// rack with no firewall, light legitimate background traffic, a 5 s
+// warm-up and the label's seed.
 func BaseConfig(o Options, label string, horizon float64) core.Config {
-	cfg := core.Config{
-		Cluster:               cluster.DefaultConfig(),
-		Firewall:              firewall.Config{Disabled: true},
-		Policy:                netlb.LeastLoaded,
-		NormalRPS:             60,
-		NormalSources:         64,
-		Horizon:               horizon,
-		SlotSec:               1,
-		WarmupSec:             5,
-		DopeEpochSec:          10,
-		DopeEffectiveSlowdown: 3,
-		Seed:                  o.SeedFor(label),
-	}
+	cfg := core.DefaultConfig()
+	cfg.Firewall = firewall.Config{Disabled: true}
+	cfg.NormalRPS = 60
+	cfg.Horizon = horizon
+	cfg.WarmupSec = 5
+	cfg.Seed = o.SeedFor(label)
 	return cfg
 }
 

@@ -173,6 +173,29 @@ func TestSwitchingAttackSpecsClamp(t *testing.T) {
 	}
 }
 
+// TestBaseConfigKnobs pins the shared rack field for field: every figure,
+// every scenario run and perfbench's workloads start from it, so an edit
+// to core.DefaultConfig that leaked into it would move every golden.
+func TestBaseConfigKnobs(t *testing.T) {
+	o := Options{Seed: 3}
+	want := core.Config{
+		Cluster:               cluster.DefaultConfig(),
+		Firewall:              firewall.Config{Disabled: true},
+		Policy:                netlb.LeastLoaded,
+		NormalRPS:             60,
+		NormalSources:         64,
+		Horizon:               300,
+		SlotSec:               1,
+		WarmupSec:             5,
+		DopeEpochSec:          10,
+		DopeEffectiveSlowdown: 3,
+		Seed:                  o.SeedFor("lbl"),
+	}
+	if cfg := BaseConfig(o, "lbl", 300); !reflect.DeepEqual(cfg, want) {
+		t.Errorf("BaseConfig =\n%+v\nwant\n%+v", cfg, want)
+	}
+}
+
 // TestEvalConfigKnobs pins the evaluation rack: BaseConfig with warmup 10,
 // a live firewall, no AliOS stream, and the gap-sized mini UPS (20% of
 // aggregate nameplate), field for field.

@@ -35,6 +35,16 @@ type ScenarioPlan struct {
 	Horizon float64
 }
 
+// RunName is the i-th run's name in the report and on antidope-sim's
+// -run: its name within the scenario, or its label for the implicit
+// single run.
+func (p *ScenarioPlan) RunName(i int) string {
+	if n := p.Scenario.Runs[i].Name; n != "" {
+		return n
+	}
+	return p.Jobs[i].Label
+}
+
 // CompileScenario lowers every run to a core.Config through the seams the
 // figures use: Options.SeedFor on the run label, Options.Horizon for
 // Quick-mode window shrinking, BaseConfig, and FloodJob's defaulting rules
@@ -263,15 +273,6 @@ func (r *ScenarioResult) Fprint(w io.Writer) {
 		r.Plan.Scenario.Name, len(r.Checks)-r.Failed(), len(r.Checks))
 }
 
-// runName is the i-th run's name in the report: its name within the
-// scenario, or its label for the implicit single run.
-func (r *ScenarioResult) runName(i int) string {
-	if n := r.Plan.Scenario.Runs[i].Name; n != "" {
-		return n
-	}
-	return r.Plan.Jobs[i].Label
-}
-
 // buildTable renders the fixed per-run metric grid every scenario reports.
 func (r *ScenarioResult) buildTable() *Table {
 	s := r.Plan.Scenario
@@ -287,7 +288,7 @@ func (r *ScenarioResult) buildTable() *Table {
 	slo := s.Assert.SLOSec()
 	for i, res := range r.Results {
 		power := res.Power.Sample()
-		t.AddRow(r.runName(i), s.Runs[i].Scheme, r.Plan.Jobs[i].Config.Cluster.Budget.String(),
+		t.AddRow(r.Plan.RunName(i), s.Runs[i].Scheme, r.Plan.Jobs[i].Config.Cluster.Budget.String(),
 			pct(res.Availability()), pct(res.SLACompliance(slo)),
 			ms(res.MeanRT()), ms(res.TailRT(90)),
 			f1(power.Mean()), f1(res.PeakPowerW()), f1(res.OverBudgetJ/1e3))
@@ -303,23 +304,23 @@ func (r *ScenarioResult) evalChecks() []ScenarioCheck {
 
 	for i, res := range r.Results {
 		if v := a.MinAvailability; v != nil {
-			bound(fmt.Sprintf("%s availability %.3f >= %g", r.runName(i), res.Availability(), *v),
+			bound(fmt.Sprintf("%s availability %.3f >= %g", r.Plan.RunName(i), res.Availability(), *v),
 				res.Availability() >= *v)
 		}
 		if v := a.MaxMeanMs; v != nil {
-			bound(fmt.Sprintf("%s meanRT %.1fms <= %gms", r.runName(i), 1e3*res.MeanRT(), *v),
+			bound(fmt.Sprintf("%s meanRT %.1fms <= %gms", r.Plan.RunName(i), 1e3*res.MeanRT(), *v),
 				1e3*res.MeanRT() <= *v)
 		}
 		if v := a.MaxPeakOverW; v != nil {
 			over := res.PeakOverW()
-			bound(fmt.Sprintf("%s peak overshoot %.1fW <= %gW", r.runName(i), over, *v),
+			bound(fmt.Sprintf("%s peak overshoot %.1fW <= %gW", r.Plan.RunName(i), over, *v),
 				over <= *v)
 		}
 	}
 
 	byName := map[string]*core.Result{}
 	for i, res := range r.Results {
-		byName[r.runName(i)] = res
+		byName[r.Plan.RunName(i)] = res
 	}
 	for _, o := range a.Orders {
 		dir := "non-increasing"

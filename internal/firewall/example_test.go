@@ -16,10 +16,8 @@ func Example() {
 		var bans banCounter
 		fw.SetObserver(&bans)
 		const totalRPS = 600.0
-		perAgent := totalRPS / float64(agents)
 		for t := 0.0; t < 60; t += 1 / totalRPS {
 			src := workload.SourceID(int(t*totalRPS) % agents)
-			_ = perAgent
 			fw.Observe(t, &workload.Request{Class: workload.CollaFilt, Source: src})
 		}
 		return uint64(bans)

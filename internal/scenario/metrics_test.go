@@ -21,7 +21,7 @@ func TestMetricTable(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Horizon = 60
 	cfg.Cluster.Budget = cluster.LowPB
-	cfg.Scheme = defense.NewShaving(core.Ladder(cfg))
+	cfg.Scheme = defense.NewShaving(cfg.Cluster.Model.Ladder)
 	cfg.Attacks = []attack.Spec{attack.HTTPLoadTool(workload.CollaFilt, 120, 32, 10, 50)}
 	res, err := core.RunOnce(cfg)
 	if err != nil {

@@ -52,9 +52,6 @@ func TestSpellingsRoundTrip(t *testing.T) {
 		if i, ok := budgets.index(short); !ok || budgets.values[i] != b {
 			t.Errorf("budget short name %q does not resolve to %v", short, b)
 		}
-		if p, err := cluster.ParseBudget(short); err != nil || p != b {
-			t.Errorf("cluster.ParseBudget(%q) = %v, %v", short, p, err)
-		}
 	}
 
 	var all []workload.Class
