@@ -1,8 +1,9 @@
 // Command antidope-sim runs one run of a scenario document and prints its
 // measurement summary: the run paperbench -scenario reports as one table
 // row, at the same -seed, with its time series, reports and observability
-// captures on request. The document describes the run (see EXPERIMENTS.md
-// "Authoring scenarios"); the flags only choose it and its exports.
+// captures (Chrome trace, event CSV, sim-time timeline) on request. The
+// document describes the run (see EXPERIMENTS.md "Authoring scenarios");
+// the flags only choose it and its exports.
 //
 // Examples:
 //
@@ -37,11 +38,9 @@ func main() {
 		csvPath      = flag.String("csv", "", "write the power/battery/frequency series as CSV to this file")
 		jsonPath     = flag.String("json", "", "write the machine-readable summary as JSON to this file")
 		tracePath    = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in Perfetto)")
-		promPath     = flag.String("metrics", "", "write the run's metrics in Prometheus text format to this file")
 		eventsPath   = flag.String("events", "", "write the full structured event stream as CSV to this file")
 		tlJSON       = flag.String("timeline", "", "write the sim-time timeline (fixed windows of power/admits/drops/retries/SLA) as JSON to this file")
 		tlCSV        = flag.String("timeline-csv", "", "write the sim-time timeline as CSV to this file")
-		serveAddr    = flag.String("serve", "", "serve the run's metrics live (Prometheus text) on this address while it executes, e.g. 127.0.0.1:9464")
 	)
 	flag.Parse()
 
@@ -62,40 +61,12 @@ func main() {
 	}
 	cfg := job.Config
 
-	// A live endpoint needs the mutex-wrapped LiveBus so the scraper can
-	// read while the run emits; file-only exports keep the lock-free Bus.
 	var bus *obs.Bus
-	wantBus := *tracePath != "" || *promPath != "" || *eventsPath != "" ||
-		*tlJSON != "" || *tlCSV != "" || *serveAddr != ""
-	if wantBus {
-		var live *obs.LiveBus
-		if *serveAddr != "" {
-			live = obs.NewLiveBus()
-			cfg.Observer = live
-			bus = live.Bus() // only read after the run finishes
-		} else {
-			bus = obs.NewBus()
-			cfg.Observer = bus
-		}
+	if *tracePath != "" || *eventsPath != "" || *tlJSON != "" || *tlCSV != "" {
+		bus = obs.NewBus()
+		cfg.Observer = bus
 		if *tlJSON != "" || *tlCSV != "" {
-			// Package defaults: 1 s windows, 250 ms SLA bound.
-			if live != nil {
-				live.EnableTimeline(0, 0)
-			} else {
-				bus.EnableTimeline(0, 0)
-			}
-		}
-		if live != nil {
-			ms, err := obs.Serve(*serveAddr, live)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "antidope-sim: serving metrics on http://%s/metrics\n", ms.Addr())
-			defer func() {
-				if err := ms.Close(); err != nil {
-					fatal(err)
-				}
-			}()
+			bus.EnableTimeline(0, 0) // package defaults: 1 s windows, 250 ms SLA bound
 		}
 	}
 
@@ -106,7 +77,7 @@ func main() {
 	res.Fprint(os.Stdout)
 
 	if bus != nil {
-		writeObs(bus, *tracePath, *promPath, *eventsPath, *tlJSON, *tlCSV)
+		writeObs(bus, *tracePath, *eventsPath, *tlJSON, *tlCSV)
 	}
 
 	if *reportPath != "" {
@@ -193,7 +164,7 @@ func pickRun(plan *experiments.ScenarioPlan, name string) (harness.Job, error) {
 
 // writeObs exports the run's observability capture to whichever of the
 // requested sinks.
-func writeObs(bus *obs.Bus, tracePath, promPath, eventsPath, tlJSON, tlCSV string) {
+func writeObs(bus *obs.Bus, tracePath, eventsPath, tlJSON, tlCSV string) {
 	write := func(path, what string, render func(io.Writer) error) {
 		if path == "" {
 			return
@@ -211,7 +182,6 @@ func writeObs(bus *obs.Bus, tracePath, promPath, eventsPath, tlJSON, tlCSV strin
 		fmt.Printf("%s written to %s\n", what, path)
 	}
 	write(tracePath, "trace", bus.WriteChromeTrace)
-	write(promPath, "metrics", bus.WritePrometheus)
 	write(eventsPath, "events", bus.WriteCSV)
 	write(tlJSON, "timeline", bus.WriteTimelineJSON)
 	write(tlCSV, "timeline CSV", bus.WriteTimelineCSV)

@@ -13,6 +13,7 @@
 //	paperbench -parallel 1  # force sequential execution (same output)
 //	paperbench -quick -cpuprofile cpu.pprof   # profile the suite
 //	paperbench -quick -benchjson run.json     # record wall time as bench JSON
+//	paperbench -quick -manifest manifest.json # per-job runtime/worker/error as JSON
 //	paperbench -scenario scenarios/fig12_dope.yaml   # one declarative scenario
 //	paperbench -scenario-dir scenarios               # a whole scenario suite
 package main
@@ -53,15 +54,14 @@ func main() {
 		traceLabel = flag.String("trace", "", "capture a Chrome trace of the first run whose label contains this substring (e.g. fig12 or fig18/Anti-DOPE)")
 		traceOut   = flag.String("traceout", "paperbench.trace.json", "trace output path for -trace")
 
-		serveAddr = flag.String("serve", "", "serve live harness telemetry (Prometheus text) on this address for the duration of the run, e.g. 127.0.0.1:9464")
-		manifest  = flag.String("manifest", "", "write the harness run manifest (per-job runtime/worker/error) as JSON to this file")
+		manifest = flag.String("manifest", "", "write the harness run manifest (per-job runtime/worker/error) as JSON to this file")
 	)
 	flag.Parse()
 
 	// run holds the actual work so the deferred profile/JSON writers flush
 	// before the process exits; os.Exit inside run would skip them.
 	os.Exit(run(*quick, *seed, *fig, *extra, *parallel, *scenarioFile, *scenarioDir,
-		*cpuprofile, *memprofile, *benchjson, *traceLabel, *traceOut, *serveAddr, *manifest))
+		*cpuprofile, *memprofile, *benchjson, *traceLabel, *traceOut, *manifest))
 }
 
 // errExit unwinds run() on an experiment error after it has already been
@@ -70,7 +70,7 @@ var errExit = errors.New("exit")
 
 func run(quick bool, seed uint64, fig int, extra string, parallel int,
 	scenarioFile, scenarioDir, cpuprofile, memprofile, benchjson, traceLabel, traceOut,
-	serveAddr, manifest string) (exitCode int) {
+	manifest string) (exitCode int) {
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -136,35 +136,19 @@ func run(quick bool, seed uint64, fig int, extra string, parallel int,
 	}()
 
 	o := experiments.Options{Seed: seed, Quick: quick, Parallel: parallel}
-	if serveAddr != "" || manifest != "" {
+	if manifest != "" {
 		tele := harness.NewTelemetry()
 		o.Telemetry = tele
-		if serveAddr != "" {
-			ms, err := obs.Serve(serveAddr, tele)
-			if err != nil {
+		// Written even for failed runs: the manifest records which jobs
+		// failed and with what error.
+		defer func() {
+			if err := writeManifest(manifest, tele); err != nil {
 				fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-				return 1
+				exitCode = 1
+				return
 			}
-			fmt.Fprintf(os.Stderr, "paperbench: serving telemetry on http://%s/metrics\n", ms.Addr())
-			defer func() {
-				if err := ms.Close(); err != nil {
-					fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-					exitCode = 1
-				}
-			}()
-		}
-		if manifest != "" {
-			// Written even for failed runs: the manifest records which jobs
-			// failed and with what error.
-			defer func() {
-				if err := writeManifest(manifest, tele); err != nil {
-					fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-					exitCode = 1
-					return
-				}
-				fmt.Fprintf(os.Stderr, "paperbench: manifest written to %s\n", manifest)
-			}()
-		}
+			fmt.Fprintf(os.Stderr, "paperbench: manifest written to %s\n", manifest)
+		}()
 	}
 	if traceLabel != "" {
 		// Attach one bus to the FIRST job whose label contains the requested

@@ -1,15 +1,13 @@
 // Command tracecheck validates observability captures produced by the
 // exporters (antidope-sim, paperbench, tracereport) so CI can assert that
 // every artifact stays loadable by its consumer. The format is sniffed per
-// file: Chrome trace-event JSON (Perfetto-loadable subset), timeline JSON
-// (antidope-timeline/v1: monotone window starts, bucket-count/width
-// consistency, non-negative histogram sums), and Prometheus text
-// exposition (HELP/TYPE conformance, _total counters, cumulative
-// histograms).
+// file: Chrome trace-event JSON (Perfetto-loadable subset) or timeline
+// JSON (antidope-timeline/v1: monotone window starts, bucket-count/width
+// consistency, non-negative histogram sums).
 //
 // Usage:
 //
-//	tracecheck run.trace.json run.timeline.json run.prom [...]
+//	tracecheck run.trace.json run.timeline.json [...]
 package main
 
 import (
@@ -57,9 +55,7 @@ func validate(data []byte) (string, error) {
 			return "timeline", obs.ValidateTimeline(data)
 		}
 		return "chrome-trace", obs.ValidateChromeTrace(data)
-	case trim[0] == '#':
-		return "prometheus", obs.ValidatePrometheus(data)
 	default:
-		return "", fmt.Errorf("unrecognized capture format (want trace JSON, timeline JSON, or Prometheus text)")
+		return "", fmt.Errorf("unrecognized capture format (want trace JSON or timeline JSON)")
 	}
 }

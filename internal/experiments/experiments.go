@@ -41,9 +41,9 @@ type Options struct {
 	// running jobs interleaves their event streams.
 	Observe func(label string) obs.Observer
 	// Telemetry, when non-nil, is attached to every pool the runners
-	// build: the harness records per-job runtime, failures, and worker
-	// occupancy into it (scrapeable live, dumpable as a run manifest).
-	// Purely self-observability — results are identical with or without.
+	// build: the harness records the pool width, job counts and per-job
+	// runtime and errors into it, dumpable as a run manifest. Purely
+	// self-observability — results are identical with or without.
 	Telemetry *harness.Telemetry
 }
 

@@ -48,8 +48,8 @@ type Pool struct {
 	tele    *Telemetry
 }
 
-// WithTelemetry attaches a harness self-observability collector: per-job
-// wall runtime, failures, and worker occupancy land in its registry (see
+// WithTelemetry attaches a harness self-observability collector: the pool
+// width, job counts and per-job wall runtime and errors land in it (see
 // Telemetry). Nil detaches. Telemetry observes only how the host executed
 // the jobs — the simulations inside stay purely sim-time, so attaching it
 // cannot change any result.

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"strings"
@@ -29,20 +28,16 @@ func badJob(label string) Job {
 	return Job{Label: label, Config: cfg}
 }
 
-// TestDefaultWorkers reads the pool width from the telemetry gauge a run
-// sets: workers <= 0 selects GOMAXPROCS, a positive count is kept.
+// TestDefaultWorkers reads the pool width from the run manifest:
+// workers <= 0 selects GOMAXPROCS, a positive count is kept.
 func TestDefaultWorkers(t *testing.T) {
 	for _, c := range []struct{ workers, want int }{{0, runtime.GOMAXPROCS(0)}, {7, 7}} {
 		tele := NewTelemetry()
 		if err := Errs(New(c.workers).WithTelemetry(tele).Run([]Job{job(0), job(1)})); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := tele.GatherPrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if want := fmt.Sprintf("harness_pool_workers %d\n", c.want); !strings.Contains(buf.String(), want) {
-			t.Fatalf("New(%d): scrape lacks %q:\n%s", c.workers, want, buf.String())
+		if m, _ := readManifest(t, tele); m.Workers != c.want {
+			t.Fatalf("New(%d): manifest workers = %d, want %d", c.workers, m.Workers, c.want)
 		}
 	}
 }
@@ -88,12 +83,8 @@ func TestFailedJobRunsOnce(t *testing.T) {
 	if rr[2].Err != nil || rr[2].Result == nil {
 		t.Fatalf("job after the failure: err=%v result=%v", rr[2].Err, rr[2].Result)
 	}
-	var buf bytes.Buffer
-	if err := tele.GatherPrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "harness_jobs_started_total 3\n") {
-		t.Fatalf("want 3 job starts, one per job:\n%s", buf.String())
+	if m, _ := readManifest(t, tele); m.JobsStarted != 3 {
+		t.Fatalf("manifest jobs_started = %d, want 3, one per job", m.JobsStarted)
 	}
 	err := Errs(rr)
 	if err == nil || !strings.Contains(err.Error(), "bad/one") {

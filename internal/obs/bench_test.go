@@ -4,8 +4,7 @@ import "testing"
 
 // TestBusEmitAmortizedAllocs is the event-pool proof for the enabled path:
 // steady-state emission into a warmed bus allocates nothing per event —
-// chunk storage is recycled by BeginRun, the per-reason drop counter map
-// is hit, not grown.
+// chunk storage is recycled by BeginRun.
 func TestBusEmitAmortizedAllocs(t *testing.T) {
 	b := NewBus()
 	evs := []Event{
@@ -21,7 +20,7 @@ func TestBusEmitAmortizedAllocs(t *testing.T) {
 			b.Emit(evs[i%len(evs)])
 		}
 	}
-	warm() // allocate chunks and the drop-reason entry once
+	warm() // allocate the chunks once
 	allocs := testing.AllocsPerRun(5, warm)
 	if allocs > 0 {
 		t.Fatalf("warm Emit loop allocated %.1f objects per run, want 0", allocs)
@@ -55,8 +54,8 @@ func TestTimelineEmitAmortizedAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkBusEmit is the enabled-path cost of one event through recorder
-// and metrics; registered with benchregress.
+// BenchmarkBusEmit is the enabled-path cost of one event through the bus
+// with no timeline attached; registered with benchregress.
 func BenchmarkBusEmit(b *testing.B) {
 	bus := NewBus()
 	ev := Event{T: 1, Kind: KindReqComplete, Server: 3, Class: 1, ID: 42, A: 0.5, B: 0.5, Label: "K-means"}
@@ -70,7 +69,7 @@ func BenchmarkBusEmit(b *testing.B) {
 	}
 }
 
-// BenchmarkRecorderRecord isolates the trace store from the metrics fold.
+// BenchmarkRecorderRecord isolates the trace store from the bus.
 func BenchmarkRecorderRecord(b *testing.B) {
 	var r Recorder
 	ev := Event{T: 1, Kind: KindSample, A: 800, B: 0.9}

@@ -1,15 +1,15 @@
 // Package obs is the simulator's deterministic observability layer: a
-// structured event trace plus a metrics registry, both driven purely by
-// simulated time. Every subsystem that can emit events holds one nil-able
-// Observer; a nil observer is the fast path and costs a single predictable
-// branch, so an unobserved run is bit-identical to (and as fast as) a build
-// without the package.
+// structured event trace and its sim-time timeline fold, both driven
+// purely by simulated time. Every subsystem that can emit events holds one
+// nil-able Observer; a nil observer is the fast path and costs a single
+// predictable branch, so an unobserved run is bit-identical to (and as
+// fast as) a build without the package.
 //
 // Determinism contract: events carry sim-time stamps only, emission order
 // is the simulation's own event order, and every exporter iterates in a
 // sorted or insertion order — never raw map order. Two runs of the same
-// config with fresh observers produce byte-identical trace, CSV, and
-// Prometheus files.
+// config with fresh observers produce byte-identical trace, event CSV and
+// timeline files.
 package obs
 
 // Observer receives structured simulation events. Implementations must not

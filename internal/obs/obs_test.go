@@ -6,9 +6,6 @@ import (
 	"testing"
 )
 
-// Add adds n; the tests use it to set a counter in one call.
-func (c *Counter) Add(n uint64) { c.v += n }
-
 func TestKindStrings(t *testing.T) {
 	if len(kindNames) != numKinds {
 		t.Fatalf("kindNames has %d entries, want %d", len(kindNames), numKinds)
@@ -76,74 +73,8 @@ func TestRecorderPoolRecycles(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := (&Registry{metrics: map[string]*metric{}}).Histogram(
-		"h", "", []float64{1, 2, 5})
-	for _, v := range []float64{0.5, 1, 1.5, 3, 10} {
-		h.Observe(v)
-	}
-	if h.count != 5 {
-		t.Fatalf("count = %d, want 5", h.count)
-	}
-	if h.sum != 16 { //lint:allow floateq -- exact sum of exactly representable values
-		t.Fatalf("sum = %v, want 16", h.sum)
-	}
-	// Buckets: <=1 gets 0.5 and 1 (SearchFloat64s puts v==bound in its
-	// bucket), <=2 gets 1.5, <=5 gets 3, +Inf gets 10.
-	want := []uint64{2, 1, 1, 1}
-	for i, w := range want {
-		if h.counts[i] != w {
-			t.Errorf("bucket %d = %d, want %d", i, h.counts[i], w)
-		}
-	}
-}
-
-func TestRegistryPrometheusSortedAndDeterministic(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("zzz_total", "last").Add(3)
-	reg.Gauge("aaa_gauge", "first").Set(1.5)
-	reg.Histogram("mmm_seconds", "middle", []float64{0.1, 1}).Observe(0.5)
-
-	var a, b bytes.Buffer
-	if err := reg.WritePrometheus(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("two renders of the same registry differ")
-	}
-	out := a.String()
-	iA := strings.Index(out, "aaa_gauge")
-	iM := strings.Index(out, "mmm_seconds")
-	iZ := strings.Index(out, "zzz_total")
-	if iA < 0 || iM < 0 || iZ < 0 || !(iA < iM && iM < iZ) {
-		t.Fatalf("metrics not in sorted order:\n%s", out)
-	}
-	for _, want := range []string{
-		"# TYPE aaa_gauge gauge", "aaa_gauge 1.5",
-		`mmm_seconds_bucket{le="1"} 1`, `mmm_seconds_bucket{le="+Inf"} 1`,
-		"mmm_seconds_sum 0.5", "mmm_seconds_count 1",
-		"# TYPE zzz_total counter", "zzz_total 3",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestRegistryKindMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("re-registering a counter as a gauge did not panic")
-		}
-	}()
-	reg := NewRegistry()
-	reg.Counter("x_total", "")
-	reg.Gauge("x_total", "")
-}
-
+// TestBusMetricsFollowEvents checks that the bus records every emitted
+// event and that BeginRun empties it for the next run.
 func TestBusMetricsFollowEvents(t *testing.T) {
 	b := NewBus()
 	b.Emit(Event{T: 1, Kind: KindReqArrive, ID: 7})
@@ -154,19 +85,6 @@ func TestBusMetricsFollowEvents(t *testing.T) {
 	b.Emit(Event{T: 4, Kind: KindSample, A: 900, B: 0.8})
 	b.Emit(Event{T: 5, Kind: KindSample, A: 700, B: 0.7})
 
-	reg := b.reg
-	if got := reg.Counter("core_drops_total", "").Value(); got != 2 {
-		t.Errorf("drops = %d, want 2", got)
-	}
-	if got := reg.Counter("core_drops_token_bucket_total", "").Value(); got != 2 {
-		t.Errorf("per-reason drops = %d, want 2", got)
-	}
-	if got := reg.Gauge("core_power_watts", "").Value(); got != 700 { //lint:allow floateq -- gauge stores the sample verbatim
-		t.Errorf("power gauge = %v, want 700", got)
-	}
-	if got := reg.Gauge("core_power_watts_peak", "").Value(); got != 900 { //lint:allow floateq -- gauge stores the sample verbatim
-		t.Errorf("power peak = %v, want 900", got)
-	}
 	if got := b.Events().Len(); got != 7 {
 		t.Errorf("recorded %d events, want 7", got)
 	}
@@ -174,9 +92,6 @@ func TestBusMetricsFollowEvents(t *testing.T) {
 	b.BeginRun()
 	if got := b.Events().Len(); got != 0 {
 		t.Errorf("events after BeginRun = %d, want 0", got)
-	}
-	if got := reg.Counter("core_drops_total", "").Value(); got != 0 {
-		t.Errorf("drops after BeginRun = %d, want 0", got)
 	}
 }
 
@@ -291,51 +206,35 @@ func TestCSVCoversEveryEvent(t *testing.T) {
 	}
 }
 
-// TestEmptyCaptureExports locks the empty-capture edge of every exporter:
-// a fresh bus and a BeginRun-reset bus must render identical, valid,
-// byte-stable output — no trailing commas, no missing headers, and the
-// Prometheus render must still carry every HELP/TYPE declaration.
+// TestEmptyCaptureExports locks the empty-capture edge of every event
+// exporter: a fresh bus and a BeginRun-reset bus must render identical,
+// valid, byte-stable output — no trailing commas, no missing headers.
 func TestEmptyCaptureExports(t *testing.T) {
-	render := func(b *Bus) (c, v, p string) {
-		var cb, vb, pb bytes.Buffer
+	render := func(b *Bus) (c, v string) {
+		var cb, vb bytes.Buffer
 		if err := b.WriteChromeTrace(&cb); err != nil {
 			t.Fatal(err)
 		}
 		if err := b.WriteCSV(&vb); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.WritePrometheus(&pb); err != nil {
-			t.Fatal(err)
-		}
-		return cb.String(), vb.String(), pb.String()
+		return cb.String(), vb.String()
 	}
-	c1, v1, p1 := render(NewBus())
+	c1, v1 := render(NewBus())
 
-	// A used-then-reset bus is the same empty capture for the event-stream
-	// exporters. The Prometheus render keeps dynamically registered names
-	// (per-reason drop counters) at zero by design, so it is checked for
-	// validity and stability rather than fresh-bus equality.
+	// A used-then-reset bus is the same empty capture.
 	reset := NewBus()
 	for _, ev := range sampleEvents() {
 		reset.Emit(ev)
 	}
 	reset.BeginRun()
-	c2, v2, p2 := render(reset)
+	c2, v2 := render(reset)
 	if c1 != c2 || v1 != v2 {
 		t.Error("BeginRun-reset bus renders event streams differently from a fresh bus")
-	}
-	if _, _, again := render(reset); p2 != again {
-		t.Error("reset-bus prometheus render not byte-stable")
-	}
-	if err := ValidatePrometheus([]byte(p2)); err != nil {
-		t.Errorf("reset-bus prometheus render fails validation: %v", err)
 	}
 
 	if err := ValidateChromeTrace([]byte(c1)); err != nil {
 		t.Errorf("empty chrome trace fails validation: %v\n%s", err, c1)
-	}
-	if err := ValidatePrometheus([]byte(p1)); err != nil {
-		t.Errorf("empty prometheus render fails validation: %v\n%s", err, p1)
 	}
 	if v1 != csvHeader+"\n" {
 		t.Errorf("empty CSV must be exactly the header line, got %q", v1)
@@ -346,34 +245,28 @@ func TestEmptyCaptureExports(t *testing.T) {
 }
 
 // TestExportersDeterministic renders the same stream twice through every
-// exporter and requires byte equality.
+// event exporter and requires byte equality.
 func TestExportersDeterministic(t *testing.T) {
-	render := func() (string, string, string) {
+	render := func() (string, string) {
 		b := NewBus()
 		for _, ev := range sampleEvents() {
 			b.Emit(ev)
 		}
-		var c, v, p bytes.Buffer
+		var c, v bytes.Buffer
 		if err := b.WriteChromeTrace(&c); err != nil {
 			t.Fatal(err)
 		}
 		if err := b.WriteCSV(&v); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.WritePrometheus(&p); err != nil {
-			t.Fatal(err)
-		}
-		return c.String(), v.String(), p.String()
+		return c.String(), v.String()
 	}
-	c1, v1, p1 := render()
-	c2, v2, p2 := render()
+	c1, v1 := render()
+	c2, v2 := render()
 	if c1 != c2 {
 		t.Error("chrome traces differ between identical runs")
 	}
 	if v1 != v2 {
 		t.Error("CSVs differ between identical runs")
-	}
-	if p1 != p2 {
-		t.Error("prometheus renders differ between identical runs")
 	}
 }

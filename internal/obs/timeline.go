@@ -12,6 +12,13 @@ import (
 // called EnableTimeline.
 var errNoTimeline = errors.New("obs: no timeline attached; call EnableTimeline before the run")
 
+// latencyBounds are the upper bounds, in seconds, of a window's
+// request-sojourn histogram, bracketing the paper's 250 ms SLA from both
+// sides.
+var latencyBounds = []float64{
+	0.010, 0.025, 0.050, 0.100, 0.250, 0.500, 1, 2.5, 5, 10,
+}
+
 // timelineBuckets is len(latencyBounds)+1 (the +Inf bucket included). It is
 // a constant so TimelineWindow is a fixed-size value: growing the window
 // slice never drags per-window bucket allocations onto the emit hot path.
@@ -133,8 +140,8 @@ func (tl *Timeline) at(t float64) *TimelineWindow {
 	return &tl.windows[i]
 }
 
-// Add folds one event into its window. The switch mirrors Bus.Emit's
-// metric fold; kinds without a temporal aggregate fall through untouched.
+// Add folds one event into its window; kinds without a temporal
+// aggregate fall through untouched.
 //
 //hot:allocfree
 func (tl *Timeline) Add(ev Event) {

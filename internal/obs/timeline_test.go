@@ -7,8 +7,8 @@ import (
 )
 
 // TestTimelineBucketConstant pins the fixed-size window's bucket count to
-// the shared latency bounds: if latencyBounds grows, timelineBuckets must
-// grow with it (it is a constant so TimelineWindow stays fixed-size).
+// the latency bounds: if latencyBounds grows, timelineBuckets must grow
+// with it (it is a constant so TimelineWindow stays fixed-size).
 func TestTimelineBucketConstant(t *testing.T) {
 	if timelineBuckets != len(latencyBounds)+1 {
 		t.Fatalf("timelineBuckets = %d, want len(latencyBounds)+1 = %d",
@@ -277,32 +277,6 @@ func TestValidateTimelineRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: validation unexpectedly passed", name)
 		}
 	}
-}
-
-func TestSanitizeMetric(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"", "_"},
-		{"token-bucket", "token_bucket"},
-		{"Firewall", "firewall"},
-		{"abc_09", "abc_09"},
-		{"9lives", "_9lives"},
-		{"héllo", "h__llo"}, // each byte of the multi-byte rune becomes '_'
-		{"a b.c", "a_b_c"},
-	}
-	for _, c := range cases {
-		if got := sanitizeMetric(c.in); got != c.want {
-			t.Errorf("sanitizeMetric(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-func TestCounterNameMustEndInTotal(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("registering a counter without _total did not panic")
-		}
-	}()
-	NewRegistry().Counter("bad_name", "")
 }
 
 // BenchmarkTimelineEmit measures the bus emit hot path with the timeline
