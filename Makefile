@@ -1,13 +1,17 @@
 GO ?= go
 BENCH_TOLERANCE ?= 0.10
 
-.PHONY: build vet lint test race fuzz fuzz-scenario fuzz-ps fuzz-obs fuzz-simtime coverfloor chaos verify bench
+.PHONY: build vet fmt lint test race fuzz fuzz-scenario fuzz-ps fuzz-obs fuzz-simtime coverfloor chaos verify bench
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails when gofmt -l lists any file.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 # Determinism lint suite (internal/lint) plus go vet: eight per-package
 # analyzers, the whole-program reachability passes (transitive walltime /
@@ -77,7 +81,7 @@ chaos:
 
 # Tier-1 verify: what every PR must keep green. The lint target already
 # includes go vet, and race subsumes plain test.
-verify: build lint race
+verify: build fmt lint race
 
 # Hot-path micro-benchmarks plus the quick-suite macro run, gated against the
 # checked-in baseline (BENCH_3.json). Writes the fresh numbers to

@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		scenarioPath = flag.String("scenario", "", "scenario document holding the run (.yaml/.yml/.json)")
+		scenarioPath = flag.String("scenario", "", "scenario document holding the run (.yaml/.yml)")
 		runName      = flag.String("run", "", "name of the run to execute; a one-run document needs none")
 		seed         = flag.Uint64("seed", 2019, "experiment seed every run's seed derives from (paperbench's -seed)")
 		series       = flag.Bool("series", false, "also print the power/battery time series")

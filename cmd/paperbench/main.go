@@ -12,23 +12,19 @@
 //	paperbench -x ablation  # one experiment group by name
 //	paperbench -parallel 1  # force sequential execution (same output)
 //	paperbench -quick -cpuprofile cpu.pprof   # profile the suite
-//	paperbench -quick -benchjson run.json     # record wall time as bench JSON
 //	paperbench -quick -manifest manifest.json # per-job runtime/worker/error as JSON
 //	paperbench -scenario scenarios/fig12_dope.yaml   # one declarative scenario
 //	paperbench -scenario-dir scenarios               # a whole scenario suite
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"antidope/internal/experiments"
 	"antidope/internal/harness"
@@ -44,12 +40,11 @@ func main() {
 		extra    = flag.String("x", "", "run one experiment group: "+groupNames())
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "simulation worker count (output is identical at any setting; 1 = sequential)")
 
-		scenarioFile = flag.String("scenario", "", "run one declarative scenario file (.yaml/.yml/.json; see EXPERIMENTS.md)")
+		scenarioFile = flag.String("scenario", "", "run one declarative scenario file (.yaml/.yml; see EXPERIMENTS.md)")
 		scenarioDir  = flag.String("scenario-dir", "", "run every scenario in a directory, in file-name order")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
-		benchjson  = flag.String("benchjson", "", "merge the run's wall time into this file in the antidope-bench/v1 JSON schema")
 
 		traceLabel = flag.String("trace", "", "capture a Chrome trace of the first run whose label contains this substring (e.g. fig12 or fig18/Anti-DOPE)")
 		traceOut   = flag.String("traceout", "paperbench.trace.json", "trace output path for -trace")
@@ -58,10 +53,11 @@ func main() {
 	)
 	flag.Parse()
 
-	// run holds the actual work so the deferred profile/JSON writers flush
-	// before the process exits; os.Exit inside run would skip them.
+	// run holds the actual work so the deferred profile, trace and manifest
+	// writers flush before the process exits; os.Exit inside run would skip
+	// them.
 	os.Exit(run(*quick, *seed, *fig, *extra, *parallel, *scenarioFile, *scenarioDir,
-		*cpuprofile, *memprofile, *benchjson, *traceLabel, *traceOut, *manifest))
+		*cpuprofile, *memprofile, *traceLabel, *traceOut, *manifest))
 }
 
 // errExit unwinds run() on an experiment error after it has already been
@@ -69,7 +65,7 @@ func main() {
 var errExit = errors.New("exit")
 
 func run(quick bool, seed uint64, fig int, extra string, parallel int,
-	scenarioFile, scenarioDir, cpuprofile, memprofile, benchjson, traceLabel, traceOut,
+	scenarioFile, scenarioDir, cpuprofile, memprofile, traceLabel, traceOut,
 	manifest string) (exitCode int) {
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
@@ -103,23 +99,6 @@ func run(quick bool, seed uint64, fig int, extra string, parallel int,
 				exitCode = 1
 			}
 			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-				exitCode = 1
-			}
-		}()
-	}
-	if benchjson != "" {
-		//lint:allow walltime -- measurement layer: wall time never feeds the simulation
-		start := time.Now()
-		target := benchTarget(fig, extra, scenarioFile, scenarioDir, quick)
-		//lint:allow walltime -- measurement closure; wall time never feeds the simulation
-		defer func() {
-			if exitCode != 0 {
-				return // a failed run's timing is meaningless
-			}
-			//lint:allow walltime -- measurement layer: wall time never feeds the simulation
-			elapsed := time.Since(start)
-			if err := writeBenchJSON(benchjson, target, elapsed); err != nil {
 				fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
 				exitCode = 1
 			}
@@ -272,59 +251,4 @@ func writeTrace(path string, bus *obs.Bus) error {
 		return err
 	}
 	return f.Close()
-}
-
-// benchTarget names the timing entry for a run, mirroring go test -bench
-// naming so benchregress can compare paperbench timings with micro-benchmarks.
-func benchTarget(fig int, extra, scenarioFile, scenarioDir string, quick bool) string {
-	name := "PaperbenchAll"
-	switch {
-	case scenarioFile != "":
-		base := strings.TrimSuffix(filepath.Base(scenarioFile), filepath.Ext(scenarioFile))
-		name = "PaperbenchScenario/" + base
-	case scenarioDir != "":
-		name = "PaperbenchScenarioDir/" + filepath.Base(scenarioDir)
-	case extra != "":
-		name = "PaperbenchX/" + extra
-	case fig != 0:
-		name = fmt.Sprintf("PaperbenchFig%d", fig)
-	}
-	if quick {
-		name += "/quick"
-	}
-	return name
-}
-
-// benchFile is the antidope-bench/v1 schema shared with cmd/benchregress.
-type benchFile struct {
-	Schema     string                `json:"schema"`
-	Benchmarks map[string]benchEntry `json:"benchmarks"`
-}
-
-type benchEntry struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-}
-
-// writeBenchJSON merges one timing entry into path, creating the file if
-// needed and preserving entries for other targets.
-func writeBenchJSON(path, target string, elapsed time.Duration) error {
-	bf := benchFile{Schema: "antidope-bench/v1", Benchmarks: map[string]benchEntry{}}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &bf); err != nil {
-			return fmt.Errorf("benchjson %s: %w", path, err)
-		}
-		if bf.Benchmarks == nil {
-			bf.Benchmarks = map[string]benchEntry{}
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	bf.Benchmarks[target] = benchEntry{NsPerOp: float64(elapsed.Nanoseconds())}
-	out, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	tracereport [-breaker W] [-window s] [-storm n] [-o report.txt]
+//	tracereport [-breaker W] [-o report.txt]
 //	            [-timeline out.timeline.json] [-timeline-csv out.timeline.csv] events.csv
 package main
 
@@ -28,9 +28,6 @@ import (
 func main() {
 	var (
 		breakerW    = flag.Float64("breaker", 0, "breaker limit in watts for the overshoot analysis (0 disables)")
-		windowSec   = flag.Float64("window", 0, "retry-storm / timeline window width in seconds (default 1)")
-		stormN      = flag.Uint64("storm", 0, "per-link per-window retry count that makes a storm (default 5)")
-		slaSec      = flag.Float64("sla", 0, "SLA bound in seconds for the rebuilt timeline (default 0.25)")
 		outPath     = flag.String("o", "", "write the report here instead of stdout")
 		timelineJ   = flag.String("timeline", "", "also rebuild the sim-time timeline and write it as JSON here")
 		timelineCSV = flag.String("timeline-csv", "", "also rebuild the sim-time timeline and write it as CSV here")
@@ -54,11 +51,7 @@ func main() {
 		fatal(err)
 	}
 
-	rep := analyze.Run(events, analyze.Config{
-		BreakerLimitW: *breakerW,
-		WindowSec:     *windowSec,
-		StormRetries:  *stormN,
-	})
+	rep := analyze.Run(events, analyze.Config{BreakerLimitW: *breakerW})
 
 	out := io.Writer(os.Stdout)
 	if *outPath != "" {
@@ -74,7 +67,7 @@ func main() {
 	}
 
 	if *timelineJ != "" || *timelineCSV != "" {
-		tl := obs.NewTimeline(*windowSec, *slaSec)
+		tl := obs.NewTimeline(0, 0) // package defaults, as antidope-sim -timeline captures
 		for _, ev := range events {
 			tl.Add(ev)
 		}

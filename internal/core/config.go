@@ -14,7 +14,6 @@ import (
 	"antidope/internal/defense"
 	"antidope/internal/faults"
 	"antidope/internal/firewall"
-	"antidope/internal/netlb"
 	"antidope/internal/obs"
 	"antidope/internal/thermal"
 	"antidope/internal/workload"
@@ -69,15 +68,10 @@ type Config struct {
 	Scheme defense.Scheme
 	// Firewall is the perimeter defense configuration.
 	Firewall firewall.Config
-	// Policy spreads requests within a balancer pool.
-	Policy netlb.Policy
 
 	// NormalRPS is the constant legitimate request rate of the AliOS
-	// stream.
+	// stream, spread across a fixed set of 64 clients (normalSources).
 	NormalRPS float64
-	// NormalSources is how many distinct legitimate clients the traffic is
-	// spread across (keeps them under the firewall threshold).
-	NormalSources int
 	// ExtraSources injects additional arbitrary arrival sources (e.g. a
 	// multi-endpoint legitimate mix) alongside the NormalRPS stream.
 	ExtraSources []SourceSpec
@@ -88,12 +82,6 @@ type Config struct {
 	Dope *attack.DopeConfig
 	// DopeStart delays the adaptive attacker's first request.
 	DopeStart float64
-	// DopeEpochSec is the attacker's probe/feedback period.
-	DopeEpochSec float64
-	// DopeEffectiveSlowdown is the externally observable slowdown factor of
-	// the attacker's own requests above which it judges the attack
-	// effective.
-	DopeEffectiveSlowdown float64
 
 	// Breaker, when enabled, adds the branch-circuit protection model: a
 	// sustained budget violation becomes a real outage (Figure 1's story)
@@ -120,31 +108,38 @@ type Config struct {
 	// throttle that overrides every scheme.
 	Thermal thermal.Config
 
-	// Horizon is the simulated duration in seconds.
+	// Horizon is the simulated duration in seconds; the power-control loop
+	// ticks every defense.SlotSec of it.
 	Horizon float64
-	// SlotSec is the power-control period.
-	SlotSec float64
 	// WarmupSec excludes the initial transient from latency statistics.
 	WarmupSec float64
 	// Seed drives all randomness in the run.
 	Seed uint64
 }
 
+// The fixed parts of the traffic model, the same in every run.
+const (
+	// normalSources is how many distinct legitimate clients the AliOS
+	// stream is spread across (keeps each under the firewall threshold).
+	normalSources = 64
+	// dopeEpochSec is the adaptive attacker's probe/feedback period.
+	dopeEpochSec = 10
+	// dopeEffectiveSlowdown is the externally observable slowdown factor
+	// of the attacker's own requests above which it judges the attack
+	// effective.
+	dopeEffectiveSlowdown = 3
+)
+
 // DefaultConfig is a runnable baseline: the paper's 4-node rack at
 // Normal-PB, flat legitimate load, no attack, no active defense.
 func DefaultConfig() Config {
 	return Config{
-		Cluster:               cluster.DefaultConfig(),
-		Firewall:              firewall.DefaultConfig(),
-		Policy:                netlb.LeastLoaded,
-		NormalRPS:             120,
-		NormalSources:         64,
-		Horizon:               120,
-		SlotSec:               1,
-		WarmupSec:             10,
-		DopeEpochSec:          10,
-		DopeEffectiveSlowdown: 3,
-		Seed:                  1,
+		Cluster:   cluster.DefaultConfig(),
+		Firewall:  firewall.DefaultConfig(),
+		NormalRPS: 120,
+		Horizon:   120,
+		WarmupSec: 10,
+		Seed:      1,
 	}
 }
 
@@ -153,17 +148,11 @@ func (c *Config) Validate() error {
 	if c.Horizon <= 0 {
 		return fmt.Errorf("core: horizon %g must be positive", c.Horizon)
 	}
-	if c.SlotSec <= 0 || c.SlotSec > c.Horizon {
-		return fmt.Errorf("core: slot %g outside (0, horizon]", c.SlotSec)
-	}
 	if c.WarmupSec < 0 || c.WarmupSec >= c.Horizon {
 		return fmt.Errorf("core: warmup %g outside [0, horizon)", c.WarmupSec)
 	}
 	if c.NormalRPS < 0 {
 		return fmt.Errorf("core: negative normal rate")
-	}
-	if c.NormalRPS > 0 && c.NormalSources <= 0 {
-		return fmt.Errorf("core: normal traffic needs at least one source")
 	}
 	for i, es := range c.ExtraSources {
 		if es.RateCap <= 0 {
@@ -192,15 +181,7 @@ func (c *Config) Validate() error {
 		}
 	}
 	if c.Dope != nil {
-		if err := c.Dope.Validate(); err != nil {
-			return err
-		}
-		if c.DopeEpochSec <= 0 {
-			return fmt.Errorf("core: dope epoch %g must be positive", c.DopeEpochSec)
-		}
-		if c.DopeEffectiveSlowdown <= 1 {
-			return fmt.Errorf("core: dope effective slowdown %g must exceed 1", c.DopeEffectiveSlowdown)
-		}
+		return c.Dope.Validate()
 	}
 	return nil
 }

@@ -279,7 +279,6 @@ func FuzzFaultSchedule(f *testing.F) {
 			cfg := core.DefaultConfig()
 			cfg.Horizon = 20
 			cfg.WarmupSec = 2
-			cfg.SlotSec = 1
 			cfg.Seed = seed
 			cfg.NormalRPS = 30
 			cfg.Scheme = defense.NewCapping(power.DefaultLadder())

@@ -120,7 +120,7 @@ func (s *Simulation) init(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	bal, err := netlb.New(cl.Servers, cfg.Policy)
+	bal, err := netlb.New(cl.Servers)
 	if err != nil {
 		return err
 	}
@@ -140,7 +140,6 @@ func (s *Simulation) init(cfg Config) error {
 	s.env = &defense.Env{
 		Cluster:  cl,
 		Balancer: bal,
-		SlotSec:  cfg.SlotSec,
 		Model:    cfg.Cluster.Model,
 	}
 	if cfg.Breaker.Enabled {
@@ -264,7 +263,7 @@ func (s *Simulation) buildTraffic() {
 			Class:       workload.AliNormal,
 			Origin:      workload.Legit,
 			Rate:        workload.ConstRate(s.cfg.NormalRPS),
-			Sources:     s.cfg.NormalSources,
+			Sources:     normalSources,
 			FirstSource: legitSourceBase,
 		})
 		caps = append(caps, s.cfg.NormalRPS)
@@ -318,10 +317,10 @@ func (s *Simulation) Start() {
 	// Adaptive attacker: arrival chain plus feedback epochs.
 	if s.dope != nil {
 		s.scheduleDopeArrival(s.cfg.DopeStart)
-		s.eng.Tick(s.cfg.DopeStart+s.cfg.DopeEpochSec, s.cfg.DopeEpochSec, s.dopeEpoch)
+		s.eng.Tick(s.cfg.DopeStart+dopeEpochSec, dopeEpochSec, s.dopeEpoch)
 	}
 	// Power-control loop.
-	s.eng.Tick(s.cfg.SlotSec, s.cfg.SlotSec, s.controlTick)
+	s.eng.Tick(defense.SlotSec, defense.SlotSec, s.controlTick)
 	// Initial sample at t=0 so series start at the origin.
 	s.sample(0)
 }
@@ -455,7 +454,7 @@ func (s *Simulation) scheduleDopeArrival(after float64) {
 func (s *Simulation) dopeEpoch(now float64) {
 	fb := attack.Feedback{
 		BannedAgents: len(s.epochBanned),
-		Effective:    s.epochSlow.Count() > 0 && s.epochSlow.Mean() > s.cfg.DopeEffectiveSlowdown,
+		Effective:    s.epochSlow.Count() > 0 && s.epochSlow.Mean() > dopeEffectiveSlowdown,
 	}
 	s.dopePlan = s.dope.Step(fb)
 	s.res.DopeTrace = append(s.res.DopeTrace, DopeEpoch{
@@ -588,7 +587,7 @@ func (s *Simulation) controlTick(now float64) {
 
 	if s.breaker != nil && now >= s.outageUntil {
 		net := s.cl.PowerNow() - rep.BatteryW
-		if s.breaker.Step(s.cfg.SlotSec, net) {
+		if s.breaker.Step(defense.SlotSec, net) {
 			s.trip(now)
 		}
 	}
@@ -611,7 +610,7 @@ func (s *Simulation) thermalTick(now float64) {
 	for i, sv := range s.cl.Servers {
 		draws[i] = sv.PowerNow()
 	}
-	hot := s.plant.Step(s.cfg.SlotSec, draws)
+	hot := s.plant.Step(defense.SlotSec, draws)
 	anyHot := false
 	for i, h := range hot {
 		if !h {

@@ -27,7 +27,6 @@ func psStation(t *testing.T, cores int, rho float64, horizon float64) float64 {
 	cfg.Cluster.BatteryAutonomySec = 0
 	cfg.Firewall = firewall.Config{Disabled: true}
 	cfg.NormalRPS = lambda
-	cfg.NormalSources = 4096 // irrelevant with the firewall off
 	cfg.Horizon = horizon
 	cfg.WarmupSec = horizon / 5
 	cfg.Seed = 12345

@@ -122,7 +122,6 @@ func (a *AntiDope) Admit(now float64, req *workload.Request) bool { return true 
 // ControlSlot implements Scheme — Algorithm 1.
 func (a *AntiDope) ControlSlot(now float64, env *Env) SlotReport {
 	cl := env.Cluster
-	dt := env.SlotSec
 	suspects, innocents := cl.SuspectServers()
 
 	if over := env.Overshoot(); over > 0 {
@@ -131,7 +130,7 @@ func (a *AntiDope) ControlSlot(now float64, env *Env) SlotReport {
 		// transient.
 		var bridged float64
 		if !a.DisableBattery {
-			bridged = cl.UPS.Discharge(over, dt)
+			bridged = cl.UPS.Discharge(over, SlotSec)
 		}
 		if bridged > 0 {
 			if env.Obs != nil {
@@ -182,7 +181,7 @@ func (a *AntiDope) ControlSlot(now float64, env *Env) SlotReport {
 		// Line 19 epilogue: recharge immediately once V/F settings hold the
 		// budget (Section 6.4's "recharged again immediately").
 		if left := spend - added; left > 1e-9 && !a.DisableBattery {
-			charge = cl.UPS.Charge(left, dt)
+			charge = cl.UPS.Charge(left, SlotSec)
 		}
 	}
 	return SlotReport{ChargeW: charge}

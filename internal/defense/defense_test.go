@@ -51,8 +51,8 @@ func testEnv(t *testing.T, budget cluster.BudgetLevel, saturate workload.Class) 
 			}
 		}
 	}
-	bal := must(netlb.New(cl.Servers, netlb.LeastLoaded))
-	return &Env{Cluster: cl, Balancer: bal, SlotSec: 1, Model: power.DefaultModel()}
+	bal := must(netlb.New(cl.Servers))
+	return &Env{Cluster: cl, Balancer: bal, Model: power.DefaultModel()}
 }
 
 func req(class workload.Class) *workload.Request {

@@ -36,12 +36,14 @@ type PowerReader interface {
 	MeasuredPowerW() float64
 }
 
+// SlotSec is the power-control period (DESIGN.md §3): every scheme's
+// ControlSlot runs once per slot and sizes its battery draws to it.
+const SlotSec = 1.0
+
 // Env is the view of the data center a scheme operates on.
 type Env struct {
 	Cluster  *cluster.Cluster
 	Balancer *netlb.Balancer
-	// SlotSec is the control period.
-	SlotSec float64
 	// Model is the (homogeneous) server power model, for planning.
 	Model power.Model
 	// Telemetry, when non-nil, mediates every aggregate power reading the

@@ -31,9 +31,8 @@ func (s *Shaving) Admit(now float64, req *workload.Request) bool { return true }
 // recharge whenever there is budget headroom.
 func (s *Shaving) ControlSlot(now float64, env *Env) SlotReport {
 	cl := env.Cluster
-	dt := env.SlotSec
 	if over := env.Overshoot(); over > 0 {
-		got := cl.UPS.Discharge(over, dt)
+		got := cl.UPS.Discharge(over, SlotSec)
 		if remaining := over - got; remaining > 1e-9 {
 			// Battery exhausted (or inverter-limited): throttle the rest.
 			s.gov.ThrottleOrdered(remaining, serversByPowerDesc(cl.Servers), predict)
@@ -49,7 +48,7 @@ func (s *Shaving) ControlSlot(now float64, env *Env) SlotReport {
 		// Restore performance before banking energy: users first.
 		added := s.gov.Release(spend, serversByFreqAsc(cl.Servers), predict)
 		if left := spend - added; left > 1e-9 {
-			charge = cl.UPS.Charge(left, dt)
+			charge = cl.UPS.Charge(left, SlotSec)
 		}
 	}
 	return SlotReport{ChargeW: charge}

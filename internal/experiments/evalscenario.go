@@ -94,7 +94,7 @@ func EvalConfig(o Options, label string, scheme defense.Scheme,
 	cfg := BaseConfig(o, label, horizon)
 	cfg.Firewall = firewall.DefaultConfig()
 	cfg.WarmupSec = 10
-	cfg.NormalRPS, cfg.NormalSources = 0, 0
+	cfg.NormalRPS = 0
 	cfg.Scheme = scheme
 	cfg.Cluster.Budget = budget
 	cfg.Attacks = attacks

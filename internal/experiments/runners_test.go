@@ -9,7 +9,6 @@ import (
 	"antidope/internal/core"
 	"antidope/internal/defense"
 	"antidope/internal/firewall"
-	"antidope/internal/netlb"
 	"antidope/internal/workload"
 )
 
@@ -179,17 +178,12 @@ func TestSwitchingAttackSpecsClamp(t *testing.T) {
 func TestBaseConfigKnobs(t *testing.T) {
 	o := Options{Seed: 3}
 	want := core.Config{
-		Cluster:               cluster.DefaultConfig(),
-		Firewall:              firewall.Config{Disabled: true},
-		Policy:                netlb.LeastLoaded,
-		NormalRPS:             60,
-		NormalSources:         64,
-		Horizon:               300,
-		SlotSec:               1,
-		WarmupSec:             5,
-		DopeEpochSec:          10,
-		DopeEffectiveSlowdown: 3,
-		Seed:                  o.SeedFor("lbl"),
+		Cluster:   cluster.DefaultConfig(),
+		Firewall:  firewall.Config{Disabled: true},
+		NormalRPS: 60,
+		Horizon:   300,
+		WarmupSec: 5,
+		Seed:      o.SeedFor("lbl"),
 	}
 	if cfg := BaseConfig(o, "lbl", 300); !reflect.DeepEqual(cfg, want) {
 		t.Errorf("BaseConfig =\n%+v\nwant\n%+v", cfg, want)
@@ -205,17 +199,13 @@ func TestEvalConfigKnobs(t *testing.T) {
 	attacks := EvalAttackSpecs(10, 300)
 	cfg := EvalConfig(o, "lbl", scheme, cluster.MediumPB, attacks, 300)
 	want := core.Config{
-		Cluster:               cluster.DefaultConfig(),
-		Scheme:                scheme,
-		Firewall:              firewall.DefaultConfig(),
-		Policy:                netlb.LeastLoaded,
-		Horizon:               300,
-		SlotSec:               1,
-		WarmupSec:             10,
-		DopeEpochSec:          10,
-		DopeEffectiveSlowdown: 3,
-		Seed:                  o.SeedFor("lbl"),
-		Attacks:               attacks,
+		Cluster:   cluster.DefaultConfig(),
+		Scheme:    scheme,
+		Firewall:  firewall.DefaultConfig(),
+		Horizon:   300,
+		WarmupSec: 10,
+		Seed:      o.SeedFor("lbl"),
+		Attacks:   attacks,
 	}
 	want.Cluster.Budget = cluster.MediumPB
 	want.Cluster.BatterySustainW = 0.2 * float64(want.Cluster.Servers) * want.Cluster.Model.Nameplate

@@ -72,25 +72,11 @@ func CompileScenario(s *scenario.Scenario, o Options) (*ScenarioPlan, error) {
 func compileRun(s *scenario.Scenario, run *scenario.RunSpec, o Options, label string,
 	horizon float64) (core.Config, error) {
 	cfg := BaseConfig(o, label, horizon)
-	for _, f := range []struct {
-		dst *float64
-		v   float64
-	}{
-		{&cfg.SlotSec, s.Sim.Slot},
-		{&cfg.WarmupSec, s.Sim.Warmup},
-		{&cfg.DopeEpochSec, s.Sim.DopeEpoch},
-		{&cfg.DopeEffectiveSlowdown, s.Sim.DopeSlowdown},
-		{&cfg.Cluster.BatteryAutonomySec, s.Cluster.BatteryAutonomySec},
-	} {
-		if f.v > 0 {
-			*f.dst = f.v
-		}
+	if s.Sim.Warmup > 0 {
+		cfg.WarmupSec = s.Sim.Warmup
 	}
 	if run.Budget != nil {
 		cfg.Cluster.Budget = *run.Budget
-	}
-	if s.Cluster.Servers > 0 {
-		cfg.Cluster.Servers = s.Cluster.Servers
 	}
 	if s.Cluster.BatterySustainFrac > 0 {
 		cfg.Cluster.BatterySustainW = s.Cluster.BatterySustainFrac *
@@ -109,18 +95,12 @@ func compileRun(s *scenario.Scenario, run *scenario.RunSpec, o Options, label st
 	if s.Workload.NormalRPS > 0 {
 		cfg.NormalRPS = s.Workload.NormalRPS
 	}
-	if s.Workload.NormalSources > 0 {
-		cfg.NormalSources = s.Workload.NormalSources
-	}
 
 	scheme := SchemeByName(run.Scheme)
 	if ad, ok := scheme.(*defense.AntiDope); ok && s.Defense.SuspectPoolFrac > 0 {
 		ad.SuspectPoolFrac = s.Defense.SuspectPoolFrac
 	}
 	cfg.Scheme = scheme
-	if p := s.Defense.Policy; p != nil {
-		cfg.Policy = *p
-	}
 	switch run.Firewall {
 	case "on":
 		cfg.Firewall = firewall.DefaultConfig()
@@ -162,8 +142,8 @@ func compileRun(s *scenario.Scenario, run *scenario.RunSpec, o Options, label st
 		}
 		cfg.Attacks = append(cfg.Attacks, switchingAttackSpecs(sw.Start, horizon, period)...)
 	}
-	if dp := run.Attack.Dope; dp != nil {
-		dc := *dp
+	if run.Attack.Dope {
+		dc := attack.DefaultDopeConfig()
 		cfg.Dope = &dc
 		cfg.DopeStart = run.Attack.DopeStart
 	}

@@ -22,7 +22,7 @@ func Sum(xs []float64) float64 {
 //
 //hot:allocfree
 func Counter() func() int {
-	n := 0 // want "heap-allocates"
+	n := 0              // want "heap-allocates"
 	return func() int { // want "heap-allocates"
 		n++
 		return n

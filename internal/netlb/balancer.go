@@ -1,9 +1,9 @@
 // Package netlb models the network load balancer in front of the cluster.
 // It provides the two routing behaviours the paper compares:
 //
-//   - plain spreading (round-robin / least-loaded), the default any data
-//     center runs for productivity, which is exactly what lets DOPE traffic
-//     reach every node; and
+//   - plain least-loaded spreading, the default any data center runs for
+//     productivity, which is exactly what lets DOPE traffic reach every
+//     node; and
 //   - power-driven forwarding (PDF, Section 5.2): a URL-keyed suspect list
 //     built by offline power profiling that pins risky requests onto a
 //     dedicated pool of suspect servers.
@@ -22,31 +22,9 @@ import (
 	"antidope/internal/workload"
 )
 
-// Policy selects how requests spread within a pool.
-type Policy int
-
-const (
-	// RoundRobin cycles through the pool.
-	RoundRobin Policy = iota
-	// LeastLoaded picks the pool member with the fewest in-flight requests.
-	LeastLoaded
-)
-
-// AllPolicies lists the policies in declaration order.
-func AllPolicies() []Policy { return []Policy{RoundRobin, LeastLoaded} }
-
-func (p Policy) String() string {
-	if p == RoundRobin {
-		return "round-robin"
-	}
-	return "least-loaded"
-}
-
 // Balancer routes requests to servers. Not safe for concurrent use.
 type Balancer struct {
 	servers []*server.Server
-	policy  Policy
-	rrNext  int
 
 	// suspectURLs is the PDF suspect list; empty means the split is off.
 	suspectURLs map[string]bool
@@ -68,11 +46,11 @@ type Balancer struct {
 }
 
 // New builds a balancer over the given servers.
-func New(servers []*server.Server, policy Policy) (*Balancer, error) {
+func New(servers []*server.Server) (*Balancer, error) {
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("netlb: no servers")
 	}
-	return &Balancer{servers: servers, policy: policy, suspectURLs: map[string]bool{}}, nil
+	return &Balancer{servers: servers, suspectURLs: map[string]bool{}}, nil
 }
 
 // SetSuspectList installs the PDF suspect list (URL set). Passing an empty
@@ -103,8 +81,8 @@ func (b *Balancer) SetObserver(o obs.Observer) {
 
 // SetReachable installs (or clears, with nil) the network reachability
 // predicate. Partitioned servers are skipped by every pick exactly like
-// crashed ones; when the predicate heals they rejoin the rotation in
-// place. The predicate must be deterministic in the simulation clock.
+// crashed ones; when the predicate heals they are picked again. The
+// predicate must be deterministic in the simulation clock.
 func (b *Balancer) SetReachable(fn func(id int) bool) { b.reachable = fn }
 
 // avail reports whether a server can take traffic: up and, when a
@@ -182,36 +160,20 @@ func (b *Balancer) poolOf(suspect bool) []*server.Server {
 	return out
 }
 
-// pick selects from the pool among the servers that are up and reachable,
-// returning nil when none are. With every server up and no partition it
-// reproduces the historical behaviour exactly: first-wins least-loaded
-// ties, and an unbroken round-robin sequence.
+// pick selects the least-loaded server of the pool among those that are up
+// and reachable, returning nil when none are. Ties go to the first in pool
+// order.
 func (b *Balancer) pick(pool []*server.Server) *server.Server {
-	switch b.policy {
-	case LeastLoaded:
-		var best *server.Server
-		for _, s := range pool {
-			if !b.avail(s) {
-				continue
-			}
-			if best == nil || s.Inflight() < best.Inflight() {
-				best = s
-			}
+	var best *server.Server
+	for _, s := range pool {
+		if !b.avail(s) {
+			continue
 		}
-		return best
-	default:
-		b.rrNext++
-		n := len(pool)
-		for off := 0; off < n; off++ {
-			if s := pool[(b.rrNext+off)%n]; b.avail(s) {
-				// Advance the cursor to the server actually used so the
-				// rotation resumes from it once crashed nodes recover.
-				b.rrNext += off
-				return s
-			}
+		if best == nil || s.Inflight() < best.Inflight() {
+			best = s
 		}
-		return nil
 	}
+	return best
 }
 
 // RoutedSuspect returns how many requests the split sent to suspect nodes.

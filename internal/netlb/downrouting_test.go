@@ -8,11 +8,12 @@ import (
 
 func TestPickSkipsDownServers(t *testing.T) {
 	servers := pool(3)
-	b := must(New(servers, RoundRobin))
+	b := must(New(servers))
 	servers[1].Advance(0)
 	servers[1].Crash(0)
+	// The crashed server stays the least loaded; every pick must pass it.
 	for i := 0; i < 12; i++ {
-		s := b.Route(reqFor(workload.AliNormal))
+		s := dispatch(b, workload.AliNormal)
 		if s == nil {
 			t.Fatal("Route returned nil with live servers remaining")
 		}
@@ -24,7 +25,7 @@ func TestPickSkipsDownServers(t *testing.T) {
 
 func TestLeastLoadedSkipsDownServers(t *testing.T) {
 	servers := pool(2)
-	b := must(New(servers, LeastLoaded))
+	b := must(New(servers))
 	// Server 0 idle but down, server 1 loaded but up: the loaded one wins.
 	servers[0].Advance(0)
 	servers[0].Crash(0)
@@ -37,7 +38,7 @@ func TestLeastLoadedSkipsDownServers(t *testing.T) {
 
 func TestRouteNilWhenAllDown(t *testing.T) {
 	servers := pool(2)
-	b := must(New(servers, LeastLoaded))
+	b := must(New(servers))
 	for _, s := range servers {
 		s.Advance(0)
 		s.Crash(0)
@@ -50,7 +51,7 @@ func TestRouteNilWhenAllDown(t *testing.T) {
 func TestRouteSpillsFromDeadSuspectPool(t *testing.T) {
 	servers := pool(4)
 	servers[0].Suspect = true
-	b := must(New(servers, LeastLoaded))
+	b := must(New(servers))
 	b.SetSuspectList([]string{workload.Lookup(workload.KMeans).URL})
 
 	// Sanity: suspect traffic lands on the suspect pool while it is up.
@@ -72,11 +73,11 @@ func TestRouteSpillsFromDeadSuspectPool(t *testing.T) {
 
 func TestRecoveredServerRejoinsRotation(t *testing.T) {
 	servers := pool(3)
-	b := must(New(servers, RoundRobin))
+	b := must(New(servers))
 	servers[2].Advance(0)
 	servers[2].Crash(0)
 	for i := 0; i < 6; i++ {
-		if s := b.Route(reqFor(workload.AliNormal)); s.ID == 2 {
+		if s := dispatch(b, workload.AliNormal); s.ID == 2 {
 			t.Fatal("routed to the crashed server")
 		}
 	}
@@ -88,23 +89,5 @@ func TestRecoveredServerRejoinsRotation(t *testing.T) {
 	}
 	if !seen[2] {
 		t.Fatal("recovered server never re-entered the rotation")
-	}
-}
-
-// TestRoundRobinSequenceUnchangedWhenAllUp pins the compatibility contract:
-// down-server skipping must not perturb the rotation of a healthy cluster.
-func TestRoundRobinSequenceUnchangedWhenAllUp(t *testing.T) {
-	servers := pool(3)
-	b := must(New(servers, RoundRobin))
-	var got []int
-	for i := 0; i < 9; i++ {
-		got = append(got, b.Route(reqFor(workload.AliNormal)).ID)
-	}
-	// The historical sequence: rrNext pre-increments, so it starts at 1.
-	want := []int{1, 2, 0, 1, 2, 0, 1, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("rotation diverged at %d: got %v, want %v", i, got, want)
-		}
 	}
 }

@@ -32,24 +32,22 @@ func reqFor(class workload.Class) *workload.Request {
 	return &workload.Request{Class: class, URL: p.URL, Demand: p.MeanDemand, Remaining: p.MeanDemand}
 }
 
-func TestNewRequiresServers(t *testing.T) {
-	if _, err := New(nil, RoundRobin); err == nil {
-		t.Fatal("empty pool accepted")
+// dispatch routes a request of the class at instant 0 and admits it where
+// it lands, so the next least-loaded pick sees the load. It returns the
+// server, or nil when Route found none.
+func dispatch(b *Balancer, class workload.Class) *server.Server {
+	r := reqFor(class)
+	s := b.Route(r)
+	if s != nil {
+		s.Advance(0)
+		s.Admit(0, r)
 	}
+	return s
 }
 
-func TestRoundRobinCycles(t *testing.T) {
-	servers := pool(3)
-	b := must(New(servers, RoundRobin))
-	seen := map[int]int{}
-	for i := 0; i < 9; i++ {
-		s := b.Route(reqFor(workload.AliNormal))
-		seen[s.ID]++
-	}
-	for id, n := range seen {
-		if n != 3 {
-			t.Fatalf("server %d routed %d/9", id, n)
-		}
+func TestNewRequiresServers(t *testing.T) {
+	if _, err := New(nil); err == nil {
+		t.Fatal("empty pool accepted")
 	}
 }
 
@@ -59,23 +57,17 @@ func TestLeastLoadedPicksIdle(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		servers[0].Admit(0, reqFor(workload.CollaFilt))
 	}
-	b := must(New(servers, LeastLoaded))
+	b := must(New(servers))
 	s := b.Route(reqFor(workload.AliNormal))
 	if s.ID != 1 {
 		t.Fatalf("least-loaded picked busy server %d", s.ID)
 	}
 }
 
-func TestPolicyString(t *testing.T) {
-	if RoundRobin.String() != "round-robin" || LeastLoaded.String() != "least-loaded" {
-		t.Fatal("policy names")
-	}
-}
-
 func TestSplitRoutesByURL(t *testing.T) {
 	servers := pool(4)
 	servers[0].Suspect = true
-	b := must(New(servers, LeastLoaded))
+	b := must(New(servers))
 	b.SetSuspectList([]string{workload.Lookup(workload.CollaFilt).URL})
 	if !b.SplitActive() {
 		t.Fatal("split not active")
@@ -110,7 +102,7 @@ func TestSplitRoutesByURL(t *testing.T) {
 
 func TestSplitInactiveWithoutSuspectServers(t *testing.T) {
 	servers := pool(4) // nobody marked suspect
-	b := must(New(servers, RoundRobin))
+	b := must(New(servers))
 	b.SetSuspectList([]string{"/recommend"})
 	if b.SplitActive() {
 		t.Fatal("split active without a suspect pool")
@@ -118,7 +110,7 @@ func TestSplitInactiveWithoutSuspectServers(t *testing.T) {
 	// Requests spread everywhere.
 	seen := map[int]bool{}
 	for i := 0; i < 20; i++ {
-		seen[b.Route(reqFor(workload.CollaFilt)).ID] = true
+		seen[dispatch(b, workload.CollaFilt).ID] = true
 	}
 	if len(seen) != 4 {
 		t.Fatalf("spread hit %d/4 servers", len(seen))
@@ -128,7 +120,7 @@ func TestSplitInactiveWithoutSuspectServers(t *testing.T) {
 func TestSplitDisabledByEmptyList(t *testing.T) {
 	servers := pool(2)
 	servers[0].Suspect = true
-	b := must(New(servers, RoundRobin))
+	b := must(New(servers))
 	b.SetSuspectList([]string{"/recommend"})
 	b.SetSuspectList(nil)
 	if b.SplitActive() {
@@ -264,7 +256,7 @@ func BenchmarkRouteSplit(b *testing.B) {
 	servers := pool(8)
 	servers[0].Suspect = true
 	servers[1].Suspect = true
-	bal := must(New(servers, LeastLoaded))
+	bal := must(New(servers))
 	bal.SetSuspectList(BuildSuspectList(0.5))
 	r := reqFor(workload.CollaFilt)
 	b.ResetTimer()
@@ -346,7 +338,7 @@ func TestProfilerMinObservations(t *testing.T) {
 func TestBalancerSourceAwareRouting(t *testing.T) {
 	servers := pool(4)
 	servers[0].Suspect = true
-	b := must(New(servers, LeastLoaded))
+	b := must(New(servers))
 	b.SetSuspectList(nil) // no URL list at all
 	b.SetProfiler(NewSourceProfiler())
 	if !b.SplitActive() {
@@ -372,22 +364,20 @@ func TestBalancerSourceAwareRouting(t *testing.T) {
 // TestRouteSplitAllocFree is the runtime backstop of the PDF split, which
 // escape analysis cannot vouch for because append growth is not an
 // escape: once the sub-pool buffer has grown, routing to either side of
-// the split allocates nothing, under both spreading policies.
+// the split allocates nothing.
 func TestRouteSplitAllocFree(t *testing.T) {
-	for _, policy := range []Policy{RoundRobin, LeastLoaded} {
-		servers := pool(4)
-		servers[0].Suspect = true
-		b := must(New(servers, policy))
-		b.SetSuspectList([]string{workload.Lookup(workload.CollaFilt).URL})
-		suspect, innocent := reqFor(workload.CollaFilt), reqFor(workload.AliNormal)
-		b.Route(suspect)
-		b.Route(innocent)
-		if n := testing.AllocsPerRun(200, func() {
-			if !b.Route(suspect).Suspect || b.Route(innocent).Suspect {
-				t.Fatal("split not honoured")
-			}
-		}); n != 0 {
-			t.Errorf("%v: split-active Route allocates %v per call pair, want 0", policy, n)
+	servers := pool(4)
+	servers[0].Suspect = true
+	b := must(New(servers))
+	b.SetSuspectList([]string{workload.Lookup(workload.CollaFilt).URL})
+	suspect, innocent := reqFor(workload.CollaFilt), reqFor(workload.AliNormal)
+	b.Route(suspect)
+	b.Route(innocent)
+	if n := testing.AllocsPerRun(200, func() {
+		if !b.Route(suspect).Suspect || b.Route(innocent).Suspect {
+			t.Fatal("split not honoured")
 		}
+	}); n != 0 {
+		t.Errorf("split-active Route allocates %v per call pair, want 0", n)
 	}
 }

@@ -18,18 +18,17 @@ func partitionSet(b *Balancer, down ...int) map[int]bool {
 }
 
 func TestPickSkipsPartitionedServers(t *testing.T) {
-	for _, pol := range []Policy{RoundRobin, LeastLoaded} {
-		servers := pool(3)
-		b := must(New(servers, pol))
-		partitionSet(b, 1)
-		for i := 0; i < 12; i++ {
-			s := b.Route(reqFor(workload.AliNormal))
-			if s == nil {
-				t.Fatalf("%v: Route returned nil with reachable servers remaining", pol)
-			}
-			if s.ID == 1 {
-				t.Fatalf("%v: routed to a partitioned server", pol)
-			}
+	servers := pool(3)
+	b := must(New(servers))
+	partitionSet(b, 1)
+	// The partitioned server stays the least loaded; every pick must pass it.
+	for i := 0; i < 12; i++ {
+		s := dispatch(b, workload.AliNormal)
+		if s == nil {
+			t.Fatal("Route returned nil with reachable servers remaining")
+		}
+		if s.ID == 1 {
+			t.Fatal("routed to a partitioned server")
 		}
 	}
 }
@@ -39,7 +38,7 @@ func TestPickSkipsPartitionedServers(t *testing.T) {
 // its own up/down state.
 func TestPartitionedServerStaysUp(t *testing.T) {
 	servers := pool(2)
-	b := must(New(servers, LeastLoaded))
+	b := must(New(servers))
 	partitionSet(b, 0)
 	if !servers[0].Up() {
 		t.Fatal("partition took the server down; it must only hide it from routing")
@@ -51,7 +50,7 @@ func TestPartitionedServerStaysUp(t *testing.T) {
 
 func TestRouteNilWhenAllPartitioned(t *testing.T) {
 	servers := pool(2)
-	b := must(New(servers, LeastLoaded))
+	b := must(New(servers))
 	partitionSet(b, 0, 1)
 	if s := b.Route(reqFor(workload.AliNormal)); s != nil {
 		t.Fatalf("Route returned %v with every server partitioned, want nil", s)
@@ -62,10 +61,10 @@ func TestRouteNilWhenAllPartitioned(t *testing.T) {
 // of a partition window closing.
 func TestHealedServerRejoinsRotation(t *testing.T) {
 	servers := pool(3)
-	b := must(New(servers, RoundRobin))
+	b := must(New(servers))
 	cut := partitionSet(b, 2)
 	for i := 0; i < 6; i++ {
-		if s := b.Route(reqFor(workload.AliNormal)); s.ID == 2 {
+		if s := dispatch(b, workload.AliNormal); s.ID == 2 {
 			t.Fatal("routed to the partitioned server")
 		}
 	}
@@ -85,7 +84,7 @@ func TestHealedServerRejoinsRotation(t *testing.T) {
 func TestSuspectPoolSplitSurvivesPartition(t *testing.T) {
 	servers := pool(4)
 	servers[0].Suspect = true
-	b := must(New(servers, LeastLoaded))
+	b := must(New(servers))
 	b.SetSuspectList([]string{workload.Lookup(workload.KMeans).URL})
 
 	// Sanity: suspect traffic lands on the suspect pool while reachable.
@@ -106,16 +105,16 @@ func TestSuspectPoolSplitSurvivesPartition(t *testing.T) {
 }
 
 // TestNilPredicateKeepsHistoricalRotation pins the compatibility contract:
-// without SetReachable (and with a predicate admitting everyone) the
-// round-robin sequence is byte-identical to the historical one.
+// a predicate admitting everyone picks exactly what no predicate picks,
+// the least-loaded server with ties going to the first in pool order.
 func TestNilPredicateKeepsHistoricalRotation(t *testing.T) {
-	want := []int{1, 2, 0, 1, 2, 0, 1, 2, 0} // rrNext pre-increments
+	want := []int{0, 1, 2, 0, 1, 2, 0, 1, 2}
 	run := func(name string, prep func(b *Balancer)) {
 		servers := pool(3)
-		b := must(New(servers, RoundRobin))
+		b := must(New(servers))
 		prep(b)
 		for i, w := range want {
-			if got := b.Route(reqFor(workload.AliNormal)).ID; got != w {
+			if got := dispatch(b, workload.AliNormal).ID; got != w {
 				t.Fatalf("%s: rotation diverged at %d: got %d, want %d", name, i, got, w)
 			}
 		}

@@ -20,23 +20,11 @@ type Config struct {
 	// BreakerLimitW is the power threshold of the overshoot analysis
 	// (normally the run's utility budget in watts); <= 0 disables it.
 	BreakerLimitW float64
-	// WindowSec is the retry-storm window width; <= 0 selects the
-	// timeline default (1 s).
-	WindowSec float64
-	// StormRetries is the per-link per-window retry count at which a
-	// window counts as storming; 0 selects the default of 5.
-	StormRetries uint64
 }
 
-func (c Config) defaults() Config {
-	if c.WindowSec <= 0 {
-		c.WindowSec = obs.DefaultTimelineWindowSec
-	}
-	if c.StormRetries == 0 {
-		c.StormRetries = 5
-	}
-	return c
-}
+// stormRetries is the per-link retry count at which one timeline window
+// (obs.DefaultTimelineWindowSec wide) counts as storming.
+const stormRetries = 5
 
 // Attack is one ground-truth attack window reconstructed from the
 // attack-on/attack-off markers.
@@ -97,7 +85,7 @@ type DVFSLatency struct {
 }
 
 // Storm is one maximal run of consecutive windows in which a link's retry
-// count stayed at or above the configured threshold.
+// count stayed at or above stormRetries.
 type Storm struct {
 	Link    int32
 	StartS  float64
@@ -122,7 +110,6 @@ type Report struct {
 
 // Run analyzes one event stream in insertion (= simulation) order.
 func Run(events []obs.Event, cfg Config) *Report {
-	cfg = cfg.defaults()
 	rep := &Report{
 		Config:     cfg,
 		Events:     len(events),
@@ -137,7 +124,7 @@ func Run(events []obs.Event, cfg Config) *Report {
 	rep.Detection = detection(events, rep.Attacks)
 	rep.Overshoot = overshoot(events, cfg.BreakerLimitW)
 	rep.DVFS = dvfsLatency(events)
-	rep.Storms = storms(events, cfg)
+	rep.Storms = storms(events)
 	return rep
 }
 
@@ -373,8 +360,8 @@ func nearestRank(sorted []float64, q float64) float64 {
 // storms folds per-link retries into fixed windows and merges consecutive
 // windows at or above the threshold into maximal storm runs, ordered by
 // link then start.
-func storms(events []obs.Event, cfg Config) []Storm {
-	tl := obs.NewTimeline(cfg.WindowSec, 0)
+func storms(events []obs.Event) []Storm {
+	tl := obs.NewTimeline(obs.DefaultTimelineWindowSec, 0)
 	for _, ev := range events {
 		if ev.Kind == obs.KindNetRetry {
 			tl.Add(ev)
@@ -388,15 +375,15 @@ func storms(events []obs.Event, cfg Config) []Storm {
 			if !inStorm {
 				return
 			}
-			cur.EndS = float64(endWin) * cfg.WindowSec
+			cur.EndS = float64(endWin) * obs.DefaultTimelineWindowSec
 			out = append(out, cur)
 			inStorm = false
 		}
 		for w, n := range row {
-			if n >= cfg.StormRetries {
+			if n >= stormRetries {
 				if !inStorm {
 					inStorm = true
-					cur = Storm{Link: int32(link), StartS: float64(w) * cfg.WindowSec}
+					cur = Storm{Link: int32(link), StartS: float64(w) * obs.DefaultTimelineWindowSec}
 					cur.Retries = 0
 				}
 				cur.Retries += n

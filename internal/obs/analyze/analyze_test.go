@@ -129,7 +129,7 @@ func TestStorms(t *testing.T) {
 	emit(3, 2.0, 7) // window 2: over
 	emit(3, 4.0, 5) // window 4: separate storm after a quiet window
 	emit(5, 1.0, 4) // under threshold
-	storms := Run(evs, Config{WindowSec: 1, StormRetries: 5}).Storms
+	storms := Run(evs, Config{}).Storms
 	if len(storms) != 2 {
 		t.Fatalf("got %d storms, want 2: %+v", len(storms), storms)
 	}

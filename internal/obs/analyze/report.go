@@ -104,8 +104,8 @@ func (r *Report) WriteText(w io.Writer) error {
 
 	line()
 	line("## retry_storms",
-		"window_s="+obs.FormatFloat(r.Config.WindowSec),
-		"threshold="+strconv.FormatUint(r.Config.StormRetries, 10))
+		"window_s="+obs.FormatFloat(obs.DefaultTimelineWindowSec),
+		"threshold="+strconv.Itoa(stormRetries))
 	if len(r.Storms) == 0 {
 		line("(none)")
 	}

@@ -34,7 +34,6 @@ func TestParseErrors(t *testing.T) {
 		{"inf value", minimal("workload:\n  normal_rps: +Inf\n"), "non-finite"},
 		{"quoted number", minimal("workload:\n  normal_rps: \"60\"\n"), "expected a number"},
 		{"unknown scheme", minimal("defense:\n  scheme: firewalling\n"), `unknown defense scheme "firewalling"`},
-		{"unknown policy", minimal("defense:\n  policy: random\n"), `unknown balancer policy "random"`},
 		{"unknown class", minimal("attack:\n  floods:\n    - class: Bitcoin\n"), `unknown request class "Bitcoin"`},
 		{"unknown fault kind", minimal("faults:\n  events:\n    - kind: meteor\n      duration: 5\n"), `unknown fault kind "meteor"`},
 		{"unknown metric", minimal("runs:\n  - name: a\n  - name: b\nassert:\n  order:\n    - metric: vibes\n      runs: [a, b]\n"), `unknown metric "vibes"`},
@@ -56,13 +55,23 @@ func TestParseErrors(t *testing.T) {
 		{"tab indentation", "scenario: t\nsim:\n\thorizon: 60\n", "tab"},
 		{"duplicate key", "scenario: t\nsim:\n  horizon: 60\n  horizon: 70\n", "duplicate key"},
 		{"bad quoted string", minimal("description: \"unterminated\n"), ""},
-		{"growth below one", minimal("attack:\n  dope:\n    growth: 0.5\n"), "growth must exceed 1"},
-		{"backoff at one", minimal("attack:\n  dope:\n    backoff: 1\n"), "backoff 1 must be below 1"},
 		{"sustain frac above one", minimal("cluster:\n  battery_sustain_frac: 1.5\n"), "fraction in [0, 1]"},
 		{"suspect pool frac at one", minimal("defense:\n  suspect_pool_frac: 1\n"), "fraction below 1"},
 		{"scalar where mapping expected", "scenario: t\nsim: 60\n", "expected a mapping"},
 		{"mapping where list expected", minimal("attack:\n  floods:\n    inner: 1\n"), "expected a list"},
 		{"non-boolean decreasing", minimal("runs:\n  - name: a\n  - name: b\nassert:\n  order:\n    - metric: sla\n      runs: [a, b]\n      decreasing: yes\n"), "expected true or false"},
+		{"json document", `{"scenario": "j", "sim": {"horizon": 60}}`, `line 1:1: expected "key: value"`},
+		// The settings every run shares are constants, not keys: the control
+		// slot, the DOPE probe epoch and slowdown, the rack's size and
+		// battery, the client count, the balancer policy, a run's own budget
+		// (a matrix cell still sets one) and every attacker key but start.
+		{"sim slot key", minimal("  slot: 1\n"), `line 4:3: sim.slot: unknown key "slot"`},
+		{"cluster servers key", minimal("cluster:\n  servers: 4\n"), `line 5:3: cluster.servers: unknown key "servers"`},
+		{"workload normal_sources key", minimal("workload:\n  normal_sources: 64\n"), `line 5:3: workload.normal_sources: unknown key "normal_sources"`},
+		{"unknown policy", minimal("defense:\n  policy: least-loaded\n"), `line 5:3: defense.policy: unknown key "policy"`},
+		{"run budget key", minimal("runs:\n  - name: a\n    budget: low\n"), `line 6:5: runs[0].budget: unknown key "budget"`},
+		{"growth below one", minimal("attack:\n  dope:\n    growth: 0.5\n"), `line 6:5: attack.dope.growth: unknown key "growth"`},
+		{"backoff at one", minimal("attack:\n  dope:\n    backoff: 1\n"), `line 6:5: attack.dope.backoff: unknown key "backoff"`},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -99,11 +108,13 @@ func TestParseErrorPositions(t *testing.T) {
 	}
 }
 
-// TestNormalizeErrors covers constraints that only bind once defaults
-// fill in and every section is read: cross-field DOPE checks, empty faults
-// blocks, matrix duplicates, and ordering assertions that reference
-// unknown runs. Load rejects each with its exact message, which names the
-// file and the path but no position.
+// TestNormalizeErrors covers constraints that only bind once every
+// section is read: empty faults blocks, matrix duplicates, and ordering
+// assertions that reference unknown runs. Load rejects each with its exact
+// message, which names the file and the path but no position. The two
+// DOPE documents set attacker rates and agents that contradict each
+// other; the attacker is attack.DefaultDopeConfig, whose fields are no
+// keys, so Load rejects the first one with its position.
 func TestNormalizeErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -114,9 +125,9 @@ func TestNormalizeErrors(t *testing.T) {
 			`case.yaml: assert.order[0].runs[1]: ordering references unknown run "ghost"`},
 		{"empty faults block", minimal("faults: {}\n"), ""}, // rejected at parse: flow mappings are not scalars
 		{"dope max below initial", minimal("attack:\n  dope:\n    initial_rps: 500\n    max_rps: 100\n"),
-			"case.yaml: attack.dope: max_rps 100 below initial_rps 500"},
+			`case.yaml: line 6:5: attack.dope.initial_rps: unknown key "initial_rps"`},
 		{"dope max_agents below agents", minimal("attack:\n  dope:\n    agents: 64\n    max_agents: 8\n"),
-			"case.yaml: attack.dope: max_agents 8 below agents 64"},
+			`case.yaml: line 6:5: attack.dope.agents: unknown key "agents"`},
 		{"duplicate matrix cell", minimal("matrix:\n  schemes: [capping, capping]\n"),
 			`case.yaml: matrix: duplicate matrix cell "capping"`},
 	}

@@ -36,9 +36,10 @@ func FuzzScenario(f *testing.F) {
 		}
 		f.Add(raw)
 	}
-	// Hand-picked edges: minimal, JSON, matrix sugar, and near-miss inputs.
+	// Hand-picked edges: minimal, an unknown sim key, matrix sugar, and
+	// near-miss inputs.
 	f.Add([]byte("scenario: t\nsim:\n  horizon: 60\n"))
-	f.Add([]byte(`{"scenario": "j", "sim": {"horizon": 60}}`))
+	f.Add([]byte("scenario: t\nsim:\n  horizon: 60\n  slot: 1\n"))
 	f.Add([]byte("scenario: m\nsim:\n  horizon: 60\nmatrix:\n  schemes: [capping, token]\n  budgets: [low, high]\n"))
 	f.Add([]byte("scenario: d\nsim:\n  horizon: 60\nattack:\n  dope:\n    start: 10\n"))
 	f.Add([]byte("scenario: f\nsim:\n  horizon: 60\nfaults:\n  events:\n    - kind: server-crash\n      at: 5\n      duration: 3\n"))

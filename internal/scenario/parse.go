@@ -11,18 +11,16 @@ import (
 	"antidope/internal/cluster"
 	"antidope/internal/defense"
 	"antidope/internal/faults"
-	"antidope/internal/netlb"
 	"antidope/internal/workload"
 )
 
-// Parse decodes one scenario document (YAML subset or JSON) into typed,
-// resolved runs. Every diagnostic is a *Error carrying the file, the
-// position and the dotted field path; unknown keys, malformed values,
+// Parse decodes one scenario document (the YAML subset of yaml.go) into
+// typed, resolved runs. Every diagnostic is a *Error carrying the file,
+// the position and the dotted field path; unknown keys, malformed values,
 // non-finite numbers, unknown enum spellings, overlapping fault windows,
-// contradictory DOPE settings, empty fault blocks, duplicate matrix cells
-// and orderings over unknown runs are all rejected here, so a parsed
-// Scenario is always semantically sound. Parse never panics, whatever the
-// input bytes contain.
+// empty fault blocks, duplicate matrix cells and orderings over unknown
+// runs are all rejected here, so a parsed Scenario is always semantically
+// sound. Parse never panics, whatever the input bytes contain.
 func Parse(file string, data []byte) (*Scenario, error) {
 	root, err := parseDoc(file, data)
 	if err != nil {
@@ -240,7 +238,6 @@ var (
 	budgets   = budgetEnum()
 	classes   = classEnum()
 	layers    = enumOf("attack layer", attack.AllLayers())
-	policies  = enumOf("balancer policy", netlb.AllPolicies())
 	kinds     = enumOf("fault kind", faults.AllKinds())
 	schemes   = nameEnum("defense scheme", defense.SchemeNames())
 	firewalls = nameEnum("firewall mode", []string{"off", "on", "limit"})
@@ -376,17 +373,9 @@ func (d *dec) sim(n *node, path string) (SimSpec, error) {
 	if out.Horizon <= 0 {
 		return out, d.errAt(hn.pos, m.child("horizon"), "horizon must be positive (got %s)", hn.val)
 	}
-	for _, f := range []struct {
-		key string
-		dst *float64
-	}{
-		{"slot", &out.Slot}, {"warmup", &out.Warmup},
-		{"dope_epoch", &out.DopeEpoch}, {"dope_slowdown", &out.DopeSlowdown},
-	} {
-		if vn := m.get(f.key); vn != nil {
-			if *f.dst, err = d.nonNeg(vn, m.child(f.key)); err != nil {
-				return out, err
-			}
+	if vn := m.get("warmup"); vn != nil {
+		if out.Warmup, err = d.nonNeg(vn, m.child("warmup")); err != nil {
+			return out, err
 		}
 	}
 	return out, m.finish()
@@ -398,25 +387,12 @@ func (d *dec) cluster(n *node, path string, doc *document) error {
 	if err != nil {
 		return err
 	}
-	if vn := m.get("servers"); vn != nil {
-		if out.Servers, err = d.int(vn, m.child("servers")); err != nil {
-			return err
-		}
-		if out.Servers < 0 {
-			return d.errAt(vn.pos, m.child("servers"), "must not be negative")
-		}
-	}
 	if vn := m.get("budget"); vn != nil {
 		b, err := budgets.decode(d, vn, m.child("budget"))
 		if err != nil {
 			return err
 		}
 		doc.base.Budget = &b
-	}
-	if vn := m.get("battery_autonomy_sec"); vn != nil {
-		if out.BatteryAutonomySec, err = d.nonNeg(vn, m.child("battery_autonomy_sec")); err != nil {
-			return err
-		}
 	}
 	if vn := m.get("battery_sustain_frac"); vn != nil {
 		if out.BatterySustainFrac, err = d.nonNeg(vn, m.child("battery_sustain_frac")); err != nil {
@@ -438,14 +414,6 @@ func (d *dec) workload(n *node, path string) (WorkloadSpec, error) {
 	if vn := m.get("normal_rps"); vn != nil {
 		if out.NormalRPS, err = d.nonNeg(vn, m.child("normal_rps")); err != nil {
 			return out, err
-		}
-	}
-	if vn := m.get("normal_sources"); vn != nil {
-		if out.NormalSources, err = d.int(vn, m.child("normal_sources")); err != nil {
-			return out, err
-		}
-		if out.NormalSources < 0 {
-			return out, d.errAt(vn.pos, m.child("normal_sources"), "must not be negative")
 		}
 	}
 	if vn := m.get("mix"); vn != nil {
@@ -471,13 +439,6 @@ func (d *dec) defense(n *node, path string, doc *document) error {
 		if doc.base.Firewall, err = firewalls.decode(d, vn, m.child("firewall")); err != nil {
 			return err
 		}
-	}
-	if vn := m.get("policy"); vn != nil {
-		p, err := policies.decode(d, vn, m.child("policy"))
-		if err != nil {
-			return err
-		}
-		out.Policy = &p
 	}
 	if vn := m.get("suspect_pool_frac"); vn != nil {
 		if out.SuspectPoolFrac, err = d.nonNeg(vn, m.child("suspect_pool_frac")); err != nil {
@@ -510,9 +471,10 @@ func (d *dec) attack(n *node, path string) (*AttackSpec, error) {
 		}
 	}
 	if dn := m.get("dope"); dn != nil {
-		if out.Dope, out.DopeStart, err = d.dope(dn, m.child("dope")); err != nil {
+		if out.DopeStart, err = d.dope(dn, m.child("dope")); err != nil {
 			return nil, err
 		}
+		out.Dope = true
 	}
 	if sn := m.get("switching"); sn != nil {
 		if out.Switching, err = d.switching(sn, m.child("switching")); err != nil {
@@ -571,62 +533,20 @@ func (d *dec) flood(n *node, path string) (FloodSpec, error) {
 	return out, m.finish()
 }
 
-// dope decodes the adaptive attacker: attack.DefaultDopeConfig with every
-// non-zero field the document sets, and the attacker's start.
-func (d *dec) dope(n *node, path string) (*attack.DopeConfig, float64, error) {
-	out := attack.DefaultDopeConfig()
-	var start float64
+// dope decodes the adaptive attacker's block: attack.DefaultDopeConfig
+// runs from its start.
+func (d *dec) dope(n *node, path string) (float64, error) {
 	m, err := d.mapping(n, path)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	for _, f := range []struct {
-		key string
-		dst *float64
-	}{
-		{"start", &start}, {"initial_rps", &out.InitialRPS}, {"max_rps", &out.MaxRPS},
-		{"growth", &out.Growth}, {"backoff", &out.Backoff}, {"safety_margin", &out.SafetyMargin},
-	} {
-		if vn := m.get(f.key); vn != nil {
-			v, err := d.nonNeg(vn, m.child(f.key))
-			if err != nil {
-				return nil, 0, err
-			}
-			if v > 0 {
-				*f.dst = v
-			}
+	var start float64
+	if vn := m.get("start"); vn != nil {
+		if start, err = d.nonNeg(vn, m.child("start")); err != nil {
+			return 0, err
 		}
 	}
-	var targets int
-	for _, f := range []struct {
-		key string
-		dst *int
-	}{
-		{"agents", &out.Agents}, {"max_agents", &out.MaxAgents}, {"targets", &targets},
-	} {
-		if vn := m.get(f.key); vn != nil {
-			v, err := d.int(vn, m.child(f.key))
-			if err != nil {
-				return nil, 0, err
-			}
-			if v < 0 {
-				return nil, 0, d.errAt(vn.pos, m.child(f.key), "must not be negative")
-			}
-			if v > 0 {
-				*f.dst = v
-			}
-		}
-	}
-	if targets > 0 {
-		out.Targets = attack.SelectTargets(targets)
-	}
-	if vn := m.n.get("growth"); vn != nil && out.Growth <= 1 {
-		return nil, 0, d.errAt(vn.pos, m.child("growth"), "growth must exceed 1")
-	}
-	if vn := m.n.get("safety_margin"); vn != nil && out.SafetyMargin >= 1 {
-		return nil, 0, d.errAt(vn.pos, m.child("safety_margin"), "safety margin must be below 1")
-	}
-	return &out, start, m.finish()
+	return start, m.finish()
 }
 
 func (d *dec) switching(n *node, path string) (*SwitchingSpec, error) {
@@ -921,13 +841,6 @@ func (d *dec) run(n *node, path string) (runDoc, error) {
 			return out, err
 		}
 	}
-	if vn := m.get("budget"); vn != nil {
-		b, err := budgets.decode(d, vn, m.child("budget"))
-		if err != nil {
-			return out, err
-		}
-		out.budget = &b
-	}
 	if vn := m.get("firewall"); vn != nil {
 		if out.firewall, err = firewalls.decode(d, vn, m.child("firewall")); err != nil {
 			return out, err
@@ -1039,9 +952,6 @@ func (d *dec) order(n *node, path string) (OrderSpec, error) {
 // errors name a path but no position.
 func (d *dec) resolve(doc *document) (*Scenario, error) {
 	s, base := &doc.s, doc.base
-	if err := d.checkDope(base.Attack.Dope, "attack"); err != nil {
-		return nil, err
-	}
 	if err := d.checkFaults(base.Faults, "faults"); err != nil {
 		return nil, err
 	}
@@ -1062,9 +972,6 @@ func (d *dec) resolve(doc *document) (*Scenario, error) {
 		run := base
 		run.Name = r.name
 		if r.attack != nil {
-			if err := d.checkDope(r.attack.Dope, path+".attack"); err != nil {
-				return nil, err
-			}
 			run.Attack = *r.attack
 		}
 		if err := d.checkFaults(r.faults, path+".faults"); err != nil {
@@ -1094,22 +1001,6 @@ func (d *dec) resolve(doc *document) (*Scenario, error) {
 		s.Runs = append(s.Runs, run)
 	}
 	return s, d.checkOrderRefs(s)
-}
-
-// checkDope rejects a DOPE attacker whose fields, with the defaults filled
-// in, contradict each other.
-func (d *dec) checkDope(dc *attack.DopeConfig, path string) error {
-	switch {
-	case dc == nil:
-		return nil
-	case dc.MaxRPS < dc.InitialRPS:
-		return d.errAt(pos{}, path+".dope", "max_rps %g below initial_rps %g", dc.MaxRPS, dc.InitialRPS)
-	case dc.Backoff >= 1:
-		return d.errAt(pos{}, path+".dope.backoff", "backoff %g must be below 1", dc.Backoff)
-	case dc.MaxAgents < dc.Agents:
-		return d.errAt(pos{}, path+".dope", "max_agents %d below agents %d", dc.MaxAgents, dc.Agents)
-	}
-	return nil
 }
 
 // checkFaults rejects a fault block with nothing in it.

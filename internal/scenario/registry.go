@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// Load reads and parses one scenario file (.yaml, .yml or .json).
+// Load reads and parses one scenario file.
 func Load(path string) (*Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -23,8 +23,9 @@ type Entry struct {
 	Scenario *Scenario
 }
 
-// LoadDir loads every scenario document in a directory, sorted by file
-// name so suites run in a stable order. Non-scenario files are ignored.
+// LoadDir loads every scenario document (.yaml or .yml) in a directory,
+// sorted by file name so suites run in a stable order. Other files are
+// ignored.
 func LoadDir(dir string) ([]Entry, error) {
 	names, err := os.ReadDir(dir)
 	if err != nil {
@@ -36,7 +37,7 @@ func LoadDir(dir string) ([]Entry, error) {
 			continue
 		}
 		switch strings.ToLower(filepath.Ext(de.Name())) {
-		case ".yaml", ".yml", ".json":
+		case ".yaml", ".yml":
 		default:
 			continue
 		}
@@ -49,7 +50,7 @@ func LoadDir(dir string) ([]Entry, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	if len(out) == 0 {
-		return nil, fmt.Errorf("scenario: no scenario files (.yaml/.yml/.json) in %s", dir)
+		return nil, fmt.Errorf("scenario: no scenario files (.yaml/.yml) in %s", dir)
 	}
 	return out, nil
 }

@@ -1,8 +1,8 @@
 // Package scenario is the declarative experiment layer's document: a
-// YAML/JSON format that composes workload mix, cluster shape, attack
-// program (static floods, the adaptive DOPE attacker, the switching
-// rotation), fault schedule, defense scheme and firewall/balancer policy,
-// and acceptance assertions into a single scenario.
+// YAML format that composes workload mix, power budget, attack program
+// (static floods, the adaptive DOPE attacker, the switching rotation),
+// fault schedule, defense scheme and firewall mode, and acceptance
+// assertions into a single scenario.
 //
 // The pipeline is
 //
@@ -10,7 +10,7 @@
 //
 // Parse decodes a document once into typed runs: every enum holds the
 // value of the package that owns it (cluster.BudgetLevel, workload.Class,
-// attack.Layer, netlb.Policy, faults.Event, and defense's scheme names),
+// attack.Layer, faults.Event, and defense's scheme names),
 // the matrix block expands into runs, and each run carries its overrides
 // of the scenario's defaults already resolved. The compiler lives in
 // internal/experiments, next to the job builders it lowers runs onto, and
@@ -22,15 +22,14 @@
 // value it reads stay one table.
 //
 // Every parse/validation failure is a *scenario.Error carrying the file,
-// the line/column (for YAML input), and the dotted field path; malformed
-// input never panics.
+// the line/column (absent for the checks that span the whole document),
+// and the dotted field path; malformed input never panics.
 package scenario
 
 import (
 	"antidope/internal/attack"
 	"antidope/internal/cluster"
 	"antidope/internal/faults"
-	"antidope/internal/netlb"
 	"antidope/internal/workload"
 )
 
@@ -63,21 +62,12 @@ type SimSpec struct {
 	// mode shrinks it through experiments.Options.Horizon exactly like the
 	// figures' windows.
 	Horizon float64
-	// Slot is the power-control period.
-	Slot float64
 	// Warmup excludes the initial transient from latency statistics.
 	Warmup float64
-	// DopeEpoch and DopeSlowdown parameterize the adaptive attacker's
-	// feedback loop.
-	DopeEpoch    float64
-	DopeSlowdown float64
 }
 
-// ClusterSpec shapes the power domain. Zero fields keep the rack of
-// experiments.BaseConfig.
+// ClusterSpec shapes the power domain of experiments.BaseConfig's rack.
 type ClusterSpec struct {
-	Servers            int
-	BatteryAutonomySec float64
 	// BatterySustainFrac, when positive, sizes the UPS sustain draw as
 	// this fraction of cluster nameplate — the Section 6 gap sizing is
 	// 0.2.
@@ -86,11 +76,10 @@ type ClusterSpec struct {
 
 // WorkloadSpec is the legitimate traffic.
 type WorkloadSpec struct {
-	// NormalRPS / NormalSources drive the single-class AliOS stream; zero
-	// keeps BaseConfig's, except that a mix other than "none" replaces
-	// the stream unless the document sets a rate.
-	NormalRPS     float64
-	NormalSources int
+	// NormalRPS drives the single-class AliOS stream; zero keeps
+	// BaseConfig's, except that a mix other than "none" replaces the
+	// stream unless the document sets a rate.
+	NormalRPS float64
 	// Mix selects an extra-source preset: "none", "eval" (the Section 6
 	// multi-endpoint legitimate mix) or "fig18" (the warm-pool mix of the
 	// battery study).
@@ -100,8 +89,6 @@ type WorkloadSpec struct {
 // DefenseSpec is the scenario-wide part of the control plane; the scheme
 // and firewall mode are per run (RunSpec).
 type DefenseSpec struct {
-	// Policy, when set, replaces BaseConfig's balancer policy.
-	Policy *netlb.Policy
 	// SuspectPoolFrac, when positive, overrides the Anti-DOPE suspect-pool
 	// share of the rack (the Figure 18 deployment uses 0.5). Ignored by
 	// every other scheme.
@@ -139,10 +126,9 @@ type SwitchingSpec struct {
 // AttackSpec composes the attack program. All three parts may be combined.
 type AttackSpec struct {
 	Floods []FloodSpec
-	// Dope, when set, runs the adaptive Figure 12 attacker:
-	// attack.DefaultDopeConfig with the fields the document sets.
-	Dope *attack.DopeConfig
-	// DopeStart delays the attacker's first request.
+	// Dope, when set, runs the adaptive Figure 12 attacker,
+	// attack.DefaultDopeConfig, from DopeStart on.
+	Dope      bool
 	DopeStart float64
 	Switching *SwitchingSpec
 }
@@ -169,7 +155,8 @@ type RunSpec struct {
 	Name string
 	// Scheme is a defense.SchemeNames name; "none" unless set.
 	Scheme string
-	// Budget, when set, replaces BaseConfig's provisioning level.
+	// Budget, when set, replaces BaseConfig's provisioning level: the
+	// scenario's cluster.budget, or the run's matrix cell.
 	Budget *cluster.BudgetLevel
 	// Firewall is "off", "on" (deflate ban semantics) or "limit" (classic
 	// rate limiting); "" keeps BaseConfig's disabled firewall, as "off"

@@ -10,7 +10,6 @@ import (
 	"antidope/internal/cluster"
 	"antidope/internal/defense"
 	"antidope/internal/faults"
-	"antidope/internal/netlb"
 	"antidope/internal/power"
 	"antidope/internal/workload"
 )
@@ -42,8 +41,8 @@ func checkEnum[T comparable](t *testing.T, e *enum[T], want []T, name func(T) st
 }
 
 // TestSpellingsRoundTrip pins every DSL spelling to the typed value it
-// names: budgets, classes, layers, policies and fault kinds are the names
-// their packages print, schemes are defense's registry, and each list
+// names: budgets, classes, layers and fault kinds are the names their
+// packages print, schemes are defense's registry, and each list
 // covers every value its owner names.
 func TestSpellingsRoundTrip(t *testing.T) {
 	checkEnum(t, budgets, cluster.AllBudgetLevels(), cluster.BudgetLevel.String)
@@ -64,7 +63,6 @@ func TestSpellingsRoundTrip(t *testing.T) {
 	}
 
 	checkEnum(t, layers, attack.AllLayers(), attack.Layer.String)
-	checkEnum(t, policies, netlb.AllPolicies(), netlb.Policy.String)
 	checkEnum(t, kinds, faults.AllKinds(), faults.Kind.String)
 	// Each list ends where its owner's names end.
 	if n := len(attack.AllLayers()); attack.Layer(n).String() != fmt.Sprintf("Layer(%d)", n) {
@@ -75,9 +73,6 @@ func TestSpellingsRoundTrip(t *testing.T) {
 	}
 	if n := len(cluster.AllBudgetLevels()); cluster.BudgetLevel(n).String() != fmt.Sprintf("BudgetLevel(%d)", n) {
 		t.Errorf("cluster.AllBudgetLevels misses %v", cluster.BudgetLevel(n))
-	}
-	if len(netlb.AllPolicies()) != 2 || netlb.RoundRobin.String() == netlb.LeastLoaded.String() {
-		t.Errorf("policies %v do not name both netlb policies apart", netlb.AllPolicies())
 	}
 
 	ident := func(s string) string { return s }

@@ -9,23 +9,19 @@ package scenario
 //   - scalars:   bare tokens or double-quoted Go strings
 //   - comments:  "#" at line start or preceded by whitespace
 //
-// Anchors, flow mappings, multi-document streams, multiline scalars and
-// tabs are not part of the subset and are rejected with a position. JSON
-// documents (first byte "{") are accepted too — encoding/json is close
-// enough to a YAML subset — with paths instead of line numbers in errors.
+// Anchors, flow mappings (and so JSON documents), multi-document streams,
+// multiline scalars and tabs are not part of the subset and are rejected
+// with a position.
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
 
 // Error is the diagnostic every parse/validation failure carries: the
-// file, the position (line/col, 1-based, when the input was YAML) and the
-// dotted field path.
+// file, the position (line/col, 1-based; absent for the checks that span
+// the whole document) and the dotted field path.
 type Error struct {
 	File      string
 	Line, Col int
@@ -103,12 +99,8 @@ func errAt(file string, p pos, path, format string, args ...any) *Error {
 	return &Error{File: file, Line: p.line, Col: p.col, Path: path, Msg: fmt.Sprintf(format, args...)}
 }
 
-// parseDoc turns a document (YAML subset or JSON) into a mapping node.
+// parseDoc turns a document into a mapping node.
 func parseDoc(file string, data []byte) (*node, error) {
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '{' {
-		return jsonToNode(file, data)
-	}
 	p := &parser{file: file}
 	if err := p.preprocess(data); err != nil {
 		return nil, err
@@ -348,55 +340,4 @@ func joinPath(base, key string) string {
 		return key
 	}
 	return base + "." + key
-}
-
-// jsonToNode converts a JSON document into the node tree. Mapping entries
-// are sorted by key so diagnostics stay deterministic; positions are
-// absent (paths carry the location instead).
-func jsonToNode(file string, data []byte) (*node, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		return nil, &Error{File: file, Msg: fmt.Sprintf("invalid JSON: %v", err)}
-	}
-	return jsonValue(file, "", v)
-}
-
-func jsonValue(file, path string, v any) (*node, error) {
-	switch x := v.(type) {
-	case map[string]any:
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		out := &node{kind: mapNode}
-		for _, k := range keys {
-			child, err := jsonValue(file, joinPath(path, k), x[k])
-			if err != nil {
-				return nil, err
-			}
-			out.entries = append(out.entries, entry{key: k, val: child})
-		}
-		return out, nil
-	case []any:
-		out := &node{kind: seqNode}
-		for i, it := range x {
-			child, err := jsonValue(file, fmt.Sprintf("%s[%d]", path, i), it)
-			if err != nil {
-				return nil, err
-			}
-			out.items = append(out.items, child)
-		}
-		return out, nil
-	case string:
-		return &node{kind: scalarNode, val: x, quoted: true}, nil
-	case json.Number:
-		return &node{kind: scalarNode, val: x.String()}, nil
-	case bool:
-		return &node{kind: scalarNode, val: strconv.FormatBool(x)}, nil
-	default:
-		return nil, &Error{File: file, Path: path, Msg: "null values are not allowed"}
-	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"antidope/internal/core"
+	"antidope/internal/defense"
 )
 
 // SLA is a set of service-level objectives; zero-valued fields are not
@@ -169,9 +170,6 @@ type prober struct {
 func (p *prober) config(rps float64) core.Config {
 	cfg := p.template
 	cfg.NormalRPS = rps
-	if cfg.NormalSources <= 0 {
-		cfg.NormalSources = 64
-	}
 	return cfg
 }
 
@@ -192,8 +190,8 @@ func (p *prober) met(rps float64) (bool, error) {
 	}
 	planned := p.sim.PlannedLegit()
 	p.sim.Start()
-	for k := 1; float64(k)*cfg.SlotSec < cfg.Horizon; k++ {
-		t := float64(k) * cfg.SlotSec
+	for k := 1; float64(k)*defense.SlotSec < cfg.Horizon; k++ {
+		t := float64(k) * defense.SlotSec
 		p.sim.RunTo(t)
 		if p.objectives.availabilityLost(planned, p.sim.DroppedLegit()) {
 			p.stoppedAt = t
