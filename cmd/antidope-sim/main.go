@@ -1,14 +1,14 @@
 // Command antidope-sim runs one run of a scenario document and prints its
 // measurement summary: the run paperbench -scenario reports as one table
-// row, at the same -seed, with its time series, reports and observability
-// captures (Chrome trace, event CSV, sim-time timeline) on request. The
-// document describes the run (see EXPERIMENTS.md "Authoring scenarios");
-// the flags only choose it and its exports.
+// row, at the same -seed, with its JSON summary and observability captures
+// (Chrome trace, event CSV, sim-time timeline) on request. The document
+// describes the run (see EXPERIMENTS.md "Authoring scenarios"); the flags
+// only choose it and its exports.
 //
 // Examples:
 //
 //	antidope-sim -scenario examples/quickstart.yaml -run anti-dope
-//	antidope-sim -scenario scenarios/fig12_dope.yaml -series
+//	antidope-sim -scenario examples/quickstart.yaml -run anti-dope -json run.summary.json
 //	antidope-sim -scenario examples/quickstart.yaml -run capping -trace run.trace.json -events run.csv
 package main
 
@@ -25,7 +25,6 @@ import (
 	"antidope/internal/obs"
 	"antidope/internal/report"
 	"antidope/internal/scenario"
-	"antidope/internal/stats"
 )
 
 func main() {
@@ -33,14 +32,10 @@ func main() {
 		scenarioPath = flag.String("scenario", "", "scenario document holding the run (.yaml/.yml)")
 		runName      = flag.String("run", "", "name of the run to execute; a one-run document needs none")
 		seed         = flag.Uint64("seed", 2019, "experiment seed every run's seed derives from (paperbench's -seed)")
-		series       = flag.Bool("series", false, "also print the power/battery time series")
-		reportPath   = flag.String("report", "", "write a Markdown report to this file")
-		csvPath      = flag.String("csv", "", "write the power/battery/frequency series as CSV to this file")
 		jsonPath     = flag.String("json", "", "write the machine-readable summary as JSON to this file")
 		tracePath    = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in Perfetto)")
 		eventsPath   = flag.String("events", "", "write the full structured event stream as CSV to this file")
 		tlJSON       = flag.String("timeline", "", "write the sim-time timeline (fixed windows of power/admits/drops/retries/SLA) as JSON to this file")
-		tlCSV        = flag.String("timeline-csv", "", "write the sim-time timeline as CSV to this file")
 	)
 	flag.Parse()
 
@@ -62,10 +57,10 @@ func main() {
 	cfg := job.Config
 
 	var bus *obs.Bus
-	if *tracePath != "" || *eventsPath != "" || *tlJSON != "" || *tlCSV != "" {
+	if *tracePath != "" || *eventsPath != "" || *tlJSON != "" {
 		bus = obs.NewBus()
 		cfg.Observer = bus
-		if *tlJSON != "" || *tlCSV != "" {
+		if *tlJSON != "" {
 			bus.EnableTimeline(0, 0) // package defaults: 1 s windows, 250 ms SLA bound
 		}
 	}
@@ -77,69 +72,11 @@ func main() {
 	res.Fprint(os.Stdout)
 
 	if bus != nil {
-		writeObs(bus, *tracePath, *eventsPath, *tlJSON, *tlCSV)
+		write(*tracePath, "trace", bus.WriteChromeTrace)
+		write(*eventsPath, "events", bus.WriteCSV)
+		write(*tlJSON, "timeline", bus.WriteTimelineJSON)
 	}
-
-	if *reportPath != "" {
-		f, err := os.Create(*reportPath)
-		if err != nil {
-			fatal(err)
-		}
-		title := "antidope-sim: " + job.Label
-		if err := report.Markdown(f, title, res); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("report written to %s\n", *reportPath)
-	}
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fatal(err)
-		}
-		err = report.CSV(f, []string{"power_w", "battery_soc", "mean_ghz", "vf_reduction"},
-			[]stats.Series{res.Power, res.Battery, res.Freq, res.VFRed})
-		if err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("series written to %s\n", *csvPath)
-	}
-
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := report.JSON(f, res, 60); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("summary written to %s\n", *jsonPath)
-	}
-
-	if *series {
-		sum := res.Power.Summary()
-		fmt.Printf("\npower   [%5.1f..%5.1f W] %s\n", sum.Min(), sum.Max(), res.Power.Sparkline(60))
-		bsum := res.Battery.Summary()
-		fmt.Printf("battery [%5.2f..%5.2f  ] %s\n", bsum.Min(), bsum.Max(), res.Battery.Sparkline(60))
-		fsum := res.Freq.Summary()
-		fmt.Printf("freq    [%5.2f..%5.2f G] %s\n", fsum.Min(), fsum.Max(), res.Freq.Sparkline(60))
-		fmt.Println("\npower series (t, W):")
-		for _, p := range res.Power.Downsample(40).Points {
-			fmt.Printf("  %7.1f  %6.1f\n", p.T, p.V)
-		}
-		fmt.Println("battery SoC series (t, frac):")
-		for _, p := range res.Battery.Downsample(40).Points {
-			fmt.Printf("  %7.1f  %6.3f\n", p.T, p.V)
-		}
-	}
+	write(*jsonPath, "summary", func(w io.Writer) error { return report.JSON(w, res, 60) })
 }
 
 // pickRun finds the run -run names, as the scenario report names it. An
@@ -162,29 +99,22 @@ func pickRun(plan *experiments.ScenarioPlan, name string) (harness.Job, error) {
 		plan.Scenario.Name, name, strings.Join(names, ", "))
 }
 
-// writeObs exports the run's observability capture to whichever of the
-// requested sinks.
-func writeObs(bus *obs.Bus, tracePath, eventsPath, tlJSON, tlCSV string) {
-	write := func(path, what string, render func(io.Writer) error) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := render(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s written to %s\n", what, path)
+// write renders one requested export to path; an empty path skips it.
+func write(path, what string, render func(io.Writer) error) {
+	if path == "" {
+		return
 	}
-	write(tracePath, "trace", bus.WriteChromeTrace)
-	write(eventsPath, "events", bus.WriteCSV)
-	write(tlJSON, "timeline", bus.WriteTimelineJSON)
-	write(tlCSV, "timeline CSV", bus.WriteTimelineCSV)
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := render(f); err != nil {
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("%s written to %s\n", what, path)
 }
 
 func fatal(err error) {

@@ -2,11 +2,13 @@
 // evaluation (the experiment index in DESIGN.md) and prints them with the
 // qualitative checks EXPERIMENTS.md records. The experiment groups, and the
 // block each prints, come from the table in internal/experiments: -fig and
-// -x print one group's block exactly as the full suite does.
+// -x print one group's block exactly as the full suite does. The
+// full-fidelity report at the default seed is pinned, byte for byte, by
+// internal/experiments/testdata/all_full.golden (see EXPERIMENTS.md).
 //
 // Examples:
 //
-//	paperbench              # full-fidelity suite (minutes)
+//	paperbench              # full-fidelity suite (~12 s at -parallel 2 on 2 vCPUs)
 //	paperbench -quick       # ~4x shorter windows (CI-grade)
 //	paperbench -fig 17      # the group drawing one figure (Fig. 17: the Figs. 16/17/19 grid)
 //	paperbench -x ablation  # one experiment group by name
@@ -21,6 +23,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -121,7 +124,7 @@ func run(quick bool, seed uint64, fig int, extra string, parallel int,
 		// Written even for failed runs: the manifest records which jobs
 		// failed and with what error.
 		defer func() {
-			if err := writeManifest(manifest, tele); err != nil {
+			if err := writeFile(manifest, tele.WriteManifest); err != nil {
 				fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
 				exitCode = 1
 				return
@@ -152,7 +155,7 @@ func run(quick bool, seed uint64, fig int, extra string, parallel int,
 				exitCode = 1
 				return
 			}
-			if err := writeTrace(traceOut, bus); err != nil {
+			if err := writeFile(traceOut, bus.WriteChromeTrace); err != nil {
 				fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
 				exitCode = 1
 				return
@@ -227,26 +230,14 @@ func groupNames() string {
 	return strings.Join(names, "|")
 }
 
-// writeManifest dumps the telemetry's run manifest JSON.
-func writeManifest(path string, tele *harness.Telemetry) error {
+// writeFile creates path and renders into it: the run manifest or the
+// captured Chrome trace.
+func writeFile(path string, render func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tele.WriteManifest(f); err != nil {
-		_ = f.Close() // the write error is the one worth reporting
-		return err
-	}
-	return f.Close()
-}
-
-// writeTrace renders the captured bus as Chrome trace-event JSON.
-func writeTrace(path string, bus *obs.Bus) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bus.WriteChromeTrace(f); err != nil {
+	if err := render(f); err != nil {
 		_ = f.Close() // the write error is the one worth reporting
 		return err
 	}

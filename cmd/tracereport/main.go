@@ -11,8 +11,7 @@
 //
 // Usage:
 //
-//	tracereport [-breaker W] [-o report.txt]
-//	            [-timeline out.timeline.json] [-timeline-csv out.timeline.csv] events.csv
+//	tracereport [-breaker W] [-o report.txt] [-timeline out.timeline.json] events.csv
 package main
 
 import (
@@ -27,10 +26,9 @@ import (
 
 func main() {
 	var (
-		breakerW    = flag.Float64("breaker", 0, "breaker limit in watts for the overshoot analysis (0 disables)")
-		outPath     = flag.String("o", "", "write the report here instead of stdout")
-		timelineJ   = flag.String("timeline", "", "also rebuild the sim-time timeline and write it as JSON here")
-		timelineCSV = flag.String("timeline-csv", "", "also rebuild the sim-time timeline and write it as CSV here")
+		breakerW = flag.Float64("breaker", 0, "breaker limit in watts for the overshoot analysis (0 disables)")
+		outPath  = flag.String("o", "", "write the report here instead of stdout")
+		timeline = flag.String("timeline", "", "also rebuild the sim-time timeline and write it as JSON here")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -66,31 +64,21 @@ func main() {
 		fatal(err)
 	}
 
-	if *timelineJ != "" || *timelineCSV != "" {
+	if *timeline != "" {
 		tl := obs.NewTimeline(0, 0) // package defaults, as antidope-sim -timeline captures
 		for _, ev := range events {
 			tl.Add(ev)
 		}
-		writeTo(*timelineJ, tl.WriteJSON)
-		writeTo(*timelineCSV, tl.WriteCSV)
+		tf, err := os.Create(*timeline)
+		if err != nil {
+			fatal(err)
+		}
+		if err := tl.WriteJSON(tf); err != nil {
+			fatal(err)
+		}
+		closeOrDie(tf)
+		fmt.Fprintf(os.Stderr, "tracereport: wrote %s\n", *timeline)
 	}
-}
-
-func writeTo(path string, render func(io.Writer) error) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := render(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "tracereport: wrote %s\n", path)
 }
 
 func closeOrDie(f *os.File) {

@@ -128,11 +128,11 @@ func TestObservedExportsDeterministic(t *testing.T) {
 }
 
 // TestObservedTimelineDeterministic runs the chaos scenario twice with
-// timeline aggregation armed and requires the timeline exports to be
+// timeline aggregation armed and requires the timeline export to be
 // byte-identical and schema-valid — the integration-level counterpart of
 // the replay tests in internal/obs.
 func TestObservedTimelineDeterministic(t *testing.T) {
-	render := func() (js, csv []byte) {
+	render := func() []byte {
 		cfg := obsChaosConfig()
 		bus := obs.NewBus()
 		bus.EnableTimeline(0, 0)
@@ -140,22 +140,16 @@ func TestObservedTimelineDeterministic(t *testing.T) {
 		if _, err := core.RunOnce(cfg); err != nil {
 			t.Fatalf("RunOnce: %v", err)
 		}
-		var jb, cb bytes.Buffer
+		var jb bytes.Buffer
 		if err := bus.WriteTimelineJSON(&jb); err != nil {
 			t.Fatalf("WriteTimelineJSON: %v", err)
 		}
-		if err := bus.WriteTimelineCSV(&cb); err != nil {
-			t.Fatalf("WriteTimelineCSV: %v", err)
-		}
-		return jb.Bytes(), cb.Bytes()
+		return jb.Bytes()
 	}
-	j1, c1 := render()
-	j2, c2 := render()
+	j1 := render()
+	j2 := render()
 	if !bytes.Equal(j1, j2) {
 		t.Error("timeline JSON not byte-identical across runs")
-	}
-	if !bytes.Equal(c1, c2) {
-		t.Error("timeline CSV not byte-identical across runs")
 	}
 	if err := obs.ValidateTimeline(j1); err != nil {
 		t.Errorf("timeline fails validation: %v", err)

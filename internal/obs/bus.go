@@ -69,12 +69,3 @@ func (b *Bus) WriteTimelineJSON(w io.Writer) error {
 	}
 	return b.tl.WriteJSON(w)
 }
-
-// WriteTimelineCSV renders the attached timeline as CSV; it is an error to
-// call without EnableTimeline.
-func (b *Bus) WriteTimelineCSV(w io.Writer) error {
-	if b.tl == nil {
-		return errNoTimeline
-	}
-	return b.tl.WriteCSV(w)
-}

@@ -282,39 +282,3 @@ func (tl *Timeline) writeWindowJSON(bw *bufio.Writer, i int) {
 	bw.WriteString(`,"soc_last":` + formatFloat(w.SoCLast))
 	bw.WriteByte('}')
 }
-
-// timelineCSVHeader is the fixed column set of the CSV export. The
-// per-bucket histogram and per-link retry matrix live only in the JSON
-// archive; the CSV is the flat plot-ready view.
-const timelineCSVHeader = "window,start_s,arrivals,admits,completions,drops,requeues," +
-	"sla_violations,dvfs_commands,freq_changes,net_retries,net_timeouts," +
-	"net_drops,samples,latency_sum_s,power_last_w,power_max_w,power_min_w,soc_last"
-
-// WriteCSV renders one row per window with a fixed header.
-func (tl *Timeline) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	bw.WriteString(timelineCSVHeader + "\n")
-	for i := range tl.windows {
-		win := &tl.windows[i]
-		bw.WriteString(strconv.Itoa(i))
-		bw.WriteByte(',')
-		bw.WriteString(formatFloat(float64(i) * tl.width))
-		for _, v := range []uint64{
-			win.Arrivals, win.Admits, win.Completions, win.Drops,
-			win.Requeues, win.SLAViolations, win.DVFSCommands,
-			win.FreqChanges, win.NetRetries, win.NetTimeouts,
-			win.NetDrops, win.Samples,
-		} {
-			bw.WriteByte(',')
-			bw.WriteString(strconv.FormatUint(v, 10))
-		}
-		for _, f := range []float64{
-			win.LatencySum, win.PowerLast, win.PowerMax, win.PowerMin, win.SoCLast,
-		} {
-			bw.WriteByte(',')
-			bw.WriteString(formatFloat(f))
-		}
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
-}

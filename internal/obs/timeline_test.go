@@ -119,44 +119,30 @@ func TestTimelineFold(t *testing.T) {
 }
 
 // TestTimelineEmptyExports locks the empty-capture shape: a never-fed
-// timeline still renders a valid, byte-stable document from both exporters.
+// timeline still renders a valid, byte-stable document.
 func TestTimelineEmptyExports(t *testing.T) {
 	tl := NewTimeline(0, 0)
-	var j1, j2, c1, c2 bytes.Buffer
-	for _, r := range []struct {
-		buf    *bytes.Buffer
-		render func(*bytes.Buffer) error
-	}{
-		{&j1, func(b *bytes.Buffer) error { return tl.WriteJSON(b) }},
-		{&j2, func(b *bytes.Buffer) error { return tl.WriteJSON(b) }},
-		{&c1, func(b *bytes.Buffer) error { return tl.WriteCSV(b) }},
-		{&c2, func(b *bytes.Buffer) error { return tl.WriteCSV(b) }},
-	} {
-		if err := r.render(r.buf); err != nil {
+	var j1, j2 bytes.Buffer
+	for _, buf := range []*bytes.Buffer{&j1, &j2} {
+		if err := tl.WriteJSON(buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(j1.Bytes(), j2.Bytes()) || !bytes.Equal(c1.Bytes(), c2.Bytes()) {
+	if !bytes.Equal(j1.Bytes(), j2.Bytes()) {
 		t.Fatal("empty timeline renders are not byte-stable")
 	}
 	if err := ValidateTimeline(j1.Bytes()); err != nil {
 		t.Fatalf("empty timeline JSON fails validation: %v\n%s", err, j1.String())
 	}
-	if got := c1.String(); got != timelineCSVHeader+"\n" {
-		t.Fatalf("empty timeline CSV = %q, want header only", got)
-	}
 }
 
-// TestBusTimelineLifecycle covers the bus integration: exports error until
-// EnableTimeline, BeginRun resets the fold, and a reset-then-refed bus
+// TestBusTimelineLifecycle covers the bus integration: the export errors
+// until EnableTimeline, BeginRun resets the fold, and a reset-then-refed bus
 // renders byte-identically to a fresh one.
 func TestBusTimelineLifecycle(t *testing.T) {
 	b := NewBus()
 	if err := b.WriteTimelineJSON(&bytes.Buffer{}); err == nil {
 		t.Fatal("WriteTimelineJSON without EnableTimeline did not error")
-	}
-	if err := b.WriteTimelineCSV(&bytes.Buffer{}); err == nil {
-		t.Fatal("WriteTimelineCSV without EnableTimeline did not error")
 	}
 
 	b.EnableTimeline(0.5, 0.2)

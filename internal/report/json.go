@@ -1,3 +1,6 @@
+// Package report renders a simulation result for downstream tools: the
+// machine-readable JSON summary of one run (antidope-sim -json), with
+// stable field names, that perfbench fingerprints each run by.
 package report
 
 import (

@@ -1,16 +1,21 @@
 package report
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"antidope/internal/attack"
 	"antidope/internal/cluster"
 	"antidope/internal/core"
-	"antidope/internal/stats"
 	"antidope/internal/workload"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/summary.golden.json from the current output")
 
 func sampleResult(t *testing.T) *core.Result {
 	t.Helper()
@@ -29,82 +34,6 @@ func sampleResult(t *testing.T) *core.Result {
 		t.Fatal(err)
 	}
 	return res
-}
-
-func TestMarkdownContainsSections(t *testing.T) {
-	res := sampleResult(t)
-	var sb strings.Builder
-	if err := Markdown(&sb, "Test Run", res); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"# Test Run",
-		"## Service",
-		"## Power and energy",
-		"## Adaptive attacker",
-		"## Power trajectory",
-		"availability",
-		"mean response time",
-		"peak power",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("markdown missing %q", want)
-		}
-	}
-	// Tables must be well-formed: every table line starts and ends with |.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "|") && !strings.HasSuffix(line, "|") {
-			t.Fatalf("broken table row: %q", line)
-		}
-	}
-}
-
-func TestCSV(t *testing.T) {
-	var a, b stats.Series
-	for i := 0; i < 5; i++ {
-		a.Add(float64(i), float64(i)*10)
-		b.Add(float64(i), float64(i)*100)
-	}
-	var sb strings.Builder
-	if err := CSV(&sb, []string{"power", "soc"}, []stats.Series{a, b}); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if lines[0] != "t,power,soc" {
-		t.Fatalf("header %q", lines[0])
-	}
-	if len(lines) != 6 {
-		t.Fatalf("%d lines, want 6", len(lines))
-	}
-	if !strings.HasPrefix(lines[3], "2.000,20,200") {
-		t.Fatalf("row %q", lines[3])
-	}
-}
-
-func TestCSVSampleAndHold(t *testing.T) {
-	var a, b stats.Series
-	a.Add(0, 1)
-	a.Add(1, 2)
-	a.Add(2, 3)
-	b.Add(0, 10) // b only has one point: held for all timestamps
-	var sb strings.Builder
-	if err := CSV(&sb, []string{"a", "b"}, []stats.Series{a, b}); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	for _, line := range lines[1:] {
-		if !strings.HasSuffix(line, ",10") {
-			t.Fatalf("hold failed: %q", line)
-		}
-	}
-}
-
-func TestCSVRejectsMismatch(t *testing.T) {
-	var sb strings.Builder
-	if err := CSV(&sb, []string{"a"}, nil); err == nil {
-		t.Fatal("mismatch accepted")
-	}
 }
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -139,5 +68,36 @@ func TestSummarizeOmitsSeries(t *testing.T) {
 	s := Summarize(res, 0)
 	if s.PowerSeries != nil || s.BatterySeries != nil {
 		t.Fatal("series not omitted")
+	}
+}
+
+// TestJSONGolden pins the summary's bytes — field names, field order,
+// number formatting and the downsampled series — for sampleResult at 10
+// series points. perfbench fingerprints every run by these bytes, so a
+// renamed tag or a changed format shows up here first. Regenerate
+// deliberately with:
+//
+//	go test ./internal/report -run TestJSONGolden -update
+func TestJSONGolden(t *testing.T) {
+	golden := filepath.Join("testdata", "summary.golden.json")
+	var buf bytes.Buffer
+	if err := JSON(&buf, sampleResult(t), 10); err != nil {
+		t.Fatal(err)
+	}
+	got := buf.Bytes()
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", golden, len(got))
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden: %v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("JSON summary drifted from %s (rerun with -update if intended)\n--- got ---\n%s--- want ---\n%s",
+			golden, got, want)
 	}
 }

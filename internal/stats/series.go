@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Point is one timestamped observation in a Series.
 type Point struct {
@@ -116,40 +113,4 @@ func (s *Series) Downsample(n int) Series {
 		out.Points = append(out.Points, Point{T: t, V: s.Points[j].V})
 	}
 	return out
-}
-
-// Sparkline renders the series as a compact unicode bar string of the given
-// width — the terminal-friendly shape of a power or SoC trajectory. The
-// vertical scale spans the series' own min..max; a flat series renders as
-// mid-height bars.
-func (s *Series) Sparkline(width int) string {
-	if width <= 0 || len(s.Points) == 0 {
-		return ""
-	}
-	glyphs := []rune("▁▂▃▄▅▆▇█")
-	down := s.Downsample(width)
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, p := range down.Points {
-		if p.V < lo {
-			lo = p.V
-		}
-		if p.V > hi {
-			hi = p.V
-		}
-	}
-	out := make([]rune, 0, len(down.Points))
-	for _, p := range down.Points {
-		idx := len(glyphs) / 2
-		if hi > lo {
-			idx = int((p.V - lo) / (hi - lo) * float64(len(glyphs)-1))
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(glyphs) {
-			idx = len(glyphs) - 1
-		}
-		out = append(out, glyphs[idx])
-	}
-	return string(out)
 }

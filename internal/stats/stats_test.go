@@ -307,49 +307,6 @@ func TestBootstrapCustomStat(t *testing.T) {
 	}
 }
 
-func TestSparkline(t *testing.T) {
-	var s Series
-	for i := 0; i < 100; i++ {
-		s.Add(float64(i), float64(i))
-	}
-	sp := s.Sparkline(10)
-	if got := len([]rune(sp)); got != 10 {
-		t.Fatalf("sparkline width %d, want 10", got)
-	}
-	runes := []rune(sp)
-	if runes[0] != '▁' || runes[9] != '█' {
-		t.Fatalf("ramp sparkline %q should go low to high", sp)
-	}
-	// Monotone input → non-decreasing glyphs.
-	for i := 1; i < len(runes); i++ {
-		if runes[i] < runes[i-1] {
-			t.Fatalf("ramp sparkline not monotone: %q", sp)
-		}
-	}
-}
-
-func TestSparklineFlatAndEmpty(t *testing.T) {
-	var s Series
-	if s.Sparkline(5) != "" {
-		t.Fatal("empty series sparkline not empty")
-	}
-	s.Add(0, 7)
-	s.Add(1, 7)
-	sp := s.Sparkline(4)
-	runes := []rune(sp)
-	if len(runes) == 0 {
-		t.Fatal("flat sparkline empty")
-	}
-	for _, r := range runes {
-		if r != runes[0] {
-			t.Fatalf("flat series uneven sparkline %q", sp)
-		}
-	}
-	if s.Sparkline(0) != "" {
-		t.Fatal("zero width")
-	}
-}
-
 func TestValuesDefensiveCopy(t *testing.T) {
 	var s Sample
 	for _, x := range []float64{3, 1, 2} {
