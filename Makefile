@@ -75,7 +75,7 @@ coverfloor:
 # graceful degradation".
 chaos:
 	$(GO) test -race -count=1 ./internal/faults
-	$(GO) test -race -count=1 -run 'Fault|Crash|Telemetry|Firewall|Breaker|Failed|Fade|Down|Recovered|Net|Partition' ./internal/core ./internal/server ./internal/netlb ./internal/battery ./internal/defense
+	$(GO) test -race -count=1 -run 'Fault|Crash|Telemetry|Firewall|Breaker|Failed|Down|Recovered|Net|Partition' ./internal/core ./internal/server ./internal/netlb ./internal/battery ./internal/defense
 	$(GO) test -race -count=1 -run 'TestResilience' ./internal/experiments
 	$(GO) test -run='^$$' -fuzz=FuzzFaultSchedule -fuzztime=30s -fuzzminimizetime=0 ./internal/core
 

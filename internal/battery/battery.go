@@ -149,28 +149,6 @@ func (u *UPS) SetFailed(failed bool) {
 	u.failed = failed
 }
 
-// Fade reduces the usable capacity to frac of its current value, clamped to
-// [0,1] — aged cells failing a capacity test. Stored energy above the new
-// ceiling is gone with it.
-func (u *UPS) Fade(frac float64) {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	u.CapacityJ *= frac
-	if u.level > u.CapacityJ {
-		u.level = u.CapacityJ
-	}
-	if u.obs != nil {
-		u.obs.Emit(obs.Event{
-			T: u.clock(), Kind: obs.KindBatteryFade, Server: -1,
-			A: frac, B: u.SoC(),
-		})
-	}
-}
-
 // Cycles returns the number of discharge→charge mode transitions observed,
 // a proxy for battery wear discussed in Section 6.4.
 func (u *UPS) Cycles() int { return u.cycles }

@@ -243,27 +243,3 @@ func TestFailedStringDeliversNothing(t *testing.T) {
 		t.Fatalf("repaired string discharged %g, want 50", got)
 	}
 }
-
-func TestFadeClampsLevelAndCapacity(t *testing.T) {
-	u := Sized(100, 10) // 1000 J, full
-	u.Fade(0.4)
-	if u.CapacityJ != 400 {
-		t.Fatalf("capacity after fade %g, want 400", u.CapacityJ)
-	}
-	if u.level != 400 {
-		t.Fatalf("level after fade %g, want clamped to 400", u.level)
-	}
-	if u.SoC() != 1 {
-		t.Fatalf("SoC after fade %g, want 1 (full at the new capacity)", u.SoC())
-	}
-	// Out-of-range fractions clamp instead of corrupting state.
-	u.Fade(-1)
-	if u.CapacityJ != 0 || u.level != 0 {
-		t.Fatalf("Fade(-1) left capacity %g level %g", u.CapacityJ, u.level)
-	}
-	v := Sized(100, 10)
-	v.Fade(2)
-	if v.CapacityJ != 1000 {
-		t.Fatalf("Fade(2) changed capacity to %g", v.CapacityJ)
-	}
-}

@@ -52,8 +52,8 @@ func newFaultRuntime(sched *faults.Schedule, servers int, rnd *rng.Stream) *faul
 }
 
 // arm schedules the discrete fault events — server crash/recover, battery
-// string failure/repair, capacity fades — on the engine. Windows opening at
-// or past the horizon never fire; windows closing past it never heal.
+// string failure/repair — on the engine. Windows opening at or past the
+// horizon never fire; windows closing past it never heal.
 func (f *faultRuntime) arm(s *Simulation) {
 	h := s.cfg.Horizon
 	for _, sv := range s.cl.Servers {
@@ -77,13 +77,6 @@ func (f *faultRuntime) arm(s *Simulation) {
 		if w.End < h {
 			s.eng.Schedule(w.End, func(float64) { ups.SetFailed(false) })
 		}
-	}
-	for _, ev := range f.sched.Points(faults.BatteryFade) {
-		if ev.At >= h {
-			continue
-		}
-		frac := ev.Param
-		s.eng.Schedule(ev.At, func(float64) { ups.Fade(frac) })
 	}
 	f.armObserver(s)
 }
@@ -121,7 +114,7 @@ func (f *faultRuntime) armObserver(s *Simulation) {
 				s.obs.Emit(obs.Event{T: now, Kind: obs.KindNetPartition, Server: int32(ev.Server), Class: -1, A: end})
 			}
 		})
-		if !ev.Kind.Windowed() || end >= h {
+		if end >= h {
 			continue
 		}
 		s.eng.Schedule(end, func(now float64) {

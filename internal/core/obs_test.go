@@ -18,8 +18,7 @@ import (
 // subsystem's chaos run (flood, breaker, thermal, crash, telemetry dropout,
 // DVFS delay, seeded generator) tightened to Low-PB so the defense
 // actually actuates, plus the adaptive DOPE attacker, a battery failure
-// window, a capacity fade, and a firewall outage — every event-emitting
-// subsystem is live.
+// window and a firewall outage — every event-emitting subsystem is live.
 func obsChaosConfig() core.Config {
 	cfg := chaosConfig()
 	cfg.Cluster.Budget = cluster.LowPB
@@ -54,7 +53,6 @@ func obsChaosConfig() core.Config {
 	cfg.Faults.Generator.FirewallFlaps = 0
 	cfg.Faults.Events = append(cfg.Faults.Events,
 		faults.Event{Kind: faults.BatteryFailure, At: 40, Duration: 10},
-		faults.Event{Kind: faults.BatteryFade, At: 70, Param: 0.8},
 		faults.Event{Kind: faults.FirewallDown, At: 50, Duration: 10},
 		// The delivery layer's event kinds: a benign cluster-wide latency
 		// window (net-delay spans), a past-timeout latency spike on one link
@@ -170,7 +168,7 @@ func TestObservedEventKindCoverage(t *testing.T) {
 		obs.KindReqArrive, obs.KindReqStart, obs.KindReqComplete, obs.KindReqDrop,
 		obs.KindAttackOn, obs.KindAttackOff,
 		obs.KindDVFSCommand, obs.KindFreqChange,
-		obs.KindBatteryFail, obs.KindBatteryRepair, obs.KindBatteryFade,
+		obs.KindBatteryFail, obs.KindBatteryRepair,
 		obs.KindFirewallDown, obs.KindFirewallUp,
 		obs.KindServerCrash, obs.KindServerRecover,
 		obs.KindFaultOpen, obs.KindFaultClose,

@@ -182,7 +182,6 @@ func (s *Simulation) init(cfg Config) error {
 		for _, sv := range cl.Servers {
 			sv.SetObserver(s.obs)
 		}
-		bal.SetObserver(s.obs)
 		s.fw.SetObserver(s.obs)
 		cl.UPS.SetObserver(s.obs, s.eng.Now)
 		s.env.Obs = s.obs
@@ -496,11 +495,10 @@ func (s *Simulation) handleArrival(now float64, req *workload.Request) {
 	}
 	// A firewall outage fails open: every source passes unexamined.
 	if s.flt == nil || !s.flt.firewallDown(now) {
-		if verdict := s.fw.Observe(now, req); verdict != firewall.Allowed {
-			// Rate-limit drops are silent shaping; only bans are the signal the
-			// adaptive attacker reacts to. Book the ban before the drop funnel
-			// retires the request to the arena.
-			if verdict == firewall.Banned && s.dope != nil && req.Source >= dopeSourceBase {
+		if s.fw.Observe(now, req) == firewall.Banned {
+			// A ban is the signal the adaptive attacker reacts to. Book it
+			// before the drop funnel retires the request to the arena.
+			if s.dope != nil && req.Source >= dopeSourceBase {
 				s.epochBanned[req.Source] = true
 			}
 			s.recordDrop(req, measured)

@@ -307,42 +307,6 @@ func TestBreakerValidate(t *testing.T) {
 	}
 }
 
-func TestSourceAwareCatchesUnlistedFlood(t *testing.T) {
-	mk := func(sourceAware bool) *Result {
-		cfg := DefaultConfig()
-		cfg.Horizon = 120
-		cfg.WarmupSec = 10
-		cfg.Cluster.Budget = cluster.MediumPB
-		ad := defense.NewAntiDope(power.DefaultLadder())
-		// Offline list restricted to the two heaviest endpoints: the
-		// Word-Count flood below flies under the URL-based split.
-		ad.SuspectFrac = 0.5
-		ad.SourceAware = sourceAware
-		cfg.Scheme = ad
-		cfg.Attacks = []attack.Spec{
-			attack.HTTPLoadTool(workload.WordCount, 200, 4, 15, 100),
-		}
-		res, err := RunOnce(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	urlOnly := mk(false)
-	srcAware := mk(true)
-	// The profiler must isolate substantially more of the flood than the
-	// URL list alone (which isolates none of it).
-	if srcAware.SuspectRouted <= urlOnly.SuspectRouted {
-		t.Fatalf("source-aware isolated %d <= url-only %d",
-			srcAware.SuspectRouted, urlOnly.SuspectRouted)
-	}
-	// And legitimate users must be no worse off for it.
-	if srcAware.TailRT(90) > 2*urlOnly.TailRT(90) {
-		t.Fatalf("source-aware p90 %.1fms much worse than url-only %.1fms",
-			1e3*srcAware.TailRT(90), 1e3*urlOnly.TailRT(90))
-	}
-}
-
 func TestThermalDisabledByDefault(t *testing.T) {
 	res, err := RunOnce(quiet())
 	if err != nil {

@@ -49,12 +49,6 @@ type AntiDope struct {
 	// DisableBattery ablates the transition bridge: V/F reconfiguration is
 	// applied immediately and the UPS is never touched.
 	DisableBattery bool
-	// SourceAware additionally installs the online per-source power
-	// profiler: sources whose decayed power-demand rate is abusive are
-	// forwarded to the suspect pool even when every URL they request is
-	// below the offline listing cutoff. This is the paper's "change the
-	// monitored statistical features" extension.
-	SourceAware bool
 
 	delayLeft       int
 	collateralSlots uint64 // slots where innocent servers had to throttle
@@ -109,9 +103,6 @@ func (a *AntiDope) Setup(env *Env) {
 		}
 	}
 	env.Balancer.SetSuspectList(netlb.BuildSuspectList(a.SuspectFrac))
-	if a.SourceAware {
-		env.Balancer.SetProfiler(netlb.NewSourceProfiler())
-	}
 	a.delayLeft = a.ActuationDelaySlots
 }
 

@@ -104,9 +104,6 @@ func compileRun(s *scenario.Scenario, run *scenario.RunSpec, o Options, label st
 	switch run.Firewall {
 	case "on":
 		cfg.Firewall = firewall.DefaultConfig()
-	case "limit":
-		cfg.Firewall = firewall.DefaultConfig()
-		cfg.Firewall.Limit = true
 	}
 
 	for _, f := range run.Attack.Floods {

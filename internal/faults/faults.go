@@ -36,10 +36,6 @@ const (
 	// BatteryFailure takes the UPS string offline for the window: both
 	// discharge and recharge deliver nothing, while state of charge holds.
 	BatteryFailure
-	// BatteryFade is instantaneous (Duration is ignored): at time At the
-	// usable capacity drops to Param of its current value, modeling aged
-	// cells failing a capacity test.
-	BatteryFade
 	// TelemetryDropout freezes the power sensor for the window: defenses
 	// keep actuating on the last delivered reading.
 	TelemetryDropout
@@ -75,7 +71,7 @@ const (
 )
 
 var kindNames = [...]string{
-	"server-crash", "battery-failure", "battery-fade",
+	"server-crash", "battery-failure",
 	"telemetry-dropout", "telemetry-noise", "telemetry-stale",
 	"dvfs-delay", "dvfs-stuck", "firewall-down",
 	"net-delay", "net-loss", "net-partition",
@@ -108,14 +104,6 @@ func (k Kind) serverScoped() bool {
 	return false
 }
 
-// windowed reports whether the kind spans a [At, At+Duration) window;
-// the only point fault is BatteryFade.
-func (k Kind) windowed() bool { return k != BatteryFade }
-
-// Windowed reports whether the kind spans a [At, At+Duration) window
-// rather than firing at a single instant.
-func (k Kind) Windowed() bool { return k.windowed() }
-
 // AllServers targets every server with one server-scoped event.
 const AllServers = -1
 
@@ -125,15 +113,16 @@ type Event struct {
 	Kind Kind
 	// At is the fault onset in simulated seconds.
 	At float64
-	// Duration is the window length for windowed kinds; non-positive or
-	// non-finite windows are dropped (+Inf is allowed: fault forever).
+	// Duration is the window length; non-positive or non-finite windows
+	// are dropped (+Inf is allowed: fault forever).
 	Duration float64
 	// Server is the target index for server-scoped kinds; AllServers hits
 	// every server. Ignored (normalized to AllServers) otherwise.
 	Server int
-	// Param is the kind-specific magnitude: remaining capacity fraction
-	// (BatteryFade), noise amplitude (TelemetryNoise), staleness seconds
-	// (TelemetryStale), actuation delay in slots (DVFSDelay).
+	// Param is the kind-specific magnitude: noise amplitude
+	// (TelemetryNoise), staleness seconds (TelemetryStale), actuation
+	// delay in slots (DVFSDelay), added latency seconds (NetDelay), drop
+	// probability (NetLoss).
 	Param float64
 }
 
@@ -198,13 +187,9 @@ func sanitize(ev Event) (Event, bool) {
 	if ev.At < 0 {
 		ev.At = 0
 	}
-	if ev.Kind.windowed() {
-		// +Inf means "until the end of time"; NaN and empty windows drop.
-		if math.IsNaN(ev.Duration) || ev.Duration <= 0 {
-			return ev, false
-		}
-	} else {
-		ev.Duration = 0
+	// +Inf means "until the end of time"; NaN and empty windows drop.
+	if math.IsNaN(ev.Duration) || ev.Duration <= 0 {
+		return ev, false
 	}
 	if !ev.Kind.serverScoped() || ev.Server < 0 {
 		ev.Server = AllServers
@@ -213,8 +198,6 @@ func sanitize(ev Event) (Event, bool) {
 		return ev, false
 	}
 	switch ev.Kind {
-	case BatteryFade:
-		ev.Param = clamp(ev.Param, 0, 1)
 	case TelemetryNoise:
 		ev.Param = clamp(ev.Param, 0, 10)
 	case TelemetryStale:
@@ -265,20 +248,14 @@ func eventLess(a, b Event) bool {
 }
 
 // mergeRuns collapses overlapping or touching windows within each
-// (kind, server) run of the sorted event list. Point events (BatteryFade)
-// are kept as-is, duplicates and all: two fades at the same instant simply
-// both apply.
+// (kind, server) run of the sorted event list.
 func mergeRuns(sorted []Event) []Event {
 	out := make([]Event, 0, len(sorted))
 	for _, ev := range sorted {
-		if !ev.Kind.windowed() {
-			out = append(out, ev)
-			continue
-		}
 		if n := len(out); n > 0 {
 			prev := &out[n-1]
 			if prev.Kind == ev.Kind && prev.Server == ev.Server &&
-				prev.Kind.windowed() && ev.At <= prev.At+prev.Duration {
+				ev.At <= prev.At+prev.Duration {
 				// Overlap (or exact adjacency): one longer window, keeping
 				// the stronger parameter.
 				if end := ev.At + ev.Duration; end > prev.At+prev.Duration {
@@ -367,27 +344,6 @@ func (s *Schedule) WindowsFor(k Kind, server int) []Window {
 		merged = append(merged, w)
 	}
 	return merged
-}
-
-// Points returns the instants of a point-fault kind (BatteryFade) in time
-// order, with parameters.
-func (s *Schedule) Points(k Kind) []Event {
-	if s == nil {
-		return nil
-	}
-	var out []Event
-	for _, ev := range s.events {
-		if ev.Kind == k && !k.windowed() {
-			out = append(out, ev)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].At != out[j].At { //lint:allow floateq -- sort key comparison
-			return out[i].At < out[j].At
-		}
-		return out[i].Param < out[j].Param
-	})
-	return out
 }
 
 // Cursor answers "is a window of this list active at now?" in amortized

@@ -25,7 +25,6 @@ func TestScheduleSanitizesMalformedEvents(t *testing.T) {
 		{"unknown-kind", Event{Kind: Kind(99), At: 1, Duration: 5}, false},
 		{"negative-kind", Event{Kind: Kind(-1), At: 1, Duration: 5}, false},
 		{"fine", Event{Kind: ServerCrash, At: 3, Duration: 4, Server: 1}, true},
-		{"fade-point", Event{Kind: BatteryFade, At: 3, Param: 0.5}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -43,7 +42,6 @@ func TestScheduleSanitizesMalformedEvents(t *testing.T) {
 func TestScheduleClampsFields(t *testing.T) {
 	s := NewSchedule([]Event{
 		{Kind: ServerCrash, At: -10, Duration: 5, Server: 2},
-		{Kind: BatteryFade, At: 1, Param: 7},
 		{Kind: DVFSDelay, At: 2, Duration: 5, Server: 0, Param: 1e30},
 		{Kind: DVFSDelay, At: 20, Duration: 5, Server: 0, Param: 0},
 		{Kind: TelemetryDropout, At: 3, Duration: 5, Server: 3, Param: 42},
@@ -53,10 +51,6 @@ func TestScheduleClampsFields(t *testing.T) {
 		case ServerCrash:
 			if ev.At != 0 {
 				t.Errorf("negative onset not clamped: %+v", ev)
-			}
-		case BatteryFade:
-			if ev.Param != 1 {
-				t.Errorf("fade fraction not clamped to 1: %+v", ev)
 			}
 		case DVFSDelay:
 			if ev.Param < 1 || ev.Param > 1e6 {
@@ -131,7 +125,7 @@ func TestGenerateIsDeterministic(t *testing.T) {
 	cfg := GeneratorConfig{
 		Seed: 42, Horizon: 300, Servers: 4,
 		Crashes: 3, TelemetryFaults: 6, DVFSFaults: 4, FirewallFlaps: 2,
-		BatteryFaults: 1, BatteryFadeTo: 0.6,
+		BatteryFaults: 1,
 	}
 	a := Generate(cfg)
 	b := Generate(cfg)

@@ -27,9 +27,6 @@ type GeneratorConfig struct {
 	FirewallFlaps float64
 	// BatteryFaults is the expected number of battery-failure windows.
 	BatteryFaults float64
-	// BatteryFadeTo, when in (0, 1), additionally fades the UPS capacity to
-	// this fraction at a random instant.
-	BatteryFadeTo float64
 	// NetFaults is the expected number of network-condition windows, split
 	// evenly across per-link delay, loss, and partition.
 	NetFaults float64
@@ -117,13 +114,5 @@ func Generate(cfg GeneratorConfig) []Event {
 		return 0.05 + 0.45*r.Float64() // 5–50% drop probability
 	})
 	draw(root.Split("net-partition"), NetPartition, net, nil)
-	if cfg.BatteryFadeTo > 0 && cfg.BatteryFadeTo < 1 {
-		r := root.Split("fade")
-		out = append(out, Event{
-			Kind:  BatteryFade,
-			At:    cfg.Horizon * r.Float64(),
-			Param: cfg.BatteryFadeTo,
-		})
-	}
 	return out
 }

@@ -24,9 +24,6 @@ func TestNetKindNames(t *testing.T) {
 		if !tc.kind.serverScoped() {
 			t.Errorf("%v should be server-scoped", tc.kind)
 		}
-		if !tc.kind.Windowed() {
-			t.Errorf("%v should be windowed", tc.kind)
-		}
 	}
 }
 

@@ -29,12 +29,6 @@ type Config struct {
 	// Disabled turns the firewall into a pass-through, for the
 	// "without firewalls" halves of Figure 10.
 	Disabled bool
-	// Limit switches from ban semantics (deflate-style: exceed the rule,
-	// lose access for BanSec) to classic rate limiting: only the excess
-	// requests above the threshold are dropped, immediately and without
-	// memory. Rate limiting is gentler on bursty legitimate clients and
-	// exactly as blind to DOPE (Section 5.4).
-	Limit bool
 }
 
 // DefaultConfig mirrors the paper's deflate deployment.
@@ -69,9 +63,6 @@ const (
 	Allowed Verdict = iota
 	// Banned drops the request because its source is on the ban list.
 	Banned
-	// Limited drops only this request: the source's rate exceeds the
-	// threshold in rate-limit mode.
-	Limited
 )
 
 const bucketSec = 1.0
@@ -143,21 +134,7 @@ func (f *Firewall) Observe(now float64, req *workload.Request) Verdict {
 
 	f.slide(st, now)
 	sec := int64(now / bucketSec)
-	nc := netCost[req.Class]
-
-	if f.cfg.Limit {
-		// A limiter only counts what it admits: admitting this request must
-		// not push the windowed rate over the threshold.
-		if (f.rate(st)*f.cfg.WindowSec+nc)/f.cfg.WindowSec > f.cfg.ThresholdRPS {
-			req.Dropped = true
-			req.DropReason = "firewall-limit"
-			return Limited
-		}
-		st.buckets[int(sec-st.base)] += nc
-		return Allowed
-	}
-
-	st.buckets[int(sec-st.base)] += nc
+	st.buckets[int(sec-st.base)] += netCost[req.Class]
 	rate := f.rate(st)
 	if rate > f.cfg.ThresholdRPS {
 		if st.overSince < 0 {

@@ -220,62 +220,3 @@ func BenchmarkObserve(b *testing.B) {
 		f.Observe(float64(i)*0.001, r)
 	}
 }
-
-func TestLimitModeDropsOnlyExcess(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Limit = true
-	f := New(cfg)
-	var bans banCounter
-	f.SetObserver(&bans)
-	// 300 req/s against a 150 req/s threshold: roughly half the requests
-	// are shed, and the source is never banned.
-	allowed, dropped := drive(f, 1, workload.CollaFilt, 300, 0, 60)
-	if dropped == 0 {
-		t.Fatal("limit mode never dropped")
-	}
-	if allowed == 0 {
-		t.Fatal("limit mode dropped everything")
-	}
-	frac := float64(allowed) / float64(allowed+dropped)
-	if frac < 0.3 || frac > 0.7 {
-		t.Fatalf("limit passed %.2f of a 2x-threshold flood, want ~0.5", frac)
-	}
-	if bans != 0 || isBanned(f, 30, 1) {
-		t.Fatal("limit mode banned a source")
-	}
-}
-
-func TestLimitModeSparesCompliantSource(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Limit = true
-	f := New(cfg)
-	_, dropped := drive(f, 1, workload.CollaFilt, 100, 0, 60)
-	if dropped != 0 {
-		t.Fatalf("limit mode dropped %d under-threshold requests", dropped)
-	}
-}
-
-func TestLimitModeMarksReason(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Limit = true
-	f := New(cfg)
-	drive(f, 1, workload.VolumeFlood, 2000, 0, 20)
-	r := req(1, workload.VolumeFlood)
-	if f.Observe(20, r) != Limited {
-		t.Fatal("expected Limited verdict")
-	}
-	if !r.Dropped || r.DropReason != "firewall-limit" {
-		t.Fatalf("reason %q", r.DropReason)
-	}
-}
-
-func TestLimitModeRecoversAfterBurst(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Limit = true
-	f := New(cfg)
-	drive(f, 1, workload.CollaFilt, 1000, 0, 20) // heavy burst
-	// After the window drains the source is served again.
-	if f.Observe(60, req(1, workload.CollaFilt)) != Allowed {
-		t.Fatal("limit mode held a grudge")
-	}
-}

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 
-	"antidope/internal/obs"
 	"antidope/internal/server"
 	"antidope/internal/workload"
 )
@@ -28,8 +27,6 @@ type Balancer struct {
 
 	// suspectURLs is the PDF suspect list; empty means the split is off.
 	suspectURLs map[string]bool
-	// profiler, when set, adds online per-source suspicion to the URL list.
-	profiler *SourceProfiler
 
 	// reachable, when set, excludes servers the network has partitioned
 	// away from the pick pool — the same seam down-routing uses for
@@ -41,8 +38,6 @@ type Balancer struct {
 
 	// poolBuf backs the PDF sub-pool poolOf returns, reused by every Route.
 	poolBuf []*server.Server
-
-	obs obs.Observer
 }
 
 // New builds a balancer over the given servers.
@@ -62,23 +57,6 @@ func (b *Balancer) SetSuspectList(urls []string) {
 	}
 }
 
-// SetProfiler installs (or clears, with nil) the online source profiler.
-// A profiler installed after SetObserver inherits the balancer's observer.
-func (b *Balancer) SetProfiler(p *SourceProfiler) {
-	b.profiler = p
-	if p != nil && b.obs != nil {
-		p.SetObserver(b.obs)
-	}
-}
-
-// SetObserver installs the event sink on the balancer and its profiler.
-func (b *Balancer) SetObserver(o obs.Observer) {
-	b.obs = o
-	if b.profiler != nil {
-		b.profiler.SetObserver(o)
-	}
-}
-
 // SetReachable installs (or clears, with nil) the network reachability
 // predicate. Partitioned servers are skipped by every pick exactly like
 // crashed ones; when the predicate heals they are picked again. The
@@ -94,11 +72,10 @@ func (b *Balancer) avail(s *server.Server) bool {
 	return b.reachable == nil || b.reachable(s.ID)
 }
 
-// SplitActive reports whether PDF forwarding is in effect: a suspicion
-// mechanism (URL list or source profiler) and at least one server marked
-// suspect.
+// SplitActive reports whether PDF forwarding is in effect: a suspect URL
+// list and at least one server marked suspect.
 func (b *Balancer) SplitActive() bool {
-	if len(b.suspectURLs) == 0 && b.profiler == nil {
+	if len(b.suspectURLs) == 0 {
 		return false
 	}
 	for _, s := range b.servers {
@@ -124,9 +101,6 @@ func (b *Balancer) Route(req *workload.Request) *server.Server {
 	split := false
 	if b.SplitActive() {
 		suspect := b.suspectURLs[req.URL]
-		if b.profiler != nil && b.profiler.Observe(req.ArriveAt, req) {
-			suspect = true
-		}
 		sub := b.poolOf(suspect)
 		if len(sub) > 0 {
 			pool = sub

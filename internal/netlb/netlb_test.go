@@ -265,102 +265,6 @@ func BenchmarkRouteSplit(b *testing.B) {
 	}
 }
 
-func TestProfilerFlagsAbusiveSource(t *testing.T) {
-	p := NewSourceProfiler()
-	// Word-Count is below the 0.5 offline listing cutoff, but a single
-	// source replaying it at 100 req/s is an abusive power demand.
-	flagged := false
-	for i := 0; i < 500; i++ {
-		now := float64(i) * 0.01
-		r := reqFor(workload.WordCount)
-		r.Source = 7
-		r.ArriveAt = now
-		if p.Observe(now, r) {
-			flagged = true
-			break
-		}
-	}
-	if !flagged {
-		t.Fatal("abusive source never flagged")
-	}
-}
-
-func TestProfilerSparesModerateSource(t *testing.T) {
-	p := NewSourceProfiler()
-	// A legitimate client: heavy endpoint at 2 req/s.
-	for i := 0; i < 200; i++ {
-		now := float64(i) * 0.5
-		r := reqFor(workload.CollaFilt)
-		r.Source = 9
-		r.ArriveAt = now
-		if p.Observe(now, r) {
-			t.Fatalf("moderate client flagged at observation %d", i)
-		}
-	}
-}
-
-func TestProfilerDecaysAfterBurst(t *testing.T) {
-	p := NewSourceProfiler()
-	var last float64
-	flagged := false
-	for i := 0; i < 400; i++ {
-		last = float64(i) * 0.01
-		r := reqFor(workload.KMeans)
-		r.Source = 3
-		r.ArriveAt = last
-		flagged = p.Observe(last, r)
-	}
-	if !flagged {
-		t.Fatal("burst not flagged")
-	}
-	// A polite request a minute later: the accumulated score has decayed.
-	r := reqFor(workload.TextCont)
-	r.Source = 3
-	r.ArriveAt = last + 60
-	if p.Observe(last+60, r) {
-		t.Fatal("source still flagged after 6 tau of silence")
-	}
-}
-
-func TestProfilerMinObservations(t *testing.T) {
-	p := NewSourceProfiler()
-	// A huge first burst below MinObservations must not flag.
-	for i := 0; i < p.MinObservations-1; i++ {
-		r := reqFor(workload.KMeans)
-		r.Source = 5
-		r.ArriveAt = 0
-		if p.Observe(0, r) {
-			t.Fatal("flagged before MinObservations")
-		}
-	}
-}
-
-func TestBalancerSourceAwareRouting(t *testing.T) {
-	servers := pool(4)
-	servers[0].Suspect = true
-	b := must(New(servers))
-	b.SetSuspectList(nil) // no URL list at all
-	b.SetProfiler(NewSourceProfiler())
-	if !b.SplitActive() {
-		t.Fatal("profiler alone should activate the split")
-	}
-	// Hammer Word-Count from one source until the profiler isolates it.
-	isolated := false
-	for i := 0; i < 1000; i++ {
-		r := reqFor(workload.WordCount)
-		r.Source = 77
-		r.ArriveAt = float64(i) * 0.005
-		s := b.Route(r)
-		if s.Suspect {
-			isolated = true
-			break
-		}
-	}
-	if !isolated {
-		t.Fatal("abusive source never isolated by source-aware routing")
-	}
-}
-
 // TestRouteSplitAllocFree is the runtime backstop of the PDF split, which
 // escape analysis cannot vouch for because append growth is not an
 // escape: once the sub-pool buffer has grown, routing to either side of

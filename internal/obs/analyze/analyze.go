@@ -43,7 +43,6 @@ type Detection struct {
 	AttackStartS float64
 
 	FirstBanS       float64
-	FirstFlagS      float64
 	FirstDVFSS      float64
 	FirstTokenDenyS float64
 	FirstBridgeS    float64
@@ -158,7 +157,6 @@ func detection(events []obs.Event, attacks []Attack) Detection {
 	d := Detection{
 		AttackStartS:    math.NaN(),
 		FirstBanS:       math.NaN(),
-		FirstFlagS:      math.NaN(),
 		FirstDVFSS:      math.NaN(),
 		FirstTokenDenyS: math.NaN(),
 		FirstBridgeS:    math.NaN(),
@@ -187,8 +185,6 @@ func detection(events []obs.Event, attacks []Attack) Detection {
 		switch ev.Kind {
 		case obs.KindFirewallBan:
 			first(&d.FirstBanS, "firewall-ban", ev.T)
-		case obs.KindProfilerFlag:
-			first(&d.FirstFlagS, "profiler-flag", ev.T)
 		case obs.KindDVFSCommand:
 			first(&d.FirstDVFSS, "dvfs-command", ev.T)
 		case obs.KindTokenDeny:

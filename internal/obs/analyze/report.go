@@ -65,7 +65,6 @@ func (r *Report) WriteText(w io.Writer) error {
 		return obs.FormatFloat(t - d.AttackStartS)
 	}
 	line("first_firewall_ban_s", num(d.FirstBanS), "lag_s", lag(d.FirstBanS))
-	line("first_profiler_flag_s", num(d.FirstFlagS), "lag_s", lag(d.FirstFlagS))
 	line("first_dvfs_command_s", num(d.FirstDVFSS), "lag_s", lag(d.FirstDVFSS))
 	line("first_token_deny_s", num(d.FirstTokenDenyS), "lag_s", lag(d.FirstTokenDenyS))
 	line("first_defense_bridge_s", num(d.FirstBridgeS), "lag_s", lag(d.FirstBridgeS))

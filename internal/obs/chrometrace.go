@@ -237,8 +237,6 @@ func (tw *traceWriter) event(ev Event) {
 		b = atArgs(append(span(b, "battery-failed", "", "b"), "battery"...), trackBattery, ev.T)
 	case KindBatteryRepair:
 		b = atArgs(append(span(b, "battery-failed", "", "e"), "battery"...), trackBattery, ev.T)
-	case KindBatteryFade:
-		b = appendF(instant(b, "battery-fade", "", trackBattery, ev.T), `"remaining_frac":`, ev.A)
 	case KindBreakerTrip:
 		b = appendF(instant(b, "breaker-trip", "", trackCore, ev.T), `"reset_at":`, ev.A)
 	case KindBreakerReset:
@@ -257,12 +255,6 @@ func (tw *traceWriter) event(ev Event) {
 		b = atArgs(append(span(b, "firewall-down", "", "b"), "firewall"...), trackFirewall, ev.T)
 	case KindFirewallUp:
 		b = atArgs(append(span(b, "firewall-down", "", "e"), "firewall"...), trackFirewall, ev.T)
-	case KindProfilerFlag:
-		b = appendU(instant(b, "flag", "", trackNetlb, ev.T), `"src":`, ev.ID)
-		b = appendF(b, `,"rate_rps":`, ev.A)
-	case KindProfilerUnflag:
-		b = appendU(instant(b, "unflag", "", trackNetlb, ev.T), `"src":`, ev.ID)
-		b = appendF(b, `,"rate_rps":`, ev.A)
 	case KindServerCrash:
 		b = atArgs(appendI(span(b, "crashed", "", "b"), "crash-s", ev.Server), srv, ev.T)
 	case KindServerRecover:

@@ -128,8 +128,6 @@ func (tw *refTraceWriter) event(ev Event) {
 		tw.span("battery-failed", "b", "battery", trackBattery, ev.T, "")
 	case KindBatteryRepair:
 		tw.span("battery-failed", "e", "battery", trackBattery, ev.T, "")
-	case KindBatteryFade:
-		tw.instant("battery-fade", trackBattery, ev.T, `"remaining_frac":`+refFormatFloat(ev.A))
 	case KindBreakerTrip:
 		tw.instant("breaker-trip", trackCore, ev.T, `"reset_at":`+refFormatFloat(ev.A))
 	case KindBreakerReset:
@@ -148,12 +146,6 @@ func (tw *refTraceWriter) event(ev Event) {
 		tw.span("firewall-down", "b", "firewall", trackFirewall, ev.T, "")
 	case KindFirewallUp:
 		tw.span("firewall-down", "e", "firewall", trackFirewall, ev.T, "")
-	case KindProfilerFlag:
-		tw.instant("flag", trackNetlb, ev.T,
-			`"src":`+refU64(ev.ID)+`,"rate_rps":`+refFormatFloat(ev.A))
-	case KindProfilerUnflag:
-		tw.instant("unflag", trackNetlb, ev.T,
-			`"src":`+refU64(ev.ID)+`,"rate_rps":`+refFormatFloat(ev.A))
 	case KindServerCrash:
 		tw.span("crashed", "b", "crash-s"+refItoa32(ev.Server),
 			trackServerBase+int(ev.Server), ev.T, "")

@@ -46,7 +46,6 @@ const (
 	KindBatteryCharge
 	KindBatteryFail
 	KindBatteryRepair
-	KindBatteryFade
 
 	// Breaker / thermal.
 	KindBreakerTrip
@@ -55,12 +54,10 @@ const (
 	KindOutageEnd
 	KindThermalThrottle
 
-	// Firewall / profiler.
+	// Firewall.
 	KindFirewallBan
 	KindFirewallDown
 	KindFirewallUp
-	KindProfilerFlag
-	KindProfilerUnflag
 
 	// Infrastructure faults and sensing.
 	KindServerCrash
@@ -96,11 +93,10 @@ var kindNames = [...]string{
 	"dvfs-command", "freq-change", "token-grant", "token-deny",
 	"defense-bridge", "defense-collateral",
 	"battery-discharge", "battery-charge", "battery-fail",
-	"battery-repair", "battery-fade",
+	"battery-repair",
 	"breaker-trip", "breaker-reset", "outage-start", "outage-end",
 	"thermal-throttle",
 	"firewall-ban", "firewall-down", "firewall-up",
-	"profiler-flag", "profiler-unflag",
 	"server-crash", "server-recover", "fault-open", "fault-close",
 	"telemetry",
 	"net-delay", "net-drop", "net-retry", "net-timeout",
@@ -123,7 +119,7 @@ func (k Kind) String() string {
 //	T      sim-time of the event, seconds
 //	Server server index, or -1 when not server-scoped
 //	Class  workload class index, or -1 when not request-scoped
-//	ID     request ID, or source ID for firewall/profiler kinds
+//	ID     request ID, or source ID for firewall kinds
 //	A, B   kind-specific payload (see the emitting subsystem)
 //	Label  a static string: class name, drop reason, or fault kind —
 //	       always a reference to an existing constant, never built per event
@@ -140,12 +136,10 @@ func (k Kind) String() string {
 //	defense-collateral A=residual overshoot after suspect throttling (W)
 //	battery-discharge  A=delivered power (W), B=state of charge [0,1]
 //	battery-charge     A=absorbed power (W), B=state of charge [0,1]
-//	battery-fade       A=remaining capacity fraction
 //	breaker-trip       A=reset time
 //	outage-start       A=reset time
 //	thermal-throttle   A=capped freq (GHz), B=hottest node temp (°C)
 //	firewall-ban       ID=source, A=ban expiry time
-//	profiler-flag      ID=source, A=suspect score (req/s)
 //	fault-open/close   Label=fault kind, A=window end/start, B=param
 //	telemetry          A=true power (W), B=delivered reading (W)
 //	net-delay          Server=link, A=added latency (s), B=attempt

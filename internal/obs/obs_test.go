@@ -113,7 +113,6 @@ func sampleEvents() []Event {
 		{T: 2, Kind: KindBatteryCharge, A: 100, B: 0.91},
 		{T: 2, Kind: KindBatteryFail},
 		{T: 3, Kind: KindBatteryRepair},
-		{T: 3, Kind: KindBatteryFade, A: 0.8},
 		{T: 4, Kind: KindBreakerTrip, A: 64},
 		{T: 4, Kind: KindOutageStart, A: 64},
 		{T: 64, Kind: KindBreakerReset},
@@ -122,8 +121,6 @@ func sampleEvents() []Event {
 		{T: 6, Kind: KindFirewallBan, ID: 11, A: 66},
 		{T: 7, Kind: KindFirewallDown, Server: -1, Label: "firewall-down"},
 		{T: 8, Kind: KindFirewallUp, Server: -1, Label: "firewall-down"},
-		{T: 9, Kind: KindProfilerFlag, ID: 11, A: 55},
-		{T: 10, Kind: KindProfilerUnflag, ID: 11, A: 1},
 		{T: 11, Kind: KindServerCrash, Server: 2},
 		{T: 12, Kind: KindServerRecover, Server: 2},
 		{T: 13, Kind: KindFaultOpen, Server: 2, A: 14, B: 0.5, Label: "dvfs-stuck"},

@@ -40,7 +40,6 @@ func TestParseErrors(t *testing.T) {
 		{"overlapping fault windows", minimal(
 			"faults:\n  events:\n    - kind: server-crash\n      at: 10\n      duration: 20\n    - kind: server-crash\n      at: 25\n      duration: 5\n"),
 			"overlaps the window at t=10"},
-		{"battery-fade with duration", minimal("faults:\n  events:\n    - kind: battery-fade\n      at: 5\n      duration: 3\n"), "takes no duration"},
 		{"windowed fault without duration", minimal("faults:\n  events:\n    - kind: server-crash\n      at: 5\n"), "needs a positive duration"},
 		{"missing scenario name", "sim:\n  horizon: 60\n", "scenario: missing required key"},
 		{"missing sim", "scenario: t\n", "sim: missing required section"},
@@ -72,6 +71,11 @@ func TestParseErrors(t *testing.T) {
 		{"run budget key", minimal("runs:\n  - name: a\n    budget: low\n"), `line 6:5: runs[0].budget: unknown key "budget"`},
 		{"growth below one", minimal("attack:\n  dope:\n    growth: 0.5\n"), `line 6:5: attack.dope.growth: unknown key "growth"`},
 		{"backoff at one", minimal("attack:\n  dope:\n    backoff: 1\n"), `line 6:5: attack.dope.backoff: unknown key "backoff"`},
+		// The UPS keeps its capacity and the firewall only bans: there is
+		// no capacity fade and no rate-limit mode to spell.
+		{"generator fade_to key", minimal("faults:\n  generator:\n    fade_to: 0.5\n"), `line 6:5: faults.generator.fade_to: unknown key "fade_to"`},
+		{"firewall limit mode", minimal("defense:\n  firewall: limit\n"), `line 5:13: defense.firewall: unknown firewall mode "limit" (want off, on)`},
+		{"battery-fade kind", minimal("faults:\n  events:\n    - kind: battery-fade\n      at: 5\n      param: 0.8\n"), `line 6:13: faults.events[0].kind: unknown fault kind "battery-fade"`},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -240,7 +240,7 @@ var (
 	layers    = enumOf("attack layer", attack.AllLayers())
 	kinds     = enumOf("fault kind", faults.AllKinds())
 	schemes   = nameEnum("defense scheme", defense.SchemeNames())
-	firewalls = nameEnum("firewall mode", []string{"off", "on", "limit"})
+	firewalls = nameEnum("firewall mode", []string{"off", "on"})
 	mixes     = nameEnum("workload mix", []string{"none", "eval", "fig18"})
 	metrics   = nameEnum("metric", metricNames())
 )
@@ -621,17 +621,13 @@ func (d *dec) faultEvent(n *node, path string) (faults.Event, error) {
 			return out, err
 		}
 	}
-	dn := m.get("duration")
-	if dn != nil {
-		if out.Duration, err = d.nonNeg(dn, m.child("duration")); err != nil {
+	if vn := m.get("duration"); vn != nil {
+		if out.Duration, err = d.nonNeg(vn, m.child("duration")); err != nil {
 			return out, err
 		}
 	}
-	if out.Kind.Windowed() && out.Duration <= 0 {
+	if out.Duration <= 0 {
 		return out, d.errAt(n.pos, m.child("duration"), "%s needs a positive duration", out.Kind)
-	}
-	if !out.Kind.Windowed() && dn != nil {
-		return out, d.errAt(dn.pos, m.child("duration"), "%s is instantaneous and takes no duration", out.Kind)
 	}
 	if vn := m.get("server"); vn != nil {
 		if out.Server, err = d.int(vn, m.child("server")); err != nil {
@@ -644,9 +640,6 @@ func (d *dec) faultEvent(n *node, path string) (faults.Event, error) {
 	if vn := m.get("param"); vn != nil {
 		if out.Param, err = d.nonNeg(vn, m.child("param")); err != nil {
 			return out, err
-		}
-		if out.Kind == faults.BatteryFade && out.Param > 1 {
-			return out, d.errAt(vn.pos, m.child("param"), "%s param is a capacity fraction in [0, 1]", out.Kind)
 		}
 		if out.Kind == faults.NetLoss && out.Param > 1 {
 			return out, d.errAt(vn.pos, m.child("param"), "%s param is a drop probability in [0, 1]", out.Kind)
@@ -666,9 +659,6 @@ func (d *dec) checkOverlaps(events []faults.Event, positions []pos, path string)
 	}
 	groups := map[string][]idx{}
 	for i, ev := range events {
-		if !ev.Kind.Windowed() {
-			continue
-		}
 		key := fmt.Sprintf("%s/%d", ev.Kind, ev.Server)
 		groups[key] = append(groups[key], idx{i, ev})
 	}
@@ -722,17 +712,13 @@ func (d *dec) generator(n *node, path string, out *FaultsSpec) error {
 		{"intensity", &intensity}, {"crashes", &g.Crashes},
 		{"telemetry", &g.TelemetryFaults}, {"dvfs", &g.DVFSFaults},
 		{"firewall_flaps", &g.FirewallFlaps}, {"battery", &g.BatteryFaults},
-		{"net", &g.NetFaults},
-		{"fade_to", &g.BatteryFadeTo}, {"mean_fault_sec", &g.MeanFaultSec},
+		{"net", &g.NetFaults}, {"mean_fault_sec", &g.MeanFaultSec},
 	} {
 		if vn := m.get(f.key); vn != nil {
 			if *f.dst, err = d.nonNeg(vn, m.child(f.key)); err != nil {
 				return err
 			}
 		}
-	}
-	if vn := m.n.get("fade_to"); vn != nil && g.BatteryFadeTo >= 1 {
-		return d.errAt(vn.pos, m.child("fade_to"), "fade_to must be a fraction below 1")
 	}
 	if intensity > 0 {
 		*g = g.Scaled(intensity)

@@ -158,9 +158,8 @@ type RunSpec struct {
 	// Budget, when set, replaces BaseConfig's provisioning level: the
 	// scenario's cluster.budget, or the run's matrix cell.
 	Budget *cluster.BudgetLevel
-	// Firewall is "off", "on" (deflate ban semantics) or "limit" (classic
-	// rate limiting); "" keeps BaseConfig's disabled firewall, as "off"
-	// does.
+	// Firewall is "off" or "on" (deflate ban semantics); "" keeps
+	// BaseConfig's disabled firewall, as "off" does.
 	Firewall string
 	// Attack is the run's program: its own, or the scenario's, with a
 	// run-level rate applied to every flood.

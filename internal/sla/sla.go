@@ -22,10 +22,9 @@ import (
 // SLA is a set of service-level objectives; zero-valued fields are not
 // checked.
 type SLA struct {
-	// MeanRT / P90RT / P99RT are latency ceilings in seconds.
+	// MeanRT / P90RT are latency ceilings in seconds.
 	MeanRT float64
 	P90RT  float64
-	P99RT  float64
 	// MinAvailability is the floor on completed/offered legitimate traffic.
 	MinAvailability float64
 	// MaxBudgetViolation is the ceiling on the fraction of control slots
@@ -69,9 +68,6 @@ func (s SLA) Check(res *core.Result) []Violation {
 	}
 	if s.P90RT > 0 {
 		add("p90 response time", s.P90RT, res.TailRT(90), res.TailRT(90) > s.P90RT)
-	}
-	if s.P99RT > 0 {
-		add("p99 response time", s.P99RT, res.TailRT(99), res.TailRT(99) > s.P99RT)
 	}
 	if s.MinAvailability > 0 {
 		av := res.Availability()

@@ -80,14 +80,6 @@ func TestZeroObjectivesUnchecked(t *testing.T) {
 	}
 }
 
-func TestP99Objective(t *testing.T) {
-	s := SLA{P99RT: 0.050}
-	res := fakeResult(20, 100, 1, 0)
-	if s.Met(res) {
-		t.Fatal("p99 breach not flagged")
-	}
-}
-
 // capacityTemplate is a small, fast scenario for the planner tests.
 func capacityTemplate(scheme defense.Scheme) core.Config {
 	cfg := core.DefaultConfig()
