@@ -1,15 +1,16 @@
 // Command antidope-sim runs one run of a scenario document and prints its
 // measurement summary: the run paperbench -scenario reports as one table
 // row, at the same -seed, with its JSON summary and observability captures
-// (Chrome trace, event CSV, sim-time timeline) on request. The document
-// describes the run (see EXPERIMENTS.md "Authoring scenarios"); the flags
-// only choose it and its exports.
+// (Chrome trace, sim-time timeline, and the analyzer's report of the
+// paper's temporal signals) on request. The document describes the run
+// (see EXPERIMENTS.md "Authoring scenarios"); the flags only choose it and
+// its exports.
 //
 // Examples:
 //
 //	antidope-sim -scenario examples/quickstart.yaml -run anti-dope
 //	antidope-sim -scenario examples/quickstart.yaml -run anti-dope -json run.summary.json
-//	antidope-sim -scenario examples/quickstart.yaml -run capping -trace run.trace.json -events run.csv
+//	antidope-sim -scenario examples/quickstart.yaml -run capping -trace run.trace.json -report run.report.txt -breaker 320
 package main
 
 import (
@@ -23,6 +24,7 @@ import (
 	"antidope/internal/experiments"
 	"antidope/internal/harness"
 	"antidope/internal/obs"
+	"antidope/internal/obs/analyze"
 	"antidope/internal/report"
 	"antidope/internal/scenario"
 )
@@ -34,8 +36,9 @@ func main() {
 		seed         = flag.Uint64("seed", 2019, "experiment seed every run's seed derives from (paperbench's -seed)")
 		jsonPath     = flag.String("json", "", "write the machine-readable summary as JSON to this file")
 		tracePath    = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in Perfetto)")
-		eventsPath   = flag.String("events", "", "write the full structured event stream as CSV to this file")
 		tlJSON       = flag.String("timeline", "", "write the sim-time timeline (fixed windows of power/admits/drops/retries/SLA) as JSON to this file")
+		reportPath   = flag.String("report", "", "write the analyzer report (attack windows, detection lag, overshoot, DVFS latency, retry storms) to this file")
+		breakerW     = flag.Float64("breaker", 0, "breaker limit in watts for the report's overshoot analysis (0 disables)")
 	)
 	flag.Parse()
 
@@ -57,7 +60,7 @@ func main() {
 	cfg := job.Config
 
 	var bus *obs.Bus
-	if *tracePath != "" || *eventsPath != "" || *tlJSON != "" {
+	if *tracePath != "" || *tlJSON != "" || *reportPath != "" {
 		bus = obs.NewBus()
 		cfg.Observer = bus
 		if *tlJSON != "" {
@@ -73,8 +76,8 @@ func main() {
 
 	if bus != nil {
 		write(*tracePath, "trace", bus.WriteChromeTrace)
-		write(*eventsPath, "events", bus.WriteCSV)
 		write(*tlJSON, "timeline", bus.WriteTimelineJSON)
+		write(*reportPath, "report", func(w io.Writer) error { return writeReport(w, bus, *breakerW) })
 	}
 	write(*jsonPath, "summary", func(w io.Writer) error { return report.JSON(w, res, 60) })
 }
@@ -97,6 +100,14 @@ func pickRun(plan *experiments.ScenarioPlan, name string) (harness.Job, error) {
 	}
 	return harness.Job{}, fmt.Errorf("scenario %s has no run %q (want %s)",
 		plan.Scenario.Name, name, strings.Join(names, ", "))
+}
+
+// writeReport renders the analyzer report of the run bus captured, with
+// the overshoot analysis above breakerW watts (0 disables it).
+func writeReport(w io.Writer, bus *obs.Bus, breakerW float64) error {
+	events := make([]obs.Event, 0, bus.Events().Len())
+	bus.Events().Each(func(ev obs.Event) { events = append(events, ev) })
+	return analyze.Run(events, analyze.Config{BreakerLimitW: breakerW}).WriteText(w)
 }
 
 // write renders one requested export to path; an empty path skips it.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"antidope/internal/core"
 	"antidope/internal/defense"
 	"antidope/internal/experiments"
+	"antidope/internal/obs"
 	"antidope/internal/scenario"
 	"antidope/internal/workload"
 )
@@ -170,5 +172,37 @@ func TestRunReplaysScenarioRow(t *testing.T) {
 		if math.Float64bits(m.got) != math.Float64bits(m.want) {
 			t.Errorf("%s: alone %v, in the scenario %v", m.name, m.got, m.want)
 		}
+	}
+}
+
+// TestQuickstartReportGolden renders the quickstart's capping run through
+// -report's function at a 320 W breaker limit and compares it byte for
+// byte with the checked-in report. The limit sits below the 340 W budget
+// on purpose: capping holds the run under its budget, so only a lower
+// limit shows an excursion. To regenerate the golden, deliberately:
+//
+//	go run ./cmd/antidope-sim -scenario examples/quickstart.yaml -run capping \
+//	    -breaker 320 -report cmd/antidope-sim/testdata/quickstart_capping.report.golden
+func TestQuickstartReportGolden(t *testing.T) {
+	job, err := pickRun(quickstart(t), "capping")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := obs.NewBus()
+	cfg := job.Config
+	cfg.Observer = bus
+	if _, err := core.RunOnce(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := writeReport(&got, bus, 320); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "quickstart_capping.report.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("report drifted from the golden\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want)
 	}
 }

@@ -1,5 +1,5 @@
 // Command tracecheck validates observability captures produced by the
-// exporters (antidope-sim, paperbench, tracereport) so CI can assert that
+// exporters (antidope-sim, paperbench) so CI can assert that
 // every artifact stays loadable by its consumer. The format is sniffed per
 // file: Chrome trace-event JSON (Perfetto-loadable subset) or timeline
 // JSON (antidope-timeline/v1: monotone window starts, bucket-count/width

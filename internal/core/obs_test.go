@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 
 	"antidope/internal/attack"
@@ -96,32 +98,92 @@ func TestObserverDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
+// recorded copies the stream a bus recorded.
+func recorded(bus *obs.Bus) []obs.Event {
+	events := make([]obs.Event, 0, bus.Events().Len())
+	bus.Events().Each(func(ev obs.Event) { events = append(events, ev) })
+	return events
+}
+
+// eventStreamDiff compares two recorded streams field by field, floats by
+// math.Float64bits, and describes the first difference; nil means equal.
+func eventStreamDiff(a, b []obs.Event) error {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for i := 0; i < len(a) && i < len(b); i++ {
+		x, y := a[i], b[i]
+		if !same(x.T, y.T) || x.Kind != y.Kind || x.Server != y.Server || x.Class != y.Class ||
+			x.ID != y.ID || !same(x.A, y.A) || !same(x.B, y.B) || x.Label != y.Label {
+			return fmt.Errorf("event %d differs: %+v, then %+v", i, x, y)
+		}
+	}
+	if len(a) != len(b) {
+		return fmt.Errorf("%d events, then %d", len(a), len(b))
+	}
+	return nil
+}
+
 // TestObservedExportsDeterministic runs the chaos scenario twice with
-// independent buses and requires the Chrome trace and the event CSV to be
-// byte-identical; the Chrome trace must additionally validate against the
-// trace-event subset the exporters promise.
+// independent buses and requires the recorded event streams to be equal
+// field by field (every request's arrive, start and grant included, which
+// no export carries) and the Chrome trace to be byte-identical; the Chrome
+// trace must additionally validate against the trace-event subset the
+// exporters promise.
 func TestObservedExportsDeterministic(t *testing.T) {
-	render := func(bus *obs.Bus) (trace, csv []byte) {
-		var tb, cb bytes.Buffer
+	trace := func(bus *obs.Bus) []byte {
+		var tb bytes.Buffer
 		if err := bus.WriteChromeTrace(&tb); err != nil {
 			t.Fatalf("WriteChromeTrace: %v", err)
 		}
-		if err := bus.WriteCSV(&cb); err != nil {
-			t.Fatalf("WriteCSV: %v", err)
-		}
-		return tb.Bytes(), cb.Bytes()
+		return tb.Bytes()
 	}
-	t1, c1 := render(runObserved(t, obsChaosConfig()))
-	t2, c2 := render(runObserved(t, obsChaosConfig()))
+	b1 := runObserved(t, obsChaosConfig())
+	b2 := runObserved(t, obsChaosConfig())
 
-	if !bytes.Equal(t1, t2) {
-		t.Error("chrome trace not byte-identical across runs")
+	if err := eventStreamDiff(recorded(b1), recorded(b2)); err != nil {
+		t.Errorf("event stream not identical across runs: %v", err)
 	}
-	if !bytes.Equal(c1, c2) {
-		t.Error("CSV export not byte-identical across runs")
+	t1 := trace(b1)
+	if !bytes.Equal(t1, trace(b2)) {
+		t.Error("chrome trace not byte-identical across runs")
 	}
 	if err := obs.ValidateChromeTrace(t1); err != nil {
 		t.Errorf("chrome trace fails validation: %v", err)
+	}
+}
+
+// TestEventStreamDiffSeesEveryField checks the comparison the determinism
+// test relies on: one field of one event changed, a float by one ulp or
+// only in the sign of zero, or one event missing, makes the streams
+// differ.
+func TestEventStreamDiffSeesEveryField(t *testing.T) {
+	base := []obs.Event{
+		{T: 0.5, Kind: obs.KindReqArrive, Server: -1, Class: 1, ID: 7, Label: "Colla-Filt"},
+		{T: 1, Kind: obs.KindFaultOpen, Server: 2, Class: -1, A: 11, Label: "server-crash"},
+	}
+	if err := eventStreamDiff(base, base); err != nil {
+		t.Fatalf("identical streams differ: %v", err)
+	}
+	for _, c := range []struct {
+		field  string
+		mutate func(*obs.Event)
+	}{
+		{"T", func(ev *obs.Event) { ev.T = math.Nextafter(ev.T, 2) }},
+		{"Kind", func(ev *obs.Event) { ev.Kind = obs.KindFaultClose }},
+		{"Server", func(ev *obs.Event) { ev.Server = 3 }},
+		{"Class", func(ev *obs.Event) { ev.Class = 0 }},
+		{"ID", func(ev *obs.Event) { ev.ID = 8 }},
+		{"A", func(ev *obs.Event) { ev.A = math.Nextafter(ev.A, 12) }},
+		{"B", func(ev *obs.Event) { ev.B = math.Copysign(0, -1) }},
+		{"Label", func(ev *obs.Event) { ev.Label = "net-loss" }},
+	} {
+		other := append([]obs.Event(nil), base...)
+		c.mutate(&other[1])
+		if eventStreamDiff(base, other) == nil {
+			t.Errorf("a changed %s compares equal", c.field)
+		}
+	}
+	if eventStreamDiff(base, base[:1]) == nil {
+		t.Error("a missing event compares equal")
 	}
 }
 

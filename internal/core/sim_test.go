@@ -227,6 +227,60 @@ func TestDopeAttackerAdaptsAndEvades(t *testing.T) {
 	}
 }
 
+// TestFirewallBansDopeAttacker closes the Fig. 12 loop end to end: the
+// firewall bans the adaptive attacker's agents, core books the bans into
+// the epoch's feedback, and the attacker reacts as Step prescribes. Text-
+// Cont is light enough that the victim shows no distress while the rate
+// grows, so two agents keep growing past the firewall's 150 rps rule until
+// the ban lands; the next plan then halves the rate (still above
+// InitialRPS, so the back-off does not floor), doubles the agents and
+// rotates to K-means.
+func TestFirewallBansDopeAttacker(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NormalRPS = 60
+	cfg.Horizon = 60
+	d := attack.DefaultDopeConfig()
+	d.Targets = []workload.Class{workload.TextCont, workload.KMeans}
+	d.Agents = 2
+	d.InitialRPS = 100
+	cfg.Dope = &d
+	cfg.DopeStart = 5
+	res, err := RunOnce(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := res.DopeTrace
+	ban := -1
+	for i, e := range trace {
+		if e.Banned > 0 {
+			ban = i
+			break
+		}
+	}
+	if ban < 2 {
+		t.Fatalf("want two growth epochs before the first ban, got ban at epoch %d: %+v", ban, trace)
+	}
+	for i := 1; i < ban; i++ {
+		if trace[i].RPS <= trace[i-1].RPS || trace[i].Agents != d.Agents || trace[i].Effective {
+			t.Fatalf("epoch %d did not grow unnoticed: %+v after %+v", i, trace[i], trace[i-1])
+		}
+	}
+	before, after := trace[ban-1], trace[ban]
+	if after.Banned != d.Agents {
+		t.Errorf("%d agents banned, want all %d", after.Banned, d.Agents)
+	}
+	if want := before.RPS * d.Backoff; math.Abs(after.RPS-want) > 1e-9 || want <= d.InitialRPS {
+		t.Errorf("rate %g after the ban, want %g backed off from %g above the %g floor",
+			after.RPS, want, before.RPS, d.InitialRPS)
+	}
+	if after.Agents != 2*before.Agents {
+		t.Errorf("agents %d -> %d after the ban, want doubled", before.Agents, after.Agents)
+	}
+	if before.Class != workload.TextCont || after.Class != workload.KMeans {
+		t.Errorf("class %v -> %v after the ban, want Text-Cont -> K-means", before.Class, after.Class)
+	}
+}
+
 func TestNilSchemeDefaultsToNone(t *testing.T) {
 	cfg := quiet()
 	cfg.Scheme = nil

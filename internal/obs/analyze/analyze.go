@@ -2,10 +2,10 @@
 // event stream: detection start-lag (attack window open to first defense
 // actuation), peak-overshoot area and longest excursion over the breaker
 // limit, the DVFS issued-versus-landed latency distribution, and per-link
-// retry-storm windows. The input is the obs event stream — live from a
-// Bus's recorder or replayed from a CSV archive — and the analysis is a
-// pure function of (events, config), so two runs over the same capture are
-// byte-identical all the way to the rendered report.
+// retry-storm windows. The input is the obs event stream a Bus recorded,
+// and the analysis is a pure function of (events, config), so two runs
+// over the same capture are byte-identical all the way to the rendered
+// report.
 package analyze
 
 import (

@@ -193,29 +193,3 @@ func TestChromeTraceSHA256(t *testing.T) {
 		}
 	}
 }
-
-// TestReportMatchesCSVRoundTrip replays the capture through the CSV
-// archive format and requires the identical report — the property that
-// makes cmd/tracereport equivalent to an in-process analysis.
-func TestReportMatchesCSVRoundTrip(t *testing.T) {
-	cfg := floodConfig()
-	bus := obs.NewBus()
-	cfg.Observer = bus
-	if _, err := core.RunOnce(cfg); err != nil {
-		t.Fatal(err)
-	}
-	var csv bytes.Buffer
-	if err := bus.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := obs.ParseCSVEvents(&csv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := make([]obs.Event, 0, bus.Events().Len())
-	bus.Events().Each(func(ev obs.Event) { direct = append(direct, ev) })
-
-	if !bytes.Equal(renderReport(t, direct), renderReport(t, replayed)) {
-		t.Fatal("CSV round-trip changes the report")
-	}
-}

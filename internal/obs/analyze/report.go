@@ -9,8 +9,9 @@ import (
 	"antidope/internal/obs"
 )
 
-// ReportSchema tags the rendered report's first line; cmd/tracereport's
-// golden tests and the CI double-run compare both key on it.
+// ReportSchema tags the rendered report's first line, the one antidope-sim
+// -report writes; the report goldens and the CI double-run compare both
+// key on it.
 const ReportSchema = "antidope-tracereport/v1"
 
 // num renders a float deterministically, with NaN — the analyzer's

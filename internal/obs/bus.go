@@ -51,15 +51,10 @@ func (b *Bus) BeginRun() {
 }
 
 // Events exposes the recorded stream for exporters.
-//
-//lint:allow deadcode -- called by perfbench, a separate module that make lint does not load
 func (b *Bus) Events() *Recorder { return &b.rec }
 
 // WriteChromeTrace renders the recorded events as Chrome trace-event JSON.
 func (b *Bus) WriteChromeTrace(w io.Writer) error { return WriteChromeTrace(w, &b.rec) }
-
-// WriteCSV renders the recorded events as CSV.
-func (b *Bus) WriteCSV(w io.Writer) error { return WriteCSV(w, &b.rec) }
 
 // WriteTimelineJSON renders the attached timeline as JSON; it is an error
 // to call without EnableTimeline.

@@ -34,10 +34,11 @@ const (
 // Timestamps are sim-time converted to microseconds with fixed precision,
 // so the bytes are a pure function of the event stream.
 //
-// The mapping is a view, not the archive (the CSV is): per-request
-// req-arrive/req-start instants and token-grant events are omitted to keep
-// flood traces tractable — completions still render every request as a
-// slice on its server's track, and the metrics count what the view omits.
+// The mapping is a view of the recorded stream, not a copy of it:
+// per-request req-arrive/req-start instants and token-grant events are
+// omitted to keep flood traces tractable — completions still render every
+// request as a slice on its server's track, and the timeline counts the
+// arrivals and admits the view omits.
 func WriteChromeTrace(w io.Writer, rec *Recorder) error {
 	tw := traceWriter{w: w, buf: make([]byte, 0, traceBufSize)}
 	tw.buf = append(tw.buf, `{"displayTimeUnit":"ms","traceEvents":[`+
@@ -296,8 +297,8 @@ func (tw *traceWriter) event(ev Event) {
 		b = append(append(span(b, "attack:", ev.Label, "e"), "attack-"...), ev.Label...)
 		b = atArgs(b, trackCore, ev.T)
 	default:
-		// req-arrive, req-start and token-grant are archived in the CSV and
-		// counted in the metrics; omitted here.
+		// req-arrive, req-start and token-grant stay in the recorder;
+		// omitted here.
 		return
 	}
 	tw.end(append(b, "}}"...))

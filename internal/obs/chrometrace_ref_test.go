@@ -94,7 +94,7 @@ func (tw *refTraceWriter) span(name, ph, id string, tid int, t float64, args str
 func (tw *refTraceWriter) event(ev Event) {
 	switch ev.Kind {
 	case KindReqArrive, KindReqStart, KindTokenGrant:
-		// Archived in the CSV and counted in the metrics; omitted here.
+		// Kept in the recorder; omitted here.
 	case KindReqComplete:
 		tw.meta(`"name":"` + ev.Label + `","ph":"X","pid":1,"tid":` +
 			strconv.Itoa(trackServerBase+int(ev.Server)) +

@@ -7,8 +7,8 @@ import (
 
 // FormatFloat renders a float deterministically: shortest round-trip form,
 // with non-finite values spelled +Inf, -Inf and NaN. Exported for the
-// byte-reproducible exporters layered on top of this package
-// (internal/obs/analyze, cmd/tracereport).
+// byte-reproducible renderers layered on top of this package
+// (internal/obs/analyze's report, internal/harness's manifest).
 func FormatFloat(v float64) string { return formatFloat(v) }
 
 // formatFloat renders a float deterministically: shortest round-trip form,

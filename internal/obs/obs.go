@@ -8,8 +8,8 @@
 // Determinism contract: events carry sim-time stamps only, emission order
 // is the simulation's own event order, and every exporter iterates in a
 // sorted or insertion order — never raw map order. Two runs of the same
-// config with fresh observers produce byte-identical trace, event CSV and
-// timeline files.
+// config with fresh observers record the same event stream and produce
+// byte-identical trace and timeline files.
 package obs
 
 // Observer receives structured simulation events. Implementations must not

@@ -181,43 +181,18 @@ func TestValidateRejectsMalformedTraces(t *testing.T) {
 	}
 }
 
-func TestCSVCoversEveryEvent(t *testing.T) {
-	b := NewBus()
-	evs := sampleEvents()
-	for _, ev := range evs {
-		b.Emit(ev)
-	}
-	var buf bytes.Buffer
-	if err := b.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if got, want := len(lines), len(evs)+1; got != want {
-		t.Fatalf("CSV has %d lines, want %d (header + one per event)", got, want)
-	}
-	if lines[0] != "t,kind,server,class,id,a,b,label" {
-		t.Fatalf("unexpected header %q", lines[0])
-	}
-	if want := "0.4,req-complete,0,0,1,0.1,0.3,Colla-Filt"; lines[3] != want {
-		t.Fatalf("line 3 = %q, want %q", lines[3], want)
-	}
-}
-
-// TestEmptyCaptureExports locks the empty-capture edge of every event
+// TestEmptyCaptureExports locks the empty-capture edge of the event
 // exporter: a fresh bus and a BeginRun-reset bus must render identical,
-// valid, byte-stable output — no trailing commas, no missing headers.
+// valid, byte-stable output — no trailing commas, no missing metadata.
 func TestEmptyCaptureExports(t *testing.T) {
-	render := func(b *Bus) (c, v string) {
-		var cb, vb bytes.Buffer
+	render := func(b *Bus) string {
+		var cb bytes.Buffer
 		if err := b.WriteChromeTrace(&cb); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.WriteCSV(&vb); err != nil {
-			t.Fatal(err)
-		}
-		return cb.String(), vb.String()
+		return cb.String()
 	}
-	c1, v1 := render(NewBus())
+	c1 := render(NewBus())
 
 	// A used-then-reset bus is the same empty capture.
 	reset := NewBus()
@@ -225,45 +200,30 @@ func TestEmptyCaptureExports(t *testing.T) {
 		reset.Emit(ev)
 	}
 	reset.BeginRun()
-	c2, v2 := render(reset)
-	if c1 != c2 || v1 != v2 {
+	if c2 := render(reset); c1 != c2 {
 		t.Error("BeginRun-reset bus renders event streams differently from a fresh bus")
 	}
 
 	if err := ValidateChromeTrace([]byte(c1)); err != nil {
 		t.Errorf("empty chrome trace fails validation: %v\n%s", err, c1)
 	}
-	if v1 != csvHeader+"\n" {
-		t.Errorf("empty CSV must be exactly the header line, got %q", v1)
-	}
-	if events, err := ParseCSVEvents(bytes.NewBufferString(v1)); err != nil || len(events) != 0 {
-		t.Errorf("empty CSV round-trip: events=%d err=%v", len(events), err)
-	}
 }
 
-// TestExportersDeterministic renders the same stream twice through every
+// TestExportersDeterministic renders the same stream twice through the
 // event exporter and requires byte equality.
 func TestExportersDeterministic(t *testing.T) {
-	render := func() (string, string) {
+	render := func() string {
 		b := NewBus()
 		for _, ev := range sampleEvents() {
 			b.Emit(ev)
 		}
-		var c, v bytes.Buffer
+		var c bytes.Buffer
 		if err := b.WriteChromeTrace(&c); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.WriteCSV(&v); err != nil {
-			t.Fatal(err)
-		}
-		return c.String(), v.String()
+		return c.String()
 	}
-	c1, v1 := render()
-	c2, v2 := render()
-	if c1 != c2 {
+	if render() != render() {
 		t.Error("chrome traces differ between identical runs")
-	}
-	if v1 != v2 {
-		t.Error("CSVs differ between identical runs")
 	}
 }

@@ -70,10 +70,9 @@ type TimelineWindow struct {
 
 // Timeline folds an event stream into fixed-width sim-time windows. It is
 // the bus's deterministic aggregation layer: attach one with
-// Bus.EnableTimeline for online folding during a run, or replay a captured
-// stream through Add to rebuild the identical timeline offline — the fold
-// is a pure function of (events, width, SLA), so both paths produce
-// byte-identical exports.
+// Bus.EnableTimeline to fold a run as it emits (the analyzer also folds a
+// recorded stream through Add, for its retry-storm windows). The fold is
+// a pure function of (events, width, SLA).
 //
 // Window i covers [i*width, (i+1)*width); an event exactly on an edge lands
 // in the higher window (floor semantics of IEEE division, pinned by

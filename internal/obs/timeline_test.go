@@ -179,40 +179,6 @@ func TestBusTimelineLifecycle(t *testing.T) {
 	}
 }
 
-// TestTimelineOfflineReplayMatchesLive replays a live capture's CSV through
-// a fresh Timeline and requires byte-identical exports — the property that
-// makes tracereport's offline rebuild trustworthy.
-func TestTimelineOfflineReplayMatchesLive(t *testing.T) {
-	b := NewBus()
-	live := b.EnableTimeline(1.0, 0.25)
-	for _, ev := range sampleEvents() {
-		b.Emit(ev)
-	}
-	var csv bytes.Buffer
-	if err := b.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	events, err := ParseCSVEvents(&csv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay := NewTimeline(1.0, 0.25)
-	for _, ev := range events {
-		replay.Add(ev)
-	}
-	var a, bb bytes.Buffer
-	if err := live.WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := replay.WriteJSON(&bb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), bb.Bytes()) {
-		t.Fatalf("offline replay differs from live fold:\nlive:   %s\nreplay: %s",
-			a.String(), bb.String())
-	}
-}
-
 // TestTimelineResetRefillAllocFree proves Reset keeps capacity: refilling
 // the same stream allocates nothing.
 func TestTimelineResetRefillAllocFree(t *testing.T) {
