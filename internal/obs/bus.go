@@ -50,7 +50,7 @@ func (b *Bus) BeginRun() {
 	}
 }
 
-// Events exposes the recorded stream for exporters.
+// Events exposes the recorded stream, the analyzer's input.
 func (b *Bus) Events() *Recorder { return &b.rec }
 
 // WriteChromeTrace renders the recorded events as Chrome trace-event JSON.

@@ -22,7 +22,7 @@ type Observer interface {
 }
 
 // Kind enumerates the event taxonomy. The numeric order groups kinds by
-// subsystem; String returns the stable kebab-case name used by exporters.
+// subsystem; String returns each kind's stable kebab-case name.
 type Kind uint8
 
 const (
